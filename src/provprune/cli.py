@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -58,7 +59,6 @@ class RunConfig:
     cap_per_anchor: int = DEFAULT_CAP_PER_ANCHOR
     threshold: float = 1.0
     top_n: list[int] = field(default_factory=lambda: list(DEFAULT_TOP_N))
-    threads: int = 0
     synthesize_dangling: bool = False
     emit_dot: bool = False
     emit_removed_ids: bool = False
@@ -76,8 +76,6 @@ class RunConfig:
             raise ValueError("top-n entries must be non-negative")
         if self.cap_per_anchor < 0:
             raise ValueError("cap-per-anchor must be 0 (unlimited) or positive")
-        if self.threads < 0:
-            raise ValueError("threads must be 0 (auto) or positive")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,8 +97,6 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cap-per-anchor", type=int,
                      help="chains kept per anchor edge, 0 = unlimited")
     sub.add_argument("--threshold", type=float, help="cosine cutoff")
-    sub.add_argument("--threads", type=int,
-                     help="worker cap; results are identical at any setting")
     sub.add_argument("--synthesize-dangling", action="store_true",
                      help="mint placeholder nodes for undeclared event endpoints")
 
@@ -199,7 +195,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                       ("out_dir", "out_dir"), ("dim", "dim"), ("seed", "seed"),
                       ("model", "model"), ("set_size", "set_size"),
                       ("cap_per_anchor", "cap_per_anchor"),
-                      ("threshold", "threshold"), ("threads", "threads")]:
+                      ("threshold", "threshold")]:
         value = getattr(args, arg, None)
         if value is not None:
             setattr(cfg, attr, value)
@@ -333,24 +329,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     malicious = _malicious_for(g_eval, cfg.iocs)
 
     keep_ids = cfg.emit_removed_ids or cfg.emit_graph or cfg.emit_dot
+    population = set(g_eval.nodes) if cfg.include_isolated_nodes else None
     reports = sweep_top_n(g_eval, table, w_eval, embedder, malicious,
                           ns=cfg.top_n, threshold=cfg.threshold,
                           size=cfg.set_size, cap_per_anchor=cfg.cap_per_anchor,
-                          keep_removed_ids=keep_ids)
-
-    if cfg.include_isolated_nodes:
-        from .reduce import assemble_report
-        for i, report in enumerate(reports):
-            removed = set(report.removed_node_ids or [])
-            redone = assemble_report(
-                n_requested=report.n_requested, labels_used=report.labels_used,
-                incident_nodes=len(g_eval.nodes), removed_ids=removed,
-                malicious_ids=malicious.ids, incident_ids=set(g_eval.nodes),
-                declared_total=len(g_eval.nodes))
-            redone.per_stage_seconds = report.per_stage_seconds
-            redone.removed_node_ids = report.removed_node_ids
-            redone.note = report.note
-            reports[i] = redone
+                          keep_removed_ids=keep_ids, population=population)
 
     payload = [r.to_dict(include_removed_ids=cfg.emit_removed_ids)
                for r in reports]
@@ -359,14 +342,22 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     write_sweep_csv(reports, out_dir / "sweep.csv")
     _write_config_echo(cfg, out_dir, "reduce")
 
-    if cfg.emit_graph or cfg.emit_dot:
+    formats = [fmt for fmt, wanted in (("jsonl", cfg.emit_graph),
+                                       ("dot", cfg.emit_dot)) if wanted]
+    if formats:
+        last_stem, last_removed = None, -1
         for report in reports:
-            reduced = remove_nodes(g_eval, set(report.removed_node_ids or []))
-            stem = f"reduced_top{report.n_requested}"
-            if cfg.emit_graph:
-                save_graph(reduced, out_dir / f"{stem}.jsonl")
-            if cfg.emit_dot:
-                save_graph(reduced, out_dir / f"{stem}.dot", fmt="dot")
+            stem = out_dir / f"reduced_top{report.n_requested}"
+            # Removals only grow with n, so an equal count is an equal set and
+            # the previous export is copied instead of rebuilt.
+            if report.nodes_removed == last_removed:
+                for fmt in formats:
+                    shutil.copyfile(f"{last_stem}.{fmt}", f"{stem}.{fmt}")
+            else:
+                reduced = remove_nodes(g_eval, report.removed_node_ids)
+                for fmt in formats:
+                    save_graph(reduced, f"{stem}.{fmt}", fmt=fmt)
+            last_stem, last_removed = stem, report.nodes_removed
 
     for report in reports:
         print(f"n={report.n_requested} removed={report.nodes_removed} "

@@ -53,21 +53,25 @@ class LabelTable:
         return sum(lb.member_count for lb in self.labels)
 
     def to_json(self) -> str:
-        payload = {
-            "labels": [
-                {
-                    "label_id": lb.label_id,
-                    "polarity": lb.polarity,
-                    "member_count": lb.member_count,
-                    "created_seq": lb.created_seq,
-                    "representative": [float(x) for x in lb.representative],
-                }
-                for lb in self.labels
-            ],
-            "assignment": self.assignment,
-            "zero_vector_sets": self.zero_vector_sets,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        """Compact JSON with sorted keys, encoded one label at a time.
+
+        The text equals json.dumps of the whole payload, but only one
+        representative's float objects are alive at once.
+        """
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        labels = ",".join(
+            encode({
+                "label_id": lb.label_id,
+                "polarity": lb.polarity,
+                "member_count": lb.member_count,
+                "created_seq": lb.created_seq,
+                "representative": np.asarray(lb.representative,
+                                             dtype=np.float64).tolist(),
+            })
+            for lb in self.labels)
+        return (f'{{"assignment":{encode(self.assignment)},'
+                f'"labels":[{labels}],'
+                f'"zero_vector_sets":{encode(self.zero_vector_sets)}}}')
 
 
 def label_table_from_json(text: str) -> LabelTable:

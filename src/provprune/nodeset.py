@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,8 @@ DEFAULT_CAP_PER_ANCHOR = 8
 # Features are composed in fixed-size batches so the arithmetic order never
 # depends on corpus size or worker count.
 FEATURE_CHUNK = 32768
+# Reach bounds are stored one byte per half-edge; deeper reach saturates here.
+REACH_LIMIT = 255
 
 
 @dataclass(frozen=True)
@@ -34,23 +37,101 @@ class NodeSet:
     feature: np.ndarray | None = field(default=None, compare=False)
 
 
-def _adjacency(graph: Graph) -> dict[str, tuple[list[int], list[tuple[int, str]]]]:
-    """Per node: ascending edge timestamps plus (edge index, neighbor) pairs.
+class _HalfEdges(NamedTuple):
+    """Both ends of every non-self-loop event, grouped by node.
 
-    Self-loop events are left out; a chain can never use one.
+    Node v owns positions bounds[k]:bounds[k + 1] of the flat lists, where
+    k = block[v], in (timestamp, edge index) order. reach[pos] bounds the
+    edges that can still follow after crossing the half-edge at pos to its
+    neighbor; into_object and into_subject hold, per event index, the bound
+    after arriving at the event's object or subject, for the anchor's two
+    orientations.
     """
-    adj: dict[str, list[tuple[int, int, str]]] = {}
+
+    block: dict[str, int]
+    bounds: list[int]
+    ts: list[int]
+    edge: list[int]
+    neighbor: list[str]
+    reach: bytes
+    into_object: bytes
+    into_subject: bytes
+
+
+def _half_edges(graph: Graph, size: int) -> _HalfEdges:
+    """Sorted half-edges plus their reach bounds, capped at size - 2.
+
+    reach(e, v) is the length of the longest walk that can follow after
+    arriving at v through e, each step taking an edge other than the one it
+    arrived through and no earlier than it. Walks may revisit nodes, so the
+    bound never undercounts what the DFS can still add. Self-loop events are
+    left out; a chain can never use one.
+    """
+    block: dict[str, int] = {}
+    subjects: list[int] = []
+    objects: list[int] = []
+    edges: list[int] = []
+    stamps: list[int] = []
     for idx, ev in enumerate(graph.events):
         if ev.subject == ev.object:
             continue
-        adj.setdefault(ev.subject, []).append((ev.ts, idx, ev.object))
-        adj.setdefault(ev.object, []).append((ev.ts, idx, ev.subject))
-    packed = {}
-    for node_id, entries in adj.items():
-        entries.sort()
-        packed[node_id] = ([e[0] for e in entries],
-                           [(e[1], e[2]) for e in entries])
-    return packed
+        subjects.append(block.setdefault(ev.subject, len(block)))
+        objects.append(block.setdefault(ev.object, len(block)))
+        edges.append(idx)
+        stamps.append(ev.ts)
+    m = len(edges)
+    n = 2 * m
+    if not m:
+        empty = bytes(len(graph.events))
+        return _HalfEdges(block, [0], [], [], [], b"", empty, empty)
+    # Half-edge h < m sits at the subject of edges[h], h >= m at its object.
+    # Timestamps enter numpy as dense ranks, so no value can overflow int64.
+    rank = {t: r for r, t in enumerate(sorted(set(stamps)))}
+    ts = np.array([rank[t] for t in stamps] * 2, dtype=np.int64)
+    node = np.array(subjects + objects, dtype=np.int64)
+    order = np.lexsort((np.arange(n) % m, ts, node))
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    twin = pos[(order + m) % n]
+    node_s = node[order]
+    # Every block number owns at least one half-edge, so the blocks tile.
+    bounds = np.searchsorted(node_s, np.arange(len(block) + 1))
+    # Where bisect_left starts each half-edge's scan (the first of its node's
+    # edges at its timestamp) and where its node's block ends.
+    run_key = node_s * len(rank) + ts[order]
+    run_start = np.searchsorted(run_key, run_key)
+    node_end = bounds[node_s + 1]
+    del node, ts, node_s, run_key
+
+    # Pass t marks the half-edges with reach >= t: some other edge at the
+    # node, no earlier, leads to a far end with reach >= t - 1.
+    reach = np.zeros(n, dtype=np.uint8)
+    level = np.ones(n, dtype=bool)
+    for _ in range(min(size - 2, REACH_LIMIT)):
+        ahead = level[twin]
+        suffix = np.zeros(n + 1, dtype=np.int64)
+        suffix[:n] = np.cumsum(ahead[::-1])[::-1]
+        level = suffix[run_start] - suffix[node_end] - ahead > 0
+        if not level.any():
+            break
+        reach += level
+    into_object = np.zeros(len(graph.events), dtype=np.uint8)
+    into_subject = np.zeros(len(graph.events), dtype=np.uint8)
+    into_object[edges] = reach[pos[m:]]
+    into_subject[edges] = reach[pos[:m]]
+
+    names = list(block)
+    half = order.tolist()
+    return _HalfEdges(
+        block=block,
+        bounds=bounds.tolist(),
+        ts=[stamps[h % m] for h in half],
+        edge=[edges[h % m] for h in half],
+        neighbor=[names[objects[h] if h < m else subjects[h - m]]
+                  for h in half],
+        reach=reach[twin].tobytes(),
+        into_object=into_object.tobytes(),
+        into_subject=into_subject.tobytes())
 
 
 def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
@@ -59,14 +140,18 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
 
     Each result chain is produced exactly once, anchored at its first edge.
     cap_per_anchor bounds how many chains one anchor edge may emit across both
-    of its orientations; 0 disables the cap.
+    of its orientations; 0 disables the cap. Branches whose reach bound falls
+    short of the edges still needed are skipped; they could emit no chain, so
+    the chains, their order and the cap's choice are those of the full DFS.
     """
     if size < 2:
         raise ValueError(f"set size must be at least 2, got {size}")
     if cap_per_anchor < 0:
         raise ValueError("cap_per_anchor must be 0 (unlimited) or positive")
-    adj = _adjacency(graph)
+    (block, bounds, ts_list, edge_list, neighbors, ahead, into_object,
+     into_subject) = _half_edges(graph, size)
     want_edges = size - 1
+    limit = min(size - 2, REACH_LIMIT)
     results: list[NodeSet] = []
     budget = cap_per_anchor if cap_per_anchor > 0 else None
 
@@ -74,9 +159,12 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
         if ev.subject == ev.object:
             continue
         remaining = budget
-        for start, nxt in ((ev.subject, ev.object), (ev.object, ev.subject)):
+        for start, nxt, reach in ((ev.subject, ev.object, into_object),
+                                  (ev.object, ev.subject, into_subject)):
             if remaining is not None and remaining <= 0:
                 break
+            if reach[anchor_idx] < limit:
+                continue
             chain_nodes = [start, nxt]
             chain_edges = [anchor_idx]
             visited = {start, nxt}
@@ -92,16 +180,15 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
                         remaining -= 1
                         return remaining > 0
                     return True
-                entry = adj.get(tail)
-                if entry is None:
-                    return True
-                ts_list, pairs = entry
-                for pos in range(bisect_left(ts_list, last_ts), len(ts_list)):
-                    edge_idx, neighbor = pairs[pos]
-                    if neighbor in visited:
+                k = block[tail]
+                lo, hi = bounds[k], bounds[k + 1]
+                need = min(want_edges - len(chain_edges) - 1, limit)
+                for pos in range(bisect_left(ts_list, last_ts, lo, hi), hi):
+                    neighbor = neighbors[pos]
+                    if ahead[pos] < need or neighbor in visited:
                         continue
                     chain_nodes.append(neighbor)
-                    chain_edges.append(edge_idx)
+                    chain_edges.append(edge_list[pos])
                     visited.add(neighbor)
                     alive = extend(neighbor, ts_list[pos])
                     visited.discard(neighbor)

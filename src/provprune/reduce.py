@@ -181,11 +181,14 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
                 embedder, malicious: MaliciousNodeList, ns: list[int],
                 threshold: float = 1.0, size: int = DEFAULT_SET_SIZE,
                 cap_per_anchor: int = DEFAULT_CAP_PER_ANCHOR,
-                keep_removed_ids: bool = False) -> list[ReductionReport]:
+                keep_removed_ids: bool = False,
+                population: set[str] | None = None) -> list[ReductionReport]:
     """One reduction report per requested top-n, sharing a single match pass.
 
     Representative prefixes are nested, so each node-set only needs the lowest
     rank that matches it; sweeping n is then a threshold walk over that array.
+    population is the node set the reduction rate is taken over; by default
+    the nodes incident to at least one event.
     """
     if sorted(ns) != list(ns):
         raise ValueError("top-n list must be ascending")
@@ -201,7 +204,8 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
     t3 = time.perf_counter()
     shared = {"enumerate": t1 - t0, "featurize": t2 - t1, "match": t3 - t2}
 
-    incident = g_eval.event_node_ids()
+    if population is None:
+        population = g_eval.event_node_ids()
     by_rank: dict[int, list[NodeSet]] = {}
     for node_set, rank in zip(sets, ranks):
         if rank >= 0:
@@ -218,10 +222,10 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
                 removed_ids.update(node_set.node_ids)
             done += 1
         report = assemble_report(n_requested=n, labels_used=use,
-                                 incident_nodes=len(incident),
+                                 incident_nodes=len(population),
                                  removed_ids=removed_ids,
                                  malicious_ids=malicious.ids,
-                                 incident_ids=incident,
+                                 incident_ids=population,
                                  declared_total=len(g_eval.nodes))
         report.per_stage_seconds = dict(shared)
         report.per_stage_seconds["select"] = time.perf_counter() - t4

@@ -41,6 +41,50 @@ def brute_force_chains(events, size):
     return found
 
 
+def ordered_chains(events, size, cap_per_anchor):
+    """Capped chains in emission order, from an unpruned depth-first search.
+
+    Anchors on each non-self-loop event in list order, subject-first then
+    object-first; from the tail it tries incident events later-or-equal in
+    time, earliest (ts, index) first, leading somewhere new. A cap stops an
+    anchor, across both orientations, after that many chains; 0 means none.
+    Returns (node_ids, edge_indices, anchor_ts) triples.
+    """
+    incident = {}
+    for idx, ev in enumerate(events):
+        if ev.subject == ev.object:
+            continue
+        incident.setdefault(ev.subject, []).append((ev.ts, idx, ev.object))
+        incident.setdefault(ev.object, []).append((ev.ts, idx, ev.subject))
+    for entries in incident.values():
+        entries.sort()
+    found = []
+
+    def grow(nodes, edges, last_ts, anchor_ts, budget):
+        """Returns the budget left; None means unlimited."""
+        if len(nodes) == size:
+            found.append((tuple(nodes), tuple(edges), anchor_ts))
+            return None if budget is None else budget - 1
+        for ts, idx, neighbor in incident.get(nodes[-1], []):
+            if ts < last_ts or neighbor in nodes:
+                continue
+            budget = grow(nodes + [neighbor], edges + [idx], ts, anchor_ts,
+                          budget)
+            if budget == 0:
+                break
+        return budget
+
+    for idx, ev in enumerate(events):
+        if ev.subject == ev.object:
+            continue
+        budget = cap_per_anchor or None
+        for start, nxt in ((ev.subject, ev.object), (ev.object, ev.subject)):
+            if budget == 0:
+                break
+            budget = grow([start, nxt], [idx], ev.ts, ev.ts, budget)
+    return found
+
+
 def recount_entity_events(events):
     """P_f by brute force: one increment per event per participating id."""
     counts = {}

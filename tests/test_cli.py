@@ -3,6 +3,8 @@ import json
 import pytest
 
 from provprune.cli import main
+from provprune.graph import build_graph, export_graph, remove_nodes
+from provprune.ingest import parse_file
 
 SPEC = {
     "seed": 31,
@@ -191,6 +193,61 @@ def test_include_isolated_changes_denominator(corpus):
     iso = json.loads((iso_out / "reports.json").read_text())[0]
     assert iso["total_nodes_before"] == base["total_nodes_before"] + 1
     assert iso["declared_nodes_total"] == iso["total_nodes_before"]
+
+
+def test_include_isolated_report_independent_of_emit_flags(corpus):
+    """The isolated-node denominator must not depend on --emit-removed-ids."""
+    lab = corpus / "lab"
+    main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+          "--iocs", str(corpus / "a" / "iocs.tsv"), "--out", str(lab)])
+    tail = ["--eval", str(corpus / "b" / "corpus.jsonl"),
+            "--labels", str(lab / "labels.json"),
+            "--iocs", str(corpus / "b" / "iocs.tsv"),
+            "--top-n", "1,2", "--include-isolated-nodes"]
+    assert main(["reduce", "--out", str(corpus / "plain")] + tail) == 0
+    assert main(["reduce", "--out", str(corpus / "ids"),
+                 "--emit-removed-ids"] + tail) == 0
+    plain = json.loads((corpus / "plain" / "reports.json").read_text())
+    with_ids = json.loads((corpus / "ids" / "reports.json").read_text())
+    assert plain[-1]["nodes_removed"] > 0
+    for a, b in zip(plain, with_ids):
+        b.pop("removed_node_ids")
+        a.pop("per_stage_seconds")
+        b.pop("per_stage_seconds")
+        assert a == b
+
+
+def test_equal_removals_export_identical_graphs(corpus):
+    lab = corpus / "lab"
+    main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+          "--iocs", str(corpus / "a" / "iocs.tsv"), "--out", str(lab)])
+    red = corpus / "red_dup"
+    # Far more labels than the table holds: both n use every benign label.
+    assert main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
+                 "--labels", str(lab / "labels.json"), "--out", str(red),
+                 "--top-n", "1,500,1000", "--emit-removed-ids",
+                 "--emit-graph", "--emit-dot"]) == 0
+    reports = json.loads((red / "reports.json").read_text())
+    assert reports[1]["removed_node_ids"] == reports[2]["removed_node_ids"]
+    assert reports[0]["nodes_removed"] < reports[1]["nodes_removed"]
+    nodes, events, _ = parse_file(str(corpus / "b" / "corpus.jsonl"))
+    full = build_graph(nodes, events)
+    for report in reports:
+        reduced = remove_nodes(full, report["removed_node_ids"])
+        for fmt in ("jsonl", "dot"):
+            path = red / f"reduced_top{report['n_requested']}.{fmt}"
+            assert path.read_text() == export_graph(reduced, fmt)
+
+
+def test_threads_flag_is_gone(corpus):
+    with pytest.raises(SystemExit) as err:
+        main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+              "--out", str(corpus / "t"), "--threads", "2"])
+    assert err.value.code == 1
+    assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+                 "--out", str(corpus / "t")]) == 0
+    echo = json.loads((corpus / "t" / "run_config.json").read_text())
+    assert "threads" not in echo
 
 
 def test_config_file_and_flag_precedence(corpus, tmp_path):

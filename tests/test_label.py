@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ from provprune.ingest import Event, NodeRecord
 from provprune.label import (
     BENIGN,
     MALICIOUS,
+    LabelTable,
     MaliciousNodeList,
     build_malicious_list,
     classify_set,
@@ -269,6 +271,29 @@ def test_table_json_round_trip():
     assert back.to_json() == text
     assert back.labels[1].polarity == MALICIOUS
     assert (back.labels[0].representative == table.labels[0].representative).all()
+
+
+def test_table_json_equals_whole_payload_dump():
+    rng = random.Random(611)
+    sets = [make_set([f"x{i}", f"y{i}"],
+                     np.array([rng.gauss(0, 1) for _ in range(8)]), seq=i)
+            for i in range(30)]
+    table = label_node_sets(sets, MaliciousNodeList(ids={"x3"}), threshold=0.5)
+    table.zero_vector_sets = 2
+    payload = {
+        "labels": [{"label_id": lb.label_id, "polarity": lb.polarity,
+                    "member_count": lb.member_count,
+                    "created_seq": lb.created_seq,
+                    "representative": [float(x) for x in lb.representative]}
+                   for lb in table.labels],
+        "assignment": table.assignment,
+        "zero_vector_sets": table.zero_vector_sets,
+    }
+    assert len(table.labels) > 1
+    assert table.to_json() == json.dumps(payload, sort_keys=True,
+                                         separators=(",", ":"))
+    assert LabelTable().to_json() == \
+        '{"assignment":[],"labels":[],"zero_vector_sets":0}'
 
 
 def test_labeling_deterministic_bytes():

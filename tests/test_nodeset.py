@@ -1,4 +1,6 @@
 import random
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,12 @@ from provprune.nodeset import (
     featurize_sets,
 )
 
-from oracles import brute_force_chains, random_graph_records, sum_feature_by_hand
+from oracles import (
+    brute_force_chains,
+    ordered_chains,
+    random_graph_records,
+    sum_feature_by_hand,
+)
 
 
 def chain_fixture(n=5, ts_step=10):
@@ -137,6 +144,83 @@ def test_matches_bruteforce_on_random_graphs():
         ours = {(s.node_ids, s.edge_indices)
                 for s in enumerate_node_sets(g, size=size, cap_per_anchor=0)}
         assert ours == brute_force_chains(g.events, size)
+
+
+def ordered(sets):
+    return [(s.node_ids, s.edge_indices, s.anchor_ts) for s in sets]
+
+
+def assert_matches_ordered_oracle(g, sizes=(2, 3, 4, 5), caps=(0, 1, 3, 8)):
+    for size in sizes:
+        for cap in caps:
+            assert ordered(enumerate_node_sets(g, size=size,
+                                               cap_per_anchor=cap)) == \
+                ordered_chains(g.events, size, cap), (size, cap)
+
+
+def test_capped_order_matches_ordered_oracle_with_ties():
+    """Dense timestamp ties and self-loops stress the reach bound's edges."""
+    rng = random.Random(4242)
+    for _ in range(40):
+        nodes, events = random_graph_records(rng, max_nodes=rng.choice([8, 30]),
+                                             allow_self_loops=True)
+        top = rng.choice([1, 2, 3, 20])
+        events = [replace(ev, ts=rng.randint(1, top)) for ev in events]
+        assert_matches_ordered_oracle(build_graph(nodes, events))
+
+
+def star_graph(leaves, hub="h", ts=lambda i: i + 1, prefix="f"):
+    nodes = [NodeRecord(id=hub, kind="process", cmdline="hub")]
+    nodes += [NodeRecord(id=f"{prefix}{i}", kind="file", path=f"/{prefix}/{i}")
+              for i in range(leaves)]
+    events = [Event(subject=hub, object=f"{prefix}{i}", syscall="read",
+                    ts=ts(i)) for i in range(leaves)]
+    return nodes, events
+
+
+def process_chain(names, first_ts):
+    nodes = [NodeRecord(id=n, kind="process", cmdline=n) for n in names]
+    events = [Event(subject=a, object=b, syscall="clone", ts=first_ts + i)
+              for i, (a, b) in enumerate(zip(names, names[1:]))]
+    return nodes, events
+
+
+@pytest.mark.parametrize("ts", [lambda i: i + 1, lambda i: 7,
+                                lambda i: 30 - i, lambda i: i % 3])
+def test_hub_shapes_match_ordered_oracle(ts):
+    # Star.
+    assert_matches_ordered_oracle(build_graph(*star_graph(12, ts=ts)))
+    # Double star: two hubs joined by one edge.
+    a_nodes, a_events = star_graph(8, hub="a", ts=ts, prefix="x")
+    b_nodes, b_events = star_graph(8, hub="b", ts=ts, prefix="y")
+    bridge = Event(subject="a", object="b", syscall="clone", ts=ts(4))
+    assert_matches_ordered_oracle(build_graph(
+        a_nodes + b_nodes, a_events + b_events + [bridge]))
+    # Hub plus chain: one leaf is read by a process that starts a chain.
+    h_nodes, h_events = star_graph(10, ts=ts)
+    c_nodes, c_events = process_chain(["q", "r", "s", "t"], first_ts=ts(5))
+    link = Event(subject="q", object="f5", syscall="read", ts=ts(5))
+    assert_matches_ordered_oracle(build_graph(
+        h_nodes + c_nodes, h_events + c_events + [link]))
+
+
+def test_large_star_is_not_quadratic():
+    """A 20,000-leaf star has no 5-node chain and must cost about linear."""
+    g = build_graph(*star_graph(20000))
+    t0 = time.perf_counter()
+    assert enumerate_node_sets(g, size=5) == []
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_hub_leaf_that_continues_still_yields_its_chain():
+    h_nodes, h_events = star_graph(20000)
+    c_nodes, c_events = process_chain(["q", "r", "s"], first_ts=50000)
+    link = Event(subject="q", object="f0", syscall="read", ts=40000)
+    g = build_graph(h_nodes + c_nodes, h_events + c_events + [link])
+    t0 = time.perf_counter()
+    sets = enumerate_node_sets(g, size=5)
+    assert time.perf_counter() - t0 < 5.0
+    assert [s.node_ids for s in sets] == [("h", "f0", "q", "r", "s")]
 
 
 def weights_for(graph):

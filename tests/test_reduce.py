@@ -6,7 +6,7 @@ import pytest
 
 from provprune.embed import HashNgramEmbedder, compute_weights, effective_threshold
 from provprune.graph import build_graph
-from provprune.ingest import compute_corpus_stats, parse_stream
+from provprune.ingest import NodeRecord, compute_corpus_stats, parse_stream
 from provprune.label import (
     BENIGN,
     Label,
@@ -193,6 +193,21 @@ def test_sweep_n_beyond_labels_noted():
                           ns=[total_benign + 50])
     assert reports[0].labels_used == total_benign
     assert "only" in reports[0].note
+
+
+def test_sweep_population_sets_rate_denominator():
+    g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(12))
+    g.nodes["lonely"] = NodeRecord(id="lonely", kind="file", path="/island")
+    default, = sweep_top_n(g, table, weights, emb, malicious, ns=[3])
+    declared, = sweep_top_n(g, table, weights, emb, malicious, ns=[3],
+                            population=set(g.nodes))
+    assert default.total_nodes_before == len(g.event_node_ids())
+    assert declared.total_nodes_before == len(g.nodes) == \
+        default.total_nodes_before + 1
+    assert declared.nodes_removed == default.nodes_removed > 0
+    assert declared.reduction_rate == \
+        100.0 * declared.nodes_removed / len(g.nodes)
+    assert declared.fp_count == default.fp_count + 1
 
 
 def test_fn_matches_independent_recount():
