@@ -297,8 +297,9 @@ def cmd_label(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, table, seconds = _label_pipeline(cfg, cfg.labeled)
-    (out_dir / "labels.json").write_text(table.to_json() + "\n",
-                                         encoding="utf-8")
+    with open(out_dir / "labels.json", "w", encoding="utf-8") as fh:
+        table.write_json(fh)
+        fh.write("\n")
     _write_config_echo(cfg, out_dir, "label")
     benign = sum(1 for lb in table.labels if lb.polarity == "benign")
     print(f"labels={len(table.labels)} benign={benign} "

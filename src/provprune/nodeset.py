@@ -232,9 +232,14 @@ def featurize_sets(sets: list[NodeSet], graph: Graph, weights: WeightTable,
     for lo in range(0, len(sets), FEATURE_CHUNK):
         block = sets[lo:lo + FEATURE_CHUNK]
         idx = np.array([[index[nid] for nid in s.node_ids] for s in block])
-        # The + 0.0 turns any negative zero from zero-weight terms into the
-        # plain zero the sequential composition produces.
-        feats = np.einsum("ck,ckd->cd", node_weights[idx], vectors[idx]) + 0.0
+        # Adding one chain position at a time onto zeros is compose_feature's
+        # order, bit for bit, without a chains x K x dim gather.
+        feats = np.zeros((len(block), vectors.shape[1]))
+        term = np.empty_like(feats)
+        for k in range(idx.shape[1]):
+            np.take(vectors, idx[:, k], axis=0, out=term)
+            term *= node_weights[idx[:, k], None]
+            feats += term
         for s, feat in zip(block, feats):
             feat.setflags(write=False)
             out.append(NodeSet(node_ids=s.node_ids, edge_indices=s.edge_indices,

@@ -26,6 +26,9 @@ from .nodeset import (
 )
 
 MATCH_CHUNK = 4096
+# Elements of one chunk's similarity block (8 MB of float64), so a long
+# representative list shortens the chunk instead of growing the block.
+MATCH_BUDGET = 1 << 20
 
 
 @dataclass
@@ -129,8 +132,9 @@ def _min_match_ranks(sets: list[NodeSet], reps: np.ndarray,
     norms = np.linalg.norm(features, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     normalized = features / safe[:, None]
-    for lo in range(0, normalized.shape[0], MATCH_CHUNK):
-        block = normalized[lo:lo + MATCH_CHUNK]
+    chunk = max(1, min(MATCH_CHUNK, MATCH_BUDGET // reps.shape[0]))
+    for lo in range(0, normalized.shape[0], chunk):
+        block = normalized[lo:lo + chunk]
         sims = block @ reps.T
         hits = sims >= cutoff
         any_hit = hits.any(axis=1)

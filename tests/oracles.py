@@ -2,13 +2,18 @@
 
 Everything here is written straight from the documented contracts using the
 dumbest data structures that work: raw event-list scans, plain dict counters,
-pure-Python arithmetic. None of it shares code with the package internals.
+pure-Python arithmetic. None of it shares logic with the package internals;
+the reference labeler builds the package's table types only so that tables
+compare byte for byte.
 """
 
 import math
 import random
 
+import numpy as np
+
 from provprune.ingest import SYSCALL_OBJECT_KIND, Event, NodeRecord
+from provprune.label import BENIGN, MALICIOUS, Label, LabelTable
 
 
 def brute_force_chains(events, size):
@@ -127,6 +132,39 @@ def exhaustive_removed_nodes(sets, reps, cutoff):
                 removed.update(node_set.node_ids)
                 break
     return removed
+
+
+def sequential_labels(sets, malicious_ids, cutoff):
+    """Label one chain at a time: one gemv against every earlier label.
+
+    A chain joins the first most similar label at or above the cutoff, or
+    mints a label whose polarity comes from its own nodes. Zero vectors mint
+    and keep a zero row, so they compare as 0 with every later chain.
+    """
+    table = LabelTable()
+    rows = []
+    for node_set in sets:
+        feature = node_set.feature
+        norm = float(np.linalg.norm(feature))
+        normalized = feature / norm if norm != 0.0 else None
+        if normalized is not None and rows:
+            sims = np.array(rows) @ normalized
+            best = int(np.argmax(sims))
+            if float(sims[best]) >= cutoff:
+                table.labels[best].member_count += 1
+                table.assignment.append(best)
+                continue
+        seq = len(table.labels)
+        polarity = (MALICIOUS if set(node_set.node_ids) & malicious_ids
+                    else BENIGN)
+        table.labels.append(Label(label_id=seq, polarity=polarity,
+                                  representative=feature, member_count=1,
+                                  created_seq=seq))
+        table.assignment.append(seq)
+        table.zero_vector_sets += normalized is None
+        rows.append(np.zeros(feature.shape[0]) if normalized is None
+                    else normalized)
+    return table
 
 
 def sum_feature_by_hand(chain, weights, embedder):

@@ -1,9 +1,12 @@
+import io
 import json
 import random
 
 import numpy as np
 import pytest
 
+from provprune import label
+from provprune.embed import effective_threshold
 from provprune.graph import build_graph
 from provprune.ingest import Event, NodeRecord
 from provprune.label import (
@@ -18,6 +21,8 @@ from provprune.label import (
     parse_ioc_file,
 )
 from provprune.nodeset import NodeSet
+
+from oracles import sequential_labels
 
 
 def make_set(ids, feature, seq=0):
@@ -307,3 +312,151 @@ def test_labeling_deterministic_bytes():
     a = label_node_sets(sets, MaliciousNodeList(), threshold=0.7).to_json()
     b = label_node_sets(sets_twice, MaliciousNodeList(), threshold=0.7).to_json()
     assert a == b
+
+
+def test_write_json_streams_the_to_json_bytes(tmp_path):
+    rng = random.Random(612)
+    sets = [make_set([f"x{i}", f"y{i}"],
+                     np.array([rng.gauss(0, 1) for _ in range(8)]), seq=i)
+            for i in range(25)]
+    table = label_node_sets(sets, MaliciousNodeList(ids={"x4"}), threshold=0.3)
+    buf = io.StringIO()
+    table.write_json(buf)
+    assert buf.getvalue() == table.to_json()
+    with open(tmp_path / "labels.json", "w", encoding="utf-8") as fh:
+        table.write_json(fh)
+    assert (tmp_path / "labels.json").read_text(encoding="utf-8") == \
+        table.to_json()
+
+
+def mixed_features(rng, count, dim=4):
+    """Noisy copies of a few directions, exact and scaled duplicates of
+    earlier features, and zero vectors."""
+    bases = [np.array([rng.gauss(0, 1) for _ in range(dim)]) for _ in range(5)]
+    out = []
+    for i in range(count):
+        roll = rng.random()
+        if out and roll < 0.2:
+            feat = np.array(rng.choice(out))
+        elif out and roll < 0.3:
+            feat = rng.choice([0.5, 3.0, 1e-3]) * rng.choice(out)
+        elif roll < 0.35:
+            feat = np.zeros(dim)
+        else:
+            feat = rng.choice(bases) + np.array(
+                [rng.gauss(0, rng.choice([0.01, 0.3])) for _ in range(dim)])
+        out.append(feat)
+    return [make_set([f"x{i}", f"y{i}"], feat, seq=i)
+            for i, feat in enumerate(out)]
+
+
+def assert_labels_match_sequential(sets, threshold, malicious_ids=()):
+    malicious = MaliciousNodeList(ids=set(malicious_ids))
+    got = label_node_sets(sets, malicious, threshold=threshold)
+    want = sequential_labels(sets, malicious.ids,
+                             effective_threshold(threshold))
+    assert got.to_json() == want.to_json()
+    return got
+
+
+@pytest.mark.parametrize("threshold", [1.0, 0.9, 0.0, -1.0])
+def test_blocked_labeling_matches_sequential_reference(threshold):
+    block = label.LABEL_BLOCK
+    rng = random.Random(613)
+    for count in (0, 1, block - 1, block, block + 1, 3 * block + 17):
+        sets = mixed_features(rng, count)
+        assert_labels_match_sequential(
+            sets, threshold, malicious_ids={f"x{i}" for i in range(0, count, 9)})
+
+
+@pytest.mark.parametrize("threshold", [1.0, 0.9, 0.0, -1.0])
+def test_blocked_labeling_with_small_blocks_and_chunks(monkeypatch, threshold):
+    """Tiny blocks and representative chunks put every tie and near-miss
+    across block and chunk boundaries."""
+    monkeypatch.setattr(label, "LABEL_BLOCK", 5)
+    monkeypatch.setattr(label, "REP_CHUNK", 3)
+    rng = random.Random(614)
+    for count in (4, 5, 6, 40, 203):
+        assert_labels_match_sequential(mixed_features(rng, count), threshold)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_features_match_sequential_reference():
+    rng = random.Random(615)
+    sets = mixed_features(rng, 600)
+    sets[300] = make_set(["nan0", "nan1"], np.array([np.nan, 1.0, 0.0, 0.0]))
+    sets[450] = make_set(["inf0", "inf1"], np.array([np.inf, 1.0, 0.0, 0.0]))
+    for threshold in (1.0, 0.9):
+        assert_labels_match_sequential(sets, threshold)
+
+
+def near_tie_sets(positions, lead):
+    """Two labels equally close to a later query, give or take `lead`.
+
+    a and b sit at cosine 0.95 from e0 on opposite sides, so they stay two
+    labels at threshold 0.9; the query e0 then scores a and b within 1e-13
+    of each other. Fillers are orthogonal to all three.
+    """
+    c = 0.95
+    s = np.sqrt(1.0 - c * c)
+    a = np.array([c, s, 0.0, 0.0, 0.0, 0.0])
+    b = np.array([c + lead, -s, 0.0, 0.0, 0.0, 0.0])
+    query = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    count = max(positions) + 3
+    filler = np.eye(6)[2:]
+    feats = [filler[i % 4] * (1 + i) for i in range(count)]
+    for pos, feat in zip(positions, (a, b, query)):
+        feats[pos] = feat
+    return [make_set([f"x{i}", f"y{i}"], feat, seq=i)
+            for i, feat in enumerate(feats)]
+
+
+@pytest.fixture
+def exact_scans(monkeypatch):
+    """Records each call of the exact scan over every label."""
+    calls = []
+    exact = label._RepMatrix.best_match
+
+    def counted(self, normalized):
+        calls.append(1)
+        return exact(self, normalized)
+
+    monkeypatch.setattr(label._RepMatrix, "best_match", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lead", [0.0, 4e-14, -4e-14])
+def test_near_tie_across_block_boundary_takes_exact_scan(exact_scans, lead):
+    block = label.LABEL_BLOCK
+    for positions in ((block - 2, block - 1, block),     # both before
+                      (block - 1, block, block + 1),     # one each side
+                      (block, block + 1, block + 2)):    # both inside
+        exact_scans.clear()
+        sets = near_tie_sets(positions, lead)
+        table = assert_labels_match_sequential(sets, 0.9)
+        a, b, query = (table.assignment[p] for p in positions)
+        assert a != b
+        assert query == (b if lead > 0 else a)
+        assert exact_scans
+
+
+@pytest.mark.parametrize("offset", [5e-13, 0.0, -5e-13])
+def test_near_cutoff_takes_exact_scan(exact_scans, offset):
+    """A query whose best cosine sits within the margin of the cutoff is
+    decided by the exact scan, on whichever side of a block it falls."""
+    block = label.LABEL_BLOCK
+    c = 0.9 + offset
+    rep = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    query = np.array([c, np.sqrt(1.0 - c * c), 0.0, 0.0, 0.0])
+    filler = np.eye(5)[2:]
+    for rep_at, query_at in ((block - 1, block), (block, block + 1)):
+        exact_scans.clear()
+        feats = [filler[i % 3] * (1 + i) for i in range(block + 2)]
+        feats[rep_at], feats[query_at] = rep, query
+        sets = [make_set([f"x{i}", f"y{i}"], feat, seq=i)
+                for i, feat in enumerate(feats)]
+        table = assert_labels_match_sequential(sets, 0.9)
+        joined = table.assignment[query_at] == table.assignment[rep_at]
+        if offset:
+            assert joined == (offset > 0)
+        assert exact_scans

@@ -16,8 +16,10 @@ from provprune.label import (
     label_node_sets,
     parse_ioc_file,
 )
-from provprune.nodeset import enumerate_node_sets, featurize_sets
+from provprune.nodeset import NodeSet, enumerate_node_sets, featurize_sets
+from provprune import reduce
 from provprune.reduce import (
+    _min_match_ranks,
     assemble_report,
     rank_benign_labels,
     reduce_graph,
@@ -244,3 +246,23 @@ def test_malicious_list_from_generated_iocs(tmp_path):
     iocs, explicit = parse_ioc_file(path)
     mal = build_malicious_list(g, iocs, explicit)
     assert mal.ids == set(truth.malicious_ids)
+
+
+def test_match_ranks_independent_of_chunk_budget(monkeypatch):
+    rng = np.random.default_rng(616)
+    reps = rng.normal(size=(7, 8))
+    reps /= np.linalg.norm(reps, axis=1)[:, None]
+    feats = np.concatenate([rng.normal(size=(40, 8)),
+                            reps[rng.integers(0, 7, size=30)] * 2.5,
+                            np.zeros((3, 8))])
+    rng.shuffle(feats)
+    sets = [NodeSet(node_ids=(f"a{i}", f"b{i}"), edge_indices=(i,),
+                    anchor_ts=i, feature=feat) for i, feat in enumerate(feats)]
+    for threshold in (1.0, 0.5):
+        want = _min_match_ranks(sets, reps, threshold)
+        assert (want >= 0).sum() >= 30
+        for budget in (1, 10, 29):
+            monkeypatch.setattr(reduce, "MATCH_BUDGET", budget)
+            assert _min_match_ranks(sets, reps, threshold).tolist() == \
+                want.tolist()
+        monkeypatch.undo()
