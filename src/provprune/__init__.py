@@ -20,6 +20,7 @@ from .ingest import (
     Event,
     NodeRecord,
     ParseStats,
+    cmdline_frequency,
     compute_corpus_stats,
     parse_file,
     parse_stream,
@@ -63,6 +64,7 @@ __all__ = [
     "build_graph",
     "build_malicious_list",
     "classify_set",
+    "cmdline_frequency",
     "compose_feature",
     "compute_corpus_stats",
     "compute_weights",

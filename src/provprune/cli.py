@@ -19,7 +19,12 @@ from pathlib import Path
 from . import __version__
 from .embed import DEFAULT_DIM, DEFAULT_SEED, compute_weights, get_embedder
 from .graph import Graph, build_graph, remove_nodes, save_graph, summarize
-from .ingest import compute_corpus_stats, parse_file, top_commands
+from .ingest import (
+    cmdline_frequency,
+    compute_corpus_stats,
+    parse_file,
+    top_commands,
+)
 from .label import (
     build_malicious_list,
     label_node_sets,
@@ -231,14 +236,15 @@ def _malicious_for(graph: Graph, ioc_path: str | None):
 def cmd_stats(args: argparse.Namespace) -> int:
     nodes, events, parse_stats = parse_file(
         args.input, synthesize_dangling=args.synthesize_dangling)
-    stats = compute_corpus_stats(events, nodes)
+    stats = compute_corpus_stats(events)
     graph = build_graph(nodes, events)
     report = {
         "total_events": stats.total_events,
         "per_syscall": dict(sorted(stats.per_syscall_count.items())),
         "top_commands": [
             {"cmdline": cmd, "count": count, "share": round(share, 4)}
-            for cmd, count, share in top_commands(stats, max(args.top, 1))
+            for cmd, count, share in top_commands(
+                cmdline_frequency(events, nodes), max(args.top, 1))
         ],
         "graph": summarize(graph),
         "parse": parse_stats.to_dict(),
@@ -279,7 +285,7 @@ def _label_pipeline(cfg: RunConfig, corpus_path: str):
     nodes, events, _ = parse_file(corpus_path,
                                   synthesize_dangling=cfg.synthesize_dangling)
     graph = build_graph(nodes, events)
-    stats = compute_corpus_stats(graph.events, graph.nodes.values())
+    stats = compute_corpus_stats(graph.events)
     weights = compute_weights(stats, graph.nodes)
     embedder = get_embedder(cfg.model, dim=cfg.dim, seed=cfg.seed)
     sets = enumerate_node_sets(graph, size=cfg.set_size,
@@ -324,7 +330,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     nodes, events, _ = parse_file(cfg.eval_corpus,
                                   synthesize_dangling=cfg.synthesize_dangling)
     g_eval = build_graph(nodes, events)
-    stats = compute_corpus_stats(g_eval.events, g_eval.nodes.values())
+    stats = compute_corpus_stats(g_eval.events)
     w_eval = compute_weights(stats, g_eval.nodes)
     embedder = get_embedder(cfg.model, dim=cfg.dim, seed=cfg.seed)
     malicious = _malicious_for(g_eval, cfg.iocs)

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import IO, Iterable
 
 from .ingest import (
@@ -39,14 +39,6 @@ class Graph:
 
     def kind_counts(self) -> Counter:
         return Counter(n.kind for n in self.nodes.values())
-
-    def degree_counts(self) -> Counter:
-        """Edge-endpoint tallies; a self-loop contributes 2 to its node."""
-        deg: Counter = Counter()
-        for ev in self.events:
-            deg[ev.subject] += 1
-            deg[ev.object] += 1
-        return deg
 
 
 def build_graph(nodes: Iterable[NodeRecord], events: Iterable[Event]) -> Graph:
@@ -84,33 +76,30 @@ def remove_nodes(graph: Graph, node_ids: Iterable[str]) -> Graph:
     return Graph(nodes=kept_nodes, events=kept_events, ignored_removals=ignored)
 
 
-def _node_obj(node: NodeRecord) -> dict:
+# One f-string per record kind writes the text json.dumps(obj, sort_keys=True,
+# separators=(",", ":")) gives: keys in sorted order, strings through the
+# encoder's own ASCII escaper, ints as their repr.
+def _node_line(node: NodeRecord) -> str:
     if node.kind == KIND_PROCESS:
-        return {"kind": node.kind, "id": node.id, "cmdline": node.cmdline,
-                "ts": node.first_seen}
+        return (f'{{"cmdline":{_quote(node.cmdline)},"id":{_quote(node.id)},'
+                f'"kind":"process","ts":{node.first_seen}}}')
     if node.kind == KIND_FILE:
-        return {"kind": node.kind, "id": node.id, "path": node.path,
-                "ts": node.first_seen}
-    return {"kind": node.kind, "id": node.id,
-            "laddr": node.local_addr, "lport": node.local_port,
-            "raddr": node.remote_addr, "rport": node.remote_port,
-            "ts": node.first_seen}
-
-
-def _event_obj(ev: Event) -> dict:
-    return {"kind": "event", "syscall": ev.syscall, "subject": ev.subject,
-            "object": ev.object, "ts": ev.ts}
-
-
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return (f'{{"id":{_quote(node.id)},"kind":"file",'
+                f'"path":{_quote(node.path)},"ts":{node.first_seen}}}')
+    return (f'{{"id":{_quote(node.id)},"kind":{_quote(node.kind)},'
+            f'"laddr":{_quote(node.local_addr)},"lport":{node.local_port},'
+            f'"raddr":{_quote(node.remote_addr)},"rport":{node.remote_port},'
+            f'"ts":{node.first_seen}}}')
 
 
 def graph_lines(graph: Graph) -> list[str]:
     """Canonical line-delimited form: nodes sorted by id, then ordered events."""
-    lines = [_dumps(_node_obj(n))
+    lines = [_node_line(n)
              for n in sorted(graph.nodes.values(), key=lambda n: n.id)]
-    lines.extend(_dumps(_event_obj(ev)) for ev in graph.events)
+    lines.extend(f'{{"kind":"event","object":{_quote(ev.object)},'
+                 f'"subject":{_quote(ev.subject)},'
+                 f'"syscall":{_quote(ev.syscall)},"ts":{ev.ts}}}'
+                 for ev in graph.events)
     return lines
 
 
@@ -131,19 +120,22 @@ def dot_lines(graph: Graph) -> list[str]:
     return lines
 
 
+def _format_lines(graph: Graph, fmt: str) -> list[str]:
+    if fmt == "jsonl":
+        return graph_lines(graph)
+    if fmt == "dot":
+        return dot_lines(graph)
+    raise ValueError(f"unknown export format: {fmt!r}")
+
+
 def export_graph(graph: Graph, fmt: str = "jsonl") -> str:
     """Serialize to 'jsonl' (round-trips through the parser) or 'dot'."""
-    if fmt == "jsonl":
-        lines = graph_lines(graph)
-    elif fmt == "dot":
-        lines = dot_lines(graph)
-    else:
-        raise ValueError(f"unknown export format: {fmt!r}")
-    return "".join(line + "\n" for line in lines)
+    return "".join(line + "\n" for line in _format_lines(graph, fmt))
 
 
 def write_graph(graph: Graph, sink: IO[str], fmt: str = "jsonl") -> None:
-    sink.write(export_graph(graph, fmt))
+    """Write export_graph's text to sink a line at a time."""
+    sink.writelines(line + "\n" for line in _format_lines(graph, fmt))
 
 
 def save_graph(graph: Graph, path, fmt: str = "jsonl") -> None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from operator import attrgetter
+from typing import IO, Iterable
 
 KIND_PROCESS = "process"
 KIND_FILE = "file"
@@ -101,7 +102,6 @@ class CorpusStats:
     total_events: int = 0
     per_entity_event_count: Counter = field(default_factory=Counter)
     per_syscall_count: Counter = field(default_factory=Counter)
-    cmdline_frequency: Counter = field(default_factory=Counter)
 
 
 def normalize_cmdline(text: str) -> str:
@@ -246,41 +246,47 @@ def parse_file(path, synthesize_dangling: bool = False):
         return parse_stream(fh, synthesize_dangling=synthesize_dangling)
 
 
+_subject = attrgetter("subject")
+_syscall = attrgetter("syscall")
+
+
 def compute_corpus_stats(events: Iterable[Event],
-                         nodes: Iterable[NodeRecord]) -> CorpusStats:
-    """Count events per entity and per syscall, plus subject command-line frequency.
+                         nodes: Iterable[NodeRecord] = ()) -> CorpusStats:
+    """Count events per entity and per syscall.
 
     An entity appearing in an event is counted once per event, whether it is
-    the subject, the object, or both. Command lines are counted once per event,
-    keyed by the (normalized) command line of the acting process.
+    the subject, the object, or both. The counts come from events alone;
+    ``nodes`` is not read and stays only so two-argument calls keep working.
+    """
+    events = list(events)
+    per_entity = Counter(map(_subject, events))
+    per_entity.update(ev.object for ev in events if ev.object != ev.subject)
+    return CorpusStats(total_events=len(events),
+                       per_entity_event_count=per_entity,
+                       per_syscall_count=Counter(map(_syscall, events)))
+
+
+def cmdline_frequency(events: Iterable[Event],
+                      nodes: Iterable[NodeRecord]) -> Counter:
+    """Events per normalized command line of the acting process.
+
+    Each event counts once, keyed by its subject's command line; subjects
+    that are not declared processes are skipped.
     """
     by_id = {n.id: n for n in nodes}
-    stats = CorpusStats()
-    for ev in events:
-        stats.total_events += 1
-        stats.per_syscall_count[ev.syscall] += 1
-        stats.per_entity_event_count[ev.subject] += 1
-        if ev.object != ev.subject:
-            stats.per_entity_event_count[ev.object] += 1
-        subj = by_id.get(ev.subject)
-        if subj is not None and subj.kind == KIND_PROCESS:
-            stats.cmdline_frequency[normalize_cmdline(subj.cmdline)] += 1
-    return stats
+    frequency: Counter = Counter()
+    for subject, count in Counter(map(_subject, events)).items():
+        node = by_id.get(subject)
+        if node is not None and node.kind == KIND_PROCESS:
+            frequency[normalize_cmdline(node.cmdline)] += count
+    return frequency
 
 
-def top_commands(stats: CorpusStats, k: int) -> list[tuple[str, int, float]]:
+def top_commands(frequency: Counter, k: int) -> list[tuple[str, int, float]]:
     """Top-k command lines by count with their share of all occurrences.
 
     Ties are broken lexicographically so the ranking is reproducible.
     """
-    total = sum(stats.cmdline_frequency.values())
-    ranked = sorted(stats.cmdline_frequency.items(), key=lambda kv: (-kv[1], kv[0]))
+    total = sum(frequency.values())
+    ranked = sorted(frequency.items(), key=lambda kv: (-kv[1], kv[0]))
     return [(cmd, count, count / total) for cmd, count in ranked[:k]]
-
-
-def iter_jsonl(lines: Iterable[str]) -> Iterator[dict]:
-    """Yield decoded objects from JSONL text, skipping blank lines."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield json.loads(line)

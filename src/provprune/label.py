@@ -133,13 +133,17 @@ def build_malicious_list(graph: Graph, iocs: list[str],
     out = MaliciousNodeList()
     hits_per_ioc = {ioc: 0 for ioc in iocs}
     matched: dict[str, str] = {}
+    # Many nodes share an attribute text; scan the IoCs once per text.
+    first_ioc: dict[str, str | None] = {}
     for node_id in sorted(graph.nodes):
         text = graph.nodes[node_id].attr_text()
-        for ioc in iocs:
-            if ioc and ioc in text:
-                matched[node_id] = ioc
-                hits_per_ioc[ioc] += 1
-                break
+        if text not in first_ioc:
+            first_ioc[text] = next(
+                (ioc for ioc in iocs if ioc and ioc in text), None)
+        ioc = first_ioc[text]
+        if ioc is not None:
+            matched[node_id] = ioc
+            hits_per_ioc[ioc] += 1
     for ioc, hits in hits_per_ioc.items():
         if hits == 0:
             out.warnings.append(f"ioc matched no nodes: {ioc!r}")

@@ -7,6 +7,7 @@ the reference labeler builds the package's table types only so that tables
 compare byte for byte.
 """
 
+import json
 import math
 import random
 
@@ -98,6 +99,74 @@ def recount_entity_events(events):
         for nid in seen:
             counts[nid] = counts.get(nid, 0) + 1
     return counts
+
+
+def degree_counts(graph):
+    """Edge-endpoint tallies; a self-loop contributes 2 to its node."""
+    deg = {}
+    for ev in graph.events:
+        for nid in (ev.subject, ev.object):
+            deg[nid] = deg.get(nid, 0) + 1
+    return deg
+
+
+def reference_corpus_stats(events, nodes):
+    """Per-event tallies, one dict increment at a time.
+
+    Returns (total_events, per_entity_event_count, per_syscall_count,
+    cmdline_frequency); command lines are keyed with whitespace runs
+    collapsed, one count per event whose subject is a declared process.
+    """
+    by_id = {n.id: n for n in nodes}
+    per_entity, per_syscall, cmdlines = {}, {}, {}
+    for ev in events:
+        per_syscall[ev.syscall] = per_syscall.get(ev.syscall, 0) + 1
+        for nid in {ev.subject, ev.object}:
+            per_entity[nid] = per_entity.get(nid, 0) + 1
+        subject = by_id.get(ev.subject)
+        if subject is not None and subject.kind == "process":
+            key = " ".join(subject.cmdline.split())
+            cmdlines[key] = cmdlines.get(key, 0) + 1
+    return len(events), per_entity, per_syscall, cmdlines
+
+
+def reference_ioc_matches(graph, iocs):
+    """Node id -> first IoC in list order its attribute text contains, plus
+    the IoCs that matched nothing; every node scans the whole IoC list."""
+    matched = {}
+    for node_id in sorted(graph.nodes):
+        for ioc in iocs:
+            if ioc and ioc in graph.nodes[node_id].attr_text():
+                matched[node_id] = ioc
+                break
+    unmatched = [ioc for ioc in dict.fromkeys(iocs)
+                 if ioc not in matched.values()]
+    return matched, unmatched
+
+
+def reference_graph_lines(graph):
+    """The JSONL export built as dicts and encoded one json.dumps at a time."""
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    lines = []
+    for n in sorted(graph.nodes.values(), key=lambda n: n.id):
+        if n.kind == "process":
+            obj = {"kind": n.kind, "id": n.id, "cmdline": n.cmdline,
+                   "ts": n.first_seen}
+        elif n.kind == "file":
+            obj = {"kind": n.kind, "id": n.id, "path": n.path,
+                   "ts": n.first_seen}
+        else:
+            obj = {"kind": n.kind, "id": n.id, "laddr": n.local_addr,
+                   "lport": n.local_port, "raddr": n.remote_addr,
+                   "rport": n.remote_port, "ts": n.first_seen}
+        lines.append(dumps(obj))
+    for ev in graph.events:
+        lines.append(dumps({"kind": "event", "syscall": ev.syscall,
+                            "subject": ev.subject, "object": ev.object,
+                            "ts": ev.ts}))
+    return lines
 
 
 def expected_weights(events, nodes_by_id):
@@ -212,6 +281,60 @@ def random_graph_records(rng, max_nodes=30, max_events=60,
             continue
         events.append(Event(subject=subject, object=target, syscall=syscall,
                             ts=rng.randint(1, 20)))
+    return nodes, events
+
+
+# Strings and ints at the edges of the JSON encoding: quotes, backslashes,
+# control characters, non-ASCII, lone surrogates, whitespace runs, empties.
+EDGE_TEXTS = ["", '"', "\\", "\x00\x1f\x7f", "\n\r\t\x0b\x0c", "caf\u00e9",
+              "\u2028\u2029", "\U0001f600", json.loads('"\\ud800"'),
+              json.loads('"\\udfff"'), "  ls \t -la  ", "\\u0041", "a b"]
+EDGE_TS = [0, -1, -(2 ** 63), 2 ** 63 - 1, 2 ** 63, 2 ** 64 + 7, 10 ** 30]
+EDGE_PORTS = [0, 65535]
+
+
+def edge_graph_records(rng, max_nodes=24, max_events=40):
+    """A random corpus of all three node kinds built from EDGE_* values.
+
+    Events honor the syscall/object-kind pairing; clone and execve may loop
+    a process onto itself.
+    """
+    def text():
+        return rng.choice(EDGE_TEXTS) + rng.choice(EDGE_TEXTS)
+
+    def ts():
+        return rng.choice(EDGE_TS + [rng.randint(-50, 50)])
+
+    def port():
+        return rng.choice(EDGE_PORTS + [rng.randint(1, 65534)])
+
+    nodes = [NodeRecord(id=f"p0:{text()}", kind="process", cmdline=text(),
+                        first_seen=ts())]
+    for i in range(1, rng.randint(1, max_nodes)):
+        kind = rng.choice(("process", "file", "netflow"))
+        node_id = f"{kind[0]}{i}:{text()}"
+        if kind == "process":
+            nodes.append(NodeRecord(id=node_id, kind=kind, cmdline=text(),
+                                    first_seen=ts()))
+        elif kind == "file":
+            nodes.append(NodeRecord(id=node_id, kind=kind, path=text(),
+                                    first_seen=ts()))
+        else:
+            nodes.append(NodeRecord(id=node_id, kind=kind,
+                                    remote_addr=text(), remote_port=port(),
+                                    local_addr=text(), local_port=port(),
+                                    first_seen=ts()))
+    by_kind = {}
+    for n in nodes:
+        by_kind.setdefault(n.kind, []).append(n.id)
+    syscalls = [s for s, kind in SYSCALL_OBJECT_KIND.items()
+                if kind in by_kind]
+    events = []
+    for _ in range(rng.randint(0, max_events)):
+        syscall = rng.choice(syscalls)
+        target = rng.choice(by_kind[SYSCALL_OBJECT_KIND[syscall]])
+        events.append(Event(subject=rng.choice(by_kind["process"]),
+                            object=target, syscall=syscall, ts=ts()))
     return nodes, events
 
 

@@ -1,3 +1,5 @@
+import io
+import json
 import random
 
 import pytest
@@ -8,11 +10,20 @@ from provprune.graph import (
     export_graph,
     graph_lines,
     remove_nodes,
+    save_graph,
     summarize,
+    write_graph,
 )
 from provprune.ingest import Event, NodeRecord, parse_stream
 
-from oracles import random_graph_records
+from oracles import (
+    EDGE_PORTS,
+    EDGE_TS,
+    degree_counts,
+    edge_graph_records,
+    random_graph_records,
+    reference_graph_lines,
+)
 
 
 def small_fixture():
@@ -86,7 +97,7 @@ def test_handshake_identity():
         events.append(Event(subject=s, object=o, syscall=syscall,
                             ts=rng.randrange(1000)))
     g = build_graph(nodes, events)
-    assert sum(g.degree_counts().values()) == 2 * len(g.events)
+    assert sum(degree_counts(g).values()) == 2 * len(g.events)
 
 
 def test_remove_nothing_is_identity():
@@ -139,18 +150,58 @@ def test_export_empty_graph():
     assert export_graph(build_graph([], [])) == ""
 
 
+def edge_graph(rng):
+    """An edge-value graph plus placeholder nodes the parser mints."""
+    nodes, events = edge_graph_records(rng)
+    ghosts = [{"kind": "event", "syscall": syscall, "subject": "ghost:p",
+               "object": f"ghost:{syscall}\ud800", "ts": rng.choice(EDGE_TS)}
+              for syscall in rng.sample(["read", "clone", "sendto"], 2)]
+    lines = reference_graph_lines(build_graph(nodes, events))
+    lines += [json.dumps(obj) for obj in ghosts]
+    nodes, events, stats = parse_stream(lines, synthesize_dangling=True)
+    assert stats.synthesized_nodes == 3
+    return build_graph(nodes, events)
+
+
 def test_jsonl_round_trip_fixpoint():
     """export -> parse -> build -> export lands on identical bytes."""
     rng = random.Random(85)
-    for _ in range(10):
-        nodes, events = random_graph_records(rng)
-        g = build_graph(nodes, events)
+    graphs = [build_graph(*random_graph_records(rng)) for _ in range(10)]
+    graphs += [edge_graph(rng) for _ in range(80)]
+    for g in graphs:
         first = export_graph(g)
         nodes2, events2, stats = parse_stream(first.splitlines())
         assert stats.total_event_records() == stats.accepted_events
         g2 = build_graph(nodes2, events2)
         assert g2 == g
         assert export_graph(g2) == first
+
+
+def test_export_bytes_equal_json_dumps_encoding(tmp_path):
+    """graph_lines, export_graph, write_graph and save_graph all give the
+    bytes of one sorted-key json.dumps per record."""
+    rng = random.Random(86)
+    seen = set()
+    for trial in range(80):
+        g = edge_graph(rng)
+        expected = reference_graph_lines(g)
+        assert graph_lines(g) == expected
+        text = "".join(line + "\n" for line in expected)
+        assert export_graph(g) == text
+        sink = io.StringIO()
+        write_graph(g, sink)
+        assert sink.getvalue() == text
+        path = tmp_path / f"g{trial}.jsonl"
+        save_graph(g, path)
+        assert path.read_bytes() == text.encode("ascii")
+        for n in g.nodes.values():
+            seen.add(n.kind)
+            seen.update({n.first_seen, n.local_port, n.remote_port}
+                        & {*EDGE_TS, *EDGE_PORTS})
+            seen.update(c for c in n.id + n.attr_text()
+                        if "\ud800" <= c <= "\udfff")
+    assert {"process", "file", "netflow", *EDGE_TS, *EDGE_PORTS} <= seen
+    assert {"\ud800", "\udfff"} <= seen
 
 
 def test_dot_output_shape():

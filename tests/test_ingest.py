@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,13 +9,19 @@ from provprune.ingest import (
     SYSCALL_OBJECT_KIND,
     Event,
     NodeRecord,
+    cmdline_frequency,
     compute_corpus_stats,
     normalize_cmdline,
     parse_stream,
     top_commands,
 )
 
-from oracles import recount_entity_events
+from oracles import (
+    edge_graph_records,
+    random_graph_records,
+    recount_entity_events,
+    reference_corpus_stats,
+)
 
 
 def lines(*objs):
@@ -204,13 +211,37 @@ def test_stats_match_bruteforce_recount():
     assert sum(stats.per_syscall_count.values()) == stats.total_events
 
 
+def test_stats_match_per_event_reference():
+    """Counts equal a one-increment-per-event loop, self-loops included."""
+    rng = random.Random(2025)
+    spaced = ["ls  -la", " ls -la ", "ls\t-la", "make\n -j4", "", "   "]
+    self_loops = 0
+    for trial in range(60):
+        if trial % 2:
+            nodes, events = edge_graph_records(rng)
+        else:
+            nodes, events = random_graph_records(rng, allow_self_loops=True)
+            nodes = [replace(n, cmdline=rng.choice(spaced))
+                     if n.kind == "process" else n for n in nodes]
+        self_loops += sum(ev.subject == ev.object for ev in events)
+        declared = nodes if trial % 3 else nodes[1:]
+        total, per_entity, per_syscall, cmdlines = reference_corpus_stats(
+            events, declared)
+        stats = compute_corpus_stats(iter(events))
+        assert stats.total_events == total
+        assert dict(stats.per_entity_event_count) == per_entity
+        assert dict(stats.per_syscall_count) == per_syscall
+        assert compute_corpus_stats(events, nodes) == stats
+        assert dict(cmdline_frequency(events, declared)) == cmdlines
+    assert self_loops > 0
+
+
 def test_cmdline_counted_once_per_event():
     nodes = [NodeRecord(id="p1", kind="process", cmdline="/usr/bin/firefox"),
              NodeRecord(id="f1", kind="file", path="/x")]
     events = [Event(subject="p1", object="f1", syscall="read", ts=i)
               for i in range(7)]
-    stats = compute_corpus_stats(events, nodes)
-    assert stats.cmdline_frequency["/usr/bin/firefox"] == 7
+    assert cmdline_frequency(events, nodes) == {"/usr/bin/firefox": 7}
 
 
 def test_normalize_cmdline_collapses_whitespace_only():
@@ -223,8 +254,8 @@ def test_top_commands_single():
              NodeRecord(id="f1", kind="file", path="/x")]
     events = [Event(subject="p1", object="f1", syscall="read", ts=i)
               for i in range(5)]
-    stats = compute_corpus_stats(events, nodes)
-    assert top_commands(stats, 10) == [("solo", 5, 1.0)]
+    assert top_commands(cmdline_frequency(events, nodes), 10) == [
+        ("solo", 5, 1.0)]
 
 
 def test_top_commands_shares_and_tiebreak():
@@ -235,15 +266,14 @@ def test_top_commands_shares_and_tiebreak():
     events = []
     events += [Event(subject="p1", object="f1", syscall="read", ts=1)] * 3
     events += [Event(subject="p2", object="f1", syscall="read", ts=1)] * 1
-    stats = compute_corpus_stats(events, nodes)
-    ranked = top_commands(stats, 5)
+    ranked = top_commands(cmdline_frequency(events, nodes), 5)
     assert ranked[0] == ("bbb", 3, 0.75)
     assert ranked[1] == ("aaa", 1, 0.25)
 
-    tie_stats = compute_corpus_stats(
+    tie = cmdline_frequency(
         [Event(subject="p1", object="f1", syscall="read", ts=1),
          Event(subject="p2", object="f1", syscall="read", ts=1)], nodes)
-    assert [c for c, _, _ in top_commands(tie_stats, 5)] == ["aaa", "bbb"]
+    assert [c for c, _, _ in top_commands(tie, 5)] == ["aaa", "bbb"]
 
 
 @pytest.mark.parametrize("syscall,expected_kind", [

@@ -22,7 +22,11 @@ from provprune.label import (
 )
 from provprune.nodeset import NodeSet
 
-from oracles import sequential_labels
+from oracles import (
+    random_graph_records,
+    reference_ioc_matches,
+    sequential_labels,
+)
 
 
 def make_set(ids, feature, seq=0):
@@ -122,6 +126,24 @@ def test_direct_match_provenance_beats_adjacency():
     g = five_node_graph()
     out = build_malicious_list(g, ["payload.bin", "loader"], [])
     assert out.provenance["pA"] == "loader"
+
+
+def test_ioc_matching_equals_per_node_scan():
+    """Shared texts, overlapping and repeated IoCs: the first IoC in list
+    order wins per node, and provenance and warnings keep their order."""
+    rng = random.Random(88)
+    pool = ["cmd-1", "cmd", "/data/1", "1", "", "/data/", "10.1.2.3:",
+            "absent"]
+    for _ in range(40):
+        g = build_graph(*random_graph_records(rng))
+        iocs = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        matched, unmatched = reference_ioc_matches(g, iocs)
+        out = build_malicious_list(g, iocs, [])
+        direct = list(out.provenance.items())[:len(matched)]
+        assert direct == list(matched.items())
+        assert out.warnings == [f"ioc matched no nodes: {ioc!r}"
+                                for ioc in unmatched]
+        assert set(matched) <= out.ids
 
 
 def test_classify_set_rules():
