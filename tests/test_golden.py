@@ -1,0 +1,96 @@
+"""Golden-output gate: the CLI's output bytes for a fixed corpus pair.
+
+The output bytes are the contract a refactor must keep: `labels.json`, every
+`reduced_top*.jsonl`, and `reports.json`/`sweep.csv` with the wall-clock
+timings masked. Their sha256 digests live in `tests/golden/digests.json`.
+
+After a change that is meant to alter outputs, regenerate the digests with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+from provprune.cli import main
+from provprune.synthgen import ioc_file_lines, generate
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_acceptance import corpus_pair_specs  # noqa: E402
+
+DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
+
+
+def mask_timings(name: str, data: bytes) -> bytes:
+    """Zero the wall-clock fields, the only bytes allowed to vary."""
+    text = data.decode("utf-8")
+    if name.endswith("reports.json"):
+        text = re.sub(r'"(enumerate|featurize|match|select|total)": '
+                      r'[-0-9.e+]+', r'"\1": 0', text)
+    elif name.endswith("sweep.csv"):
+        text = re.sub(r",[0-9.]+(?=\r?$)", ",0", text, flags=re.MULTILINE)
+    return text.encode("utf-8")
+
+
+def golden_outputs(root: Path) -> dict[str, str]:
+    """Run label, reduce and reduce --labeled; digest every compared file."""
+    label_spec, eval_spec = corpus_pair_specs(
+        (12, 9, 7), (60, 40, 30), label_seed=606, eval_seed=707)
+    # One declared node no event touches, so --include-isolated-nodes
+    # changes the evaluation report's denominator.
+    isolated = '{"kind": "file", "id": "golden-isolated", "path": "/srv/idle"}'
+    paths = {}
+    for name, spec in (("labeled", label_spec), ("eval", eval_spec)):
+        lines, truth = generate(spec)
+        if name == "eval":
+            lines.append(isolated)
+        paths[name] = root / f"{name}.jsonl"
+        paths[name].write_text("\n".join(lines) + "\n")
+        paths[name + "_iocs"] = root / f"{name}_iocs.tsv"
+        paths[name + "_iocs"].write_text(
+            "\n".join(ioc_file_lines(truth)) + "\n")
+
+    runs = {
+        "lab": ["label", "--labeled", str(paths["labeled"]),
+                "--iocs", str(paths["labeled_iocs"])],
+        "red": ["reduce", "--eval", str(paths["eval"]),
+                "--labels", str(root / "lab" / "labels.json"),
+                "--iocs", str(paths["eval_iocs"]),
+                "--top-n", "1,2,5,50", "--emit-graph", "--emit-removed-ids"],
+        "inline": ["reduce", "--eval", str(paths["eval"]),
+                   "--labeled", str(paths["labeled"]),
+                   "--iocs", str(paths["eval_iocs"]),
+                   "--top-n", "1,2,5,50", "--include-isolated-nodes"],
+    }
+    for out, argv in runs.items():
+        assert main(argv + ["--out", str(root / out)]) == 0, out
+
+    digests = {}
+    for out in runs:
+        for path in sorted((root / out).iterdir()):
+            name = f"{out}/{path.name}"
+            if path.name == "run_config.json":
+                continue
+            data = mask_timings(name, path.read_bytes())
+            digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    want = json.loads(DIGESTS.read_text())
+    got = golden_outputs(tmp_path)
+    assert sorted(got) == sorted(want)
+    for name in sorted(want):
+        assert got[name] == want[name], name
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = golden_outputs(Path(tmp))
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {DIGESTS}")
