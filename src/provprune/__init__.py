@@ -9,7 +9,6 @@ from .embed import (
     VectorFileEmbedder,
     WeightTable,
     compute_weights,
-    cosine,
     embed_text,
     get_embedder,
 )
@@ -33,11 +32,10 @@ from .label import (
     classify_set,
     label_node_sets,
 )
-from .nodeset import NodeSet, compose_feature, enumerate_node_sets, featurize_sets
+from .nodeset import NodeSet, enumerate_node_sets, featurize_sets
 from .reduce import (
     ReductionReport,
     rank_benign_labels,
-    reduce_graph,
     representatives,
     sweep_top_n,
 )
@@ -65,10 +63,8 @@ __all__ = [
     "build_malicious_list",
     "classify_set",
     "cmdline_frequency",
-    "compose_feature",
     "compute_corpus_stats",
     "compute_weights",
-    "cosine",
     "embed_text",
     "enumerate_node_sets",
     "export_graph",
@@ -79,7 +75,6 @@ __all__ = [
     "parse_file",
     "parse_stream",
     "rank_benign_labels",
-    "reduce_graph",
     "remove_nodes",
     "representatives",
     "sweep_top_n",

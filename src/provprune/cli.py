@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .embed import DEFAULT_DIM, DEFAULT_SEED, compute_weights, get_embedder
-from .graph import Graph, build_graph, remove_nodes, save_graph, summarize
+from .graph import build_graph, remove_nodes, save_graph, summarize
 from .ingest import (
     cmdline_frequency,
     compute_corpus_stats,
@@ -157,35 +157,54 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str | None) -> dict:
+_STR = (lambda v: isinstance(v, str), "a string")
+_INT = (lambda v: type(v) is int, "an integer")
+_NUM = (lambda v: type(v) in (int, float), "a number")
+_INTS = (lambda v: type(v) is list and all(type(x) is int for x in v),
+         "a list of integers")
+# Config-file keys, dotted under their group, with the RunConfig field each
+# sets and the JSON type it must have.
+_CONFIG_KEYS = {
+    "labeled": ("labeled", _STR), "eval": ("eval_corpus", _STR),
+    "iocs": ("iocs", _STR), "out_dir": ("out_dir", _STR),
+    "embed.dim": ("dim", _INT), "embed.seed": ("seed", _INT),
+    "embed.model": ("model", _STR), "nodeset.size": ("set_size", _INT),
+    "nodeset.cap_per_anchor": ("cap_per_anchor", _INT),
+    "label.threshold": ("threshold", _NUM), "reduce.top_n": ("top_n", _INTS),
+}
+
+
+def _apply_config_file(cfg: RunConfig, path: str | None) -> None:
+    """Set cfg from a config file; unknown keys and bad types are errors."""
     if not path:
-        return {}
+        return
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    return obj
+    flat = {}
+    for name, value in obj.items():
+        if any(key.startswith(f"{name}.") for key in _CONFIG_KEYS):
+            if not isinstance(value, dict):
+                raise ValueError(f"config group {name!r} must be an object")
+            flat.update((f"{name}.{key}", v) for key, v in value.items())
+        elif "." in name:
+            raise ValueError(f"unknown config key {name!r}")
+        else:
+            flat[name] = value
+    for key, value in flat.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        attr, (valid, expected) = _CONFIG_KEYS[key]
+        if not valid(value):
+            raise ValueError(f"config key {key!r} must be {expected}, "
+                             f"got {value!r}")
+        setattr(cfg, attr, value)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    file_obj = _load_config_file(getattr(args, "config", None))
-    embed_obj = file_obj.get("embed", {})
-    nodeset_obj = file_obj.get("nodeset", {})
-    label_obj = file_obj.get("label", {})
-    reduce_obj = file_obj.get("reduce", {})
-
-    cfg.labeled = file_obj.get("labeled", cfg.labeled)
-    cfg.eval_corpus = file_obj.get("eval", cfg.eval_corpus)
-    cfg.iocs = file_obj.get("iocs", cfg.iocs)
-    cfg.out_dir = file_obj.get("out_dir", cfg.out_dir)
-    cfg.dim = embed_obj.get("dim", cfg.dim)
-    cfg.seed = embed_obj.get("seed", cfg.seed)
-    cfg.model = embed_obj.get("model", cfg.model)
-    cfg.set_size = nodeset_obj.get("size", cfg.set_size)
-    cfg.cap_per_anchor = nodeset_obj.get("cap_per_anchor", cfg.cap_per_anchor)
-    cfg.threshold = label_obj.get("threshold", cfg.threshold)
-    cfg.top_n = list(reduce_obj.get("top_n", cfg.top_n))
+    _apply_config_file(cfg, getattr(args, "config", None))
 
     env_seed = os.environ.get("PROVPRUNE_SEED")
     if env_seed is not None:
@@ -224,13 +243,6 @@ def _write_config_echo(cfg: RunConfig, out_dir: Path, command: str) -> None:
     path = out_dir / "run_config.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-
-
-def _malicious_for(graph: Graph, ioc_path: str | None):
-    if not ioc_path:
-        return build_malicious_list(graph, [], [])
-    iocs, explicit = parse_ioc_file(ioc_path)
-    return build_malicious_list(graph, iocs, explicit)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -279,22 +291,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _label_pipeline(cfg: RunConfig, corpus_path: str):
-    """Parse, weight, enumerate, featurize, and label one corpus."""
-    t0 = time.perf_counter()
-    nodes, events, _ = parse_file(corpus_path,
+def _prepare_graph(cfg: RunConfig, path: str):
+    """Parse one corpus into its graph, weights, embedder and IoC list."""
+    nodes, events, _ = parse_file(path,
                                   synthesize_dangling=cfg.synthesize_dangling)
     graph = build_graph(nodes, events)
-    stats = compute_corpus_stats(graph.events)
-    weights = compute_weights(stats, graph.nodes)
+    weights = compute_weights(compute_corpus_stats(graph.events), graph.nodes)
     embedder = get_embedder(cfg.model, dim=cfg.dim, seed=cfg.seed)
+    iocs, explicit = parse_ioc_file(cfg.iocs) if cfg.iocs else ([], [])
+    return graph, weights, embedder, build_malicious_list(graph, iocs, explicit)
+
+
+def _label_pipeline(cfg: RunConfig, corpus_path: str):
+    """Enumerate, featurize and label the node-sets of one corpus."""
+    graph, weights, embedder, malicious = _prepare_graph(cfg, corpus_path)
     sets = enumerate_node_sets(graph, size=cfg.set_size,
                                cap_per_anchor=cfg.cap_per_anchor)
     sets = featurize_sets(sets, graph, weights, embedder)
-    malicious = _malicious_for(graph, cfg.iocs)
-    table = label_node_sets(sets, malicious, threshold=cfg.threshold)
-    seconds = time.perf_counter() - t0
-    return graph, table, seconds
+    return label_node_sets(sets, malicious, threshold=cfg.threshold)
 
 
 def cmd_label(args: argparse.Namespace) -> int:
@@ -302,7 +316,9 @@ def cmd_label(args: argparse.Namespace) -> int:
     cfg.labeled = args.labeled
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, table, seconds = _label_pipeline(cfg, cfg.labeled)
+    t0 = time.perf_counter()
+    table = _label_pipeline(cfg, cfg.labeled)
+    seconds = time.perf_counter() - t0
     with open(out_dir / "labels.json", "w", encoding="utf-8") as fh:
         table.write_json(fh)
         fh.write("\n")
@@ -325,15 +341,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         table = label_table_from_json(
             Path(cfg.labels_file).read_text(encoding="utf-8"))
     else:
-        _, table, _ = _label_pipeline(cfg, cfg.labeled)
-
-    nodes, events, _ = parse_file(cfg.eval_corpus,
-                                  synthesize_dangling=cfg.synthesize_dangling)
-    g_eval = build_graph(nodes, events)
-    stats = compute_corpus_stats(g_eval.events)
-    w_eval = compute_weights(stats, g_eval.nodes)
-    embedder = get_embedder(cfg.model, dim=cfg.dim, seed=cfg.seed)
-    malicious = _malicious_for(g_eval, cfg.iocs)
+        table = _label_pipeline(cfg, cfg.labeled)
+    g_eval, w_eval, embedder, malicious = _prepare_graph(cfg, cfg.eval_corpus)
 
     keep_ids = cfg.emit_removed_ids or cfg.emit_graph or cfg.emit_dot
     population = set(g_eval.nodes) if cfg.include_isolated_nodes else None

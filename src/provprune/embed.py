@@ -175,14 +175,6 @@ def compute_weights(stats: CorpusStats, nodes: dict[str, NodeRecord]) -> WeightT
     return table
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, defined as 0 when either vector is zero."""
-    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(a, b)) / denom
-
-
 def effective_threshold(threshold: float) -> float:
     """Lower the cutoff just enough that exact matches survive rounding."""
     return min(threshold, 1.0 - COSINE_SLACK)

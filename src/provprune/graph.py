@@ -26,9 +26,6 @@ class Graph:
     rejected_events: int = field(default=0, compare=False)
     ignored_removals: int = field(default=0, compare=False)
 
-    def node(self, node_id: str) -> NodeRecord:
-        return self.nodes[node_id]
-
     def event_node_ids(self) -> set[str]:
         """Ids of nodes incident to at least one event."""
         incident: set[str] = set()

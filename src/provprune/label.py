@@ -52,9 +52,6 @@ class LabelTable:
     assignment: list[int] = field(default_factory=list)
     zero_vector_sets: int = 0
 
-    def member_total(self) -> int:
-        return sum(lb.member_count for lb in self.labels)
-
     def write_json(self, fh) -> None:
         """Write compact JSON with sorted keys to fh, one label at a time.
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .embed import WeightTable
 from .graph import Graph
-from .ingest import NodeRecord
 
 DEFAULT_SET_SIZE = 5
 DEFAULT_CAP_PER_ANCHOR = 8
@@ -209,18 +208,13 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
     return results
 
 
-def compose_feature(chain: list[NodeRecord], weights: WeightTable,
-                    embedder) -> np.ndarray:
-    """Weighted sum of the chain's node vectors; deliberately not normalized."""
-    total = np.zeros(embedder.dim, dtype=np.float64)
-    for node in chain:
-        total = total + weights.weight_for(node) * embedder.node_vector(node)
-    return total
-
-
 def featurize_sets(sets: list[NodeSet], graph: Graph, weights: WeightTable,
                    embedder) -> list[NodeSet]:
-    """Attach feature vectors to enumerated chains in one vectorized pass."""
+    """Attach feature vectors to enumerated chains in one vectorized pass.
+
+    A chain's feature is the weighted sum of its node vectors, deliberately
+    not normalized.
+    """
     if not sets:
         return []
     ids = sorted({nid for s in sets for nid in s.node_ids})
@@ -232,8 +226,9 @@ def featurize_sets(sets: list[NodeSet], graph: Graph, weights: WeightTable,
     for lo in range(0, len(sets), FEATURE_CHUNK):
         block = sets[lo:lo + FEATURE_CHUNK]
         idx = np.array([[index[nid] for nid in s.node_ids] for s in block])
-        # Adding one chain position at a time onto zeros is compose_feature's
-        # order, bit for bit, without a chains x K x dim gather.
+        # One chain position at a time onto zeros is the order of a per-chain
+        # sum (tests/oracles.compose_feature), bit for bit, without a
+        # chains x K x dim gather.
         feats = np.zeros((len(block), vectors.shape[1]))
         term = np.empty_like(feats)
         for k in range(idx.shape[1]):

@@ -1,7 +1,8 @@
 """Benign-label ranking, activity matching, and graph reduction metrics.
 
 The top-ranked benign representatives are compared against every node-set of
-the evaluation graph; nodes covered by any matching set are removed. Reports
+the evaluation graph; nodes covered by any matching set are removed
+(`graph.remove_nodes` builds the reduced graph from a report's ids). Reports
 carry the node accounting, false-negative and false-positive counts, and
 per-stage timings.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import WeightTable, effective_threshold
-from .graph import Graph, remove_nodes
+from .graph import Graph
 from .label import BENIGN, LabelTable, MaliciousNodeList
 from .nodeset import (
     DEFAULT_CAP_PER_ANCHOR,
@@ -67,30 +68,27 @@ class ReductionReport:
         return out
 
 
-def assemble_report(n_requested: int, labels_used: int, incident_nodes: int,
+def assemble_report(n_requested: int, labels_used: int, population: set[str],
                     removed_ids: set[str], malicious_ids: set[str],
-                    incident_ids: set[str] | None = None,
                     declared_total: int = 0) -> ReductionReport:
     """Compute the accounting identities for one removal outcome.
 
-    fn counts malicious nodes that were removed; fp counts benign nodes left
+    Counts are taken over population, the nodes the rate is reported on. fn
+    counts malicious nodes that were removed; fp counts benign nodes left
     behind (remaining minus remaining-malicious).
     """
+    total = len(population)
     removed = len(removed_ids)
-    after = incident_nodes - removed
-    rate = 100.0 * removed / incident_nodes if incident_nodes else 0.0
+    after = total - removed
     fn = len(removed_ids & malicious_ids)
-    if incident_ids is None:
-        remaining_malicious = len(malicious_ids - removed_ids)
-    else:
-        remaining_malicious = len((malicious_ids & incident_ids) - removed_ids)
+    remaining_malicious = len((malicious_ids & population) - removed_ids)
     return ReductionReport(
         n_requested=n_requested,
         labels_used=labels_used,
-        total_nodes_before=incident_nodes,
+        total_nodes_before=total,
         nodes_removed=removed,
         nodes_after=after,
-        reduction_rate=rate,
+        reduction_rate=100.0 * removed / total if total else 0.0,
         fn_count=fn,
         fp_count=after - remaining_malicious,
         declared_nodes_total=declared_total,
@@ -143,44 +141,6 @@ def _min_match_ranks(sets: list[NodeSet], reps: np.ndarray,
     return ranks
 
 
-def reduce_graph(g_eval: Graph, reps: np.ndarray, w_eval: WeightTable,
-                 embedder, malicious: MaliciousNodeList,
-                 threshold: float = 1.0, size: int = DEFAULT_SET_SIZE,
-                 cap_per_anchor: int = DEFAULT_CAP_PER_ANCHOR,
-                 keep_removed_ids: bool = True) -> tuple[Graph, ReductionReport]:
-    """Remove every node covered by a node-set matching any representative."""
-    t0 = time.perf_counter()
-    sets = enumerate_node_sets(g_eval, size=size, cap_per_anchor=cap_per_anchor)
-    t1 = time.perf_counter()
-    sets = featurize_sets(sets, g_eval, w_eval, embedder)
-    t2 = time.perf_counter()
-    ranks = _min_match_ranks(sets, reps, threshold)
-    removed_ids: set[str] = set()
-    for node_set, rank in zip(sets, ranks):
-        if rank >= 0:
-            removed_ids.update(node_set.node_ids)
-    t3 = time.perf_counter()
-
-    incident = g_eval.event_node_ids()
-    n = reps.shape[0] if reps.size else 0
-    report = assemble_report(n_requested=n, labels_used=n,
-                             incident_nodes=len(incident),
-                             removed_ids=removed_ids,
-                             malicious_ids=malicious.ids,
-                             incident_ids=incident,
-                             declared_total=len(g_eval.nodes))
-    report.per_stage_seconds = {
-        "enumerate": t1 - t0,
-        "featurize": t2 - t1,
-        "match": t3 - t2,
-        "total": t3 - t0,
-    }
-    if keep_removed_ids:
-        report.removed_node_ids = sorted(removed_ids)
-    reduced = remove_nodes(g_eval, removed_ids)
-    return reduced, report
-
-
 def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
                 embedder, malicious: MaliciousNodeList, ns: list[int],
                 threshold: float = 1.0, size: int = DEFAULT_SET_SIZE,
@@ -192,7 +152,8 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
     Representative prefixes are nested, so each node-set only needs the lowest
     rank that matches it; sweeping n is then a threshold walk over that array.
     population is the node set the reduction rate is taken over; by default
-    the nodes incident to at least one event.
+    the nodes incident to at least one event. A single-n reduction is
+    `ns=[n], keep_removed_ids=True`, then `graph.remove_nodes` on the ids.
     """
     if sorted(ns) != list(ns):
         raise ValueError("top-n list must be ascending")
@@ -225,12 +186,8 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
             for node_set in by_rank.get(done, ()):
                 removed_ids.update(node_set.node_ids)
             done += 1
-        report = assemble_report(n_requested=n, labels_used=use,
-                                 incident_nodes=len(population),
-                                 removed_ids=removed_ids,
-                                 malicious_ids=malicious.ids,
-                                 incident_ids=population,
-                                 declared_total=len(g_eval.nodes))
+        report = assemble_report(n, use, population, removed_ids,
+                                 malicious.ids, len(g_eval.nodes))
         report.per_stage_seconds = dict(shared)
         report.per_stage_seconds["select"] = time.perf_counter() - t4
         report.per_stage_seconds["total"] = (

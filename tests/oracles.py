@@ -236,6 +236,17 @@ def sequential_labels(sets, malicious_ids, cutoff):
     return table
 
 
+def compose_feature(chain, weights, embedder):
+    """Weighted sum of the chain's node vectors, one numpy add per node.
+
+    featurize_sets must equal this bit for bit.
+    """
+    total = np.zeros(embedder.dim, dtype=np.float64)
+    for node in chain:
+        total = total + weights.weight_for(node) * embedder.node_vector(node)
+    return total
+
+
 def sum_feature_by_hand(chain, weights, embedder):
     """Term-by-term Eq-style composition using plain Python lists."""
     dim = embedder.dim

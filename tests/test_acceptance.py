@@ -28,7 +28,6 @@ from provprune.nodeset import NodeSet, enumerate_node_sets, featurize_sets
 from provprune.reduce import (
     assemble_report,
     rank_benign_labels,
-    reduce_graph,
     representatives,
     sweep_top_n,
 )
@@ -108,7 +107,7 @@ def test_criterion_1_report_arithmetic_at_reference_scale():
     incident = removed | malicious | {f"ok{i}"
                                       for i in range(50_802 - 81)}
     assert len(incident) == 54_522
-    report = assemble_report(3, 3, len(incident), removed, malicious, incident)
+    report = assemble_report(3, 3, incident, removed, malicious)
     assert report.nodes_after == 50_802
     assert report.fn_count == 0
     assert report.fp_count == 50_721
@@ -298,7 +297,8 @@ def test_criterion_7_removal_matches_exhaustive_matcher():
     g_eval, w_eval, truth_eval = pipeline(eval_spec)
     assert len(g_eval.events) <= 5000
     malicious = MaliciousNodeList(ids=set(truth_eval.malicious_ids))
-    _, report = reduce_graph(g_eval, reps, w_eval, emb, malicious)
+    report, = sweep_top_n(g_eval, table, w_eval, emb, malicious,
+                          ns=[len(ranked)], keep_removed_ids=True)
 
     sets_eval = featurize_sets(enumerate_node_sets(g_eval), g_eval, w_eval,
                                emb)

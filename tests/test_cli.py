@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from provprune.cli import main
+from provprune.cli import RunConfig, _write_config_echo, main
 from provprune.graph import build_graph, export_graph, remove_nodes
 from provprune.ingest import parse_file
 
@@ -299,3 +300,65 @@ def test_report_renders_table(corpus, capsys):
     assert lines[0].split() == ["n", "nodes", "removed", "FN", "FP", "rate%",
                                 "seconds"]
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({"nodeset": {"set_size": 3}}, "nodeset.set_size"),
+    ({"threads": 2}, "threads"),
+    ("echo", "cap_per_anchor"),
+    ({"embed.dim": 64}, "embed.dim"),
+    ({"embed": 5}, "embed"),
+    ({"embed": {"dim": "64"}}, "embed.dim"),
+    ({"embed": {"dim": True}}, "embed.dim"),
+    ({"reduce": {"top_n": 5}}, "reduce.top_n"),
+    ({"reduce": {"top_n": [1, "2"]}}, "reduce.top_n"),
+    ({"label": {"threshold": "high"}}, "label.threshold"),
+    ({"eval": None}, "eval"),
+])
+def test_bad_config_file_is_usage_error(tmp_path, capsys, obj, key):
+    cfg = tmp_path / "cfg.json"
+    if obj == "echo":
+        # A run's config echo is a record of the run, not a config file.
+        _write_config_echo(RunConfig(), tmp_path, "label")
+        cfg = tmp_path / "run_config.json"
+    else:
+        cfg.write_text(json.dumps(obj))
+    rc = main(["label", "--labeled", str(tmp_path / "never_read.jsonl"),
+               "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"'{key}'" in err
+    assert "Traceback" not in err
+
+
+def test_readme_config_example_is_accepted(corpus):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = corpus / "readme_cfg.json"
+    cfg.write_text(block)
+    out = corpus / "readme_cfg_run"
+    assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    echo = json.loads((out / "run_config.json").read_text())
+    file_obj = json.loads(block)
+    assert echo["set_size"] == file_obj["nodeset"]["size"]
+    assert echo["seed"] == file_obj["embed"]["seed"]
+
+
+def test_benchmark_trace_targets_resolve():
+    """perfbench/trace.py wraps these names where cli and reduce look them
+    up and skips a missing one silently, so moving a call loses its span."""
+    import importlib.util
+
+    from provprune import cli, reduce
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
+    spec = importlib.util.spec_from_file_location("perfbench_trace", path)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    modules = {"cli": cli, "reduce": reduce}
+    missing = [(mod, name) for mod, name, _, _ in trace.TARGETS
+               if not callable(getattr(modules[mod], name, None))]
+    assert missing == []
+    assert callable(cli.get_embedder)

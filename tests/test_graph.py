@@ -64,7 +64,7 @@ def test_duplicate_nodes_keep_first():
     nodes = [NodeRecord(id="p1", kind="process", cmdline="first"),
              NodeRecord(id="p1", kind="process", cmdline="second")]
     g = build_graph(nodes, [])
-    assert g.node("p1").cmdline == "first"
+    assert g.nodes["p1"].cmdline == "first"
 
 
 def test_missing_endpoint_rejected_and_counted():

@@ -1,6 +1,7 @@
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -286,3 +287,18 @@ def test_placeholder_kind_follows_syscall(syscall, expected_kind):
                      "object": target, "ts": 1}),
         synthesize_dangling=True)
     assert {n.id: n.kind for n in nodes}[target] == expected_kind
+
+
+def test_readme_input_example_parses_cleanly():
+    """The JSON block under README's "## Input format" is valid input."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Input format", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    nodes, events, stats = parse_stream(block.splitlines())
+    assert len(nodes) == 3
+    assert len(events) == 1
+    assert (stats.malformed_lines, stats.malformed_nodes,
+            stats.malformed_events, stats.dropped_events,
+            stats.dangling_events, stats.duplicate_nodes) == (0,) * 6
+    netflow, = [n for n in nodes if n.kind == "netflow"]
+    assert netflow.attr_text() == "10.0.0.5:443"

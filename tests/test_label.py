@@ -255,7 +255,7 @@ def test_assignment_totality_random():
     mal = MaliciousNodeList(ids={"x3", "x77"})
     table = label_node_sets(sets, mal, threshold=1.0)
     assert len(table.assignment) == len(sets)
-    assert table.member_total() == len(sets)
+    assert sum(lb.member_count for lb in table.labels) == len(sets)
     label_ids = {lb.label_id for lb in table.labels}
     assert set(table.assignment) <= label_ids
 

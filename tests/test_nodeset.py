@@ -8,14 +8,11 @@ import pytest
 from provprune.embed import HashNgramEmbedder, WeightTable, compute_weights
 from provprune.graph import build_graph
 from provprune.ingest import Event, NodeRecord, compute_corpus_stats
-from provprune.nodeset import (
-    compose_feature,
-    enumerate_node_sets,
-    featurize_sets,
-)
+from provprune.nodeset import enumerate_node_sets, featurize_sets
 
 from oracles import (
     brute_force_chains,
+    compose_feature,
     ordered_chains,
     random_graph_records,
     sum_feature_by_hand,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from provprune.embed import HashNgramEmbedder, compute_weights, effective_threshold
-from provprune.graph import build_graph
+from provprune.graph import build_graph, remove_nodes
 from provprune.ingest import NodeRecord, compute_corpus_stats, parse_stream
 from provprune.label import (
     BENIGN,
@@ -22,7 +22,6 @@ from provprune.reduce import (
     _min_match_ranks,
     assemble_report,
     rank_benign_labels,
-    reduce_graph,
     representatives,
     sweep_top_n,
     write_sweep_csv,
@@ -74,7 +73,7 @@ def test_report_accounting_identities():
     removed = {f"r{i}" for i in range(30)}
     malicious = {"r1", "r2", "keep1"}
     incident = removed | {f"k{i}" for i in range(70)} | {"keep1"}
-    report = assemble_report(5, 5, len(incident), removed, malicious, incident)
+    report = assemble_report(5, 5, incident, removed, malicious)
     assert report.nodes_after + report.nodes_removed == report.total_nodes_before
     assert report.fn_count == 2
     assert report.fp_count == report.nodes_after - 1
@@ -82,7 +81,7 @@ def test_report_accounting_identities():
 
 
 def test_report_zero_denominator():
-    report = assemble_report(3, 0, 0, set(), set(), set())
+    report = assemble_report(3, 0, set(), set(), set())
     assert report.reduction_rate == 0.0
     assert report.nodes_after == 0
 
@@ -115,21 +114,25 @@ def small_spec(seed, reps=(6, 4), attack=True):
                      attack=AttackSpec() if attack else None)
 
 
+def reduce_top(g, table, weights, emb, malicious, n):
+    """A single-n reduction: a one-entry sweep, then node removal."""
+    report, = sweep_top_n(g, table, weights, emb, malicious, ns=[n],
+                          keep_removed_ids=True)
+    return remove_nodes(g, report.removed_node_ids), report
+
+
 def test_empty_reps_removes_nothing():
     g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(3))
-    reps = representatives(table, [])
-    reduced, report = reduce_graph(g, reps, weights, emb, malicious)
+    reduced, report = reduce_top(g, table, weights, emb, malicious, 0)
     assert report.nodes_removed == 0
     assert report.fn_count == 0
     assert report.reduction_rate == 0.0
     assert len(reduced.nodes) == len(g.nodes)
 
 
-def test_reduce_graph_removes_pattern_nodes():
+def test_single_n_reduction_removes_pattern_nodes():
     g, weights, emb, malicious, table, truth = pipeline_pieces(small_spec(4))
-    ranked = rank_benign_labels(table)
-    reps = representatives(table, ranked[:2])
-    reduced, report = reduce_graph(g, reps, weights, emb, malicious)
+    reduced, report = reduce_top(g, table, weights, emb, malicious, 2)
     removed = set(report.removed_node_ids)
     assert set(truth.pattern_node_ids) <= removed
     assert not removed & set(truth.malicious_ids)
@@ -143,7 +146,7 @@ def test_reduce_matches_exhaustive_matcher():
     g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(5))
     ranked = rank_benign_labels(table)
     reps = representatives(table, ranked[:4])
-    _, report = reduce_graph(g, reps, weights, emb, malicious)
+    _, report = reduce_top(g, table, weights, emb, malicious, 4)
     sets = featurize_sets(enumerate_node_sets(g), g, weights, emb)
     want = exhaustive_removed_nodes(sets, list(reps),
                                     effective_threshold(1.0))
@@ -156,13 +159,17 @@ def test_sweep_reports_consistent_with_single_runs():
     reports = sweep_top_n(g, table, weights, emb, malicious, ns=ns,
                           keep_removed_ids=True)
     ranked = rank_benign_labels(table)
-    for n, via_sweep in zip(ns, reports):
+    sets = featurize_sets(enumerate_node_sets(g), g, weights, emb)
+    incident = g.event_node_ids()
+    for n, report in zip(ns, reports):
         reps = representatives(table, ranked[:n])
-        _, alone = reduce_graph(g, reps, weights, emb, malicious)
-        assert via_sweep.nodes_removed == alone.nodes_removed
-        assert set(via_sweep.removed_node_ids) == set(alone.removed_node_ids)
-        assert via_sweep.fn_count == alone.fn_count
-        assert via_sweep.fp_count == alone.fp_count
+        want = exhaustive_removed_nodes(sets, list(reps),
+                                        effective_threshold(1.0))
+        kept = incident - want
+        assert set(report.removed_node_ids) == want
+        assert report.nodes_removed == len(want)
+        assert report.fn_count == len(want & malicious.ids)
+        assert report.fp_count == len(kept - malicious.ids)
 
 
 def test_sweep_monotone_and_accounted():
