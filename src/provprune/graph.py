@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import IO, Iterable
 
 from .ingest import (
@@ -34,8 +35,9 @@ class Graph:
             incident.add(ev.object)
         return incident
 
-    def kind_counts(self) -> Counter:
-        return Counter(n.kind for n in self.nodes.values())
+
+# Global temporal order: (ts, subject, object, syscall).
+_temporal_order = itemgetter(3, 0, 1, 2)
 
 
 def build_graph(nodes: Iterable[NodeRecord], events: Iterable[Event]) -> Graph:
@@ -56,7 +58,7 @@ def build_graph(nodes: Iterable[NodeRecord], events: Iterable[Event]) -> Graph:
             kept.append(ev)
         else:
             rejected += 1
-    kept.sort(key=Event.sort_key)
+    kept.sort(key=_temporal_order)
     return Graph(nodes=node_map, events=kept, rejected_events=rejected)
 
 
@@ -142,7 +144,7 @@ def save_graph(graph: Graph, path, fmt: str = "jsonl") -> None:
 
 def summarize(graph: Graph) -> dict:
     """Counts used by the command-line info report."""
-    kinds = graph.kind_counts()
+    kinds = Counter(n.kind for n in graph.nodes.values())
     syscalls = Counter(ev.syscall for ev in graph.events)
     return {
         "nodes": len(graph.nodes),

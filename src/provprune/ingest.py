@@ -11,13 +11,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 KIND_PROCESS = "process"
 KIND_FILE = "file"
 KIND_NETFLOW = "netflow"
 
-NODE_KINDS = frozenset({KIND_PROCESS, KIND_FILE, KIND_NETFLOW})
+# A tuple, so `kind in NODE_KINDS` never hashes a decoded JSON list or dict.
+NODE_KINDS = (KIND_PROCESS, KIND_FILE, KIND_NETFLOW)
 
 # Analyzed system calls, keyed to the object kind they operate on.
 SYSCALL_OBJECT_KIND = {
@@ -37,9 +38,12 @@ SYSCALL_OBJECT_KIND = {
 ANALYZED_SYSCALLS = frozenset(SYSCALL_OBJECT_KIND)
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    """A process, file, or netflow entity. Only the fields for its kind are set."""
+class NodeRecord(NamedTuple):
+    """A process, file, or netflow entity. Only the fields for its kind are set.
+
+    An immutable named tuple: equal by value, hashable, and ``._replace(...)``
+    gives a variant.
+    """
 
     id: str
     kind: str
@@ -60,17 +64,13 @@ class NodeRecord:
         return f"{self.remote_addr}:{self.remote_port}"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A syscall-typed edge: subject is always a process."""
 
     subject: str
     object: str
     syscall: str
     ts: int
-
-    def sort_key(self):
-        return (self.ts, self.subject, self.object, self.syscall)
 
 
 @dataclass
@@ -86,10 +86,6 @@ class ParseStats:
     dangling_events: int = 0     # event referencing an undeclared node id
     synthesized_nodes: int = 0   # placeholders minted when synthesize_dangling is on
     malformed_lines: int = 0     # undecodable line, or unknown/missing kind
-
-    def total_event_records(self) -> int:
-        return (self.accepted_events + self.dropped_events
-                + self.malformed_events + self.dangling_events)
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -109,140 +105,139 @@ def normalize_cmdline(text: str) -> str:
     return " ".join(text.split())
 
 
-def _coerce_port(value) -> int | None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        return None
-    if not 0 <= value <= 65535:
-        return None
-    return value
-
-
-def _coerce_ts(value) -> int | None:
-    if value is None:
-        return 0
-    if isinstance(value, bool) or not isinstance(value, int):
-        return None
-    return value
-
-
-def _node_from_obj(obj: dict) -> NodeRecord | None:
-    node_id = obj.get("id")
-    if not isinstance(node_id, str) or not node_id:
-        return None
-    ts = _coerce_ts(obj.get("ts"))
-    if ts is None:
-        return None
-    kind = obj["kind"]
-    if kind == KIND_PROCESS:
-        cmdline = obj.get("cmdline", "")
-        if not isinstance(cmdline, str):
-            return None
-        return NodeRecord(id=node_id, kind=kind, cmdline=cmdline, first_seen=ts)
-    if kind == KIND_FILE:
-        path = obj.get("path", "")
-        if not isinstance(path, str):
-            return None
-        return NodeRecord(id=node_id, kind=kind, path=path, first_seen=ts)
-    raddr = obj.get("raddr", "")
-    laddr = obj.get("laddr", "")
-    rport = _coerce_port(obj.get("rport", 0))
-    lport = _coerce_port(obj.get("lport", 0))
-    if not isinstance(raddr, str) or not isinstance(laddr, str):
-        return None
-    if rport is None or lport is None:
-        return None
-    return NodeRecord(id=node_id, kind=kind, remote_addr=raddr, remote_port=rport,
-                      local_addr=laddr, local_port=lport, first_seen=ts)
-
-
-def _placeholder_node(node_id: str, kind: str) -> NodeRecord:
-    return NodeRecord(id=node_id, kind=kind)
+# json.loads without its Python-level wrappers: the decoder's scanner reads
+# one value at an index and returns where the value ended (StopIteration: no
+# value starts there). On a stripped line, "ends at len(line)" is exactly
+# json.loads's test, which allows only whitespace after the value; a leading
+# BOM, which json.loads rejects, starts no value.
+_scan_value = json.JSONDecoder().scan_once
 
 
 def parse_stream(
-    source: Iterable[str] | IO[str],
+    source: Iterable[str | bytes] | IO[str] | IO[bytes],
     synthesize_dangling: bool = False,
 ) -> tuple[list[NodeRecord], list[Event], ParseStats]:
     """Parse a line-delimited record stream into nodes, filtered events, and tallies.
 
-    Events with unanalyzed syscalls are dropped and counted; structurally bad
-    records and undecodable lines are counted; events whose endpoints were never
-    declared are counted as dangling and excluded unless ``synthesize_dangling``
-    is set, in which case placeholder nodes of the kind implied by the syscall
-    are minted so the event can be kept.
+    Lines are str, or bytes decoded as UTF-8. Events with unanalyzed syscalls
+    are dropped and counted; structurally bad records and undecodable lines
+    are counted; events whose endpoints were never declared are counted as
+    dangling and excluded unless ``synthesize_dangling`` is set, in which case
+    placeholder nodes of the kind implied by the syscall are minted so the
+    event can be kept.
     """
     nodes: dict[str, NodeRecord] = {}
-    pending: list[tuple[str, str, str, int]] = []
-    stats = ParseStats()
+    pending: list[Event] = []
+    duplicate_nodes = malformed_nodes = 0
+    dropped_events = malformed_events = malformed_lines = 0
+    new = tuple.__new__
 
+    # Every JSON value is exactly one of dict, list, str, int, float, bool or
+    # None, so `type(x) is int` is "an int and not a bool".
     for line in source:
-        line = line.strip()
-        if not line:
-            continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            stats.malformed_lines += 1
+            if type(line) is bytes:
+                line = line.decode()
+            line = line.strip()
+            if not line:
+                continue
+            obj, end = _scan_value(line, 0)
+        except (ValueError, StopIteration, RecursionError):
+            # Bad UTF-8, bad JSON, an integer too long to convert, or nesting
+            # deeper than the interpreter allows.
+            malformed_lines += 1
             continue
-        if not isinstance(obj, dict):
-            stats.malformed_lines += 1
+        if end != len(line) or type(obj) is not dict:
+            malformed_lines += 1
             continue
         kind = obj.get("kind")
         if kind == "event":
-            syscall = obj.get("syscall")
             subject = obj.get("subject")
             target = obj.get("object")
+            syscall = obj.get("syscall")
             ts = obj.get("ts")
-            if (not isinstance(syscall, str) or not isinstance(subject, str)
-                    or not isinstance(target, str) or not subject or not target
-                    or isinstance(ts, bool) or not isinstance(ts, int)):
-                stats.malformed_events += 1
-                continue
-            if syscall not in ANALYZED_SYSCALLS:
-                stats.dropped_events += 1
-                continue
-            pending.append((subject, target, syscall, ts))
-        elif kind in NODE_KINDS:
-            record = _node_from_obj(obj)
-            if record is None:
-                stats.malformed_nodes += 1
-            elif record.id in nodes:
-                stats.duplicate_nodes += 1
+            if (type(subject) is not str or not subject
+                    or type(target) is not str or not target
+                    or type(syscall) is not str or type(ts) is not int):
+                malformed_events += 1
+            elif syscall in ANALYZED_SYSCALLS:
+                pending.append(new(Event, (subject, target, syscall, ts)))
             else:
-                nodes[record.id] = record
-                stats.accepted_nodes += 1
+                dropped_events += 1
+            continue
+        if kind not in NODE_KINDS:
+            malformed_lines += 1
+            continue
+        node_id = obj.get("id")
+        ts = obj.get("ts")
+        if ts is None:
+            ts = 0
+        # Records hold the module's kind strings, not one decoded copy each.
+        fields = None
+        if type(node_id) is str and node_id and type(ts) is int:
+            if kind == KIND_PROCESS:
+                cmdline = obj.get("cmdline", "")
+                if type(cmdline) is str:
+                    fields = (node_id, KIND_PROCESS, cmdline, "", "", 0, "", 0,
+                              ts)
+            elif kind == KIND_FILE:
+                path = obj.get("path", "")
+                if type(path) is str:
+                    fields = (node_id, KIND_FILE, "", path, "", 0, "", 0, ts)
+            else:
+                raddr = obj.get("raddr", "")
+                rport = obj.get("rport", 0)
+                laddr = obj.get("laddr", "")
+                lport = obj.get("lport", 0)
+                if (type(raddr) is str and type(laddr) is str
+                        and type(rport) is int and 0 <= rport <= 65535
+                        and type(lport) is int and 0 <= lport <= 65535):
+                    fields = (node_id, KIND_NETFLOW, "", "", raddr, rport,
+                              laddr, lport, ts)
+        if fields is None:
+            malformed_nodes += 1
+        elif node_id in nodes:
+            duplicate_nodes += 1
         else:
-            stats.malformed_lines += 1
+            nodes[node_id] = new(NodeRecord, fields)
 
+    accepted_nodes = len(nodes)
+    synthesized_nodes = dangling_events = 0
     events: list[Event] = []
-    for subject, target, syscall, ts in pending:
+    for ev in pending:
+        subject, target, syscall, _ = ev
         want_kind = SYSCALL_OBJECT_KIND[syscall]
         subj_rec = nodes.get(subject)
         obj_rec = nodes.get(target)
         if subj_rec is None or obj_rec is None:
             if not synthesize_dangling:
-                stats.dangling_events += 1
+                dangling_events += 1
                 continue
             if subj_rec is None:
-                subj_rec = _placeholder_node(subject, KIND_PROCESS)
-                nodes[subject] = subj_rec
-                stats.synthesized_nodes += 1
-            if obj_rec is None:
-                obj_rec = _placeholder_node(target, want_kind)
-                nodes[target] = obj_rec
-                stats.synthesized_nodes += 1
+                subj_rec = nodes[subject] = NodeRecord(subject, KIND_PROCESS)
+                synthesized_nodes += 1
+            if target == subject:
+                obj_rec = subj_rec  # one placeholder, never re-minted
+            elif obj_rec is None:
+                obj_rec = nodes[target] = NodeRecord(target, want_kind)
+                synthesized_nodes += 1
         if subj_rec.kind != KIND_PROCESS or obj_rec.kind != want_kind:
-            stats.malformed_events += 1
+            malformed_events += 1
             continue
-        events.append(Event(subject=subject, object=target, syscall=syscall, ts=ts))
-        stats.accepted_events += 1
+        events.append(ev)
 
+    stats = ParseStats(
+        accepted_nodes=accepted_nodes, duplicate_nodes=duplicate_nodes,
+        malformed_nodes=malformed_nodes, accepted_events=len(events),
+        dropped_events=dropped_events, malformed_events=malformed_events,
+        dangling_events=dangling_events, synthesized_nodes=synthesized_nodes,
+        malformed_lines=malformed_lines)
     return list(nodes.values()), events, stats
 
 
 def parse_file(path, synthesize_dangling: bool = False):
-    """parse_stream over a UTF-8 file on disk."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """parse_stream over a file on disk, each line decoded as UTF-8."""
+    with open(path, "rb") as fh:
         return parse_stream(fh, synthesize_dangling=synthesize_dangling)
 
 

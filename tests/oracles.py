@@ -13,7 +13,13 @@ import random
 
 import numpy as np
 
-from provprune.ingest import SYSCALL_OBJECT_KIND, Event, NodeRecord
+from provprune.ingest import (
+    KIND_PROCESS,
+    SYSCALL_OBJECT_KIND,
+    Event,
+    NodeRecord,
+    ParseStats,
+)
 from provprune.label import BENIGN, MALICIOUS, Label, LabelTable
 
 
@@ -142,6 +148,158 @@ def reference_ioc_matches(graph, iocs):
     unmatched = [ioc for ioc in dict.fromkeys(iocs)
                  if ioc not in matched.values()]
     return matched, unmatched
+
+
+def _reference_port(value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        return None
+    if not 0 <= value <= 65535:
+        return None
+    return value
+
+
+def _reference_ts(value):
+    if value is None:
+        return 0
+    if isinstance(value, bool) or not isinstance(value, int):
+        return None
+    return value
+
+
+def _reference_node(obj):
+    node_id = obj.get("id")
+    if not isinstance(node_id, str) or not node_id:
+        return None
+    ts = _reference_ts(obj.get("ts"))
+    if ts is None:
+        return None
+    kind = obj["kind"]
+    if kind == "process":
+        cmdline = obj.get("cmdline", "")
+        if not isinstance(cmdline, str):
+            return None
+        return NodeRecord(id=node_id, kind=kind, cmdline=cmdline, first_seen=ts)
+    if kind == "file":
+        path = obj.get("path", "")
+        if not isinstance(path, str):
+            return None
+        return NodeRecord(id=node_id, kind=kind, path=path, first_seen=ts)
+    raddr = obj.get("raddr", "")
+    laddr = obj.get("laddr", "")
+    rport = _reference_port(obj.get("rport", 0))
+    lport = _reference_port(obj.get("lport", 0))
+    if not isinstance(raddr, str) or not isinstance(laddr, str):
+        return None
+    if rport is None or lport is None:
+        return None
+    return NodeRecord(id=node_id, kind=kind, remote_addr=raddr, remote_port=rport,
+                      local_addr=laddr, local_port=lport, first_seen=ts)
+
+
+def reference_parse_stream(lines, synthesize_dangling=False):
+    """The record-at-a-time parser: json.loads, isinstance checks, one helper
+    per node record, and a second pass that checks endpoints.
+
+    Takes str lines only. Lines json.loads cannot turn into a value (bad
+    JSON, an integer too long to convert, nesting too deep) and records whose
+    kind is neither "event" nor a node kind are malformed lines.
+    An undeclared endpoint gets one placeholder, the subject's first, so a
+    self-loop on an undeclared id mints one process.
+    """
+    nodes = {}
+    pending = []
+    stats = ParseStats()
+
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):
+            stats.malformed_lines += 1
+            continue
+        if not isinstance(obj, dict):
+            stats.malformed_lines += 1
+            continue
+        kind = obj.get("kind")
+        if kind == "event":
+            syscall = obj.get("syscall")
+            subject = obj.get("subject")
+            target = obj.get("object")
+            ts = obj.get("ts")
+            if (not isinstance(syscall, str) or not isinstance(subject, str)
+                    or not isinstance(target, str) or not subject or not target
+                    or isinstance(ts, bool) or not isinstance(ts, int)):
+                stats.malformed_events += 1
+                continue
+            if syscall not in SYSCALL_OBJECT_KIND:
+                stats.dropped_events += 1
+                continue
+            pending.append((subject, target, syscall, ts))
+        elif kind in ("process", "file", "netflow"):
+            record = _reference_node(obj)
+            if record is None:
+                stats.malformed_nodes += 1
+            elif record.id in nodes:
+                stats.duplicate_nodes += 1
+            else:
+                nodes[record.id] = record
+                stats.accepted_nodes += 1
+        else:
+            stats.malformed_lines += 1
+
+    events = []
+    for subject, target, syscall, ts in pending:
+        want_kind = SYSCALL_OBJECT_KIND[syscall]
+        subj_rec = nodes.get(subject)
+        obj_rec = nodes.get(target)
+        if subj_rec is None or obj_rec is None:
+            if not synthesize_dangling:
+                stats.dangling_events += 1
+                continue
+            if subj_rec is None:
+                subj_rec = NodeRecord(id=subject, kind=KIND_PROCESS)
+                nodes[subject] = subj_rec
+                stats.synthesized_nodes += 1
+            obj_rec = nodes.get(target)
+            if obj_rec is None:
+                obj_rec = NodeRecord(id=target, kind=want_kind)
+                nodes[target] = obj_rec
+                stats.synthesized_nodes += 1
+        if subj_rec.kind != KIND_PROCESS or obj_rec.kind != want_kind:
+            stats.malformed_events += 1
+            continue
+        events.append(Event(subject=subject, object=target, syscall=syscall, ts=ts))
+        stats.accepted_events += 1
+
+    return list(nodes.values()), events, stats
+
+
+def total_event_records(stats):
+    """Event records the parser saw, whatever became of them."""
+    return (stats.accepted_events + stats.dropped_events
+            + stats.malformed_events + stats.dangling_events)
+
+
+def record_lines(nodes, events):
+    """Input lines declaring ``nodes`` then ``events``, in list order."""
+    lines = []
+    for n in nodes:
+        obj = {"kind": n.kind, "id": n.id, "ts": n.first_seen}
+        if n.kind == "process":
+            obj["cmdline"] = n.cmdline
+        elif n.kind == "file":
+            obj["path"] = n.path
+        else:
+            obj.update(raddr=n.remote_addr, rport=n.remote_port,
+                       laddr=n.local_addr, lport=n.local_port)
+        lines.append(json.dumps(obj))
+    lines.extend(json.dumps({"kind": "event", "subject": ev.subject,
+                             "object": ev.object, "syscall": ev.syscall,
+                             "ts": ev.ts})
+                 for ev in events)
+    return lines
 
 
 def reference_graph_lines(graph):

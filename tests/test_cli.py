@@ -45,6 +45,16 @@ def test_stats_empty_file(tmp_path, capsys):
     assert report["top_commands"] == []
 
 
+def test_stats_non_utf8_line_is_counted(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"kind":"file","id":"f\xff","path":"x"}\n'
+                    b'{"kind":"file","id":"f2","path":"y"}\n')
+    assert main(["stats", str(bad)]) == 0
+    parse = json.loads(capsys.readouterr().out)["parse"]
+    assert parse["malformed_lines"] == 1
+    assert parse["accepted_nodes"] == 1
+
+
 def test_stats_missing_file_is_io_error(tmp_path):
     assert main(["stats", str(tmp_path / "nope.jsonl")]) == 2
 

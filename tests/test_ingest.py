@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +12,7 @@ from provprune.ingest import (
     cmdline_frequency,
     compute_corpus_stats,
     normalize_cmdline,
+    parse_file,
     parse_stream,
     top_commands,
 )
@@ -22,6 +22,7 @@ from oracles import (
     random_graph_records,
     recount_entity_events,
     reference_corpus_stats,
+    total_event_records,
 )
 
 
@@ -55,7 +56,7 @@ def test_unanalyzed_syscall_dropped_and_counted():
 def test_empty_stream_is_fine():
     nodes, events, stats = parse_stream([])
     assert nodes == [] and events == []
-    assert stats.total_event_records() == 0
+    assert total_event_records(stats) == 0
 
 
 def test_blank_lines_skipped():
@@ -67,6 +68,51 @@ def test_blank_lines_skipped():
 def test_undecodable_line_counted_not_fatal():
     nodes, events, stats = parse_stream(["{not json", "[1,2]", "17"])
     assert stats.malformed_lines == 3
+
+
+READ = {"kind": "event", "syscall": "read", "subject": "p1", "object": "f1",
+        "ts": 5}
+
+
+@pytest.mark.parametrize("bad_line", [
+    b'{"kind":"file","id":"f\xff","path":"x"}',
+    b'{"kind":"event","syscall":"read","subject":"p1","object":"f1\xfe",'
+    b'"ts":6}',
+], ids=["node", "event"])
+def test_non_utf8_line_is_malformed_not_fatal(tmp_path, bad_line):
+    good = [json.dumps(r).encode() for r in (PROC, FILE, READ)]
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join(good[:2] + [bad_line] + good[2:]) + b"\n")
+    nodes, events, stats = parse_file(path)
+    assert stats.malformed_lines == 1
+    assert [n.id for n in nodes] == ["p1", "f1"]
+    assert events == [Event("p1", "f1", "read", 5)]
+
+
+def test_truncated_multibyte_sequence_at_eof_is_malformed(tmp_path):
+    cut = json.dumps(dict(FILE, id="f2", path="caf\u00e9"),
+                     ensure_ascii=False).encode()[:-3]
+    assert cut.endswith(b"\xc3")
+    path = tmp_path / "cut.jsonl"
+    path.write_bytes(json.dumps(FILE).encode() + b"\n" + cut)
+    nodes, _, stats = parse_file(path)
+    assert stats.malformed_lines == 1
+    assert [n.id for n in nodes] == ["f1"]
+
+
+def test_file_bytes_parse_like_text(tmp_path):
+    """Non-ASCII UTF-8 decodes per line; whitespace-only lines stay blank."""
+    records = [dict(PROC, cmdline="caf\u00e9 \u2615"),
+               dict(FILE, path="/\U0001f600"), READ]
+    text = [json.dumps(r, ensure_ascii=False) for r in records]
+    text[1:1] = ["\u00a0", "\x1c\t "]
+    path = tmp_path / "utf8.jsonl"
+    path.write_bytes("".join(line + "\r\n" for line in text).encode())
+    parsed = parse_file(path)
+    assert parsed == parse_stream(text)
+    nodes, events, stats = parsed
+    assert nodes[0].cmdline == "caf\u00e9 \u2615"
+    assert stats.malformed_lines == 0 and len(events) == 1
 
 
 def test_unknown_kind_counted_as_malformed_line():
@@ -124,6 +170,19 @@ def test_dangling_event_synthesizes_placeholder_when_asked():
     assert ghost.kind == "file"
 
 
+@pytest.mark.parametrize("syscall,kept", [("read", False), ("clone", True)])
+def test_dangling_self_loop_mints_one_placeholder(syscall, kept):
+    """An undeclared id looping onto itself becomes one process node; a read
+    then cannot have a file object and is malformed."""
+    nodes, events, stats = parse_stream(
+        lines({"kind": "event", "syscall": syscall, "subject": "ghost",
+               "object": "ghost", "ts": 1}),
+        synthesize_dangling=True)
+    assert [(n.id, n.kind) for n in nodes] == [("ghost", "process")]
+    assert stats.synthesized_nodes == 1
+    assert (len(events), stats.malformed_events) == ((1, 0) if kept else (0, 1))
+
+
 def test_object_kind_must_match_syscall():
     """A clone whose object is a file is malformed, not merely dangling."""
     _, events, stats = parse_stream(lines(
@@ -176,7 +235,7 @@ def test_event_record_conservation():
             records.append({"kind": "event", "syscall": "read",
                             "subject": "p1", "object": "f1", "ts": "soon"})
     _, _, stats = parse_stream(lines(*records))
-    assert stats.total_event_records() == n_event_records
+    assert total_event_records(stats) == n_event_records
 
 
 def test_stats_saturation_case():
@@ -222,7 +281,7 @@ def test_stats_match_per_event_reference():
             nodes, events = edge_graph_records(rng)
         else:
             nodes, events = random_graph_records(rng, allow_self_loops=True)
-            nodes = [replace(n, cmdline=rng.choice(spaced))
+            nodes = [n._replace(cmdline=rng.choice(spaced))
                      if n.kind == "process" else n for n in nodes]
         self_loops += sum(ev.subject == ev.object for ev in events)
         declared = nodes if trial % 3 else nodes[1:]

@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,7 +161,7 @@ def test_capped_order_matches_ordered_oracle_with_ties():
         nodes, events = random_graph_records(rng, max_nodes=rng.choice([8, 30]),
                                              allow_self_loops=True)
         top = rng.choice([1, 2, 3, 20])
-        events = [replace(ev, ts=rng.randint(1, top)) for ev in events]
+        events = [ev._replace(ts=rng.randint(1, top)) for ev in events]
         assert_matches_ordered_oracle(build_graph(nodes, events))
 
 
