@@ -10,6 +10,7 @@ compare byte for byte.
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -509,3 +510,135 @@ def edge_graph_records(rng, max_nodes=24, max_events=40):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def reference_table_json(table):
+    """labels.json's text as one json.dumps of the whole payload."""
+    payload = {
+        "labels": [{"label_id": lb.label_id, "polarity": lb.polarity,
+                    "member_count": lb.member_count,
+                    "created_seq": lb.created_seq,
+                    "representative": [float(x) for x in lb.representative]}
+                   for lb in table.labels],
+        "assignment": table.assignment,
+        "zero_vector_sets": table.zero_vector_sets,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+class _ReferenceWeights:
+    """ln(P / P_f) per file and netflow id; processes weigh the mean of those."""
+
+    def __init__(self, events, nodes_by_id):
+        counts = recount_entity_events(events)
+        total = len(events)
+        self.by_id = {nid: math.log(total / count)
+                      for nid, count in counts.items()
+                      if nodes_by_id[nid].kind in ("file", "netflow")}
+        pool = list(self.by_id.values())
+        self.process = math.fsum(pool) / len(pool) if pool else 0.0
+
+    def weight_for(self, node):
+        if node.kind == "process":
+            return self.process
+        return self.by_id.get(node.id, 0.0)
+
+
+class _ReferenceEmbedder:
+    """embed_text on each node's attribute text, nothing cached."""
+
+    def __init__(self, dim, seed):
+        self.dim, self.seed = dim, seed
+
+    def node_vector(self, node):
+        from provprune.embed import embed_text
+        return embed_text(node.attr_text(), self.dim, self.seed)
+
+
+class _Chain:
+    def __init__(self, node_ids, feature):
+        self.node_ids, self.feature = node_ids, feature
+
+
+def _reference_corpus(lines, iocs, cfg):
+    """Parse, order, weigh and flag one corpus; None when it has no events."""
+    nodes, events, _ = reference_parse_stream(
+        lines, synthesize_dangling=cfg.synthesize_dangling)
+    if not events:
+        return None
+    by_id = {n.id: n for n in nodes}
+    events = sorted(events, key=lambda e: (e.ts, e.subject, e.object,
+                                           e.syscall))
+    substrings, explicit = iocs
+    matched = {}
+    for node_id in sorted(by_id):
+        text = by_id[node_id].attr_text()
+        hit = next((ioc for ioc in substrings if ioc and ioc in text), None)
+        if hit is not None:
+            matched[node_id] = hit
+    malicious = set(matched) | {nid for nid in explicit if nid in by_id}
+    for ev in events:
+        if ev.subject in matched and ev.object not in matched:
+            malicious.add(ev.object)
+        if ev.object in matched and ev.subject not in matched:
+            malicious.add(ev.subject)
+    weights = _ReferenceWeights(events, by_id)
+    embedder = _ReferenceEmbedder(cfg.dim, cfg.seed)
+    chains = [_Chain(node_ids, compose_feature([by_id[n] for n in node_ids],
+                                               weights, embedder))
+              for node_ids, _, _ in ordered_chains(events, cfg.set_size,
+                                                   cfg.cap_per_anchor)]
+    return by_id, events, malicious, chains
+
+
+def reference_run(labeled_lines, eval_lines, iocs, cfg):
+    """`label` then `reduce --top-n --emit-removed-ids --emit-graph`, composed
+    from the per-stage references.
+
+    iocs is (substrings, explicit ids), read for both corpora; cfg is a
+    RunConfig. Returns None when either corpus has no accepted event (the
+    CLI refuses it), else (labels.json text, the report dicts without
+    per_stage_seconds, {n: reduced graph lines}).
+    """
+    cutoff = min(cfg.threshold, 1.0 - 1e-9)
+    labeled = _reference_corpus(labeled_lines, iocs, cfg)
+    evaluation = _reference_corpus(eval_lines, iocs, cfg)
+    if labeled is None or evaluation is None:
+        return None
+    _, _, lab_malicious, lab_chains = labeled
+    table = sequential_labels(lab_chains, lab_malicious, cutoff)
+    labels_text = reference_table_json(table) + "\n"
+
+    ranked = sorted((lb for lb in table.labels if lb.polarity == BENIGN),
+                    key=lambda lb: (-lb.member_count, lb.created_seq))
+    by_id, events, malicious, chains = evaluation
+    population = (set(by_id) if cfg.include_isolated_nodes
+                  else {nid for ev in events for nid in (ev.subject, ev.object)})
+    reports, graphs = [], {}
+    for n in sorted(set(cfg.top_n)):
+        use = min(n, len(ranked))
+        removed = exhaustive_removed_nodes(
+            chains, [lb.representative for lb in ranked[:use]], cutoff)
+        after = len(population) - len(removed)
+        reports.append({
+            "n_requested": n,
+            "labels_used": use,
+            "total_nodes_before": len(population),
+            "nodes_removed": len(removed),
+            "nodes_after": after,
+            "reduction_rate": (100.0 * len(removed) / len(population)
+                               if population else 0.0),
+            "fn_count": len(removed & malicious),
+            "fp_count": after - len((malicious & population) - removed),
+            "declared_nodes_total": len(by_id),
+            "note": (f"requested top-{n} but only {len(ranked)} benign "
+                     f"labels exist" if n > len(ranked) else ""),
+            "removed_node_ids": sorted(removed),
+        })
+
+        graphs[n] = reference_graph_lines(SimpleNamespace(
+            nodes={nid: node for nid, node in by_id.items()
+                   if nid not in removed},
+            events=[ev for ev in events
+                    if ev.subject not in removed and ev.object not in removed]))
+    return labels_text, reports, graphs
