@@ -12,7 +12,7 @@ from .embed import (
     embed_text,
     get_embedder,
 )
-from .graph import Graph, build_graph, export_graph, remove_nodes
+from .graph import Graph, build_graph, remove_nodes
 from .ingest import (
     ANALYZED_SYSCALLS,
     CorpusStats,
@@ -29,10 +29,9 @@ from .label import (
     LabelTable,
     MaliciousNodeList,
     build_malicious_list,
-    classify_set,
     label_node_sets,
 )
-from .nodeset import NodeSet, enumerate_node_sets, featurize_sets
+from .nodeset import ChainBatch, NodeSet, enumerate_node_sets, featurize_sets
 from .reduce import (
     ReductionReport,
     rank_benign_labels,
@@ -43,6 +42,7 @@ from .synthgen import GroundTruth, SynthSpec, generate
 
 __all__ = [
     "ANALYZED_SYSCALLS",
+    "ChainBatch",
     "CorpusStats",
     "DEFAULT_DIM",
     "DEFAULT_SEED",
@@ -61,13 +61,11 @@ __all__ = [
     "WeightTable",
     "build_graph",
     "build_malicious_list",
-    "classify_set",
     "cmdline_frequency",
     "compute_corpus_stats",
     "compute_weights",
     "embed_text",
     "enumerate_node_sets",
-    "export_graph",
     "featurize_sets",
     "generate",
     "get_embedder",

@@ -8,6 +8,7 @@ Every label/reduce run writes a config echo that reproduces it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import shutil
@@ -408,6 +409,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
+    # The pipeline builds no reference cycles, so the cyclic collector would
+    # only rescan live objects; the caller's setting comes back afterwards.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return handler(args)
     except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
@@ -419,6 +424,9 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"provprune: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
+
+import numpy as np
 
 from .ingest import (
     KIND_FILE,
@@ -15,6 +18,23 @@ from .ingest import (
     Event,
     NodeRecord,
 )
+
+
+class NodeIndex(NamedTuple):
+    """Dense integer numbering of a graph's nodes, in `Graph.nodes` order.
+
+    ids[v] is node v's id and position its inverse; src[i] and dst[i] number
+    the subject and object of event i.
+    """
+
+    ids: list[str]
+    position: dict[str, int]
+    src: np.ndarray
+    dst: np.ndarray
+
+
+_subject = itemgetter(0)
+_object = itemgetter(1)
 
 
 @dataclass
@@ -34,6 +54,20 @@ class Graph:
             incident.add(ev.subject)
             incident.add(ev.object)
         return incident
+
+    @cached_property
+    def index(self) -> NodeIndex:
+        """The node numbering, built on first use and kept."""
+        ids = list(self.nodes)
+        position = dict(zip(ids, range(len(ids))))
+        number = position.__getitem__
+        count = len(self.events)
+        return NodeIndex(
+            ids=ids, position=position,
+            src=np.fromiter(map(number, map(_subject, self.events)),
+                            dtype=np.intp, count=count),
+            dst=np.fromiter(map(number, map(_object, self.events)),
+                            dtype=np.intp, count=count))
 
 
 # Global temporal order: (ts, subject, object, syscall).
@@ -127,13 +161,9 @@ def _format_lines(graph: Graph, fmt: str) -> list[str]:
     raise ValueError(f"unknown export format: {fmt!r}")
 
 
-def export_graph(graph: Graph, fmt: str = "jsonl") -> str:
-    """Serialize to 'jsonl' (round-trips through the parser) or 'dot'."""
-    return "".join(line + "\n" for line in _format_lines(graph, fmt))
-
-
 def write_graph(graph: Graph, sink: IO[str], fmt: str = "jsonl") -> None:
-    """Write export_graph's text to sink a line at a time."""
+    """Write the graph as 'jsonl' (round-trips through the parser) or 'dot'
+    to sink, a line at a time."""
     sink.writelines(line + "\n" for line in _format_lines(graph, fmt))
 
 

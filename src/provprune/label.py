@@ -10,7 +10,6 @@ exactly as the one-at-a-time flow would.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ import numpy as np
 
 from .embed import effective_threshold
 from .graph import Graph
-from .nodeset import NodeSet
+from .nodeset import ChainBatch
 
 BENIGN = "benign"
 MALICIOUS = "malicious"
@@ -73,15 +72,9 @@ class LabelTable:
             }))
         fh.write(f'],"zero_vector_sets":{encode(self.zero_vector_sets)}}}')
 
-    def to_json(self) -> str:
-        """The text write_json writes."""
-        buf = io.StringIO()
-        self.write_json(buf)
-        return buf.getvalue()
-
 
 def label_table_from_json(text: str) -> LabelTable:
-    """Inverse of LabelTable.to_json."""
+    """Inverse of LabelTable.write_json."""
     payload = json.loads(text)
     labels = [
         Label(
@@ -167,13 +160,6 @@ def build_malicious_list(graph: Graph, iocs: list[str],
     return out
 
 
-def classify_set(node_set: NodeSet, malicious: MaliciousNodeList) -> str:
-    """Malicious as soon as one member node is on the list."""
-    if any(nid in malicious.ids for nid in node_set.node_ids):
-        return MALICIOUS
-    return BENIGN
-
-
 # Chains labeled per block, and representative rows per GEMM chunk: a
 # 256 x 2048 float64 similarity temporary is 4 MB however many labels exist.
 LABEL_BLOCK = 256
@@ -239,7 +225,7 @@ class _RepMatrix:
         return self._rows[start: self._count] @ normalized
 
 
-def label_node_sets(sets: list[NodeSet], malicious: MaliciousNodeList,
+def label_node_sets(sets: ChainBatch, malicious: MaliciousNodeList,
                     threshold: float = 1.0) -> LabelTable:
     """Run the sequential similarity-reuse flow over featurized node-sets.
 
@@ -250,17 +236,23 @@ def label_node_sets(sets: list[NodeSet], malicious: MaliciousNodeList,
     best score sits a margin above the cutoff, and two margins above every
     other score, joins that label. Any other chain is decided by the exact
     scan over every label, so assignments, ties and polarity equal those of
-    labeling one chain at a time.
+    labeling one chain at a time. A label is malicious when any node of its
+    founding chain is on the malicious list.
     """
     if not -1.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [-1, 1], got {threshold}")
-    if any(node_set.feature is None for node_set in sets):
-        raise ValueError("node-set has no feature; featurize first")
+    features = sets.features
+    if features is None:
+        raise ValueError("node-sets have no features; featurize first")
     cutoff = effective_threshold(threshold)
     table = LabelTable()
-    if not sets:
+    if not len(sets):
         return table
-    dim = sets[0].feature.shape[0]
+    flagged = np.fromiter((nid in malicious.ids for nid in sets.ids),
+                          dtype=bool, count=len(sets.ids))
+    polarity = [MALICIOUS if bad else BENIGN
+                for bad in flagged[sets.nodes].any(axis=1).tolist()]
+    dim = features.shape[1]
     reps = _RepMatrix(dim)
     margin = MARGIN * max(1.0, dim / 64)
     mint_below, join_from = cutoff - margin, cutoff + margin
@@ -269,24 +261,27 @@ def label_node_sets(sets: list[NodeSet], malicious: MaliciousNodeList,
     exact_only = False
 
     for lo in range(0, len(sets), LABEL_BLOCK):
-        block = sets[lo:lo + LABEL_BLOCK]
+        block = features[lo:lo + LABEL_BLOCK]
         normalized = np.zeros((len(block), dim))
         nonzero = []
-        for i, node_set in enumerate(block):
-            norm = float(np.linalg.norm(node_set.feature))
+        # A norm per row: an axis=1 norm is a different reduction and may
+        # round differently.
+        for i, feature in enumerate(block):
+            norm = float(np.linalg.norm(feature))
             nonzero.append(norm != 0.0)
             exact_only = exact_only or not math.isfinite(norm)
             if norm != 0.0:
-                normalized[i] = node_set.feature / norm
+                normalized[i] = feature / norm
         start = len(table.labels)
         if not exact_only:
             tops, args, runners = (part.tolist() for part in
                                    reps.top_two_before(start, normalized))
 
-        for i, node_set in enumerate(block):
+        for i, feature in enumerate(block):
+            kind = polarity[lo + i]
             if not nonzero[i]:
                 table.zero_vector_sets += 1
-                _mint_label(table, reps, node_set, malicious, None)
+                _mint_label(table, reps, feature, kind, None)
                 continue
             row = normalized[i]
             if not exact_only:
@@ -300,7 +295,7 @@ def label_node_sets(sets: list[NodeSet], malicious: MaliciousNodeList,
                     else:
                         runner = max(runner, inside_top)
                 if top < mint_below:
-                    _mint_label(table, reps, node_set, malicious, row)
+                    _mint_label(table, reps, feature, kind, row)
                     continue
                 if inside.size > 1:
                     inside[j] = -np.inf
@@ -312,7 +307,7 @@ def label_node_sets(sets: list[NodeSet], malicious: MaliciousNodeList,
             if best >= 0 and similarity >= cutoff:
                 _join_label(table, best)
             else:
-                _mint_label(table, reps, node_set, malicious, row)
+                _mint_label(table, reps, feature, kind, row)
     return table
 
 
@@ -321,12 +316,10 @@ def _join_label(table: LabelTable, index: int) -> None:
     table.assignment.append(table.labels[index].label_id)
 
 
-def _mint_label(table: LabelTable, reps: _RepMatrix, node_set: NodeSet,
-                malicious: MaliciousNodeList,
-                normalized: np.ndarray | None) -> None:
+def _mint_label(table: LabelTable, reps: _RepMatrix, feature: np.ndarray,
+                polarity: str, normalized: np.ndarray | None) -> None:
     seq = len(table.labels)
-    feature = node_set.feature
-    label = Label(label_id=seq, polarity=classify_set(node_set, malicious),
+    label = Label(label_id=seq, polarity=polarity,
                   representative=feature, member_count=1, created_seq=seq)
     table.labels.append(label)
     table.assignment.append(seq)

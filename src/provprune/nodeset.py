@@ -9,13 +9,14 @@ tail of the path, earliest candidate edge first.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .embed import WeightTable
 from .graph import Graph
+from .ingest import NodeRecord
 
 DEFAULT_SET_SIZE = 5
 DEFAULT_CAP_PER_ANCHOR = 8
@@ -36,25 +37,58 @@ class NodeSet:
     feature: np.ndarray | None = field(default=None, compare=False)
 
 
-class _HalfEdges(NamedTuple):
-    """Both ends of every non-self-loop event, grouped by node.
+@dataclass(frozen=True, eq=False)
+class ChainBatch:
+    """Enumerated chains as integer rows over a graph's node index.
 
-    Node v owns positions bounds[k]:bounds[k + 1] of the flat lists, where
-    k = block[v], in (timestamp, edge index) order. reach[pos] bounds the
-    edges that can still follow after crossing the half-edge at pos to its
-    neighbor; into_object and into_subject hold, per event index, the bound
-    after arriving at the event's object or subject, for the anchor's two
-    orientations.
+    Row i of nodes holds chain i's K node numbers (positions in ids) in path
+    order and row i of edges its K-1 event indices; anchor_ts[i] is the
+    timestamp of its first edge. features, once featurize_sets has run, is
+    the read-only S x D feature matrix. Indexing and iteration give one
+    NodeSet per row, its feature a row view.
     """
 
-    block: dict[str, int]
+    ids: list[str]
+    nodes: np.ndarray
+    edges: np.ndarray
+    anchor_ts: list[int]
+    features: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.anchor_ts)
+
+    def __getitem__(self, i: int) -> NodeSet:
+        ids = self.ids
+        return NodeSet(
+            node_ids=tuple([ids[v] for v in self.nodes[i].tolist()]),
+            edge_indices=tuple(self.edges[i].tolist()),
+            anchor_ts=self.anchor_ts[i],
+            feature=None if self.features is None else self.features[i])
+
+    def __iter__(self) -> Iterator[NodeSet]:
+        return map(self.__getitem__, range(len(self)))
+
+
+class _HalfEdges(NamedTuple):
+    """Both ends of every non-self-loop event, grouped by node number.
+
+    Node v owns positions bounds[v]:bounds[v + 1] of the flat lists, in
+    (timestamp, edge index) order; a node without edges owns none.
+    reach[pos] bounds the edges that can still follow after crossing the
+    half-edge at pos to its neighbor; into_object and into_subject hold, per
+    event index, the bound after arriving at the event's object or subject,
+    for the anchor's two orientations. anchors lists, in event order, the
+    events that reach far enough in at least one orientation.
+    """
+
     bounds: list[int]
     ts: list[int]
     edge: list[int]
-    neighbor: list[str]
+    neighbor: list[int]
     reach: bytes
     into_object: bytes
     into_subject: bytes
+    anchors: list[int]
 
 
 def _half_edges(graph: Graph, size: int) -> _HalfEdges:
@@ -66,38 +100,38 @@ def _half_edges(graph: Graph, size: int) -> _HalfEdges:
     bound never undercounts what the DFS can still add. Self-loop events are
     left out; a chain can never use one.
     """
-    block: dict[str, int] = {}
-    subjects: list[int] = []
-    objects: list[int] = []
-    edges: list[int] = []
-    stamps: list[int] = []
-    for idx, ev in enumerate(graph.events):
-        if ev.subject == ev.object:
-            continue
-        subjects.append(block.setdefault(ev.subject, len(block)))
-        objects.append(block.setdefault(ev.object, len(block)))
-        edges.append(idx)
-        stamps.append(ev.ts)
-    m = len(edges)
+    index = graph.index
+    keep = np.flatnonzero(index.src != index.dst)
+    m = len(keep)
     n = 2 * m
     if not m:
         empty = bytes(len(graph.events))
-        return _HalfEdges(block, [0], [], [], [], b"", empty, empty)
+        return _HalfEdges([0] * (len(index.ids) + 1), [], [], [], b"",
+                          empty, empty, [])
+    events = graph.events
+    edges = keep.tolist()
+    # Timestamps stay Python ints for the DFS and enter numpy as dense
+    # ranks; a value beyond int64 is ranked in Python first.
+    stamps = [events[i].ts for i in edges]
+    try:
+        values = np.array(stamps, dtype=np.int64)
+    except OverflowError:
+        rank = {t: r for r, t in enumerate(sorted(set(stamps)))}
+        values = np.array([rank[t] for t in stamps], dtype=np.int64)
+    distinct, ts = np.unique(values, return_inverse=True)
     # Half-edge h < m sits at the subject of edges[h], h >= m at its object.
-    # Timestamps enter numpy as dense ranks, so no value can overflow int64.
-    rank = {t: r for r, t in enumerate(sorted(set(stamps)))}
-    ts = np.array([rank[t] for t in stamps] * 2, dtype=np.int64)
-    node = np.array(subjects + objects, dtype=np.int64)
+    ts = np.concatenate([ts, ts])
+    subjects, objects = index.src[keep], index.dst[keep]
+    node = np.concatenate([subjects, objects])
     order = np.lexsort((np.arange(n) % m, ts, node))
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
     twin = pos[(order + m) % n]
     node_s = node[order]
-    # Every block number owns at least one half-edge, so the blocks tile.
-    bounds = np.searchsorted(node_s, np.arange(len(block) + 1))
+    bounds = np.searchsorted(node_s, np.arange(len(index.ids) + 1))
     # Where bisect_left starts each half-edge's scan (the first of its node's
     # edges at its timestamp) and where its node's block ends.
-    run_key = node_s * len(rank) + ts[order]
+    run_key = node_s * len(distinct) + ts[order]
     run_start = np.searchsorted(run_key, run_key)
     node_end = bounds[node_s + 1]
     del node, ts, node_s, run_key
@@ -114,27 +148,28 @@ def _half_edges(graph: Graph, size: int) -> _HalfEdges:
         if not level.any():
             break
         reach += level
-    into_object = np.zeros(len(graph.events), dtype=np.uint8)
-    into_subject = np.zeros(len(graph.events), dtype=np.uint8)
-    into_object[edges] = reach[pos[m:]]
-    into_subject[edges] = reach[pos[:m]]
+    into_object = np.zeros(len(events), dtype=np.uint8)
+    into_subject = np.zeros(len(events), dtype=np.uint8)
+    into_object[keep] = reach[pos[m:]]
+    into_subject[keep] = reach[pos[:m]]
+    limit = min(size - 2, REACH_LIMIT)
+    anchors = keep[(into_object[keep] >= limit) | (into_subject[keep] >= limit)]
 
-    names = list(block)
-    half = order.tolist()
+    half = (order % m).tolist()
     return _HalfEdges(
-        block=block,
         bounds=bounds.tolist(),
-        ts=[stamps[h % m] for h in half],
-        edge=[edges[h % m] for h in half],
-        neighbor=[names[objects[h] if h < m else subjects[h - m]]
-                  for h in half],
+        ts=list(map(stamps.__getitem__, half)),
+        edge=list(map(edges.__getitem__, half)),
+        neighbor=np.concatenate([objects, subjects])[order].tolist(),
         reach=reach[twin].tobytes(),
         into_object=into_object.tobytes(),
-        into_subject=into_subject.tobytes())
+        into_subject=into_subject.tobytes(),
+        anchors=anchors.tolist())
 
 
 def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
-                        cap_per_anchor: int = DEFAULT_CAP_PER_ANCHOR) -> list[NodeSet]:
+                        cap_per_anchor: int = DEFAULT_CAP_PER_ANCHOR
+                        ) -> ChainBatch:
     """All capped temporal simple paths of `size` nodes, in deterministic order.
 
     Each result chain is produced exactly once, anchored at its first edge.
@@ -147,19 +182,52 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
         raise ValueError(f"set size must be at least 2, got {size}")
     if cap_per_anchor < 0:
         raise ValueError("cap_per_anchor must be 0 (unlimited) or positive")
-    (block, bounds, ts_list, edge_list, neighbors, ahead, into_object,
-     into_subject) = _half_edges(graph, size)
+    (bounds, ts_list, edge_list, neighbors, ahead, into_object,
+     into_subject, anchors) = _half_edges(graph, size)
     want_edges = size - 1
     limit = min(size - 2, REACH_LIMIT)
-    results: list[NodeSet] = []
     budget = cap_per_anchor if cap_per_anchor > 0 else None
+    # Emitted chains, flattened: K node numbers and K - 1 edges per chain.
+    out_nodes: list[int] = []
+    out_edges: list[int] = []
+    chain_nodes: list[int] = []
+    chain_edges: list[int] = []
+    visited: set[int] = set()
+    remaining = budget
 
-    for anchor_idx, ev in enumerate(graph.events):
-        if ev.subject == ev.object:
-            continue
+    def extend(tail: int, last_ts: int) -> bool:
+        """Depth-first growth; returns False once the budget is spent."""
+        nonlocal remaining
+        if len(chain_edges) == want_edges:
+            out_nodes.extend(chain_nodes)
+            out_edges.extend(chain_edges)
+            if remaining is not None:
+                remaining -= 1
+                return remaining > 0
+            return True
+        lo, hi = bounds[tail], bounds[tail + 1]
+        need = min(want_edges - len(chain_edges) - 1, limit)
+        for pos in range(bisect_left(ts_list, last_ts, lo, hi), hi):
+            neighbor = neighbors[pos]
+            if ahead[pos] < need or neighbor in visited:
+                continue
+            chain_nodes.append(neighbor)
+            chain_edges.append(edge_list[pos])
+            visited.add(neighbor)
+            alive = extend(neighbor, ts_list[pos])
+            visited.discard(neighbor)
+            chain_edges.pop()
+            chain_nodes.pop()
+            if not alive:
+                return False
+        return True
+
+    index, events = graph.index, graph.events
+    for anchor_idx, subject, target in zip(
+            anchors, index.src[anchors].tolist(), index.dst[anchors].tolist()):
         remaining = budget
-        for start, nxt, reach in ((ev.subject, ev.object, into_object),
-                                  (ev.object, ev.subject, into_subject)):
+        for start, nxt, reach in ((subject, target, into_object),
+                                  (target, subject, into_subject)):
             if remaining is not None and remaining <= 0:
                 break
             if reach[anchor_idx] < limit:
@@ -167,76 +235,53 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
             chain_nodes = [start, nxt]
             chain_edges = [anchor_idx]
             visited = {start, nxt}
+            extend(nxt, events[anchor_idx].ts)
+    # The function refers to itself through its closure cell; emptying the
+    # cell leaves no reference cycle behind.
+    del extend
 
-            def extend(tail: str, last_ts: int) -> bool:
-                """Depth-first growth; returns False once the budget is spent."""
-                nonlocal remaining
-                if len(chain_edges) == want_edges:
-                    results.append(NodeSet(node_ids=tuple(chain_nodes),
-                                           edge_indices=tuple(chain_edges),
-                                           anchor_ts=ev.ts))
-                    if remaining is not None:
-                        remaining -= 1
-                        return remaining > 0
-                    return True
-                k = block[tail]
-                lo, hi = bounds[k], bounds[k + 1]
-                need = min(want_edges - len(chain_edges) - 1, limit)
-                for pos in range(bisect_left(ts_list, last_ts, lo, hi), hi):
-                    neighbor = neighbors[pos]
-                    if ahead[pos] < need or neighbor in visited:
-                        continue
-                    chain_nodes.append(neighbor)
-                    chain_edges.append(edge_list[pos])
-                    visited.add(neighbor)
-                    alive = extend(neighbor, ts_list[pos])
-                    visited.discard(neighbor)
-                    chain_edges.pop()
-                    chain_nodes.pop()
-                    if not alive:
-                        return False
-                return True
-
-            if want_edges == 1:
-                results.append(NodeSet(node_ids=tuple(chain_nodes),
-                                       edge_indices=tuple(chain_edges),
-                                       anchor_ts=ev.ts))
-                if remaining is not None:
-                    remaining -= 1
-            else:
-                extend(nxt, ev.ts)
-    return results
+    nodes = np.array(out_nodes, dtype=np.intp).reshape(-1, size)
+    edges = np.array(out_edges, dtype=np.intp).reshape(-1, want_edges)
+    return ChainBatch(ids=index.ids, nodes=nodes, edges=edges,
+                      anchor_ts=[events[e].ts for e in edges[:, 0].tolist()])
 
 
-def featurize_sets(sets: list[NodeSet], graph: Graph, weights: WeightTable,
-                   embedder) -> list[NodeSet]:
-    """Attach feature vectors to enumerated chains in one vectorized pass.
+def featurize_sets(sets: ChainBatch, graph: Graph, weights: WeightTable,
+                   embedder) -> ChainBatch:
+    """The batch with its feature matrix, composed in one vectorized pass.
 
     A chain's feature is the weighted sum of its node vectors, deliberately
-    not normalized.
+    not normalized. The embedder is asked once per distinct attribute text,
+    through the first node that carries it, and each node is weighed once.
     """
-    if not sets:
-        return []
-    ids = sorted({nid for s in sets for nid in s.node_ids})
-    index = {nid: i for i, nid in enumerate(ids)}
-    vectors = np.stack([embedder.node_vector(graph.nodes[nid]) for nid in ids])
-    node_weights = np.array([weights.weight_for(graph.nodes[nid]) for nid in ids])
+    if not len(sets):
+        return replace(sets, features=np.zeros((0, embedder.dim)))
+    ids, nodes = sets.ids, sets.nodes
+    used = np.unique(nodes)
+    records = [graph.nodes[ids[v]] for v in used.tolist()]
+    texts = [node.attr_text() for node in records]
+    first: dict[str, NodeRecord] = {}
+    for node, text in zip(records, texts):
+        first.setdefault(text, node)
+    slot = dict(zip(first, range(len(first))))
+    text_vectors = np.stack([embedder.node_vector(node)
+                             for node in first.values()])
+    slot_of = np.zeros(len(ids), dtype=np.intp)
+    slot_of[used] = [slot[text] for text in texts]
+    weight_of = np.zeros(len(ids))
+    weight_of[used] = [weights.weight_for(node) for node in records]
 
-    out: list[NodeSet] = []
+    features = np.zeros((len(sets), text_vectors.shape[1]))
     for lo in range(0, len(sets), FEATURE_CHUNK):
-        block = sets[lo:lo + FEATURE_CHUNK]
-        idx = np.array([[index[nid] for nid in s.node_ids] for s in block])
+        block = nodes[lo:lo + FEATURE_CHUNK]
+        feats = features[lo:lo + len(block)]
         # One chain position at a time onto zeros is the order of a per-chain
         # sum (tests/oracles.compose_feature), bit for bit, without a
-        # chains x K x dim gather.
-        feats = np.zeros((len(block), vectors.shape[1]))
+        # chains x K x dim gather or a per-node vector matrix.
         term = np.empty_like(feats)
-        for k in range(idx.shape[1]):
-            np.take(vectors, idx[:, k], axis=0, out=term)
-            term *= node_weights[idx[:, k], None]
+        for column in block.T:
+            np.take(text_vectors, slot_of[column], axis=0, out=term)
+            term *= weight_of[column, None]
             feats += term
-        for s, feat in zip(block, feats):
-            feat.setflags(write=False)
-            out.append(NodeSet(node_ids=s.node_ids, edge_indices=s.edge_indices,
-                               anchor_ts=s.anchor_ts, feature=feat))
-    return out
+    features.setflags(write=False)
+    return replace(sets, features=features)

@@ -21,7 +21,6 @@ from .label import BENIGN, LabelTable, MaliciousNodeList
 from .nodeset import (
     DEFAULT_CAP_PER_ANCHOR,
     DEFAULT_SET_SIZE,
-    NodeSet,
     enumerate_node_sets,
     featurize_sets,
 )
@@ -68,20 +67,17 @@ class ReductionReport:
         return out
 
 
-def assemble_report(n_requested: int, labels_used: int, population: set[str],
-                    removed_ids: set[str], malicious_ids: set[str],
+def assemble_report(n_requested: int, labels_used: int, total: int,
+                    removed: int, fn: int, remaining_malicious: int,
                     declared_total: int = 0) -> ReductionReport:
     """Compute the accounting identities for one removal outcome.
 
-    Counts are taken over population, the nodes the rate is reported on. fn
-    counts malicious nodes that were removed; fp counts benign nodes left
-    behind (remaining minus remaining-malicious).
+    total counts the population, the nodes the rate is reported on, and
+    removed the nodes taken out. fn counts malicious nodes that were removed;
+    fp counts benign nodes left behind: the nodes remaining minus
+    remaining_malicious, the malicious nodes of the population still there.
     """
-    total = len(population)
-    removed = len(removed_ids)
     after = total - removed
-    fn = len(removed_ids & malicious_ids)
-    remaining_malicious = len((malicious_ids & population) - removed_ids)
     return ReductionReport(
         n_requested=n_requested,
         labels_used=labels_used,
@@ -119,20 +115,18 @@ def representatives(table: LabelTable, ranked_ids: list[int]) -> np.ndarray:
     return np.stack(rows)
 
 
-def _min_match_ranks(sets: list[NodeSet], reps: np.ndarray,
+def _min_match_ranks(features: np.ndarray, reps: np.ndarray,
                      threshold: float) -> np.ndarray:
-    """For each node-set, the lowest rep rank that matches it, or -1."""
+    """For each feature row, the lowest rep rank that matches it, or -1."""
     cutoff = effective_threshold(threshold)
-    ranks = np.full(len(sets), -1, dtype=np.int64)
-    if reps.size == 0 or not sets:
+    ranks = np.full(features.shape[0], -1, dtype=np.int64)
+    if reps.size == 0 or not features.shape[0]:
         return ranks
-    features = np.stack([s.feature for s in sets])
     norms = np.linalg.norm(features, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
-    normalized = features / safe[:, None]
     chunk = max(1, min(MATCH_CHUNK, MATCH_BUDGET // reps.shape[0]))
-    for lo in range(0, normalized.shape[0], chunk):
-        block = normalized[lo:lo + chunk]
+    for lo in range(0, features.shape[0], chunk):
+        block = features[lo:lo + chunk] / safe[lo:lo + chunk, None]
         sims = block @ reps.T
         hits = sims >= cutoff
         any_hit = hits.any(axis=1)
@@ -149,11 +143,12 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
                 population: set[str] | None = None) -> list[ReductionReport]:
     """One reduction report per requested top-n, sharing a single match pass.
 
-    Representative prefixes are nested, so each node-set only needs the lowest
-    rank that matches it; sweeping n is then a threshold walk over that array.
-    population is the node set the reduction rate is taken over; by default
-    the nodes incident to at least one event. A single-n reduction is
-    `ns=[n], keep_removed_ids=True`, then `graph.remove_nodes` on the ids.
+    Representative prefixes are nested, so each node only needs the lowest
+    rank of any matching chain that holds it; the nodes removed at n are
+    those whose rank is below n. population is the node set the reduction
+    rate is taken over; by default the nodes incident to at least one event.
+    A single-n reduction is `ns=[n], keep_removed_ids=True`, then
+    `graph.remove_nodes` on the ids.
     """
     if sorted(ns) != list(ns):
         raise ValueError("top-n list must be ascending")
@@ -165,29 +160,42 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
     t1 = time.perf_counter()
     sets = featurize_sets(sets, g_eval, w_eval, embedder)
     t2 = time.perf_counter()
-    ranks = _min_match_ranks(sets, reps, threshold)
+    ranks = _min_match_ranks(sets.features, reps, threshold)
     t3 = time.perf_counter()
     shared = {"enumerate": t1 - t0, "featurize": t2 - t1, "match": t3 - t2}
 
+    index = g_eval.index
+    ids = index.ids
     if population is None:
-        population = g_eval.event_node_ids()
-    by_rank: dict[int, list[NodeSet]] = {}
-    for node_set, rank in zip(sets, ranks):
-        if rank >= 0:
-            by_rank.setdefault(int(rank), []).append(node_set)
+        in_population = np.zeros(len(ids), dtype=bool)
+        in_population[index.src] = True
+        in_population[index.dst] = True
+        total = int(in_population.sum())
+    else:
+        in_population = np.fromiter((nid in population for nid in ids),
+                                    dtype=bool, count=len(ids))
+        total = len(population)
+    flagged = np.fromiter((nid in malicious.ids for nid in ids),
+                          dtype=bool, count=len(ids))
+    malicious_total = (int((flagged & in_population).sum())
+                       if population is None
+                       else len(malicious.ids & population))
+    # Per node, the lowest rank of a matching chain holding it.
+    node_rank = np.full(len(ids), len(reps), dtype=np.int64)
+    matched = ranks >= 0
+    np.minimum.at(node_rank, sets.nodes[matched],
+                  ranks[matched][:, None])
 
     reports = []
-    removed_ids: set[str] = set()
-    done = 0
     for n in ns:
         t4 = time.perf_counter()
         use = min(n, len(ranked))
-        while done < use:
-            for node_set in by_rank.get(done, ()):
-                removed_ids.update(node_set.node_ids)
-            done += 1
-        report = assemble_report(n, use, population, removed_ids,
-                                 malicious.ids, len(g_eval.nodes))
+        removed = node_rank < use
+        removed_malicious = removed & flagged
+        report = assemble_report(
+            n, use, total, int(removed.sum()), int(removed_malicious.sum()),
+            malicious_total - int((removed_malicious & in_population).sum()),
+            len(g_eval.nodes))
         report.per_stage_seconds = dict(shared)
         report.per_stage_seconds["select"] = time.perf_counter() - t4
         report.per_stage_seconds["total"] = (
@@ -196,7 +204,8 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
             report.note = (f"requested top-{n} but only {len(ranked)} "
                            f"benign labels exist")
         if keep_removed_ids:
-            report.removed_node_ids = sorted(removed_ids)
+            report.removed_node_ids = sorted(
+                [ids[v] for v in np.flatnonzero(removed).tolist()])
         reports.append(report)
     return reports
 

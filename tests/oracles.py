@@ -7,6 +7,7 @@ the reference labeler builds the package's table types only so that tables
 compare byte for byte.
 """
 
+import io
 import json
 import math
 import random
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from provprune.graph import write_graph
 from provprune.ingest import (
     KIND_PROCESS,
     SYSCALL_OBJECT_KIND,
@@ -22,6 +24,7 @@ from provprune.ingest import (
     ParseStats,
 )
 from provprune.label import BENIGN, MALICIOUS, Label, LabelTable
+from provprune.nodeset import ChainBatch
 
 
 def brute_force_chains(events, size):
@@ -510,6 +513,43 @@ def edge_graph_records(rng, max_nodes=24, max_events=40):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def export_graph(graph, fmt="jsonl"):
+    """The whole text write_graph writes, as one string."""
+    buf = io.StringIO()
+    write_graph(graph, buf, fmt)
+    return buf.getvalue()
+
+
+def table_json(table):
+    """The whole text LabelTable.write_json writes, as one string."""
+    buf = io.StringIO()
+    table.write_json(buf)
+    return buf.getvalue()
+
+
+def chain_batch(sets, dim=None):
+    """A ChainBatch whose rows are the given NodeSets, in order.
+
+    Nodes are numbered in sorted id order. Features are stacked when every
+    set has one (dim gives the width of an empty batch), else left unset.
+    """
+    ids = sorted({nid for s in sets for nid in s.node_ids})
+    number = {nid: v for v, nid in enumerate(ids)}
+    size = len(sets[0].node_ids) if sets else 2
+    features = None
+    if all(s.feature is not None for s in sets):
+        features = np.array([s.feature for s in sets], dtype=np.float64)
+        features = features.reshape(len(sets), -1 if sets else dim or 0)
+    return ChainBatch(
+        ids=ids,
+        nodes=np.array([[number[nid] for nid in s.node_ids] for s in sets],
+                       dtype=np.intp).reshape(-1, size),
+        edges=np.array([s.edge_indices for s in sets],
+                       dtype=np.intp).reshape(-1, size - 1),
+        anchor_ts=[s.anchor_ts for s in sets],
+        features=features)
 
 
 def reference_table_json(table):

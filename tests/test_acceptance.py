@@ -35,6 +35,7 @@ from provprune.synthgen import AttackSpec, PatternSpec, SynthSpec, generate
 
 from oracles import (
     brute_force_chains,
+    chain_batch,
     exhaustive_removed_nodes,
     expected_weights,
     random_graph_records,
@@ -107,7 +108,9 @@ def test_criterion_1_report_arithmetic_at_reference_scale():
     incident = removed | malicious | {f"ok{i}"
                                       for i in range(50_802 - 81)}
     assert len(incident) == 54_522
-    report = assemble_report(3, 3, incident, removed, malicious)
+    report = assemble_report(3, 3, len(incident), len(removed),
+                             len(removed & malicious),
+                             len((malicious & incident) - removed))
     assert report.nodes_after == 50_802
     assert report.fn_count == 0
     assert report.fp_count == 50_721
@@ -234,7 +237,7 @@ def test_criterion_6_labeling_groups_identical_features_thread_deterministic(
         sets = [NodeSet(node_ids=(f"a{i}", f"b{i}"), edge_indices=(i,),
                         anchor_ts=i, feature=f)
                 for i, f in enumerate(features)]
-        table = label_node_sets(sets, MaliciousNodeList())
+        table = label_node_sets(chain_batch(sets), MaliciousNodeList())
         used = {f.tobytes() for f in features}
         assert len(table.labels) == len(used)
         for i, f in enumerate(features):

@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 from provprune.cli import RunConfig, _write_config_echo, main
-from provprune.graph import build_graph, export_graph, remove_nodes
+from provprune.graph import build_graph, remove_nodes
 from provprune.ingest import parse_file
+
+from oracles import export_graph
 
 SPEC = {
     "seed": 31,

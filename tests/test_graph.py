@@ -7,7 +7,6 @@ import pytest
 from provprune.graph import (
     build_graph,
     dot_lines,
-    export_graph,
     graph_lines,
     remove_nodes,
     save_graph,
@@ -21,6 +20,7 @@ from oracles import (
     EDGE_TS,
     degree_counts,
     edge_graph_records,
+    export_graph,
     random_graph_records,
     reference_graph_lines,
     total_event_records,

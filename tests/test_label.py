@@ -15,7 +15,6 @@ from provprune.label import (
     LabelTable,
     MaliciousNodeList,
     build_malicious_list,
-    classify_set,
     label_node_sets,
     label_table_from_json,
     parse_ioc_file,
@@ -23,9 +22,12 @@ from provprune.label import (
 from provprune.nodeset import NodeSet
 
 from oracles import (
+    chain_batch,
     random_graph_records,
     reference_ioc_matches,
+    reference_table_json,
     sequential_labels,
+    table_json,
 )
 
 
@@ -33,6 +35,12 @@ def make_set(ids, feature, seq=0):
     feat = np.asarray(feature, dtype=np.float64)
     return NodeSet(node_ids=tuple(ids), edge_indices=tuple(range(len(ids) - 1)),
                    anchor_ts=seq, feature=feat)
+
+
+def label_sets(sets, malicious, threshold=1.0):
+    """label_node_sets over a batch holding the given sets."""
+    return label_node_sets(chain_batch(sets, dim=8), malicious,
+                           threshold=threshold)
 
 
 def unit(direction, dim=8):
@@ -152,14 +160,14 @@ def test_classify_set_rules():
     clean = make_set(["a", "e", "b", "c", "d"], unit(0))
     all_bad = make_set(["x"] * 1 + ["y", "z", "w", "v"], unit(0))
     mal_all = MaliciousNodeList(ids={"x", "y", "z", "w", "v"})
-    assert classify_set(dirty, mal) == MALICIOUS
-    assert classify_set(clean, mal) == BENIGN
-    assert classify_set(all_bad, mal_all) == MALICIOUS
+    assert label_sets([dirty], mal).labels[0].polarity == MALICIOUS
+    assert label_sets([clean], mal).labels[0].polarity == BENIGN
+    assert label_sets([all_bad], mal_all).labels[0].polarity == MALICIOUS
 
 
 def test_identical_features_share_one_label():
     sets = [make_set(["a", "b"], unit(1)), make_set(["c", "d"], unit(1))]
-    table = label_node_sets(sets, MaliciousNodeList(), threshold=1.0)
+    table = label_sets(sets, MaliciousNodeList(), threshold=1.0)
     assert len(table.labels) == 1
     assert table.labels[0].member_count == 2
     assert table.labels[0].polarity == BENIGN
@@ -169,7 +177,7 @@ def test_identical_features_share_one_label():
 def test_scaled_feature_still_matches_at_threshold_one():
     sets = [make_set(["a", "b"], unit(2)),
             make_set(["c", "d"], 3.0 * unit(2))]
-    table = label_node_sets(sets, MaliciousNodeList(), threshold=1.0)
+    table = label_sets(sets, MaliciousNodeList(), threshold=1.0)
     assert len(table.labels) == 1
 
 
@@ -177,7 +185,7 @@ def test_order_sensitivity_of_polarity():
     """A malicious first member poisons the label for identical successors."""
     mal = MaliciousNodeList(ids={"a"})
     sets = [make_set(["a", "b"], unit(3)), make_set(["c", "d"], unit(3))]
-    table = label_node_sets(sets, mal, threshold=1.0)
+    table = label_sets(sets, mal, threshold=1.0)
     assert len(table.labels) == 1
     assert table.labels[0].polarity == MALICIOUS
     assert table.labels[0].member_count == 2
@@ -185,7 +193,7 @@ def test_order_sensitivity_of_polarity():
 
 def test_distinct_features_distinct_labels():
     sets = [make_set([f"n{i}", f"m{i}"], unit(i)) for i in range(6)]
-    table = label_node_sets(sets, MaliciousNodeList(), threshold=1.0)
+    table = label_sets(sets, MaliciousNodeList(), threshold=1.0)
     assert len(table.labels) == 6
     assert [lb.created_seq for lb in table.labels] == list(range(6))
 
@@ -193,7 +201,7 @@ def test_distinct_features_distinct_labels():
 def test_representative_is_first_member_frozen():
     sets = [make_set(["a", "b"], 2.0 * unit(4)),
             make_set(["c", "d"], 5.0 * unit(4))]
-    table = label_node_sets(sets, MaliciousNodeList(), threshold=1.0)
+    table = label_sets(sets, MaliciousNodeList(), threshold=1.0)
     assert table.labels[0].representative[4] == 2.0
 
 
@@ -201,8 +209,8 @@ def test_lower_threshold_groups_more():
     a = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     b = np.array([0.9, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     sets = [make_set(["a", "b"], a), make_set(["c", "d"], b)]
-    strict = label_node_sets(sets, MaliciousNodeList(), threshold=1.0)
-    loose = label_node_sets(sets, MaliciousNodeList(), threshold=0.9)
+    strict = label_sets(sets, MaliciousNodeList(), threshold=1.0)
+    loose = label_sets(sets, MaliciousNodeList(), threshold=0.9)
     assert len(strict.labels) == 2
     assert len(loose.labels) == 1
 
@@ -212,7 +220,7 @@ def test_tie_goes_to_earliest_label():
     earlier label wins the tie when the cutoff admits zero."""
     sets = [make_set(["a", "b"], unit(0)), make_set(["c", "d"], unit(1)),
             make_set(["e", "f"], unit(2))]
-    table = label_node_sets(sets, MaliciousNodeList(), threshold=0.0)
+    table = label_sets(sets, MaliciousNodeList(), threshold=0.0)
     assert table.assignment == [0, 0, 0]
 
 
@@ -220,7 +228,7 @@ def test_zero_vector_sets_always_mint():
     z = np.zeros(8)
     sets = [make_set(["a", "b"], z), make_set(["c", "d"], z),
             make_set(["e", "f"], unit(0))]
-    table = label_node_sets(sets, MaliciousNodeList(), threshold=0.5)
+    table = label_sets(sets, MaliciousNodeList(), threshold=0.5)
     assert table.zero_vector_sets == 2
     assert len(table.labels) == 3
 
@@ -228,21 +236,21 @@ def test_zero_vector_sets_always_mint():
 def test_zero_vector_rep_matches_only_when_cutoff_admits_zero():
     z = np.zeros(8)
     sets = [make_set(["a", "b"], z), make_set(["c", "d"], unit(1))]
-    at_zero = label_node_sets(sets, MaliciousNodeList(), threshold=0.0)
+    at_zero = label_sets(sets, MaliciousNodeList(), threshold=0.0)
     assert at_zero.assignment == [0, 0]
-    above_zero = label_node_sets(sets, MaliciousNodeList(), threshold=0.5)
+    above_zero = label_sets(sets, MaliciousNodeList(), threshold=0.5)
     assert above_zero.assignment == [0, 1]
 
 
 def test_threshold_validation():
     with pytest.raises(ValueError):
-        label_node_sets([], MaliciousNodeList(), threshold=1.5)
+        label_sets([], MaliciousNodeList(), threshold=1.5)
 
 
 def test_unfeaturized_set_rejected():
     bare = NodeSet(node_ids=("a", "b"), edge_indices=(0,), anchor_ts=0)
     with pytest.raises(ValueError):
-        label_node_sets([bare], MaliciousNodeList())
+        label_sets([bare], MaliciousNodeList())
 
 
 def test_assignment_totality_random():
@@ -253,7 +261,7 @@ def test_assignment_totality_random():
         feat = rng.choice(pool) * rng.choice([1.0, 2.0])
         sets.append(make_set([f"x{i}", f"y{i}"], feat, seq=i))
     mal = MaliciousNodeList(ids={"x3", "x77"})
-    table = label_node_sets(sets, mal, threshold=1.0)
+    table = label_sets(sets, mal, threshold=1.0)
     assert len(table.assignment) == len(sets)
     assert sum(lb.member_count for lb in table.labels) == len(sets)
     label_ids = {lb.label_id for lb in table.labels}
@@ -268,7 +276,7 @@ def test_threshold_monotone_label_count():
         sets.append(make_set([f"x{i}", f"y{i}"], feat, seq=i))
     counts = []
     for threshold in (1.0, 0.95, 0.8, 0.5, 0.0, -1.0):
-        table = label_node_sets(sets, MaliciousNodeList(), threshold=threshold)
+        table = label_sets(sets, MaliciousNodeList(), threshold=threshold)
         counts.append(len(table.labels))
     assert counts == sorted(counts, reverse=True)
 
@@ -280,7 +288,7 @@ def test_polarity_sound_at_creation():
     for i in range(40):
         feat = np.array([rng.gauss(0, 1) for _ in range(8)])
         sets.append(make_set([f"x{i}", f"y{i}"], feat, seq=i))
-    table = label_node_sets(sets, mal, threshold=1.0)
+    table = label_sets(sets, mal, threshold=1.0)
     first_member = {}
     for idx, label_id in enumerate(table.assignment):
         first_member.setdefault(label_id, idx)
@@ -292,10 +300,10 @@ def test_polarity_sound_at_creation():
 
 def test_table_json_round_trip():
     sets = [make_set(["a", "b"], unit(1)), make_set(["c", "d"], unit(2))]
-    table = label_node_sets(sets, MaliciousNodeList(ids={"c"}), threshold=1.0)
-    text = table.to_json()
+    table = label_sets(sets, MaliciousNodeList(ids={"c"}), threshold=1.0)
+    text = table_json(table)
     back = label_table_from_json(text)
-    assert back.to_json() == text
+    assert table_json(back) == text
     assert back.labels[1].polarity == MALICIOUS
     assert (back.labels[0].representative == table.labels[0].representative).all()
 
@@ -305,7 +313,7 @@ def test_table_json_equals_whole_payload_dump():
     sets = [make_set([f"x{i}", f"y{i}"],
                      np.array([rng.gauss(0, 1) for _ in range(8)]), seq=i)
             for i in range(30)]
-    table = label_node_sets(sets, MaliciousNodeList(ids={"x3"}), threshold=0.5)
+    table = label_sets(sets, MaliciousNodeList(ids={"x3"}), threshold=0.5)
     table.zero_vector_sets = 2
     payload = {
         "labels": [{"label_id": lb.label_id, "polarity": lb.polarity,
@@ -317,9 +325,9 @@ def test_table_json_equals_whole_payload_dump():
         "zero_vector_sets": table.zero_vector_sets,
     }
     assert len(table.labels) > 1
-    assert table.to_json() == json.dumps(payload, sort_keys=True,
+    assert table_json(table) == json.dumps(payload, sort_keys=True,
                                          separators=(",", ":"))
-    assert LabelTable().to_json() == \
+    assert table_json(LabelTable()) == \
         '{"assignment":[],"labels":[],"zero_vector_sets":0}'
 
 
@@ -331,8 +339,9 @@ def test_labeling_deterministic_bytes():
         sets.append(make_set([f"x{i}", f"y{i}"], feat, seq=i))
     sets_twice = [make_set(list(s.node_ids), np.array(s.feature), seq=i)
                   for i, s in enumerate(sets)]
-    a = label_node_sets(sets, MaliciousNodeList(), threshold=0.7).to_json()
-    b = label_node_sets(sets_twice, MaliciousNodeList(), threshold=0.7).to_json()
+    a = table_json(label_sets(sets, MaliciousNodeList(), threshold=0.7))
+    b = table_json(label_sets(sets_twice, MaliciousNodeList(),
+                              threshold=0.7))
     assert a == b
 
 
@@ -341,14 +350,14 @@ def test_write_json_streams_the_to_json_bytes(tmp_path):
     sets = [make_set([f"x{i}", f"y{i}"],
                      np.array([rng.gauss(0, 1) for _ in range(8)]), seq=i)
             for i in range(25)]
-    table = label_node_sets(sets, MaliciousNodeList(ids={"x4"}), threshold=0.3)
+    table = label_sets(sets, MaliciousNodeList(ids={"x4"}), threshold=0.3)
     buf = io.StringIO()
     table.write_json(buf)
-    assert buf.getvalue() == table.to_json()
+    assert buf.getvalue() == reference_table_json(table)
     with open(tmp_path / "labels.json", "w", encoding="utf-8") as fh:
         table.write_json(fh)
     assert (tmp_path / "labels.json").read_text(encoding="utf-8") == \
-        table.to_json()
+        reference_table_json(table)
 
 
 def mixed_features(rng, count, dim=4):
@@ -374,10 +383,10 @@ def mixed_features(rng, count, dim=4):
 
 def assert_labels_match_sequential(sets, threshold, malicious_ids=()):
     malicious = MaliciousNodeList(ids=set(malicious_ids))
-    got = label_node_sets(sets, malicious, threshold=threshold)
+    got = label_sets(sets, malicious, threshold=threshold)
     want = sequential_labels(sets, malicious.ids,
                              effective_threshold(threshold))
-    assert got.to_json() == want.to_json()
+    assert table_json(got) == table_json(want)
     return got
 
 

@@ -16,7 +16,7 @@ from provprune.label import (
     label_node_sets,
     parse_ioc_file,
 )
-from provprune.nodeset import NodeSet, enumerate_node_sets, featurize_sets
+from provprune.nodeset import enumerate_node_sets, featurize_sets
 from provprune import reduce
 from provprune.reduce import (
     _min_match_ranks,
@@ -73,7 +73,9 @@ def test_report_accounting_identities():
     removed = {f"r{i}" for i in range(30)}
     malicious = {"r1", "r2", "keep1"}
     incident = removed | {f"k{i}" for i in range(70)} | {"keep1"}
-    report = assemble_report(5, 5, incident, removed, malicious)
+    report = assemble_report(5, 5, len(incident), len(removed),
+                             len(removed & malicious),
+                             len((malicious & incident) - removed))
     assert report.nodes_after + report.nodes_removed == report.total_nodes_before
     assert report.fn_count == 2
     assert report.fp_count == report.nodes_after - 1
@@ -81,7 +83,7 @@ def test_report_accounting_identities():
 
 
 def test_report_zero_denominator():
-    report = assemble_report(3, 0, set(), set(), set())
+    report = assemble_report(3, 0, 0, 0, 0, 0)
     assert report.reduction_rate == 0.0
     assert report.nodes_after == 0
 
@@ -263,13 +265,11 @@ def test_match_ranks_independent_of_chunk_budget(monkeypatch):
                             reps[rng.integers(0, 7, size=30)] * 2.5,
                             np.zeros((3, 8))])
     rng.shuffle(feats)
-    sets = [NodeSet(node_ids=(f"a{i}", f"b{i}"), edge_indices=(i,),
-                    anchor_ts=i, feature=feat) for i, feat in enumerate(feats)]
     for threshold in (1.0, 0.5):
-        want = _min_match_ranks(sets, reps, threshold)
+        want = _min_match_ranks(feats, reps, threshold)
         assert (want >= 0).sum() >= 30
         for budget in (1, 10, 29):
             monkeypatch.setattr(reduce, "MATCH_BUDGET", budget)
-            assert _min_match_ranks(sets, reps, threshold).tolist() == \
+            assert _min_match_ranks(feats, reps, threshold).tolist() == \
                 want.tolist()
         monkeypatch.undo()
