@@ -29,15 +29,9 @@ def _seed_key(seed: int) -> bytes:
     return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
 
-def embed_text(text: str, dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Deterministic L2-normalized vector for a text; empty text maps to e0."""
-    if dim < 8:
-        raise ValueError(f"dim must be at least 8, got {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
-    if not text:
-        vec[0] = 1.0
-        return vec
-    key = _seed_key(seed)
+def _grams(text: str) -> list[bytes]:
+    """The hashed features of a non-empty text: the whole padded text, then
+    its character n-grams."""
     padded = "<" + text + ">"
     # The whole text counts as one feature alongside its n-grams; the 0x00
     # prefix keeps it out of the n-gram hash domain.
@@ -45,11 +39,18 @@ def embed_text(text: str, dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED) -> n
     for n in NGRAM_SIZES:
         grams.extend(padded[i:i + n].encode("utf-8")
                      for i in range(len(padded) - n + 1))
-    for gram in grams:
-        h = int.from_bytes(
-            hashlib.blake2b(gram, digest_size=8, key=key).digest(), "little")
-        sign = 1.0 if h >> 63 else -1.0
-        vec[h % dim] += sign
+    return grams
+
+
+def _slot(gram: bytes, key: bytes, dim: int) -> tuple[int, float]:
+    """The dimension a gram lands in and the sign it adds there."""
+    h = int.from_bytes(
+        hashlib.blake2b(gram, digest_size=8, key=key).digest(), "little")
+    return h % dim, 1.0 if h >> 63 else -1.0
+
+
+def _unit(vec: np.ndarray) -> np.ndarray:
+    """vec scaled to length 1 in place; a zero sum maps to e0."""
     norm = math.sqrt(float(np.dot(vec, vec)))
     if norm == 0.0:
         vec[:] = 0.0
@@ -59,8 +60,28 @@ def embed_text(text: str, dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED) -> n
     return vec
 
 
+def embed_text(text: str, dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Deterministic L2-normalized vector for a text; empty text maps to e0."""
+    if dim < 8:
+        raise ValueError(f"dim must be at least 8, got {dim}")
+    vec = np.zeros(dim, dtype=np.float64)
+    if not text:
+        vec[0] = 1.0
+        return vec
+    key = _seed_key(seed)
+    for gram in _grams(text):
+        slot, sign = _slot(gram, key, dim)
+        vec[slot] += sign
+    return _unit(vec)
+
+
 class HashNgramEmbedder:
-    """Default backend: seeded n-gram hashing with a per-text cache."""
+    """Default backend: seeded n-gram hashing with a per-text cache.
+
+    Texts share most of their n-grams, so each gram's slot and sign are
+    hashed once per instance. The vector is a bincount of the signs; sums of
+    +-1.0 are exact, so it equals embed_text bit for bit.
+    """
 
     def __init__(self, dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED):
         if dim < 8:
@@ -68,11 +89,26 @@ class HashNgramEmbedder:
         self.dim = dim
         self.seed = seed
         self._cache: dict[str, np.ndarray] = {}
+        self._slots: dict[bytes, tuple[int, float]] = {}
+        self._key = _seed_key(seed)
+
+    def _vector(self, text: str) -> np.ndarray:
+        if not text:
+            return embed_text(text, self.dim, self.seed)
+        memo = self._slots
+        slots, signs = [], []
+        for gram in _grams(text):
+            hit = memo.get(gram)
+            if hit is None:
+                hit = memo[gram] = _slot(gram, self._key, self.dim)
+            slots.append(hit[0])
+            signs.append(hit[1])
+        return _unit(np.bincount(slots, weights=signs, minlength=self.dim))
 
     def embed(self, text: str) -> np.ndarray:
         vec = self._cache.get(text)
         if vec is None:
-            vec = embed_text(text, self.dim, self.seed)
+            vec = self._vector(text)
             vec.setflags(write=False)
             self._cache[text] = vec
         return vec

@@ -36,6 +36,8 @@ SYSCALL_OBJECT_KIND = {
 }
 
 ANALYZED_SYSCALLS = frozenset(SYSCALL_OBJECT_KIND)
+# Decoded syscall name -> (the module's own string for it, its object kind).
+_SYSCALLS = {name: (name, kind) for name, kind in SYSCALL_OBJECT_KIND.items()}
 
 
 class NodeRecord(NamedTuple):
@@ -127,7 +129,7 @@ def parse_stream(
     event can be kept.
     """
     nodes: dict[str, NodeRecord] = {}
-    pending: list[Event] = []
+    pending: list = []
     duplicate_nodes = malformed_nodes = 0
     dropped_events = malformed_events = malformed_lines = 0
     new = tuple.__new__
@@ -161,7 +163,7 @@ def parse_stream(
                     or type(syscall) is not str or type(ts) is not int):
                 malformed_events += 1
             elif syscall in ANALYZED_SYSCALLS:
-                pending.append(new(Event, (subject, target, syscall, ts)))
+                pending.append((subject, target, syscall, ts))
             else:
                 dropped_events += 1
             continue
@@ -203,10 +205,12 @@ def parse_stream(
 
     accepted_nodes = len(nodes)
     synthesized_nodes = dangling_events = 0
-    events: list[Event] = []
-    for ev in pending:
-        subject, target, syscall, _ = ev
-        want_kind = SYSCALL_OBJECT_KIND[syscall]
+    # Accepted events hold the node records' id strings and the module's
+    # syscall names, not one decoded copy each. Each one takes the list slot
+    # of an entry already read, so decoded copies are freed as it goes.
+    kept = 0
+    for subject, target, syscall, ts in pending:
+        syscall, want_kind = _SYSCALLS[syscall]
         subj_rec = nodes.get(subject)
         obj_rec = nodes.get(target)
         if subj_rec is None or obj_rec is None:
@@ -224,7 +228,10 @@ def parse_stream(
         if subj_rec.kind != KIND_PROCESS or obj_rec.kind != want_kind:
             malformed_events += 1
             continue
-        events.append(ev)
+        pending[kept] = new(Event, (subj_rec.id, obj_rec.id, syscall, ts))
+        kept += 1
+    del pending[kept:]
+    events: list[Event] = pending
 
     stats = ParseStats(
         accepted_nodes=accepted_nodes, duplicate_nodes=duplicate_nodes,

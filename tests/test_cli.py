@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -152,6 +153,28 @@ def test_reduce_inline_labeling_matches_saved_labels(corpus):
         x.pop("per_stage_seconds")
         y.pop("per_stage_seconds")
     assert a == b
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_collector_state(corpus, enabled):
+    """label and reduce run with the cyclic collector off and give the
+    caller's setting back, also when the command fails."""
+    a, b = corpus / "a", corpus / "b"
+    runs = [["label", "--labeled", str(a / "corpus.jsonl"),
+             "--out", str(corpus / "lab")],
+            ["reduce", "--eval", str(b / "corpus.jsonl"),
+             "--labels", str(corpus / "lab" / "labels.json"),
+             "--out", str(corpus / "red")],
+            ["reduce", "--eval", str(b / "corpus.jsonl"),
+             "--labels", str(corpus / "missing.json")]]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        codes = [main(argv) for argv in runs]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert codes == [0, 0, 2]
 
 
 def test_reduce_requires_label_source(corpus):

@@ -20,6 +20,7 @@ from provprune.ingest import (
 from oracles import (
     edge_graph_records,
     random_graph_records,
+    record_lines,
     recount_entity_events,
     reference_corpus_stats,
     total_event_records,
@@ -212,6 +213,27 @@ def test_random_syscall_strings_never_pass_filter():
     _, events, stats = parse_stream(lines(*records))
     assert events == []
     assert stats.dropped_events == n_noise
+
+
+@pytest.mark.parametrize("synthesize_dangling", [False, True])
+def test_events_share_node_id_and_syscall_strings(synthesize_dangling):
+    """Accepted events hold their endpoints' node-id strings and the
+    module's syscall names, not copies decoded from their own lines."""
+    rng = random.Random(78)
+    nodes, events = random_graph_records(rng, max_events=80)
+    source = record_lines(nodes, events)
+    source.append(json.dumps({"kind": "event", "syscall": "read",
+                              "subject": "ghost-p", "object": "ghost-f",
+                              "ts": 3}))
+    got_nodes, got_events, _ = parse_stream(
+        source, synthesize_dangling=synthesize_dangling)
+    by_id = {n.id: n for n in got_nodes}
+    names = {name: name for name in SYSCALL_OBJECT_KIND}
+    assert len(got_events) >= 10
+    for ev in got_events:
+        assert ev.subject is by_id[ev.subject].id
+        assert ev.object is by_id[ev.object].id
+        assert ev.syscall is names[ev.syscall]
 
 
 def test_event_record_conservation():

@@ -1,4 +1,5 @@
 import csv
+import gc
 import random
 
 import numpy as np
@@ -273,3 +274,39 @@ def test_match_ranks_independent_of_chunk_budget(monkeypatch):
             assert _min_match_ranks(feats, reps, threshold).tolist() == \
                 want.tolist()
         monkeypatch.undo()
+
+
+def test_pipeline_leaves_no_cyclic_garbage():
+    """With the collector off, as the CLI runs, enumerate, featurize, label
+    and sweep leave no reference cycle behind; a cycle per chain or per
+    anchor would pile up with the corpus."""
+    def garbage_per_stage(spec):
+        lines, truth = generate(spec)
+        nodes, events, _ = parse_stream(lines)
+        g = build_graph(nodes, events)
+        weights = compute_weights(compute_corpus_stats(g.events), g.nodes)
+        emb = HashNgramEmbedder()
+        malicious = MaliciousNodeList(ids=set(truth.malicious_ids))
+        gc.collect()
+        sets = enumerate_node_sets(g)
+        found = [gc.collect()]
+        sets = featurize_sets(sets, g, weights, emb)
+        found.append(gc.collect())
+        table = label_node_sets(sets, malicious)
+        found.append(gc.collect())
+        sweep_top_n(g, table, weights, emb, malicious, ns=[1, 5])
+        found.append(gc.collect())
+        return found
+
+    # First calls may import and cache library code; that is not the
+    # pipeline's garbage.
+    garbage_per_stage(small_spec(11, reps=(2, 2)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        small = garbage_per_stage(small_spec(12, reps=(4, 3)))
+        large = garbage_per_stage(small_spec(13, reps=(16, 12)))
+    finally:
+        if enabled:
+            gc.enable()
+    assert small == large == [0, 0, 0, 0]
