@@ -29,9 +29,17 @@ def _seed_key(seed: int) -> bytes:
     return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
 
-def _grams(text: str) -> list[bytes]:
-    """The hashed features of a non-empty text: the whole padded text, then
-    its character n-grams."""
+def _hashed_vector(text: str, dim: int, key: bytes,
+                   memo: dict[bytes, tuple[int, float]]) -> np.ndarray:
+    """The normalized signed sum of text's hashed grams; empty text is e0.
+
+    memo maps each gram already seen under this dim and key to its slot and
+    sign, and learns the new ones.
+    """
+    if not text:
+        vec = np.zeros(dim, dtype=np.float64)
+        vec[0] = 1.0
+        return vec
     padded = "<" + text + ">"
     # The whole text counts as one feature alongside its n-grams; the 0x00
     # prefix keeps it out of the n-gram hash domain.
@@ -39,18 +47,18 @@ def _grams(text: str) -> list[bytes]:
     for n in NGRAM_SIZES:
         grams.extend(padded[i:i + n].encode("utf-8")
                      for i in range(len(padded) - n + 1))
-    return grams
-
-
-def _slot(gram: bytes, key: bytes, dim: int) -> tuple[int, float]:
-    """The dimension a gram lands in and the sign it adds there."""
-    h = int.from_bytes(
-        hashlib.blake2b(gram, digest_size=8, key=key).digest(), "little")
-    return h % dim, 1.0 if h >> 63 else -1.0
-
-
-def _unit(vec: np.ndarray) -> np.ndarray:
-    """vec scaled to length 1 in place; a zero sum maps to e0."""
+    slots, signs = [], []
+    for gram in grams:
+        hit = memo.get(gram)
+        if hit is None:
+            h = int.from_bytes(
+                hashlib.blake2b(gram, digest_size=8, key=key).digest(),
+                "little")
+            hit = memo[gram] = (h % dim, 1.0 if h >> 63 else -1.0)
+        slots.append(hit[0])
+        signs.append(hit[1])
+    # Sums of +-1.0 are exact, so the order of the adds changes no bit.
+    vec = np.bincount(slots, weights=signs, minlength=dim)
     norm = math.sqrt(float(np.dot(vec, vec)))
     if norm == 0.0:
         vec[:] = 0.0
@@ -64,23 +72,14 @@ def embed_text(text: str, dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED) -> n
     """Deterministic L2-normalized vector for a text; empty text maps to e0."""
     if dim < 8:
         raise ValueError(f"dim must be at least 8, got {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
-    if not text:
-        vec[0] = 1.0
-        return vec
-    key = _seed_key(seed)
-    for gram in _grams(text):
-        slot, sign = _slot(gram, key, dim)
-        vec[slot] += sign
-    return _unit(vec)
+    return _hashed_vector(text, dim, _seed_key(seed), {})
 
 
 class HashNgramEmbedder:
     """Default backend: seeded n-gram hashing with a per-text cache.
 
-    Texts share most of their n-grams, so each gram's slot and sign are
-    hashed once per instance. The vector is a bincount of the signs; sums of
-    +-1.0 are exact, so it equals embed_text bit for bit.
+    Texts share most of their n-grams, so each gram's slot and sign are also
+    kept, and hashed once per instance.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED):
@@ -89,26 +88,13 @@ class HashNgramEmbedder:
         self.dim = dim
         self.seed = seed
         self._cache: dict[str, np.ndarray] = {}
-        self._slots: dict[bytes, tuple[int, float]] = {}
         self._key = _seed_key(seed)
-
-    def _vector(self, text: str) -> np.ndarray:
-        if not text:
-            return embed_text(text, self.dim, self.seed)
-        memo = self._slots
-        slots, signs = [], []
-        for gram in _grams(text):
-            hit = memo.get(gram)
-            if hit is None:
-                hit = memo[gram] = _slot(gram, self._key, self.dim)
-            slots.append(hit[0])
-            signs.append(hit[1])
-        return _unit(np.bincount(slots, weights=signs, minlength=self.dim))
+        self._slots: dict[bytes, tuple[int, float]] = {}
 
     def embed(self, text: str) -> np.ndarray:
         vec = self._cache.get(text)
         if vec is None:
-            vec = self._vector(text)
+            vec = _hashed_vector(text, self.dim, self._key, self._slots)
             vec.setflags(write=False)
             self._cache[text] = vec
         return vec

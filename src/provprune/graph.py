@@ -32,6 +32,13 @@ class NodeIndex(NamedTuple):
     src: np.ndarray
     dst: np.ndarray
 
+    def mask(self, members: Iterable[str]) -> np.ndarray:
+        """Per node, whether its id is among members; others are ignored."""
+        out = np.zeros(len(self.ids), dtype=bool)
+        out[[self.position[nid] for nid in members
+             if nid in self.position]] = True
+        return out
+
 
 _subject = itemgetter(0)
 _object = itemgetter(1)

@@ -75,10 +75,9 @@ class _HalfEdges(NamedTuple):
     Node v owns positions bounds[v]:bounds[v + 1] of the flat lists, in
     (timestamp, edge index) order; a node without edges owns none.
     reach[pos] bounds the edges that can still follow after crossing the
-    half-edge at pos to its neighbor; into_object and into_subject hold, per
-    event index, the bound after arriving at the event's object or subject,
-    for the anchor's two orientations. anchors lists, in event order, the
-    events that reach far enough in at least one orientation.
+    half-edge at pos to its neighbor. anchors, starts and nexts list the
+    anchor orientations whose bound lets them reach far enough: event
+    index, first node and second node, in event order, subject first.
     """
 
     bounds: list[int]
@@ -86,9 +85,9 @@ class _HalfEdges(NamedTuple):
     edge: list[int]
     neighbor: list[int]
     reach: bytes
-    into_object: bytes
-    into_subject: bytes
     anchors: list[int]
+    starts: list[int]
+    nexts: list[int]
 
 
 def _half_edges(graph: Graph, size: int) -> _HalfEdges:
@@ -105,9 +104,8 @@ def _half_edges(graph: Graph, size: int) -> _HalfEdges:
     m = len(keep)
     n = 2 * m
     if not m:
-        empty = bytes(len(graph.events))
         return _HalfEdges([0] * (len(index.ids) + 1), [], [], [], b"",
-                          empty, empty, [])
+                          [], [], [])
     events = graph.events
     edges = keep.tolist()
     # Timestamps stay Python ints for the DFS and enter numpy as dense
@@ -148,12 +146,11 @@ def _half_edges(graph: Graph, size: int) -> _HalfEdges:
         if not level.any():
             break
         reach += level
-    into_object = np.zeros(len(events), dtype=np.uint8)
-    into_subject = np.zeros(len(events), dtype=np.uint8)
-    into_object[keep] = reach[pos[m:]]
-    into_subject[keep] = reach[pos[:m]]
-    limit = min(size - 2, REACH_LIMIT)
-    anchors = keep[(into_object[keep] >= limit) | (into_subject[keep] >= limit)]
+    # Subject first, the anchor arrives at its object; object first, at its
+    # subject.
+    live = np.stack([reach[pos[m:]], reach[pos[:m]]], axis=1) >= min(
+        size - 2, REACH_LIMIT)
+    ends = np.stack([subjects, objects], axis=1)
 
     half = (order % m).tolist()
     return _HalfEdges(
@@ -162,9 +159,9 @@ def _half_edges(graph: Graph, size: int) -> _HalfEdges:
         edge=list(map(edges.__getitem__, half)),
         neighbor=np.concatenate([objects, subjects])[order].tolist(),
         reach=reach[twin].tobytes(),
-        into_object=into_object.tobytes(),
-        into_subject=into_subject.tobytes(),
-        anchors=anchors.tolist())
+        anchors=np.stack([keep, keep], axis=1)[live].tolist(),
+        starts=ends[live].tolist(),
+        nexts=ends[:, ::-1][live].tolist())
 
 
 def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
@@ -182,18 +179,14 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
         raise ValueError(f"set size must be at least 2, got {size}")
     if cap_per_anchor < 0:
         raise ValueError("cap_per_anchor must be 0 (unlimited) or positive")
-    (bounds, ts_list, edge_list, neighbors, ahead, into_object,
-     into_subject, anchors) = _half_edges(graph, size)
+    (bounds, ts_list, edge_list, neighbors, ahead, anchors, starts,
+     nexts) = _half_edges(graph, size)
     want_edges = size - 1
     limit = min(size - 2, REACH_LIMIT)
     budget = cap_per_anchor if cap_per_anchor > 0 else None
     # Emitted chains, flattened: K node numbers and K - 1 edges per chain.
     out_nodes: list[int] = []
     out_edges: list[int] = []
-    chain_nodes: list[int] = []
-    chain_edges: list[int] = []
-    visited: set[int] = set()
-    remaining = budget
 
     def extend(tail: int, last_ts: int) -> bool:
         """Depth-first growth; returns False once the budget is spent."""
@@ -222,27 +215,24 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
                 return False
         return True
 
-    index, events = graph.index, graph.events
-    for anchor_idx, subject, target in zip(
-            anchors, index.src[anchors].tolist(), index.dst[anchors].tolist()):
-        remaining = budget
-        for start, nxt, reach in ((subject, target, into_object),
-                                  (target, subject, into_subject)):
-            if remaining is not None and remaining <= 0:
-                break
-            if reach[anchor_idx] < limit:
-                continue
-            chain_nodes = [start, nxt]
-            chain_edges = [anchor_idx]
-            visited = {start, nxt}
-            extend(nxt, events[anchor_idx].ts)
+    events = graph.events
+    previous = -1
+    for anchor_idx, start, nxt in zip(anchors, starts, nexts):
+        if anchor_idx != previous:
+            previous, remaining = anchor_idx, budget
+        elif remaining is not None and remaining <= 0:
+            continue
+        chain_nodes = [start, nxt]
+        chain_edges = [anchor_idx]
+        visited = {start, nxt}
+        extend(nxt, events[anchor_idx].ts)
     # The function refers to itself through its closure cell; emptying the
     # cell leaves no reference cycle behind.
     del extend
 
     nodes = np.array(out_nodes, dtype=np.intp).reshape(-1, size)
     edges = np.array(out_edges, dtype=np.intp).reshape(-1, want_edges)
-    return ChainBatch(ids=index.ids, nodes=nodes, edges=edges,
+    return ChainBatch(ids=graph.index.ids, nodes=nodes, edges=edges,
                       anchor_ts=[events[e].ts for e in edges[:, 0].tolist()])
 
 

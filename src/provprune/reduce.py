@@ -165,26 +165,20 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
     shared = {"enumerate": t1 - t0, "featurize": t2 - t1, "match": t3 - t2}
 
     index = g_eval.index
-    ids = index.ids
+    flagged = index.mask(malicious.ids)
     if population is None:
-        in_population = np.zeros(len(ids), dtype=bool)
-        in_population[index.src] = True
-        in_population[index.dst] = True
-        total = int(in_population.sum())
+        in_population = np.zeros(len(index.ids), dtype=bool)
+        in_population[index.src] = in_population[index.dst] = True
+        population_total = int(in_population.sum())
+        malicious_total = int((flagged & in_population).sum())
     else:
-        in_population = np.fromiter((nid in population for nid in ids),
-                                    dtype=bool, count=len(ids))
-        total = len(population)
-    flagged = np.fromiter((nid in malicious.ids for nid in ids),
-                          dtype=bool, count=len(ids))
-    malicious_total = (int((flagged & in_population).sum())
-                       if population is None
-                       else len(malicious.ids & population))
+        in_population = index.mask(population)
+        population_total = len(population)
+        malicious_total = len(malicious.ids & population)
     # Per node, the lowest rank of a matching chain holding it.
-    node_rank = np.full(len(ids), len(reps), dtype=np.int64)
+    node_rank = np.full(len(index.ids), len(reps), dtype=np.int64)
     matched = ranks >= 0
-    np.minimum.at(node_rank, sets.nodes[matched],
-                  ranks[matched][:, None])
+    np.minimum.at(node_rank, sets.nodes[matched], ranks[matched][:, None])
 
     reports = []
     for n in ns:
@@ -193,7 +187,8 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
         removed = node_rank < use
         removed_malicious = removed & flagged
         report = assemble_report(
-            n, use, total, int(removed.sum()), int(removed_malicious.sum()),
+            n, use, population_total, int(removed.sum()),
+            int(removed_malicious.sum()),
             malicious_total - int((removed_malicious & in_population).sum()),
             len(g_eval.nodes))
         report.per_stage_seconds = dict(shared)
@@ -205,7 +200,7 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
                            f"benign labels exist")
         if keep_removed_ids:
             report.removed_node_ids = sorted(
-                [ids[v] for v in np.flatnonzero(removed).tolist()])
+                [index.ids[v] for v in np.flatnonzero(removed).tolist()])
         reports.append(report)
     return reports
 

@@ -7,6 +7,7 @@ the reference labeler builds the package's table types only so that tables
 compare byte for byte.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -343,6 +344,30 @@ def expected_weights(events, nodes_by_id):
     return out
 
 
+def reference_embed_text(text, dim, seed):
+    """The hashing embedder written out: one blake2b and one += per gram."""
+    vec = np.zeros(dim, dtype=np.float64)
+    if not text:
+        vec[0] = 1.0
+        return vec
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    padded = "<" + text + ">"
+    grams = [b"\x00" + padded.encode("utf-8")]
+    for n in (3, 4, 5):
+        grams.extend(padded[i:i + n].encode("utf-8")
+                     for i in range(len(padded) - n + 1))
+    for gram in grams:
+        h = int.from_bytes(
+            hashlib.blake2b(gram, digest_size=8, key=key).digest(), "little")
+        vec[h % dim] += 1.0 if h >> 63 else -1.0
+    norm = math.sqrt(float(np.dot(vec, vec)))
+    if norm == 0.0:
+        vec[:] = 0.0
+        vec[0] = 1.0
+        return vec
+    return vec / norm
+
+
 def python_cosine(a, b):
     """Cosine from scalar arithmetic; zero vectors compare as 0."""
     dot = sum(x * y for x, y in zip(a, b))
@@ -585,14 +610,13 @@ class _ReferenceWeights:
 
 
 class _ReferenceEmbedder:
-    """embed_text on each node's attribute text, nothing cached."""
+    """reference_embed_text on each node's attribute text, nothing cached."""
 
     def __init__(self, dim, seed):
         self.dim, self.seed = dim, seed
 
     def node_vector(self, node):
-        from provprune.embed import embed_text
-        return embed_text(node.attr_text(), self.dim, self.seed)
+        return reference_embed_text(node.attr_text(), self.dim, self.seed)
 
 
 class _Chain:
