@@ -64,7 +64,8 @@ class Graph:
 
     @cached_property
     def index(self) -> NodeIndex:
-        """The node numbering, built on first use and kept."""
+        """The node numbering, built on first use and kept: a graph's nodes
+        and events are not changed once it is built."""
         ids = list(self.nodes)
         position = dict(zip(ids, range(len(ids))))
         number = position.__getitem__

@@ -108,15 +108,14 @@ def _half_edges(graph: Graph, size: int) -> _HalfEdges:
                           [], [], [])
     events = graph.events
     edges = keep.tolist()
-    # Timestamps stay Python ints for the DFS and enter numpy as dense
-    # ranks; a value beyond int64 is ranked in Python first.
+    # Timestamps stay Python ints for the DFS. Values beyond int64 enter
+    # numpy as dense ranks, which keep their order.
     stamps = [events[i].ts for i in edges]
     try:
-        values = np.array(stamps, dtype=np.int64)
+        ts = np.array(stamps, dtype=np.int64)
     except OverflowError:
         rank = {t: r for r, t in enumerate(sorted(set(stamps)))}
-        values = np.array([rank[t] for t in stamps], dtype=np.int64)
-    distinct, ts = np.unique(values, return_inverse=True)
+        ts = np.array([rank[t] for t in stamps], dtype=np.int64)
     # Half-edge h < m sits at the subject of edges[h], h >= m at its object.
     ts = np.concatenate([ts, ts])
     subjects, objects = index.src[keep], index.dst[keep]
@@ -125,14 +124,15 @@ def _half_edges(graph: Graph, size: int) -> _HalfEdges:
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
     twin = pos[(order + m) % n]
-    node_s = node[order]
+    node_s, ts_s = node[order], ts[order]
     bounds = np.searchsorted(node_s, np.arange(len(index.ids) + 1))
     # Where bisect_left starts each half-edge's scan (the first of its node's
     # edges at its timestamp) and where its node's block ends.
-    run_key = node_s * len(distinct) + ts[order]
-    run_start = np.searchsorted(run_key, run_key)
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = (node_s[1:] != node_s[:-1]) | (ts_s[1:] != ts_s[:-1])
+    run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
     node_end = bounds[node_s + 1]
-    del node, ts, node_s, run_key
+    del node, ts, node_s, ts_s, new_run
 
     # Pass t marks the half-edges with reach >= t: some other edge at the
     # node, no earlier, leads to a far end with reach >= t - 1.
@@ -247,7 +247,9 @@ def featurize_sets(sets: ChainBatch, graph: Graph, weights: WeightTable,
     if not len(sets):
         return replace(sets, features=np.zeros((0, embedder.dim)))
     ids, nodes = sets.ids, sets.nodes
-    used = np.unique(nodes)
+    seen = np.zeros(len(ids), dtype=bool)
+    seen[nodes] = True
+    used = np.flatnonzero(seen)
     records = [graph.nodes[ids[v]] for v in used.tolist()]
     texts = [node.attr_text() for node in records]
     first: dict[str, NodeRecord] = {}

@@ -12,6 +12,7 @@ from provprune.nodeset import enumerate_node_sets, featurize_sets
 from oracles import (
     brute_force_chains,
     compose_feature,
+    edge_graph_records,
     ordered_chains,
     random_graph_records,
     sum_feature_by_hand,
@@ -152,6 +153,19 @@ def assert_matches_ordered_oracle(g, sizes=(2, 3, 4, 5), caps=(0, 1, 3, 8)):
             assert ordered(enumerate_node_sets(g, size=size,
                                                cap_per_anchor=cap)) == \
                 ordered_chains(g.events, size, cap), (size, cap)
+
+
+def test_timestamps_beyond_int64_keep_the_oracle_order():
+    """Timestamps past either end of int64 are ranked before numpy sees
+    them; chains and their order stay those of the unpruned search."""
+    rng = random.Random(4343)
+    wide = 0
+    for _ in range(30):
+        nodes, events = edge_graph_records(rng)
+        g = build_graph(nodes, events)
+        wide += any(not -2 ** 63 <= ev.ts < 2 ** 63 for ev in g.events)
+        assert_matches_ordered_oracle(g, sizes=(2, 3, 4))
+    assert wide >= 10
 
 
 def test_capped_order_matches_ordered_oracle_with_ties():
