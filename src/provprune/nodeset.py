@@ -136,9 +136,10 @@ def _half_edges(graph: Graph, size: int) -> _HalfEdges:
 
     # Pass t marks the half-edges with reach >= t: some other edge at the
     # node, no earlier, leads to a far end with reach >= t - 1.
+    limit = min(size - 2, REACH_LIMIT)
     reach = np.zeros(n, dtype=np.uint8)
     level = np.ones(n, dtype=bool)
-    for _ in range(min(size - 2, REACH_LIMIT)):
+    for _ in range(limit):
         ahead = level[twin]
         suffix = np.zeros(n + 1, dtype=np.int64)
         suffix[:n] = np.cumsum(ahead[::-1])[::-1]
@@ -148,8 +149,7 @@ def _half_edges(graph: Graph, size: int) -> _HalfEdges:
         reach += level
     # Subject first, the anchor arrives at its object; object first, at its
     # subject.
-    live = np.stack([reach[pos[m:]], reach[pos[:m]]], axis=1) >= min(
-        size - 2, REACH_LIMIT)
+    live = np.stack([reach[pos[m:]], reach[pos[:m]]], axis=1) >= limit
     ends = np.stack([subjects, objects], axis=1)
 
     half = (order % m).tolist()

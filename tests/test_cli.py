@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from provprune import cli
 from provprune.cli import RunConfig, _write_config_echo, main
 from provprune.graph import build_graph, remove_nodes
 from provprune.ingest import parse_file
@@ -156,9 +157,19 @@ def test_reduce_inline_labeling_matches_saved_labels(corpus):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_main_restores_collector_state(corpus, enabled):
-    """label and reduce run with the cyclic collector off and give the
+def test_commands_run_with_collector_off(corpus, monkeypatch, enabled):
+    """Handlers run with the cyclic collector off, and main gives the
     caller's setting back, also when the command fails."""
+    seen = []
+
+    def recording(handler):
+        def run(args):
+            seen.append(gc.isenabled())
+            return handler(args)
+        return run
+
+    for name in ("label", "reduce"):
+        monkeypatch.setitem(cli._COMMANDS, name, recording(cli._COMMANDS[name]))
     a, b = corpus / "a", corpus / "b"
     runs = [["label", "--labeled", str(a / "corpus.jsonl"),
              "--out", str(corpus / "lab")],
@@ -171,10 +182,12 @@ def test_main_restores_collector_state(corpus, enabled):
     try:
         (gc.enable if enabled else gc.disable)()
         codes = [main(argv) for argv in runs]
-        assert gc.isenabled() is enabled
+        after = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
     assert codes == [0, 0, 2]
+    assert seen == [False] * 3
+    assert after is enabled
 
 
 def test_reduce_requires_label_source(corpus):
