@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import IO, Iterable, NamedTuple
@@ -53,6 +52,9 @@ class Graph:
     # Bookkeeping only; two graphs with equal content compare equal.
     rejected_events: int = field(default=0, compare=False)
     ignored_removals: int = field(default=0, compare=False)
+    # The index with the events it was built over; see `index`.
+    _indexed: tuple[list[Event], NodeIndex] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def event_node_ids(self) -> set[str]:
         """Ids of nodes incident to at least one event."""
@@ -62,20 +64,26 @@ class Graph:
             incident.add(ev.object)
         return incident
 
-    @cached_property
+    @property
     def index(self) -> NodeIndex:
-        """The node numbering, built on first use and kept: a graph's nodes
-        and events are not changed once it is built."""
+        """The node numbering, built on first use and kept while the node ids
+        and events stay as they were; a changed graph gets a new one."""
         ids = list(self.nodes)
+        if self._indexed is not None:
+            events, index = self._indexed
+            if index.ids == ids and events == self.events:
+                return index
         position = dict(zip(ids, range(len(ids))))
         number = position.__getitem__
         count = len(self.events)
-        return NodeIndex(
+        index = NodeIndex(
             ids=ids, position=position,
             src=np.fromiter(map(number, map(_subject, self.events)),
                             dtype=np.intp, count=count),
             dst=np.fromiter(map(number, map(_object, self.events)),
                             dtype=np.intp, count=count))
+        self._indexed = (self.events[:], index)
+        return index
 
 
 # Global temporal order: (ts, subject, object, syscall).

@@ -15,8 +15,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .embed import WeightTable
-from .graph import Graph
-from .ingest import NodeRecord
+from .graph import Graph, NodeIndex
+from .ingest import Event, NodeRecord
 
 DEFAULT_SET_SIZE = 5
 DEFAULT_CAP_PER_ANCHOR = 8
@@ -90,7 +90,8 @@ class _HalfEdges(NamedTuple):
     nexts: list[int]
 
 
-def _half_edges(graph: Graph, size: int) -> _HalfEdges:
+def _half_edges(index: NodeIndex, events: list[Event], size: int
+                ) -> _HalfEdges:
     """Sorted half-edges plus their reach bounds, capped at size - 2.
 
     reach(e, v) is the length of the longest walk that can follow after
@@ -99,25 +100,25 @@ def _half_edges(graph: Graph, size: int) -> _HalfEdges:
     bound never undercounts what the DFS can still add. Self-loop events are
     left out; a chain can never use one.
     """
-    index = graph.index
     keep = np.flatnonzero(index.src != index.dst)
     m = len(keep)
     n = 2 * m
     if not m:
         return _HalfEdges([0] * (len(index.ids) + 1), [], [], [], b"",
                           [], [], [])
-    events = graph.events
     edges = keep.tolist()
-    # Timestamps stay Python ints for the DFS. Values beyond int64 enter
-    # numpy as dense ranks, which keep their order.
+    # Timestamps stay Python ints for the DFS and enter numpy as dense ranks,
+    # so no value can overflow int64. Events are kept in temporal order, so
+    # the stable sort of the int objects is a single linear run.
     stamps = [events[i].ts for i in edges]
-    try:
-        ts = np.array(stamps, dtype=np.int64)
-    except OverflowError:
-        rank = {t: r for r, t in enumerate(sorted(set(stamps)))}
-        ts = np.array([rank[t] for t in stamps], dtype=np.int64)
+    as_objects = np.array(stamps, dtype=object)
+    chrono = np.argsort(as_objects, kind="stable")
+    as_objects = as_objects[chrono]
+    rank = np.zeros(m, dtype=np.int64)
+    rank[chrono[1:]] = np.cumsum(as_objects[1:] != as_objects[:-1])
+    del as_objects, chrono
     # Half-edge h < m sits at the subject of edges[h], h >= m at its object.
-    ts = np.concatenate([ts, ts])
+    ts = np.concatenate([rank, rank])
     subjects, objects = index.src[keep], index.dst[keep]
     node = np.concatenate([subjects, objects])
     order = np.lexsort((np.arange(n) % m, ts, node))
@@ -179,8 +180,9 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
         raise ValueError(f"set size must be at least 2, got {size}")
     if cap_per_anchor < 0:
         raise ValueError("cap_per_anchor must be 0 (unlimited) or positive")
+    index = graph.index
     (bounds, ts_list, edge_list, neighbors, ahead, anchors, starts,
-     nexts) = _half_edges(graph, size)
+     nexts) = _half_edges(index, graph.events, size)
     want_edges = size - 1
     limit = min(size - 2, REACH_LIMIT)
     budget = cap_per_anchor if cap_per_anchor > 0 else None
@@ -232,7 +234,7 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
 
     nodes = np.array(out_nodes, dtype=np.intp).reshape(-1, size)
     edges = np.array(out_edges, dtype=np.intp).reshape(-1, want_edges)
-    return ChainBatch(ids=graph.index.ids, nodes=nodes, edges=edges,
+    return ChainBatch(ids=index.ids, nodes=nodes, edges=edges,
                       anchor_ts=[events[e].ts for e in edges[:, 0].tolist()])
 
 

@@ -190,6 +190,43 @@ def test_commands_run_with_collector_off(corpus, monkeypatch, enabled):
     assert after is enabled
 
 
+def test_commands_leave_no_garbage_growing_with_the_corpus(tmp_path):
+    """label and reduce, run through main with the collector off, leave the
+    same cyclic garbage (argument parsing and the like) on a corpus four
+    times larger: no record, chain or report leaves a cycle behind."""
+    def garbage(name, scale):
+        patterns = [dict(p, repetitions=p["repetitions"] * scale)
+                    for p in SPEC["benign_patterns"]]
+        spec = dict(SPEC, seed=31 + scale, noise_events=80 * scale,
+                    benign_patterns=patterns)
+        run = tmp_path / name
+        run.mkdir()
+        (run / "spec.json").write_text(json.dumps(spec))
+        assert main(["synth", str(run / "spec.json"), "--out", str(run)]) == 0
+        corpus, iocs = str(run / "corpus.jsonl"), str(run / "iocs.tsv")
+        labels = str(run / "lab" / "labels.json")
+        found = []
+        for argv in (["label", "--labeled", corpus, "--iocs", iocs,
+                      "--out", str(run / "lab")],
+                     ["reduce", "--eval", corpus, "--iocs", iocs,
+                      "--labels", labels, "--top-n", "1,3,10",
+                      "--emit-graph", "--emit-dot", "--emit-removed-ids",
+                      "--out", str(run / "red")]):
+            gc.collect()
+            assert main(argv) == 0
+            found.append(gc.collect())
+        return found
+
+    was = gc.isenabled()
+    try:
+        gc.disable()
+        garbage("warm", 1)
+        small, large = garbage("small", 1), garbage("large", 4)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert small == large
+
+
 def test_reduce_requires_label_source(corpus):
     assert main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
                  "--out", str(corpus / "x")]) == 1

@@ -1,12 +1,13 @@
 import csv
 import gc
+import io
 import random
 
 import numpy as np
 import pytest
 
 from provprune.embed import HashNgramEmbedder, compute_weights, effective_threshold
-from provprune.graph import build_graph, remove_nodes
+from provprune.graph import Graph, build_graph, remove_nodes, write_graph
 from provprune.ingest import NodeRecord, compute_corpus_stats, parse_stream
 from provprune.label import (
     BENIGN,
@@ -15,6 +16,7 @@ from provprune.label import (
     MaliciousNodeList,
     build_malicious_list,
     label_node_sets,
+    label_table_from_json,
     parse_ioc_file,
 )
 from provprune.nodeset import enumerate_node_sets, featurize_sets
@@ -209,7 +211,8 @@ def test_sweep_n_beyond_labels_noted():
 
 def test_sweep_population_sets_rate_denominator():
     g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(12))
-    g.nodes["lonely"] = NodeRecord(id="lonely", kind="file", path="/island")
+    lonely = NodeRecord(id="lonely", kind="file", path="/island")
+    g = build_graph([*g.nodes.values(), lonely], g.events)
     default, = sweep_top_n(g, table, weights, emb, malicious, ns=[3])
     declared, = sweep_top_n(g, table, weights, emb, malicious, ns=[3],
                             population=set(g.nodes))
@@ -220,6 +223,36 @@ def test_sweep_population_sets_rate_denominator():
     assert declared.reduction_rate == \
         100.0 * declared.nodes_removed / len(g.nodes)
     assert declared.fp_count == default.fp_count + 1
+
+
+def test_sweep_follows_changes_made_after_indexing():
+    """Nodes and events changed after a graph's index was built are seen by
+    the next enumeration and sweep, as on a fresh copy of the graph."""
+    g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(12))
+
+    def outcome(graph):
+        chains = [(s.node_ids, s.edge_indices)
+                  for s in enumerate_node_sets(graph)]
+        reports = sweep_top_n(graph, table, weights, emb, malicious,
+                              ns=[1, 3], keep_removed_ids=True,
+                              population=set(graph.nodes))
+        return chains, [(r.total_nodes_before, r.removed_node_ids,
+                         r.fn_count, r.fp_count) for r in reports]
+
+    def fresh(graph):
+        return Graph(nodes=dict(graph.nodes), events=list(graph.events))
+
+    half = len(g.events) // 2
+    later = g.events[half:]
+    del g.events[half:]
+    shortened = outcome(g)
+    assert shortened == outcome(fresh(g))
+    g.events.extend(later)
+    g.nodes["lonely"] = NodeRecord(id="lonely", kind="file", path="/island")
+    restored = outcome(g)
+    assert restored == outcome(fresh(g))
+    assert len(restored[0]) > len(shortened[0]) > 0
+    assert restored[1][0][0] == shortened[1][0][0] + 1
 
 
 def test_fn_matches_independent_recount():
@@ -276,26 +309,62 @@ def test_match_ranks_independent_of_chunk_budget(monkeypatch):
         monkeypatch.undo()
 
 
-def test_pipeline_leaves_no_cyclic_garbage():
-    """With the collector off, as the CLI runs, enumerate, featurize, label
-    and sweep leave no reference cycle behind; a cycle per chain or per
-    anchor would pile up with the corpus."""
+# Lines the parser rejects, one of each kind: not JSON, a bare value, an
+# unknown kind, an ill-typed node, an event with a field missing, an event
+# with an undeclared endpoint.
+MALFORMED_LINES = [
+    '{"kind": "process", "id": ',
+    '[1, 2, 3]',
+    '{"kind": "socket", "id": "s1"}',
+    '{"kind": "file", "id": 7, "path": "/x"}',
+    '{"kind": "event", "subject": "p1", "syscall": "read", "ts": 5}',
+    '{"kind": "event", "subject": "nowhere", "object": "nobody", '
+    '"syscall": "read", "ts": 5}',
+]
+
+
+def test_pipeline_leaves_no_cyclic_garbage(tmp_path):
+    """With the collector off, as the CLI runs, no stage from parsing to
+    writing the reduced graph leaves a reference cycle behind; a cycle per
+    record, chain or anchor would pile up with the corpus."""
     def garbage_per_stage(spec):
         lines, truth = generate(spec)
-        nodes, events, _ = parse_stream(lines)
-        g = build_graph(nodes, events)
-        weights = compute_weights(compute_corpus_stats(g.events), g.nodes)
-        emb = HashNgramEmbedder()
-        malicious = MaliciousNodeList(ids=set(truth.malicious_ids))
+        # One rejected line after every tenth, so they grow with the corpus.
+        lines = [out for i, line in enumerate(lines)
+                 for out in ([line, MALFORMED_LINES[i // 10 % 6]]
+                             if i % 10 == 9 else [line])]
+        iocs_path = tmp_path / "iocs.tsv"
+        iocs_path.write_text("".join(f"{line}\n"
+                                     for line in ioc_file_lines(truth)))
         gc.collect()
-        sets = enumerate_node_sets(g)
-        found = [gc.collect()]
-        sets = featurize_sets(sets, g, weights, emb)
-        found.append(gc.collect())
-        table = label_node_sets(sets, malicious)
-        found.append(gc.collect())
-        sweep_top_n(g, table, weights, emb, malicious, ns=[1, 5])
-        found.append(gc.collect())
+        found = {}
+
+        def stage(name, value):
+            found[name] = gc.collect()
+            return value
+
+        nodes, events, _ = stage("parse", parse_stream(lines))
+        g = stage("build", build_graph(nodes, events))
+        weights = stage("weights", compute_weights(
+            compute_corpus_stats(g.events), g.nodes))
+        emb = HashNgramEmbedder()
+        malicious = stage("iocs", build_malicious_list(
+            g, *parse_ioc_file(iocs_path)))
+        sets = stage("enumerate", enumerate_node_sets(g))
+        sets = stage("featurize", featurize_sets(sets, g, weights, emb))
+        table = stage("label", label_node_sets(sets, malicious))
+        text = io.StringIO()
+        table.write_json(text)
+        table = stage("labels.json", label_table_from_json(text.getvalue()))
+        reports = stage("sweep", sweep_top_n(
+            g, table, weights, emb, malicious, ns=[1, 5],
+            keep_removed_ids=True))
+        write_sweep_csv(reports, tmp_path / "sweep.csv")
+        stage("sweep.csv", None)
+        reduced = stage("remove", remove_nodes(g, reports[-1].removed_node_ids))
+        for fmt in ("jsonl", "dot"):
+            write_graph(reduced, io.StringIO(), fmt)
+            stage(fmt, None)
         return found
 
     # First calls may import and cache library code; that is not the
@@ -309,4 +378,5 @@ def test_pipeline_leaves_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
-    assert small == large == [0, 0, 0, 0]
+    assert small == large == dict.fromkeys(small, 0)
+    assert len(small) == 13
