@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 import statistics
 from dataclasses import dataclass, field
 
@@ -43,9 +44,9 @@ def _hashed_vector(text: str, dim: int, key: bytes,
     padded = "<" + text + ">"
     # The whole text counts as one feature alongside its n-grams; the 0x00
     # prefix keeps it out of the n-gram hash domain.
-    grams = [b"\x00" + padded.encode("utf-8")]
+    grams = [b"\x00" + padded.encode("utf-8", "surrogatepass")]
     for n in NGRAM_SIZES:
-        grams.extend(padded[i:i + n].encode("utf-8")
+        grams.extend(padded[i:i + n].encode("utf-8", "surrogatepass")
                      for i in range(len(padded) - n + 1))
     slots, signs = [], []
     for gram in grams:
@@ -200,3 +201,36 @@ def compute_weights(stats: CorpusStats, nodes: dict[str, NodeRecord]) -> WeightT
 def effective_threshold(threshold: float) -> float:
     """Lower the cutoff just enough that exact matches survive rounding."""
     return min(threshold, 1.0 - COSINE_SLACK)
+
+
+# Seed of the direction the cosine scans project rows onto. Which pairs can
+# match never depends on it; only how many pairs get scored does.
+PROJECTION_SEED = 8191
+
+
+def candidate_window(floor: float, dim: int) -> tuple[np.ndarray, float]:
+    """A fixed unit direction for dim, and the distance between two rows'
+    projections onto it beyond which their computed similarity is below
+    floor, for rows that pass window_holds.
+
+    For unit a, b and w, |w.a - w.b| <= |a - b| = sqrt(2 - 2 a.b). With
+    u = 2**-53: a dot product computed in float64 is within dim u of a.b,
+    and a row passing window_holds has |a|**2 <= 1 + (3 dim + 8) u, so a
+    computed similarity at or above floor puts |a - b|**2 within
+    2 (1 - floor) + eta. The 1e-7 added covers the rest, a few dim u: each
+    computed projection is within about 2 dim u of w.a, and w's own norm
+    is within dim u of 1. A radius of 2 or more spans every pair.
+    """
+    draw = random.Random(PROJECTION_SEED)
+    direction = np.array([draw.gauss(0.0, 1.0) for _ in range(dim)])
+    direction /= math.sqrt(float(direction @ direction))
+    eta = 8.0 * (dim + 2) * 2.0 ** -53
+    return direction, math.sqrt(2.0 * (1.0 - floor) + eta) + 1e-7
+
+
+def window_holds(rows: np.ndarray) -> np.ndarray:
+    """Per normalized row, whether candidate_window's radius holds for it:
+    the row is no longer than unit length plus rounding, as every row
+    normalized from a norm without underflow is. NaN rows fail."""
+    squares = np.einsum("ij,ij->i", rows, rows)
+    return squares <= 1.0 + (2 * rows.shape[1] + 8) * 2.0 ** -53

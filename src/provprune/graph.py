@@ -153,7 +153,11 @@ def graph_lines(graph: Graph) -> list[str]:
 
 
 def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    """Quote-safe DOT text. A lone surrogate, which UTF-8 cannot carry,
+    becomes a \\udXXX escape; a backslash of the text itself is doubled, so
+    the escape stays distinct from text that spells it out."""
+    return (text.replace("\\", "\\\\").replace('"', '\\"')
+            .encode("utf-8", "backslashreplace").decode("utf-8"))
 
 
 def dot_lines(graph: Graph) -> list[str]:

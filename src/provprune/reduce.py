@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import WeightTable, effective_threshold
+from .embed import (
+    WeightTable,
+    candidate_window,
+    effective_threshold,
+    window_holds,
+)
 from .graph import Graph
 from .label import BENIGN, LabelTable, MaliciousNodeList
 from .nodeset import (
@@ -117,21 +122,50 @@ def representatives(table: LabelTable, ranked_ids: list[int]) -> np.ndarray:
 
 def _min_match_ranks(features: np.ndarray, reps: np.ndarray,
                      threshold: float) -> np.ndarray:
-    """For each feature row, the lowest rep rank that matches it, or -1."""
+    """For each feature row, the lowest rep rank that matches it, or -1.
+
+    When reps reach under half of one another on average, rows go in
+    ascending projection onto the candidate window's direction
+    (embed.candidate_window), a chunk at a time, each against the reps, in
+    rank order, within reach of the chunk's projections: a rep out of reach
+    scores below the cutoff. A chunk holding a row the window's bound does
+    not hold for, or reaching over half the reps, meets every rep.
+    """
     cutoff = effective_threshold(threshold)
     ranks = np.full(features.shape[0], -1, dtype=np.int64)
     if reps.size == 0 or not features.shape[0]:
         return ranks
     norms = np.linalg.norm(features, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
+    direction, radius = candidate_window(cutoff, reps.shape[1])
+    rep_proj = reps @ direction
+    every_rank = np.arange(reps.shape[0])
+    ordered = np.sort(rep_proj)
+    reach = (np.searchsorted(ordered, ordered + radius, side="right")
+             - np.searchsorted(ordered, ordered - radius, side="left"))
+    windowed = 2 * int(reach.sum()) < every_rank.size ** 2
+    if windowed:
+        everywhere = ~window_holds(reps)
+        proj = (features @ direction) / safe
+        # argsort puts NaN projections last.
+        order = np.argsort(proj, kind="stable")
     chunk = max(1, min(MATCH_CHUNK, MATCH_BUDGET // reps.shape[0]))
     for lo in range(0, features.shape[0], chunk):
-        block = features[lo:lo + chunk] / safe[lo:lo + chunk, None]
-        sims = block @ reps.T
+        rows = order[lo:lo + chunk] if windowed else slice(lo, lo + chunk)
+        block = features[rows] / safe[rows, None]
+        ids = every_rank
+        if (windowed and not np.isnan(proj[rows[-1]])
+                and window_holds(block).all()):
+            ids = np.flatnonzero(everywhere | (
+                (rep_proj >= proj[rows[0]] - radius)
+                & (rep_proj <= proj[rows[-1]] + radius)))
+            if not ids.size:
+                continue
+            if 2 * ids.size > every_rank.size:
+                ids = every_rank
+        sims = block @ (reps if ids is every_rank else reps[ids]).T
         hits = sims >= cutoff
-        any_hit = hits.any(axis=1)
-        first = hits.argmax(axis=1)
-        ranks[lo:lo + block.shape[0]] = np.where(any_hit, first, -1)
+        ranks[rows] = np.where(hits.any(axis=1), ids[hits.argmax(axis=1)], -1)
     return ranks
 
 

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from provprune.embed import candidate_window, effective_threshold
 from provprune.graph import write_graph
 from provprune.ingest import (
     KIND_PROCESS,
@@ -352,9 +353,9 @@ def reference_embed_text(text, dim, seed):
         return vec
     key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     padded = "<" + text + ">"
-    grams = [b"\x00" + padded.encode("utf-8")]
+    grams = [b"\x00" + padded.encode("utf-8", "surrogatepass")]
     for n in (3, 4, 5):
-        grams.extend(padded[i:i + n].encode("utf-8")
+        grams.extend(padded[i:i + n].encode("utf-8", "surrogatepass")
                      for i in range(len(padded) - n + 1))
     for gram in grams:
         h = int.from_bytes(
@@ -388,6 +389,18 @@ def exhaustive_removed_nodes(sets, reps, cutoff):
                 removed.update(node_set.node_ids)
                 break
     return removed
+
+
+def reference_match_ranks(features, reps, cutoff):
+    """Per feature row, the lowest rank of a rep it scores at or above
+    cutoff with, or -1: every row against every rep, in scalar arithmetic."""
+    reps = [list(map(float, rep)) for rep in reps]
+    ranks = []
+    for feature in features:
+        feature = list(map(float, feature))
+        ranks.append(next((k for k, rep in enumerate(reps)
+                           if python_cosine(feature, rep) >= cutoff), -1))
+    return ranks
 
 
 def sequential_labels(sets, malicious_ids, cutoff):
@@ -444,6 +457,72 @@ def sum_feature_by_hand(chain, weights, embedder):
         for i in range(dim):
             total[i] += w * float(vec[i])
     return total
+
+
+def window_edge_features(rng, count, dim, threshold):
+    """Rows that stress the candidate window of the cosine scans.
+
+    Unit rows come in clusters: members sit 1e-12 to 1e-5 apart, or about
+    as far apart as two rows scoring exactly the cutoff (just inside and
+    just outside). A member lies off its cluster's first row in a random
+    direction, across the window's direction (so at nearly the same
+    projection), or along it (so its projection moves the most). Zero rows
+    and scaled copies are mixed in.
+    """
+    cutoff = effective_threshold(threshold)
+    direction, _ = candidate_window(cutoff, dim)
+    at_cutoff = math.sqrt(2.0 * (1.0 - cutoff))
+    gaps = [1e-12, 1e-10, 1e-8, 1e-6, 1e-5] + [
+        at_cutoff * k for k in (0.98, 0.9999, 1.0001, 1.02)]
+
+    def unit(vec):
+        return vec / np.linalg.norm(vec)
+
+    def across(vec, *against):
+        """vec made unit and orthogonal to every vector of against."""
+        basis = []
+        for away in against:
+            basis.append(unit(away - sum((away @ b) * b for b in basis)))
+        return unit(vec - sum((vec @ b) * b for b in basis))
+
+    rows = []
+    while len(rows) < count:
+        roll = rng.random()
+        if rows and roll < 0.1:
+            rows.append(np.zeros(dim))
+        elif rows and roll < 0.2:
+            rows.append(rng.choice([3.0, 1e-3]) * rows[rng.randrange(len(rows))])
+        else:
+            base = unit(np.array([rng.gauss(0, 1) for _ in range(dim)]))
+            rows.append(base)
+            for _ in range(rng.randrange(1, 5)):
+                noise = np.array([rng.gauss(0, 1) for _ in range(dim)])
+                way = rng.choice([across(noise, base),
+                                  across(noise, base, direction),
+                                  across(direction, base)])
+                rows.append(unit(base + rng.choice(gaps) * way))
+    rows = rows[:count]
+    rng.shuffle(rows)
+    return rows
+
+
+def underflowing_twin(rng, dim):
+    """A feature whose norm loses bits to underflow, so that it normalizes
+    to a row over 1e-4 longer than unit, and a unit row at cosine 1 - 1e-5
+    with its direction, turned toward the candidate window's direction so
+    their projections lie far apart: the two score over 1 in float64. rng
+    is a numpy Generator."""
+    while True:
+        tiny = rng.normal(size=dim) * 1e-160
+        row = tiny / math.sqrt(float(tiny @ tiny))
+        if float(row @ row) > 1.0 + 1e-4:
+            break
+    way = row / np.linalg.norm(row)
+    side, _ = candidate_window(1.0, dim)
+    side = side - (side @ way) * way
+    side /= np.linalg.norm(side)
+    cos = 1.0 - 1e-5
+    return tiny, cos * way + math.sqrt(1.0 - cos * cos) * side
 
 
 def random_graph_records(rng, max_nodes=30, max_events=60,

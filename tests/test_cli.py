@@ -261,6 +261,44 @@ def test_emit_flags_produce_artifacts(corpus):
     assert dot.startswith("digraph")
 
 
+def test_lone_surrogates_label_and_reduce_in_every_format(tmp_path):
+    """JSON escapes can put lone surrogates into ids and texts: labeling
+    embeds them, and every export writes them out."""
+    records = [
+        {"kind": "process", "id": "p\ud800", "ts": 1, "cmdline": "a\ud800b"},
+        {"kind": "file", "id": "f\udfff", "ts": 1, "path": "/tmp/x\udfff"},
+        {"kind": "process", "id": "q", "ts": 1, "cmdline": "quiet"},
+        {"kind": "file", "id": "g", "ts": 1, "path": "/srv/g"},
+        {"kind": "event", "subject": "p\ud800", "object": "f\udfff",
+         "syscall": "read", "ts": 5},
+        {"kind": "event", "subject": "q", "object": "g",
+         "syscall": "write", "ts": 6},
+        {"kind": "event", "subject": "q", "object": "g",
+         "syscall": "write", "ts": 7},
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records),
+                      encoding="ascii")
+    lab = tmp_path / "lab"
+    assert main(["label", "--labeled", str(corpus), "--set-size", "2",
+                 "--out", str(lab)]) == 0
+    red = tmp_path / "red"
+    assert main(["reduce", "--eval", str(corpus), "--set-size", "2",
+                 "--labels", str(lab / "labels.json"), "--top-n", "1",
+                 "--emit-removed-ids", "--emit-graph", "--emit-dot",
+                 "--out", str(red)]) == 0
+    removed = json.loads((red / "reports.json").read_text())[0][
+        "removed_node_ids"]
+    # The top label, two members strong, covers q and g only.
+    assert removed == ["g", "q"]
+    nodes, events, _ = parse_file(str(red / "reduced_top1.jsonl"))
+    assert sorted(n.id for n in nodes) == ["f\udfff", "p\ud800"]
+    assert [(e.subject, e.object) for e in events] == [("p\ud800", "f\udfff")]
+    dot = (red / "reduced_top1.dot").read_bytes().decode("utf-8")
+    assert '"p\\ud800" -> "f\\udfff"' in dot
+    assert 'label="process:a\\ud800b"' in dot
+
+
 def test_include_isolated_changes_denominator(corpus):
     eval_path = corpus / "b" / "corpus.jsonl"
     padded = corpus / "padded.jsonl"

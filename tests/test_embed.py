@@ -9,10 +9,12 @@ from provprune.embed import (
     HashNgramEmbedder,
     VectorFileEmbedder,
     WeightTable,
+    candidate_window,
     compute_weights,
     effective_threshold,
     embed_text,
     get_embedder,
+    window_holds,
 )
 from provprune.ingest import Event, NodeRecord, compute_corpus_stats
 
@@ -33,8 +35,8 @@ def test_memoized_slots_give_embed_text_bits(dim, seed):
     texts = EDGE_TEXTS + ["", "日本語のテキスト", "café au lait", "a" * 40,
                           "/usr/bin/python3", "/usr/bin/python3 -m x"]
     texts += [a + b for a in EDGE_TEXTS for b in EDGE_TEXTS[:4]]
-    # Texts are encoded strictly; lone surrogates have no UTF-8 form.
-    texts = [t for t in texts if not any(0xD800 <= ord(c) < 0xE000 for c in t)]
+    # Lone and reversed surrogates, which JSON escapes can carry into a text.
+    texts += ["a\ud800b", "\udfff", "x\udc00\ud83dy", "\ud83d\ude00"]
     emb = HashNgramEmbedder(dim=dim, seed=seed)
     for text in texts:
         want = reference_embed_text(text, dim, seed).tobytes()
@@ -238,6 +240,33 @@ def test_cosine_zero_vector_rule():
     v = np.ones(8)
     assert python_cosine(z, v) == 0.0
     assert python_cosine(z, z) == 0.0
+
+
+@pytest.mark.parametrize("dim", [8, 64, 1000])
+def test_candidate_window_holds_pairs_at_the_floor(dim):
+    """Unit rows whose difference lies along the window's direction, with
+    a computed similarity at or just above the floor, project within the
+    radius; it is the worst case of the bound."""
+    rng = np.random.default_rng(623)
+    for floor in (1.0 - 1e-9 - 3e-12, 0.999, 0.5, 0.0, -0.99):
+        direction, radius = candidate_window(floor, dim)
+        assert abs(float(direction @ direction) - 1.0) < 1e-14
+        checked = 0
+        for k in range(-8, 9):
+            noise = rng.normal(size=dim)
+            across = noise - (noise @ direction) * direction
+            across /= np.linalg.norm(across)
+            half = math.sqrt((1.0 - floor) / 2.0) * (1.0 + k * 2.0 ** -52)
+            along = math.sqrt(1.0 - half * half)
+            a, b = (along * across + half * direction,
+                    along * across - half * direction)
+            a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+            assert window_holds(np.array([a, b])).all()
+            if float(a @ b) >= floor:
+                checked += 1
+                assert abs(float(a @ direction) - float(b @ direction)) \
+                    <= radius
+        assert checked
 
 
 def test_effective_threshold_slack():

@@ -28,6 +28,8 @@ from oracles import (
     reference_table_json,
     sequential_labels,
     table_json,
+    underflowing_twin,
+    window_edge_features,
 )
 
 
@@ -360,6 +362,35 @@ def test_write_json_streams_the_to_json_bytes(tmp_path):
         reference_table_json(table)
 
 
+@pytest.mark.parametrize("chunk", [1, 3, label.WRITE_LABELS])
+def test_write_json_texts_each_distinct_float_once(monkeypatch, chunk):
+    """Floats that share a bit pattern share a text; signed zeros, NaNs of
+    any payload, infinities and subnormals come out as json.dumps writes
+    them, across chunk boundaries."""
+    monkeypatch.setattr(label, "WRITE_LABELS", chunk)
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64).view(np.float64)
+    specials = [0.0, -0.0, np.nan, *nans, np.inf, -np.inf, 5e-324,
+                -2.2250738585072014e-308, 0.1, 1 / 3, 1e300]
+    rng = random.Random(625)
+    reps = [np.zeros(6)]
+    for _ in range(9):
+        reps.append(np.array([rng.choice(specials) for _ in range(6)]))
+    reps.append(reps[3].copy())
+    table = LabelTable(
+        labels=[label.Label(label_id=i, polarity=BENIGN if i % 3 else MALICIOUS,
+                            representative=rep, member_count=1 + i % 4,
+                            created_seq=i)
+                for i, rep in enumerate(reps)],
+        assignment=list(range(len(reps))), zero_vector_sets=1)
+    buf = io.StringIO()
+    table.write_json(buf)
+    assert buf.getvalue() == reference_table_json(table)
+    empty = io.StringIO()
+    LabelTable().write_json(empty)
+    assert empty.getvalue() == reference_table_json(LabelTable())
+
+
 def mixed_features(rng, count, dim=4):
     """Noisy copies of a few directions, exact and scaled duplicates of
     earlier features, and zero vectors."""
@@ -390,17 +421,27 @@ def assert_labels_match_sequential(sets, threshold, malicious_ids=()):
     return got
 
 
-@pytest.mark.parametrize("threshold", [1.0, 0.9, 0.0, -1.0])
+THRESHOLDS = [1.0, 0.999, 0.99, 0.9, 0.0, -1.0]
+
+
+def edge_sets(rng, count, threshold, dim=6):
+    return [make_set([f"x{i}", f"y{i}"], feat, seq=i) for i, feat in
+            enumerate(window_edge_features(rng, count, dim, threshold))]
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
 def test_blocked_labeling_matches_sequential_reference(threshold):
     block = label.LABEL_BLOCK
     rng = random.Random(613)
     for count in (0, 1, block - 1, block, block + 1, 3 * block + 17):
-        sets = mixed_features(rng, count)
-        assert_labels_match_sequential(
-            sets, threshold, malicious_ids={f"x{i}" for i in range(0, count, 9)})
+        for sets in (mixed_features(rng, count),
+                     edge_sets(rng, count, threshold)):
+            assert_labels_match_sequential(
+                sets, threshold,
+                malicious_ids={f"x{i}" for i in range(0, count, 9)})
 
 
-@pytest.mark.parametrize("threshold", [1.0, 0.9, 0.0, -1.0])
+@pytest.mark.parametrize("threshold", THRESHOLDS)
 def test_blocked_labeling_with_small_blocks_and_chunks(monkeypatch, threshold):
     """Tiny blocks and representative chunks put every tie and near-miss
     across block and chunk boundaries."""
@@ -409,6 +450,8 @@ def test_blocked_labeling_with_small_blocks_and_chunks(monkeypatch, threshold):
     rng = random.Random(614)
     for count in (4, 5, 6, 40, 203):
         assert_labels_match_sequential(mixed_features(rng, count), threshold)
+        assert_labels_match_sequential(edge_sets(rng, count, threshold),
+                                       threshold)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -417,8 +460,53 @@ def test_non_finite_features_match_sequential_reference():
     sets = mixed_features(rng, 600)
     sets[300] = make_set(["nan0", "nan1"], np.array([np.nan, 1.0, 0.0, 0.0]))
     sets[450] = make_set(["inf0", "inf1"], np.array([np.inf, 1.0, 0.0, 0.0]))
-    for threshold in (1.0, 0.9):
+    for threshold in THRESHOLDS:
         assert_labels_match_sequential(sets, threshold)
+
+
+@pytest.mark.parametrize("tiny_first", [False, True])
+def test_underflowing_norm_takes_the_exact_scan(tiny_first):
+    """A row longer than unit can reach the cutoff from far outside the
+    candidate window, so labeling falls back to the exact scan."""
+    tiny, twin = underflowing_twin(np.random.default_rng(618), 8)
+    feats = [tiny, twin] if tiny_first else [twin, tiny]
+    for before in (0, label.LABEL_BLOCK):
+        filler = [unit(i % 8) * (2 + i) for i in range(before)]
+        sets = [make_set([f"x{i}", f"y{i}"], feat, seq=i)
+                for i, feat in enumerate(filler + feats)]
+        table = assert_labels_match_sequential(sets, 1.0)
+        assert table.assignment[-1] == table.assignment[-2]
+
+
+def test_scan_work_at_threshold_one_stays_near_linear(monkeypatch):
+    """Distinct random features at threshold 1.0 meet almost no label
+    inside their windows: a few similarities per chain, where a scan of
+    every label computes count**2 / 2."""
+    computed = []
+
+    def counting(name, count):
+        scan = getattr(label._RepMatrix, name)
+
+        def counted(self, *args):
+            out = scan(self, *args)
+            computed.append(count(self, args, out))
+            return out
+        monkeypatch.setattr(label._RepMatrix, name, counted)
+
+    counting("_top_two_of_all", lambda self, args, out: args[0].shape[0]
+             * self._count)
+    counting("_top_two_in_windows", lambda self, args, out: args[3])
+    counting("recent_similarities", lambda self, args, out: out.size)
+    counting("best_match", lambda self, args, out: self._count)
+    rng = np.random.default_rng(619)
+    for count in (2000, 8000):
+        computed.clear()
+        feats = rng.standard_normal((count, 16))
+        sets = [make_set([f"x{i}", f"y{i}"], feat, seq=i)
+                for i, feat in enumerate(feats)]
+        table = label_node_sets(chain_batch(sets, dim=16), MaliciousNodeList())
+        assert len(table.labels) == count
+        assert sum(computed) <= 4 * count
 
 
 def near_tie_sets(positions, lead):
@@ -468,6 +556,32 @@ def test_near_tie_across_block_boundary_takes_exact_scan(exact_scans, lead):
         a, b, query = (table.assignment[p] for p in positions)
         assert a != b
         assert query == (b if lead > 0 else a)
+        assert exact_scans
+
+
+@pytest.mark.parametrize("lead", [0.0, 1e-9, -1e-9])
+def test_near_tie_inside_a_window_takes_exact_scan(exact_scans, lead):
+    """At threshold 1.0 two labels 6e-5 apart both reach a query halfway
+    between them, within 3e-14 of each other; scored within its window,
+    the query still goes to the exact scan."""
+    block = label.LABEL_BLOCK
+    query = np.array([0.6, 0.8, 0.0, 0.0, 0.0, 0.0])
+    off = np.array([0.8, -0.6, 0.0, 0.0, 0.0, 0.0])
+    a, b = query + 3e-5 * off, query - (3e-5 + lead) * off
+    # Distinct labels fill both blocks, so the windows hold a tiny share
+    # of all pairs and the query meets a and b in its own window.
+    filler = np.random.default_rng(624).normal(size=(2 * block, 6))
+    for positions in ((block - 2, block - 1, block),
+                      (block, block + 1, block + 2)):
+        exact_scans.clear()
+        feats = list(filler)
+        for pos, feat in zip(positions, (a, b, query)):
+            feats[pos] = feat
+        sets = [make_set([f"x{i}", f"y{i}"], feat, seq=i)
+                for i, feat in enumerate(feats)]
+        table = assert_labels_match_sequential(sets, 1.0)
+        first, second, got = (table.assignment[p] for p in positions)
+        assert first != second and got in (first, second)
         assert exact_scans
 
 

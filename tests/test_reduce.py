@@ -19,7 +19,7 @@ from provprune.label import (
     label_table_from_json,
     parse_ioc_file,
 )
-from provprune.nodeset import enumerate_node_sets, featurize_sets
+from provprune.nodeset import NodeSet, enumerate_node_sets, featurize_sets
 from provprune import reduce
 from provprune.reduce import (
     _min_match_ranks,
@@ -37,7 +37,12 @@ from provprune.synthgen import (
     ioc_file_lines,
 )
 
-from oracles import exhaustive_removed_nodes
+from oracles import (
+    exhaustive_removed_nodes,
+    reference_match_ranks,
+    underflowing_twin,
+    window_edge_features,
+)
 
 
 def label_of(seq, polarity, members, rep=None):
@@ -291,7 +296,10 @@ def test_malicious_list_from_generated_iocs(tmp_path):
     assert mal.ids == set(truth.malicious_ids)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_match_ranks_independent_of_chunk_budget(monkeypatch):
+    """Ranks equal the scalar reference at every threshold and chunk size,
+    on random rows and on rows at the edge of the candidate window."""
     rng = np.random.default_rng(616)
     reps = rng.normal(size=(7, 8))
     reps /= np.linalg.norm(reps, axis=1)[:, None]
@@ -299,14 +307,74 @@ def test_match_ranks_independent_of_chunk_budget(monkeypatch):
                             reps[rng.integers(0, 7, size=30)] * 2.5,
                             np.zeros((3, 8))])
     rng.shuffle(feats)
-    for threshold in (1.0, 0.5):
-        want = _min_match_ranks(feats, reps, threshold)
-        assert (want >= 0).sum() >= 30
-        for budget in (1, 10, 29):
-            monkeypatch.setattr(reduce, "MATCH_BUDGET", budget)
-            assert _min_match_ranks(feats, reps, threshold).tolist() == \
-                want.tolist()
-        monkeypatch.undo()
+    for threshold in (1.0, 0.999, 0.99, 0.9, 0.0, -1.0):
+        edge = window_edge_features(random.Random(620), 160, 8, threshold)
+        # Ranked reps as representatives() gives them: zero rows stay zero.
+        edge_reps = np.array([row / np.linalg.norm(row) if row.any() else row
+                              for row in edge[:50]])
+        cutoff = effective_threshold(threshold)
+        for rows, ranked in ((feats, reps), (np.array(edge), edge_reps)):
+            want = reference_match_ranks(rows, ranked, cutoff)
+            sets = [NodeSet(node_ids=(f"r{i}",), edge_indices=(),
+                            anchor_ts=0, feature=row)
+                    for i, row in enumerate(rows)]
+            assert {f"r{i}" for i, rank in enumerate(want) if rank >= 0} \
+                == exhaustive_removed_nodes(sets, ranked, cutoff)
+            # A row with a NaN, or normalized to one, scores NaN throughout.
+            with_nan = np.vstack([rows, [np.nan] + [0.0] * 7,
+                                  [np.inf] + [1.0] * 7])
+            for budget in (1, 10, 29, 200, reduce.MATCH_BUDGET):
+                monkeypatch.setattr(reduce, "MATCH_BUDGET", budget)
+                assert _min_match_ranks(rows, ranked, threshold).tolist() \
+                    == want
+                assert _min_match_ranks(with_nan, ranked,
+                                        threshold).tolist() == want + [-1, -1]
+            monkeypatch.undo()
+
+
+def test_underflowing_norms_meet_every_rep(monkeypatch):
+    """A row or rep longer than unit can reach the cutoff from far outside
+    the candidate window, so it is scored against every rep or row."""
+    # One row per chunk, so each window is a row's own.
+    monkeypatch.setattr(reduce, "MATCH_BUDGET", 31)
+    rng = np.random.default_rng(621)
+    tiny, twin = underflowing_twin(rng, 8)
+    spread = rng.normal(size=(30, 8))
+    spread /= np.linalg.norm(spread, axis=1)[:, None]
+    long_rep = tiny / np.linalg.norm(tiny)
+    for feats, reps in ((np.vstack([spread, tiny]), np.vstack([spread, twin])),
+                        (np.vstack([spread, twin]),
+                         np.vstack([spread, long_rep]))):
+        sims = (feats / np.linalg.norm(feats, axis=1)[:, None]) @ reps.T
+        assert sims[30, 30] >= effective_threshold(1.0)
+        ranks = _min_match_ranks(feats, reps, 1.0)
+        assert ranks.tolist() == list(range(31))
+
+
+def test_match_work_at_threshold_one_stays_near_linear(monkeypatch):
+    """Distinct random rows and reps at threshold 1.0: the similarities
+    computed grow with the chunk size times the row count, not with rows
+    times reps."""
+    products = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            out = getattr(ufunc, method)(
+                *(np.asarray(x) for x in inputs), **kwargs)
+            if ufunc is np.matmul:
+                products.append(np.size(out))
+            return out
+
+    monkeypatch.setattr(reduce, "MATCH_CHUNK", 16)
+    rng = np.random.default_rng(622)
+    for count in (1000, 4000):
+        products.clear()
+        reps = rng.normal(size=(count, 16))
+        reps /= np.linalg.norm(reps, axis=1)[:, None]
+        feats = np.vstack([rng.normal(size=(count, 16)), reps * 3.0])
+        ranks = _min_match_ranks(feats, reps.view(Counted), 1.0)
+        assert ranks.tolist() == [-1] * count + list(range(count))
+        assert sum(products) <= 40 * len(feats)
 
 
 # Lines the parser rejects, one of each kind: not JSON, a bare value, an
