@@ -110,17 +110,22 @@ class VectorFileEmbedder:
     Each line is a token followed by its components, space-separated. Texts
     absent from the file fall back to the hashing scheme so the pipeline never
     stalls on vocabulary gaps; the misses counter makes the gap measurable.
+    A component that is NaN or infinite is refused: no cosine with it means
+    anything.
     """
 
     def __init__(self, path, seed: int = DEFAULT_SEED):
         table: dict[str, np.ndarray] = {}
         dim = None
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 parts = line.rstrip("\n").split(" ")
                 if len(parts) < 2 or not parts[0]:
                     continue
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                if not np.isfinite(vec).all():
+                    raise ValueError(f"{path}:{lineno}: vector components "
+                                     f"must be finite numbers")
                 if dim is None:
                     dim = vec.shape[0]
                 elif vec.shape[0] != dim:

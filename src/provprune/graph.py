@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Collection, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -22,21 +22,19 @@ from .ingest import (
 class NodeIndex(NamedTuple):
     """Dense integer numbering of a graph's nodes, in `Graph.nodes` order.
 
-    ids[v] is node v's id and position its inverse; src[i] and dst[i] number
-    the subject and object of event i.
+    ids[v] is node v's id; src[i] and dst[i] number the subject and object
+    of event i. The id-to-number map is not kept: it would hold one dict
+    entry and one int per node for the graph's whole life.
     """
 
     ids: list[str]
-    position: dict[str, int]
     src: np.ndarray
     dst: np.ndarray
 
-    def mask(self, members: Iterable[str]) -> np.ndarray:
+    def mask(self, members: Collection[str]) -> np.ndarray:
         """Per node, whether its id is among members; others are ignored."""
-        out = np.zeros(len(self.ids), dtype=bool)
-        out[[self.position[nid] for nid in members
-             if nid in self.position]] = True
-        return out
+        return np.fromiter(map(members.__contains__, self.ids), dtype=bool,
+                           count=len(self.ids))
 
 
 _subject = itemgetter(0)
@@ -73,11 +71,10 @@ class Graph:
             events, index = self._indexed
             if index.ids == ids and events == self.events:
                 return index
-        position = dict(zip(ids, range(len(ids))))
-        number = position.__getitem__
+        number = dict(zip(ids, range(len(ids)))).__getitem__
         count = len(self.events)
         index = NodeIndex(
-            ids=ids, position=position,
+            ids=ids,
             src=np.fromiter(map(number, map(_subject, self.events)),
                             dtype=np.intp, count=count),
             dst=np.fromiter(map(number, map(_object, self.events)),
@@ -141,15 +138,14 @@ def _node_line(node: NodeRecord) -> str:
             f'"ts":{node.first_seen}}}')
 
 
-def graph_lines(graph: Graph) -> list[str]:
+def graph_lines(graph: Graph) -> Iterator[str]:
     """Canonical line-delimited form: nodes sorted by id, then ordered events."""
-    lines = [_node_line(n)
-             for n in sorted(graph.nodes.values(), key=lambda n: n.id)]
-    lines.extend(f'{{"kind":"event","object":{_quote(ev.object)},'
-                 f'"subject":{_quote(ev.subject)},'
-                 f'"syscall":{_quote(ev.syscall)},"ts":{ev.ts}}}'
-                 for ev in graph.events)
-    return lines
+    yield from map(_node_line, map(graph.nodes.__getitem__,
+                                   sorted(graph.nodes)))
+    for ev in graph.events:
+        yield (f'{{"kind":"event","object":{_quote(ev.object)},'
+               f'"subject":{_quote(ev.subject)},'
+               f'"syscall":{_quote(ev.syscall)},"ts":{ev.ts}}}')
 
 
 def _dot_escape(text: str) -> str:
@@ -160,20 +156,19 @@ def _dot_escape(text: str) -> str:
             .encode("utf-8", "backslashreplace").decode("utf-8"))
 
 
-def dot_lines(graph: Graph) -> list[str]:
+def dot_lines(graph: Graph) -> Iterator[str]:
     """Graphviz form with `kind:attribute` node labels and `syscall@ts` edges."""
-    lines = ["digraph provenance {"]
-    for n in sorted(graph.nodes.values(), key=lambda n: n.id):
+    yield "digraph provenance {"
+    for n in map(graph.nodes.__getitem__, sorted(graph.nodes)):
         label = _dot_escape(f"{n.kind}:{n.attr_text()[:40]}")
-        lines.append(f'  "{_dot_escape(n.id)}" [label="{label}"];')
+        yield f'  "{_dot_escape(n.id)}" [label="{label}"];'
     for ev in graph.events:
-        lines.append(f'  "{_dot_escape(ev.subject)}" -> "{_dot_escape(ev.object)}"'
-                     f' [label="{ev.syscall}@{ev.ts}"];')
-    lines.append("}")
-    return lines
+        yield (f'  "{_dot_escape(ev.subject)}" -> "{_dot_escape(ev.object)}"'
+               f' [label="{ev.syscall}@{ev.ts}"];')
+    yield "}"
 
 
-def _format_lines(graph: Graph, fmt: str) -> list[str]:
+def _format_lines(graph: Graph, fmt: str) -> Iterator[str]:
     if fmt == "jsonl":
         return graph_lines(graph)
     if fmt == "dot":
@@ -183,7 +178,7 @@ def _format_lines(graph: Graph, fmt: str) -> list[str]:
 
 def write_graph(graph: Graph, sink: IO[str], fmt: str = "jsonl") -> None:
     """Write the graph as 'jsonl' (round-trips through the parser) or 'dot'
-    to sink, a line at a time."""
+    to sink, each line as it is made; the text is never held whole."""
     sink.writelines(line + "\n" for line in _format_lines(graph, fmt))
 
 

@@ -133,6 +133,9 @@ def parse_stream(
     duplicate_nodes = malformed_nodes = 0
     dropped_events = malformed_events = malformed_lines = 0
     new = tuple.__new__
+    # The first object seen for each value; no str equals an int, so
+    # attribute texts and numbers share the one memo.
+    share = {}.setdefault
 
     # Every JSON value is exactly one of dict, list, str, int, float, bool or
     # None, so `type(x) is int` is "an int and not a bool".
@@ -163,6 +166,14 @@ def parse_stream(
                     or type(syscall) is not str or type(ts) is not int):
                 malformed_events += 1
             elif syscall in ANALYZED_SYSCALLS:
+                # An endpoint declared already is its record's id object
+                # from here on, so the decoded copy is freed with the line.
+                record = nodes.get(subject)
+                if record is not None:
+                    subject = record.id
+                record = nodes.get(target)
+                if record is not None:
+                    target = record.id
                 pending.append((subject, target, syscall, ts))
             else:
                 dropped_events += 1
@@ -174,18 +185,20 @@ def parse_stream(
         ts = obj.get("ts")
         if ts is None:
             ts = 0
-        # Records hold the module's kind strings, not one decoded copy each.
+        # Records hold the module's kind strings, and one object per distinct
+        # attribute value and timestamp, not one decoded copy each.
         fields = None
         if type(node_id) is str and node_id and type(ts) is int:
             if kind == KIND_PROCESS:
                 cmdline = obj.get("cmdline", "")
                 if type(cmdline) is str:
-                    fields = (node_id, KIND_PROCESS, cmdline, "", "", 0, "", 0,
-                              ts)
+                    fields = (node_id, KIND_PROCESS, share(cmdline, cmdline),
+                              "", "", 0, "", 0, share(ts, ts))
             elif kind == KIND_FILE:
                 path = obj.get("path", "")
                 if type(path) is str:
-                    fields = (node_id, KIND_FILE, "", path, "", 0, "", 0, ts)
+                    fields = (node_id, KIND_FILE, "", share(path, path), "", 0,
+                              "", 0, share(ts, ts))
             else:
                 raddr = obj.get("raddr", "")
                 rport = obj.get("rport", 0)
@@ -194,8 +207,10 @@ def parse_stream(
                 if (type(raddr) is str and type(laddr) is str
                         and type(rport) is int and 0 <= rport <= 65535
                         and type(lport) is int and 0 <= lport <= 65535):
-                    fields = (node_id, KIND_NETFLOW, "", "", raddr, rport,
-                              laddr, lport, ts)
+                    fields = (node_id, KIND_NETFLOW, "", "",
+                              share(raddr, raddr), share(rport, rport),
+                              share(laddr, laddr), share(lport, lport),
+                              share(ts, ts))
         if fields is None:
             malformed_nodes += 1
         elif node_id in nodes:

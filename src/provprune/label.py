@@ -93,14 +93,23 @@ class LabelTable:
         fh.write(f'],"zero_vector_sets":{encode(self.zero_vector_sets)}}}')
 
 
+def _decoded_object(obj: dict) -> dict:
+    """A decoded JSON object, its representative, if it holds one, as an
+    array: each label's floats are freed as soon as the label is read."""
+    if "representative" in obj:
+        obj["representative"] = np.array(obj["representative"],
+                                         dtype=np.float64)
+    return obj
+
+
 def label_table_from_json(text: str) -> LabelTable:
     """Inverse of LabelTable.write_json."""
-    payload = json.loads(text)
+    payload = json.loads(text, object_hook=_decoded_object)
     labels = [
         Label(
             label_id=entry["label_id"],
             polarity=entry["polarity"],
-            representative=np.array(entry["representative"], dtype=np.float64),
+            representative=entry["representative"],
             member_count=entry["member_count"],
             created_seq=entry["created_seq"],
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -20,9 +21,10 @@ from .ingest import Event, NodeRecord
 
 DEFAULT_SET_SIZE = 5
 DEFAULT_CAP_PER_ANCHOR = 8
-# Features are composed in fixed-size batches so the arithmetic order never
-# depends on corpus size or worker count.
-FEATURE_CHUNK = 32768
+# Chains featurized per block. It bounds the size of the block's temporary
+# (FEATURE_CHUNK x dim float64, 2 MB at dim 64); each row's sum runs in chain
+# position order whatever the chunk, so no bit depends on it.
+FEATURE_CHUNK = 4096
 # Reach bounds are stored one byte per half-edge; deeper reach saturates here.
 REACH_LIMIT = 255
 
@@ -100,69 +102,94 @@ def _half_edges(index: NodeIndex, events: list[Event], size: int
     bound never undercounts what the DFS can still add. Self-loop events are
     left out; a chain can never use one.
     """
-    keep = np.flatnonzero(index.src != index.dst)
+    kept = index.src != index.dst
+    keep = np.flatnonzero(kept)
     m = len(keep)
     n = 2 * m
     if not m:
         return _HalfEdges([0] * (len(index.ids) + 1), [], [], [], b"",
                           [], [], [])
-    edges = keep.tolist()
-    # Timestamps stay Python ints for the DFS and enter numpy as dense ranks,
-    # so no value can overflow int64. Events are kept in temporal order, so
-    # the stable sort of the int objects is a single linear run.
-    stamps = [events[i].ts for i in edges]
-    as_objects = np.array(stamps, dtype=object)
-    chrono = np.argsort(as_objects, kind="stable")
-    as_objects = as_objects[chrono]
-    rank = np.zeros(m, dtype=np.int64)
-    rank[chrono[1:]] = np.cumsum(as_objects[1:] != as_objects[:-1])
-    del as_objects, chrono
-    # Half-edge h < m sits at the subject of edges[h], h >= m at its object.
-    ts = np.concatenate([rank, rank])
+    # Timestamps stay the events' own ints for the DFS and enter numpy
+    # arithmetic only as dense ranks, so no value can overflow. Events are
+    # kept in temporal order, so the stable sort of the int objects is a
+    # single linear run. Ranks and positions are int32, which holds them
+    # below 2**30 events, far more than fit in memory as event records.
+    stamp_of = np.array([ev.ts for ev in compress(events, kept.tolist())],
+                        dtype=object)
+    del kept
+    chrono = np.argsort(stamp_of, kind="stable")
+    in_order = stamp_of[chrono]
+    rank = np.zeros(m, dtype=np.int32)
+    rank[chrono[1:]] = np.cumsum(in_order[1:] != in_order[:-1],
+                                 dtype=np.int32)
+    del chrono, in_order
+    # Half-edge h < m sits at the subject of kept event h, h >= m at the
+    # object of kept event h - m.
     subjects, objects = index.src[keep], index.dst[keep]
     node = np.concatenate([subjects, objects])
-    order = np.lexsort((np.arange(n) % m, ts, node))
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    twin = pos[(order + m) % n]
-    node_s, ts_s = node[order], ts[order]
+    ts = np.concatenate([rank, rank])
+    del rank
+    order = np.lexsort((np.arange(n, dtype=np.int32) % m, ts, node)
+                       ).astype(np.int32)
+    pos = np.empty(n, dtype=np.int32)
+    pos[order] = np.arange(n, dtype=np.int32)
+    twin = np.concatenate([pos[m:], pos[:m]])[order]
+    node_s = node[order]
+    ts_s = ts[order]
+    del node, ts
     bounds = np.searchsorted(node_s, np.arange(len(index.ids) + 1))
     # Where bisect_left starts each half-edge's scan (the first of its node's
     # edges at its timestamp) and where its node's block ends.
     new_run = np.ones(n, dtype=bool)
     new_run[1:] = (node_s[1:] != node_s[:-1]) | (ts_s[1:] != ts_s[:-1])
-    run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
-    node_end = bounds[node_s + 1]
-    del node, ts, node_s, ts_s, new_run
+    del ts_s
+    run_start = np.where(new_run, np.arange(n, dtype=np.int32), 0)
+    np.maximum.accumulate(run_start, out=run_start)
+    node_end = bounds[node_s + 1].astype(np.int32)
+    del node_s, new_run
 
     # Pass t marks the half-edges with reach >= t: some other edge at the
     # node, no earlier, leads to a far end with reach >= t - 1.
     limit = min(size - 2, REACH_LIMIT)
     reach = np.zeros(n, dtype=np.uint8)
     level = np.ones(n, dtype=bool)
+    suffix = np.zeros(n + 1, dtype=np.int32)
     for _ in range(limit):
         ahead = level[twin]
-        suffix = np.zeros(n + 1, dtype=np.int64)
-        suffix[:n] = np.cumsum(ahead[::-1])[::-1]
+        np.cumsum(ahead[::-1], dtype=np.int32, out=suffix[n - 1::-1])
         level = suffix[run_start] - suffix[node_end] - ahead > 0
         if not level.any():
             break
         reach += level
+    del run_start, node_end, suffix, level
+    # The lists handed to the DFS gather from object arrays and share their
+    # ints: one per number up to the largest position, event index or node
+    # number, made once. They are built one at a time, each once the arrays
+    # it no longer needs are dropped.
+    numbers = np.arange(max(n + 1, len(events), len(index.ids))
+                        ).astype(object)
+    edge_of = numbers[keep]
+    del keep
     # Subject first, the anchor arrives at its object; object first, at its
     # subject.
     live = np.stack([reach[pos[m:]], reach[pos[:m]]], axis=1) >= limit
+    del pos
     ends = np.stack([subjects, objects], axis=1)
-
-    half = (order % m).tolist()
-    return _HalfEdges(
-        bounds=bounds.tolist(),
-        ts=list(map(stamps.__getitem__, half)),
-        edge=list(map(edges.__getitem__, half)),
-        neighbor=np.concatenate([objects, subjects])[order].tolist(),
-        reach=reach[twin].tobytes(),
-        anchors=np.stack([keep, keep], axis=1)[live].tolist(),
-        starts=ends[live].tolist(),
-        nexts=ends[:, ::-1][live].tolist())
+    anchors = np.stack([edge_of, edge_of], axis=1)[live].tolist()
+    starts = numbers[ends[live]].tolist()
+    nexts = numbers[ends[:, ::-1][live]].tolist()
+    del live, ends
+    reach = reach[twin].tobytes()
+    del twin
+    neighbor = numbers[np.concatenate([objects, subjects])[order]].tolist()
+    half = order % m
+    del subjects, objects, order
+    bounds = numbers[bounds].tolist()
+    del numbers
+    ts = stamp_of[half].tolist()
+    del stamp_of
+    return _HalfEdges(bounds, ts, edge_of[half].tolist(), neighbor, reach,
+                      anchors, starts, nexts)
 
 
 def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
@@ -264,6 +291,7 @@ def featurize_sets(sets: ChainBatch, graph: Graph, weights: WeightTable,
     slot_of[used] = [slot[text] for text in texts]
     weight_of = np.zeros(len(ids))
     weight_of[used] = [weights.weight_for(node) for node in records]
+    del seen, used, records, texts, first, slot
 
     features = np.zeros((len(sets), text_vectors.shape[1]))
     for lo in range(0, len(sets), FEATURE_CHUNK):

@@ -135,7 +135,12 @@ def _min_match_ranks(features: np.ndarray, reps: np.ndarray,
     ranks = np.full(features.shape[0], -1, dtype=np.int64)
     if reps.size == 0 or not features.shape[0]:
         return ranks
-    norms = np.linalg.norm(features, axis=1)
+    # A block of rows at a time, so the squares never span the whole matrix;
+    # each row's norm is its own reduction, the same bits in any block.
+    norms = np.empty(features.shape[0])
+    for lo in range(0, features.shape[0], MATCH_CHUNK):
+        norms[lo:lo + MATCH_CHUNK] = np.linalg.norm(
+            features[lo:lo + MATCH_CHUNK], axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     direction, radius = candidate_window(cutoff, reps.shape[1])
     rep_proj = reps @ direction
@@ -149,10 +154,14 @@ def _min_match_ranks(features: np.ndarray, reps: np.ndarray,
         proj = (features @ direction) / safe
         # argsort puts NaN projections last.
         order = np.argsort(proj, kind="stable")
+    else:
+        order = np.arange(features.shape[0])
     chunk = max(1, min(MATCH_CHUNK, MATCH_BUDGET // reps.shape[0]))
     for lo in range(0, features.shape[0], chunk):
-        rows = order[lo:lo + chunk] if windowed else slice(lo, lo + chunk)
-        block = features[rows] / safe[rows, None]
+        rows = order[lo:lo + chunk]
+        # A copy of the chunk's rows, normalized in place.
+        block = features[rows]
+        block /= safe[rows, None]
         ids = every_rank
         if (windowed and not np.isnan(proj[rows[-1]])
                 and window_holds(block).all()):

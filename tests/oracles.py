@@ -619,6 +619,41 @@ def make_rng(seed):
     return random.Random(seed)
 
 
+def synth_graph(scale=1):
+    """The graph of a fixed two-shape synthgen corpus with an attack chain:
+    5,000 nodes and 3,696 events at scale 1, about scale times that above."""
+    from provprune.graph import build_graph
+    from provprune.ingest import parse_stream
+    from provprune.synthgen import AttackSpec, PatternSpec, SynthSpec, generate
+
+    shapes = [("boot net probe", "mount scratch", "start workers",
+               "warm cache", "announce ready"),
+              ("poll job queue", "claim next job", "exec job payload",
+               "ack job done", "idle wait")]
+    spec = SynthSpec(
+        seed=5, target_benign_share=0.3, attack=AttackSpec(),
+        benign_patterns=[PatternSpec(kinds=("process",) * 5, texts=texts,
+                                     repetitions=reps * scale)
+                         for texts, reps in zip(shapes, (200, 100))])
+    nodes, events, _ = parse_stream(generate(spec)[0])
+    return build_graph(nodes, events)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the most memory tracemalloc saw it hold above what
+    was held when it started, in bytes; numpy reports its buffers too."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def export_graph(graph, fmt="jsonl"):
     """The whole text write_graph writes, as one string."""
     buf = io.StringIO()

@@ -469,19 +469,68 @@ def test_readme_config_example_is_accepted(corpus):
     assert echo["seed"] == file_obj["embed"]["seed"]
 
 
-def test_benchmark_trace_targets_resolve():
-    """perfbench/trace.py wraps these names where cli and reduce look them
-    up and skips a missing one silently, so moving a call loses its span."""
-    import importlib.util
+def test_vectors_file_with_nan_is_usage_error(corpus, capsys):
+    vectors = corpus / "vecs.txt"
+    vectors.write_text("tok nan 1 2 3 4 5 6 7\n")
+    rc = main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+               "--model", f"vectors-file:{vectors}",
+               "--out", str(corpus / "nan_out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{vectors}:1:" in err
+    assert "Traceback" not in err
 
-    from provprune import cli, reduce
+
+def _perfbench_trace():
+    """perfbench/trace.py, imported by path; importing it runs nothing."""
+    import importlib.util
 
     path = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
     spec = importlib.util.spec_from_file_location("perfbench_trace", path)
     trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace)
+    return trace
+
+
+def test_benchmark_trace_targets_resolve():
+    """perfbench/trace.py wraps these names where cli and reduce look them
+    up and skips a missing one silently, so moving a call loses its span."""
+    from provprune import cli, reduce
+
+    trace = _perfbench_trace()
     modules = {"cli": cli, "reduce": reduce}
     missing = [(mod, name) for mod, name, _, _ in trace.TARGETS
                if not callable(getattr(modules[mod], name, None))]
     assert missing == []
     assert callable(cli.get_embedder)
+
+
+def test_benchmark_count_extractors_bind_by_name(corpus):
+    """The traced counts read save_graph's `path` and label_table_from_json's
+    `text` by parameter name, and the parse tallies from parse_file's third
+    result."""
+    import inspect
+
+    from provprune.ingest import ParseStats
+    from provprune.label import label_table_from_json
+
+    trace = _perfbench_trace()
+    extractors = {name: counts for _, name, _, counts in trace.TARGETS}
+    assert extractors["save_graph"] is trace._export_counts
+    assert extractors["label_table_from_json"] is trace._table_counts
+    assert extractors["parse_file"] is trace._parse_counts
+    assert "path" in inspect.signature(cli.save_graph).parameters
+    assert "text" in inspect.signature(label_table_from_json).parameters
+    result = parse_file(corpus / "a" / "corpus.jsonl")
+    assert isinstance(result[2], ParseStats)
+    assert trace._parse_counts(result, parse_file, (), {})[
+        "events_accepted"] == result[2].accepted_events
+    # The extractors as the tracer calls them: with the call's own arguments.
+    out = corpus / "export.jsonl"
+    graph = build_graph(*result[:2])
+    cli.save_graph(graph, out)
+    assert trace._export_counts(None, cli.save_graph, (graph, out), {}) == {
+        "export_bytes": out.stat().st_size}
+    text = '{"assignment":[],"labels":[]}'
+    assert trace._table_counts(None, label_table_from_json, (), {
+        "text": text}) == {"table_bytes": len(text)}

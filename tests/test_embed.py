@@ -308,6 +308,16 @@ def test_vectors_file_width_mismatch(tmp_path):
         VectorFileEmbedder(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_vectors_file_refuses_non_finite_components(tmp_path, bad):
+    """A NaN component would otherwise pass unnormalized (its norm is not
+    > 0) and reach matching as a NaN feature."""
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"ok 1 2 3 4 5 6 7 8\ntok {bad} 1 2 3 4 5 6 7\n")
+    with pytest.raises(ValueError, match=f"vecs.txt:2: .*finite"):
+        VectorFileEmbedder(path)
+
+
 def test_get_embedder_dispatch(tmp_path):
     assert isinstance(get_embedder("hash-ngrams"), HashNgramEmbedder)
     path = tmp_path / "v.txt"

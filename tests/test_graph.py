@@ -23,7 +23,9 @@ from oracles import (
     export_graph,
     random_graph_records,
     reference_graph_lines,
+    synth_graph,
     total_event_records,
+    traced_peak,
 )
 
 
@@ -187,7 +189,7 @@ def test_export_bytes_equal_json_dumps_encoding(tmp_path):
     for trial in range(80):
         g = edge_graph(rng)
         expected = reference_graph_lines(g)
-        assert graph_lines(g) == expected
+        assert list(graph_lines(g)) == expected
         text = "".join(line + "\n" for line in expected)
         assert export_graph(g) == text
         sink = io.StringIO()
@@ -206,9 +208,28 @@ def test_export_bytes_equal_json_dumps_encoding(tmp_path):
     assert {"\ud800", "\udfff"} <= seen
 
 
+@pytest.fixture(scope="module")
+def synth_graphs():
+    return synth_graph(), synth_graph(4)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "dot"])
+def test_save_graph_holds_no_text_of_the_whole_graph(tmp_path, synth_graphs,
+                                                     fmt):
+    """Lines are written as they are made: a graph four times larger adds
+    only the sorted node-id list, under 16 bytes per node, to the peak,
+    where a list of every line took over 250 bytes per node."""
+    small, big = synth_graphs
+    _, small_peak = traced_peak(save_graph, small, tmp_path / "small", fmt)
+    _, big_peak = traced_peak(save_graph, big, tmp_path / "big", fmt)
+    added = len(big.nodes) - len(small.nodes)
+    assert added >= 3 * len(small.nodes)
+    assert big_peak - small_peak < 16 * added
+
+
 def test_dot_output_shape():
     nodes, events = small_fixture()
-    lines = dot_lines(build_graph(nodes, events))
+    lines = list(dot_lines(build_graph(nodes, events)))
     assert lines[0].startswith("digraph")
     assert sum(1 for ln in lines if "label=" in ln and "->" not in ln) == 3
     assert sum(1 for ln in lines if "->" in ln) == 2
@@ -242,6 +263,6 @@ def test_summarize_fields():
 
 def test_graph_lines_nodes_before_events():
     nodes, events = small_fixture()
-    lines = graph_lines(build_graph(nodes, events))
+    lines = list(graph_lines(build_graph(nodes, events)))
     kinds = ["event" if '"kind":"event"' in ln else "node" for ln in lines]
     assert kinds == ["node", "node", "node", "event", "event"]

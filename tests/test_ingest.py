@@ -236,6 +236,40 @@ def test_events_share_node_id_and_syscall_strings(synthesize_dangling):
         assert ev.syscall is names[ev.syscall]
 
 
+@pytest.mark.parametrize("synthesize_dangling", [False, True])
+def test_equal_values_are_one_object_and_early_events_share_ids(
+        synthesize_dangling):
+    """One object per distinct attribute text, port and node timestamp; an
+    event read before its endpoints' declarations, or one whose endpoint is
+    a minted placeholder, still holds the records' own id strings."""
+    ts = 1_700_000_000
+    event = {"kind": "event", "syscall": "read", "ts": ts + 1}
+    source = lines(
+        dict(event, subject="p1", object="f1"),
+        dict(event, subject="ghost-p", object="f2"),
+        dict(event, subject="p2", object="ghost-f"),
+        *[dict(PROC, id=f"p{i}", ts=ts) for i in (1, 2)],
+        *[dict(FILE, id=f"f{i}", ts=ts) for i in (1, 2)],
+        *[dict(NET, id=f"n{i}", ts=ts) for i in (1, 2)],
+        dict(event, subject="p2", object="f2"),
+        dict(event, syscall="sendto", subject="p1", object="n1"))
+    nodes, events, stats = parse_stream(
+        source, synthesize_dangling=synthesize_dangling)
+    by_id = {n.id: n for n in nodes}
+    p1, p2, f1, f2, n1, n2 = (by_id[i] for i in
+                              ("p1", "p2", "f1", "f2", "n1", "n2"))
+    assert p1.cmdline is p2.cmdline
+    assert f1.path is f2.path
+    for field in ("remote_addr", "remote_port", "local_addr", "local_port"):
+        assert getattr(n1, field) is getattr(n2, field)
+    assert p1.first_seen is p2.first_seen is f1.first_seen is n2.first_seen
+    assert len(events) == (5 if synthesize_dangling else 3)
+    assert stats.synthesized_nodes == (2 if synthesize_dangling else 0)
+    for ev in events:
+        assert ev.subject is by_id[ev.subject].id
+        assert ev.object is by_id[ev.object].id
+
+
 def test_event_record_conservation():
     """accepted + dropped + malformed + dangling covers every event record."""
     rng = random.Random(77)

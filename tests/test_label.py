@@ -28,6 +28,7 @@ from oracles import (
     reference_table_json,
     sequential_labels,
     table_json,
+    traced_peak,
     underflowing_twin,
     window_edge_features,
 )
@@ -331,6 +332,23 @@ def test_table_json_equals_whole_payload_dump():
                                          separators=(",", ":"))
     assert table_json(LabelTable()) == \
         '{"assignment":[],"labels":[],"zero_vector_sets":0}'
+
+
+def test_table_load_holds_no_float_per_component():
+    """Each representative becomes an array as its label is decoded, so a
+    load peaks near the table it returns. A Python float and a list slot
+    per component would add four times the arrays' 8 bytes on top."""
+    rng = np.random.default_rng(612)
+    table = LabelTable(labels=[
+        label.Label(label_id=i, polarity=BENIGN, representative=row,
+                    member_count=1, created_seq=i)
+        for i, row in enumerate(rng.normal(size=(2000, 64)))],
+        assignment=list(range(2000)))
+    text = table_json(table)
+    back, peak = traced_peak(label_table_from_json, text)
+    assert table_json(back) == text
+    kept = sum(lb.representative.nbytes for lb in back.labels)
+    assert peak < 3 * kept
 
 
 def test_labeling_deterministic_bytes():

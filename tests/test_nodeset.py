@@ -4,10 +4,11 @@ import time
 import numpy as np
 import pytest
 
+from provprune import nodeset
 from provprune.embed import HashNgramEmbedder, WeightTable, compute_weights
 from provprune.graph import build_graph
 from provprune.ingest import Event, NodeRecord, compute_corpus_stats
-from provprune.nodeset import enumerate_node_sets, featurize_sets
+from provprune.nodeset import _half_edges, enumerate_node_sets, featurize_sets
 
 from oracles import (
     brute_force_chains,
@@ -16,6 +17,8 @@ from oracles import (
     ordered_chains,
     random_graph_records,
     sum_feature_by_hand,
+    synth_graph,
+    traced_peak,
 )
 
 
@@ -222,6 +225,31 @@ def test_large_star_is_not_quadratic():
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_star_lists_its_half_edges_and_no_live_anchor():
+    """The work count behind the star timing: each of the 20,000 edges
+    enters the table once per end, and no anchor orientation can reach a
+    5-node chain, so the DFS starts from none."""
+    g = build_graph(*star_graph(20000))
+    table = _half_edges(g.index, g.events, 5)
+    assert len(table.ts) == len(table.edge) == len(table.neighbor) == 40000
+    assert len(table.reach) == 40000
+    assert table.anchors == table.starts == table.nexts == []
+
+
+# tracemalloc peak of enumerate_node_sets on synth_graph(), measured at
+# 688,062 bytes (Python 3.11, numpy 2.4); building the half-edge lists
+# through fresh ints and full-size temporaries took 1,727,398.
+ENUMERATE_PEAK_BYTES = 688_062
+
+
+def test_enumerate_peak_memory_stays_at_its_measure():
+    g = synth_graph()
+    g.index
+    sets, peak = traced_peak(enumerate_node_sets, g)
+    assert len(sets) == 537
+    assert peak < 1.25 * ENUMERATE_PEAK_BYTES
+
+
 def test_hub_leaf_that_continues_still_yields_its_chain():
     h_nodes, h_events = star_graph(20000)
     c_nodes, c_events = process_chain(["q", "r", "s"], first_ts=50000)
@@ -299,6 +327,22 @@ def test_featurize_matches_compose_bitwise():
             chain = [g.nodes[nid] for nid in s.node_ids]
             direct = compose_feature(chain, table, emb)
             assert s.feature.tobytes() == direct.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096, 32768])
+def test_featurize_bits_do_not_depend_on_chunk(monkeypatch, chunk):
+    """FEATURE_CHUNK only bounds the temporary: every row sums its nodes in
+    chain position order whatever the chunk."""
+    monkeypatch.setattr(nodeset, "FEATURE_CHUNK", chunk)
+    g = synth_graph()
+    emb = HashNgramEmbedder()
+    table = weights_for(g)
+    done = featurize_sets(enumerate_node_sets(g), g, table, emb)
+    assert len(done) == 537
+    for s in done:
+        direct = compose_feature([g.nodes[nid] for nid in s.node_ids],
+                                 table, emb)
+        assert s.feature.tobytes() == direct.tobytes()
 
 
 def test_featurize_empty_input():
