@@ -14,7 +14,7 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -129,12 +129,14 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--sample-spec", action="store_true",
                          help="print a starter spec and exit")
 
-    p_label = commands.add_parser("label", help="build the label table")
+    p_label = commands.add_parser("label", help="build the label table",
+                                  argument_default=argparse.SUPPRESS)
     p_label.add_argument("--labeled", required=True, help="labeled corpus path")
     p_label.add_argument("--iocs", help="IoC file (tab-separated directives)")
     _add_run_options(p_label)
 
-    p_reduce = commands.add_parser("reduce", help="prune the evaluation graph")
+    p_reduce = commands.add_parser("reduce", help="prune the evaluation graph",
+                                   argument_default=argparse.SUPPRESS)
     p_reduce.add_argument("--eval", dest="eval_corpus", required=True,
                           help="evaluation corpus path")
     p_reduce.add_argument("--labels", dest="labels_file",
@@ -215,25 +217,18 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"PROVPRUNE_SEED must be an integer, "
                              f"got {env_seed!r}") from None
 
-    for attr, arg in [("labeled", "labeled"), ("eval_corpus", "eval_corpus"),
-                      ("iocs", "iocs"), ("labels_file", "labels_file"),
-                      ("out_dir", "out_dir"), ("dim", "dim"), ("seed", "seed"),
-                      ("model", "model"), ("set_size", "set_size"),
-                      ("cap_per_anchor", "cap_per_anchor"),
-                      ("threshold", "threshold")]:
-        value = getattr(args, arg, None)
-        if value is not None:
-            setattr(cfg, attr, value)
+    # A flag left out is absent from the namespace (argument_default is
+    # SUPPRESS), so a RunConfig field found there was given on the line.
+    settings = {f.name for f in fields(RunConfig)} - {"top_n"}
+    for name, value in vars(args).items():
+        if name in settings:
+            setattr(cfg, name, value)
     if getattr(args, "top_n", None):
         try:
             cfg.top_n = [int(x) for x in args.top_n.split(",") if x.strip()]
         except ValueError:
             raise ValueError(f"--top-n expects integers, got {args.top_n!r}") \
                 from None
-    for flag in ["synthesize_dangling", "emit_dot", "emit_removed_ids",
-                 "emit_graph", "include_isolated_nodes"]:
-        if getattr(args, flag, False):
-            setattr(cfg, flag, True)
     cfg.top_n = sorted(set(cfg.top_n))
     cfg.validate()
     return cfg
@@ -314,7 +309,6 @@ def _label_pipeline(cfg: RunConfig, corpus_path: str):
 
 def cmd_label(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    cfg.labeled = args.labeled
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from typing import IO, Collection, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,17 +25,41 @@ class NodeIndex(NamedTuple):
 
     ids[v] is node v's id; src[i] and dst[i] number the subject and object
     of event i. The id-to-number map is not kept: it would hold one dict
-    entry and one int per node for the graph's whole life.
+    entry and one int per node for as long as the index lives.
     """
 
     ids: list[str]
     src: np.ndarray
     dst: np.ndarray
 
-    def mask(self, members: Collection[str]) -> np.ndarray:
-        """Per node, whether its id is among members; others are ignored."""
+    @classmethod
+    def of(cls, graph: Graph) -> NodeIndex:
+        """Number graph's nodes and the endpoints of its events."""
+        ids = list(graph.nodes)
+        number = dict(zip(ids, range(len(ids)))).__getitem__
+        count = len(graph.events)
+        return cls(ids,
+                   np.fromiter(map(number, map(_subject, graph.events)),
+                               dtype=np.intp, count=count),
+                   np.fromiter(map(number, map(_object, graph.events)),
+                               dtype=np.intp, count=count))
+
+    def mask(self, members: AbstractSet[str]) -> np.ndarray:
+        """Per node, whether its id is among members; others are ignored.
+
+        Any other iterable is made a set first, so each test is a hash
+        lookup rather than a scan of members.
+        """
+        if not isinstance(members, AbstractSet):
+            members = set(members)
         return np.fromiter(map(members.__contains__, self.ids), dtype=bool,
                            count=len(self.ids))
+
+    def incident(self) -> np.ndarray:
+        """Per node, whether it is the subject or object of some event."""
+        out = np.zeros(len(self.ids), dtype=bool)
+        out[self.src] = out[self.dst] = True
+        return out
 
 
 _subject = itemgetter(0)
@@ -50,37 +75,6 @@ class Graph:
     # Bookkeeping only; two graphs with equal content compare equal.
     rejected_events: int = field(default=0, compare=False)
     ignored_removals: int = field(default=0, compare=False)
-    # The index with the events it was built over; see `index`.
-    _indexed: tuple[list[Event], NodeIndex] | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def event_node_ids(self) -> set[str]:
-        """Ids of nodes incident to at least one event."""
-        incident: set[str] = set()
-        for ev in self.events:
-            incident.add(ev.subject)
-            incident.add(ev.object)
-        return incident
-
-    @property
-    def index(self) -> NodeIndex:
-        """The node numbering, built on first use and kept while the node ids
-        and events stay as they were; a changed graph gets a new one."""
-        ids = list(self.nodes)
-        if self._indexed is not None:
-            events, index = self._indexed
-            if index.ids == ids and events == self.events:
-                return index
-        number = dict(zip(ids, range(len(ids)))).__getitem__
-        count = len(self.events)
-        index = NodeIndex(
-            ids=ids,
-            src=np.fromiter(map(number, map(_subject, self.events)),
-                            dtype=np.intp, count=count),
-            dst=np.fromiter(map(number, map(_object, self.events)),
-                            dtype=np.intp, count=count))
-        self._indexed = (self.events[:], index)
-        return index
 
 
 # Global temporal order: (ts, subject, object, syscall).
@@ -197,6 +191,6 @@ def summarize(graph: Graph) -> dict:
         "files": kinds.get(KIND_FILE, 0),
         "netflows": kinds.get(KIND_NETFLOW, 0),
         "events": len(graph.events),
-        "event_nodes": len(graph.event_node_ids()),
+        "event_nodes": int(NodeIndex.of(graph).incident().sum()),
         "per_syscall": dict(sorted(syscalls.items())),
     }

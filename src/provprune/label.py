@@ -218,10 +218,10 @@ class _RepMatrix:
         self._rows = np.empty((64, dim), dtype=np.float64)
         self._proj = np.empty(64)
         self._count = 0
-        # Rows [0, _indexed) by ascending projection: ids and projections.
+        # Rows [0, _ordered) by ascending projection: ids and projections.
         # While the last top_two_before scored windows, the projections of
         # the rows added since, ascending; None otherwise.
-        self._indexed = 0
+        self._ordered = 0
         self._by_proj = np.empty(0, dtype=np.int64)
         self._sorted_proj = np.empty(0)
         self._recent: list[float] | None = None
@@ -328,12 +328,12 @@ class _RepMatrix:
     def _index_new_rows(self) -> None:
         """Merge the rows added since the last call into the projection
         order."""
-        new = np.arange(self._indexed, self._count)
+        new = np.arange(self._ordered, self._count)
         new = new[np.argsort(self._proj[new], kind="stable")]
         at = np.searchsorted(self._sorted_proj, self._proj[new], side="right")
         self._sorted_proj = np.insert(self._sorted_proj, at, self._proj[new])
         self._by_proj = np.insert(self._by_proj, at, new)
-        self._indexed = self._count
+        self._ordered = self._count
 
     def recent_similarities(self, normalized: np.ndarray, projection: float,
                             radius: float) -> np.ndarray:
@@ -345,7 +345,7 @@ class _RepMatrix:
             if (at == len(self._recent)
                     or self._recent[at] > projection + radius):
                 return _NO_SCORES
-        return self._rows[self._indexed: self._count] @ normalized
+        return self._rows[self._ordered: self._count] @ normalized
 
 
 def label_node_sets(sets: ChainBatch, malicious: MaliciousNodeList,
@@ -374,8 +374,7 @@ def label_node_sets(sets: ChainBatch, malicious: MaliciousNodeList,
     table = LabelTable()
     if not len(sets):
         return table
-    flagged = np.fromiter((nid in malicious.ids for nid in sets.ids),
-                          dtype=bool, count=len(sets.ids))
+    flagged = sets.index.mask(malicious.ids)
     polarity = [MALICIOUS if bad else BENIGN
                 for bad in flagged[sets.nodes].any(axis=1).tolist()]
     dim = features.shape[1]

@@ -41,16 +41,17 @@ class NodeSet:
 
 @dataclass(frozen=True, eq=False)
 class ChainBatch:
-    """Enumerated chains as integer rows over a graph's node index.
+    """Enumerated chains as integer rows over the node index they were
+    enumerated with.
 
-    Row i of nodes holds chain i's K node numbers (positions in ids) in path
-    order and row i of edges its K-1 event indices; anchor_ts[i] is the
+    Row i of nodes holds chain i's K node numbers (positions in index.ids) in
+    path order and row i of edges its K-1 event indices; anchor_ts[i] is the
     timestamp of its first edge. features, once featurize_sets has run, is
     the read-only S x D feature matrix. Indexing and iteration give one
     NodeSet per row, its feature a row view.
     """
 
-    ids: list[str]
+    index: NodeIndex
     nodes: np.ndarray
     edges: np.ndarray
     anchor_ts: list[int]
@@ -60,7 +61,7 @@ class ChainBatch:
         return len(self.anchor_ts)
 
     def __getitem__(self, i: int) -> NodeSet:
-        ids = self.ids
+        ids = self.index.ids
         return NodeSet(
             node_ids=tuple([ids[v] for v in self.nodes[i].tolist()]),
             edge_indices=tuple(self.edges[i].tolist()),
@@ -207,7 +208,7 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
         raise ValueError(f"set size must be at least 2, got {size}")
     if cap_per_anchor < 0:
         raise ValueError("cap_per_anchor must be 0 (unlimited) or positive")
-    index = graph.index
+    index = NodeIndex.of(graph)
     (bounds, ts_list, edge_list, neighbors, ahead, anchors, starts,
      nexts) = _half_edges(index, graph.events, size)
     want_edges = size - 1
@@ -261,7 +262,7 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
 
     nodes = np.array(out_nodes, dtype=np.intp).reshape(-1, size)
     edges = np.array(out_edges, dtype=np.intp).reshape(-1, want_edges)
-    return ChainBatch(ids=index.ids, nodes=nodes, edges=edges,
+    return ChainBatch(index=index, nodes=nodes, edges=edges,
                       anchor_ts=[events[e].ts for e in edges[:, 0].tolist()])
 
 
@@ -275,7 +276,7 @@ def featurize_sets(sets: ChainBatch, graph: Graph, weights: WeightTable,
     """
     if not len(sets):
         return replace(sets, features=np.zeros((0, embedder.dim)))
-    ids, nodes = sets.ids, sets.nodes
+    ids, nodes = sets.index.ids, sets.nodes
     seen = np.zeros(len(ids), dtype=bool)
     seen[nodes] = True
     used = np.flatnonzero(seen)

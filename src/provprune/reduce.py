@@ -2,8 +2,10 @@
 
 The top-ranked benign representatives are compared against every node-set of
 the evaluation graph; nodes covered by any matching set are removed
-(`graph.remove_nodes` builds the reduced graph from a report's ids). Reports
-carry the node accounting, false-negative and false-positive counts, and
+(`graph.remove_nodes` builds the reduced graph from a report's ids). Every
+per-node count (removed, malicious, population) is taken over the node index
+the chains were enumerated with, `ChainBatch.index`. Reports carry the node
+accounting, false-negative and false-positive counts, and
 per-stage timings.
 """
 
@@ -54,21 +56,10 @@ class ReductionReport:
     note: str = ""
 
     def to_dict(self, include_removed_ids: bool = False) -> dict:
-        out = {
-            "n_requested": self.n_requested,
-            "labels_used": self.labels_used,
-            "total_nodes_before": self.total_nodes_before,
-            "nodes_removed": self.nodes_removed,
-            "nodes_after": self.nodes_after,
-            "reduction_rate": self.reduction_rate,
-            "fn_count": self.fn_count,
-            "fp_count": self.fp_count,
-            "declared_nodes_total": self.declared_nodes_total,
-            "per_stage_seconds": dict(self.per_stage_seconds),
-            "note": self.note,
-        }
-        if include_removed_ids and self.removed_node_ids is not None:
-            out["removed_node_ids"] = sorted(self.removed_node_ids)
+        out = dict(vars(self), per_stage_seconds=dict(self.per_stage_seconds))
+        removed = out.pop("removed_node_ids")
+        if include_removed_ids and removed is not None:
+            out["removed_node_ids"] = sorted(removed)
         return out
 
 
@@ -197,6 +188,10 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
         raise ValueError("top-n list must be ascending")
     ranked = rank_benign_labels(table)
     reps = representatives(table, ranked[: max(ns)] if ns else [])
+    if reps.size and reps.shape[1] != embedder.dim:
+        raise ValueError(f"label table representatives have width "
+                         f"{reps.shape[1]}, but features have width "
+                         f"{embedder.dim}")
 
     t0 = time.perf_counter()
     sets = enumerate_node_sets(g_eval, size=size, cap_per_anchor=cap_per_anchor)
@@ -207,11 +202,10 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
     t3 = time.perf_counter()
     shared = {"enumerate": t1 - t0, "featurize": t2 - t1, "match": t3 - t2}
 
-    index = g_eval.index
+    index = sets.index
     flagged = index.mask(malicious.ids)
     if population is None:
-        in_population = np.zeros(len(index.ids), dtype=bool)
-        in_population[index.src] = in_population[index.dst] = True
+        in_population = index.incident()
         population_total = int(in_population.sum())
         malicious_total = int((flagged & in_population).sum())
     else:

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from provprune.embed import candidate_window, effective_threshold
-from provprune.graph import write_graph
+from provprune.graph import NodeIndex, write_graph
 from provprune.ingest import (
     KIND_PROCESS,
     SYSCALL_OBJECT_KIND,
@@ -111,6 +111,15 @@ def recount_entity_events(events):
         for nid in seen:
             counts[nid] = counts.get(nid, 0) + 1
     return counts
+
+
+def event_node_ids(graph):
+    """Ids of nodes incident to at least one event."""
+    incident = set()
+    for ev in graph.events:
+        incident.add(ev.subject)
+        incident.add(ev.object)
+    return incident
 
 
 def degree_counts(graph):
@@ -671,8 +680,9 @@ def table_json(table):
 def chain_batch(sets, dim=None):
     """A ChainBatch whose rows are the given NodeSets, in order.
 
-    Nodes are numbered in sorted id order. Features are stacked when every
-    set has one (dim gives the width of an empty batch), else left unset.
+    Nodes are numbered in sorted id order, by an index of no events.
+    Features are stacked when every set has one (dim gives the width of an
+    empty batch), else left unset.
     """
     ids = sorted({nid for s in sets for nid in s.node_ids})
     number = {nid: v for v, nid in enumerate(ids)}
@@ -681,8 +691,9 @@ def chain_batch(sets, dim=None):
     if all(s.feature is not None for s in sets):
         features = np.array([s.feature for s in sets], dtype=np.float64)
         features = features.reshape(len(sets), -1 if sets else dim or 0)
+    empty = np.zeros(0, dtype=np.intp)
     return ChainBatch(
-        ids=ids,
+        index=NodeIndex(ids, empty, empty),
         nodes=np.array([[number[nid] for nid in s.node_ids] for s in sets],
                        dtype=np.intp).reshape(-1, size),
         edges=np.array([s.edge_indices for s in sets],

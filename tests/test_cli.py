@@ -481,6 +481,20 @@ def test_vectors_file_with_nan_is_usage_error(corpus, capsys):
     assert "Traceback" not in err
 
 
+def test_table_of_another_width_is_usage_error(corpus, capsys):
+    lab = corpus / "lab64"
+    assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+                 "--dim", "64", "--out", str(lab)]) == 0
+    capsys.readouterr()
+    rc = main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
+               "--labels", str(lab / "labels.json"), "--dim", "32",
+               "--out", str(corpus / "red32")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "64" in err and "32" in err
+    assert "Traceback" not in err
+
+
 def _perfbench_trace():
     """perfbench/trace.py, imported by path; importing it runs nothing."""
     import importlib.util

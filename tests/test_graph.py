@@ -5,6 +5,7 @@ import random
 import pytest
 
 from provprune.graph import (
+    NodeIndex,
     build_graph,
     dot_lines,
     graph_lines,
@@ -20,6 +21,7 @@ from oracles import (
     EDGE_TS,
     degree_counts,
     edge_graph_records,
+    event_node_ids,
     export_graph,
     random_graph_records,
     reference_graph_lines,
@@ -83,7 +85,8 @@ def test_zero_events_graph_is_isolated():
     nodes, _ = small_fixture()
     g = build_graph(nodes, [])
     assert g.events == []
-    assert g.event_node_ids() == set()
+    assert event_node_ids(g) == set()
+    assert not NodeIndex.of(g).incident().any()
 
 
 def test_handshake_identity():
@@ -259,6 +262,49 @@ def test_summarize_fields():
     assert info["events"] == 2
     assert info["event_nodes"] == 3
     assert info["per_syscall"] == {"clone": 1, "open": 1}
+
+
+def test_incident_nodes_equal_the_oracle():
+    """Incident flags and summarize's event_nodes count the nodes some event
+    touches: isolated nodes are out, a self-loop's node is in."""
+    rng = random.Random(29)
+    loops = 0
+    for _ in range(40):
+        nodes, events = random_graph_records(rng, allow_self_loops=True)
+        nodes.append(NodeRecord(id="island", kind="file", path="/island"))
+        g = build_graph(nodes, events)
+        loops += sum(ev.subject == ev.object for ev in g.events)
+        index = NodeIndex.of(g)
+        want = event_node_ids(g)
+        assert "island" not in want
+        assert index.mask(want).tolist() == index.incident().tolist()
+        assert summarize(g)["event_nodes"] == len(want)
+    assert loops
+
+
+class _ScanOnly:
+    """Yields its ids but refuses membership tests: a mask that tested
+    membership in a list would scan the whole list once per node."""
+
+    def __init__(self, ids):
+        self.ids = list(ids)
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __contains__(self, item):
+        raise AssertionError("membership tested without making a set")
+
+
+def test_mask_makes_a_set_of_any_other_iterable():
+    nodes, events = small_fixture()
+    index = NodeIndex.of(build_graph(nodes, events))
+    members = {"p2", "elsewhere"}
+    want = index.mask(members)
+    assert want.tolist() == [nid in members for nid in index.ids]
+    assert index.mask(_ScanOnly(members)).tolist() == want.tolist()
+    assert index.mask(iter(sorted(members))).tolist() == want.tolist()
+    assert index.mask(dict.fromkeys(members).keys()).tolist() == want.tolist()
 
 
 def test_graph_lines_nodes_before_events():

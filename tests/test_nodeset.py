@@ -6,7 +6,7 @@ import pytest
 
 from provprune import nodeset
 from provprune.embed import HashNgramEmbedder, WeightTable, compute_weights
-from provprune.graph import build_graph
+from provprune.graph import NodeIndex, build_graph
 from provprune.ingest import Event, NodeRecord, compute_corpus_stats
 from provprune.nodeset import _half_edges, enumerate_node_sets, featurize_sets
 
@@ -230,7 +230,7 @@ def test_star_lists_its_half_edges_and_no_live_anchor():
     enters the table once per end, and no anchor orientation can reach a
     5-node chain, so the DFS starts from none."""
     g = build_graph(*star_graph(20000))
-    table = _half_edges(g.index, g.events, 5)
+    table = _half_edges(NodeIndex.of(g), g.events, 5)
     assert len(table.ts) == len(table.edge) == len(table.neighbor) == 40000
     assert len(table.reach) == 40000
     assert table.anchors == table.starts == table.nexts == []
@@ -244,7 +244,6 @@ ENUMERATE_PEAK_BYTES = 688_062
 
 def test_enumerate_peak_memory_stays_at_its_measure():
     g = synth_graph()
-    g.index
     sets, peak = traced_peak(enumerate_node_sets, g)
     assert len(sets) == 537
     assert peak < 1.25 * ENUMERATE_PEAK_BYTES

@@ -38,6 +38,7 @@ from provprune.synthgen import (
 )
 
 from oracles import (
+    event_node_ids,
     exhaustive_removed_nodes,
     reference_match_ranks,
     underflowing_twin,
@@ -170,7 +171,7 @@ def test_sweep_reports_consistent_with_single_runs():
                           keep_removed_ids=True)
     ranked = rank_benign_labels(table)
     sets = featurize_sets(enumerate_node_sets(g), g, weights, emb)
-    incident = g.event_node_ids()
+    incident = event_node_ids(g)
     for n, report in zip(ns, reports):
         reps = representatives(table, ranked[:n])
         want = exhaustive_removed_nodes(sets, list(reps),
@@ -198,6 +199,31 @@ def test_sweep_requires_ascending_ns():
         sweep_top_n(g, table, weights, emb, malicious, ns=[5, 1])
 
 
+def test_sweep_refuses_table_of_another_width_before_enumerating():
+    g, weights, _, malicious, table, _ = pipeline_pieces(small_spec(8))
+    bare = build_graph(g.nodes.values(), [])
+    with pytest.raises(ValueError, match=r"width 64\b.*width 32\b"):
+        sweep_top_n(bare, table, weights, HashNgramEmbedder(dim=32),
+                    malicious, ns=[3])
+
+
+def test_report_dict_copies_fields_and_lists_ids_on_request():
+    report = assemble_report(3, 2, 10, 2, 0, 1, 12)
+    report.per_stage_seconds = {"match": 0.5}
+    report.removed_node_ids = ["p9", "p1"]
+    plain = report.to_dict()
+    assert sorted(plain) == sorted(
+        ["n_requested", "labels_used", "total_nodes_before", "nodes_removed",
+         "nodes_after", "reduction_rate", "fn_count", "fp_count",
+         "declared_nodes_total", "per_stage_seconds", "note"])
+    assert plain["per_stage_seconds"] == report.per_stage_seconds
+    assert plain["per_stage_seconds"] is not report.per_stage_seconds
+    assert report.to_dict(include_removed_ids=True)["removed_node_ids"] == \
+        ["p1", "p9"]
+    report.removed_node_ids = None
+    assert "removed_node_ids" not in report.to_dict(include_removed_ids=True)
+
+
 def test_sweep_n_zero_removes_nothing():
     g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(9))
     reports = sweep_top_n(g, table, weights, emb, malicious, ns=[0])
@@ -221,7 +247,7 @@ def test_sweep_population_sets_rate_denominator():
     default, = sweep_top_n(g, table, weights, emb, malicious, ns=[3])
     declared, = sweep_top_n(g, table, weights, emb, malicious, ns=[3],
                             population=set(g.nodes))
-    assert default.total_nodes_before == len(g.event_node_ids())
+    assert default.total_nodes_before == len(event_node_ids(g))
     assert declared.total_nodes_before == len(g.nodes) == \
         default.total_nodes_before + 1
     assert declared.nodes_removed == default.nodes_removed > 0
