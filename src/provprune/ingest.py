@@ -36,6 +36,9 @@ SYSCALL_OBJECT_KIND = {
 }
 
 ANALYZED_SYSCALLS = frozenset(SYSCALL_OBJECT_KIND)
+# Accepted timestamps, node and event alike: the int64 range.
+TS_MIN = -2 ** 63
+TS_MAX = 2 ** 63 - 1
 # Decoded syscall name -> (the module's own string for it, its object kind).
 _SYSCALLS = {name: (name, kind) for name, kind in SYSCALL_OBJECT_KIND.items()}
 
@@ -121,7 +124,8 @@ def parse_stream(
 ) -> tuple[list[NodeRecord], list[Event], ParseStats]:
     """Parse a line-delimited record stream into nodes, filtered events, and tallies.
 
-    Lines are str, or bytes decoded as UTF-8. Events with unanalyzed syscalls
+    Lines are str, or bytes decoded as UTF-8. A timestamp outside int64
+    makes its record malformed. Events with unanalyzed syscalls
     are dropped and counted; structurally bad records and undecodable lines
     are counted; events whose endpoints were never declared are counted as
     dangling and excluded unless ``synthesize_dangling`` is set, in which case
@@ -163,7 +167,8 @@ def parse_stream(
             ts = obj.get("ts")
             if (type(subject) is not str or not subject
                     or type(target) is not str or not target
-                    or type(syscall) is not str or type(ts) is not int):
+                    or type(syscall) is not str or type(ts) is not int
+                    or not TS_MIN <= ts <= TS_MAX):
                 malformed_events += 1
             elif syscall in ANALYZED_SYSCALLS:
                 # An endpoint declared already is its record's id object
@@ -188,7 +193,8 @@ def parse_stream(
         # Records hold the module's kind strings, and one object per distinct
         # attribute value and timestamp, not one decoded copy each.
         fields = None
-        if type(node_id) is str and node_id and type(ts) is int:
+        if (type(node_id) is str and node_id and type(ts) is int
+                and TS_MIN <= ts <= TS_MAX):
             if kind == KIND_PROCESS:
                 cmdline = obj.get("cmdline", "")
                 if type(cmdline) is str:

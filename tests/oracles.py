@@ -174,9 +174,12 @@ def _reference_port(value):
 
 
 def _reference_ts(value):
+    """A record's timestamp: 0 when absent, None unless an int in int64."""
     if value is None:
         return 0
     if isinstance(value, bool) or not isinstance(value, int):
+        return None
+    if not -2 ** 63 <= value <= 2 ** 63 - 1:
         return None
     return value
 
@@ -245,7 +248,8 @@ def reference_parse_stream(lines, synthesize_dangling=False):
             ts = obj.get("ts")
             if (not isinstance(syscall, str) or not isinstance(subject, str)
                     or not isinstance(target, str) or not subject or not target
-                    or isinstance(ts, bool) or not isinstance(ts, int)):
+                    or isinstance(ts, bool) or not isinstance(ts, int)
+                    or not -2 ** 63 <= ts <= 2 ** 63 - 1):
                 stats.malformed_events += 1
                 continue
             if syscall not in SYSCALL_OBJECT_KIND:
@@ -575,21 +579,27 @@ def random_graph_records(rng, max_nodes=30, max_events=60,
 EDGE_TEXTS = ["", '"', "\\", "\x00\x1f\x7f", "\n\r\t\x0b\x0c", "caf\u00e9",
               "\u2028\u2029", "\U0001f600", json.loads('"\\ud800"'),
               json.loads('"\\udfff"'), "  ls \t -la  ", "\\u0041", "a b"]
-EDGE_TS = [0, -1, -(2 ** 63), 2 ** 63 - 1, 2 ** 63, 2 ** 64 + 7, 10 ** 30]
+EDGE_TS = [0, -1, -(2 ** 63), 2 ** 63 - 1]
+# Timestamps past either end of int64: the parser refuses them, build_graph
+# takes them from records.
+WIDE_TS = [2 ** 63, -(2 ** 63) - 1, 2 ** 64 + 7, 10 ** 30]
 EDGE_PORTS = [0, 65535]
 
 
-def edge_graph_records(rng, max_nodes=24, max_events=40):
-    """A random corpus of all three node kinds built from EDGE_* values.
+def edge_graph_records(rng, max_nodes=24, max_events=40, wide=True):
+    """A random corpus of all three node kinds built from EDGE_* values, and
+    WIDE_TS timestamps unless wide is False.
 
     Events honor the syscall/object-kind pairing; clone and execve may loop
     a process onto itself.
     """
+    stamps = EDGE_TS + WIDE_TS if wide else EDGE_TS
+
     def text():
         return rng.choice(EDGE_TEXTS) + rng.choice(EDGE_TEXTS)
 
     def ts():
-        return rng.choice(EDGE_TS + [rng.randint(-50, 50)])
+        return rng.choice(stamps + [rng.randint(-50, 50)])
 
     def port():
         return rng.choice(EDGE_PORTS + [rng.randint(1, 65534)])

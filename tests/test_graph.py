@@ -19,6 +19,7 @@ from provprune.ingest import Event, NodeRecord, parse_stream
 from oracles import (
     EDGE_PORTS,
     EDGE_TS,
+    WIDE_TS,
     degree_counts,
     edge_graph_records,
     event_node_ids,
@@ -158,8 +159,9 @@ def test_export_empty_graph():
 
 
 def edge_graph(rng):
-    """An edge-value graph plus placeholder nodes the parser mints."""
-    nodes, events = edge_graph_records(rng)
+    """An edge-value graph plus placeholder nodes the parser mints; its
+    timestamps are the ones the parser accepts."""
+    nodes, events = edge_graph_records(rng, wide=False)
     ghosts = [{"kind": "event", "syscall": syscall, "subject": "ghost:p",
                "object": f"ghost:{syscall}\ud800", "ts": rng.choice(EDGE_TS)}
               for syscall in rng.sample(["read", "clone", "sendto"], 2)]
@@ -186,11 +188,13 @@ def test_jsonl_round_trip_fixpoint():
 
 def test_export_bytes_equal_json_dumps_encoding(tmp_path):
     """graph_lines, export_graph, write_graph and save_graph all give the
-    bytes of one sorted-key json.dumps per record."""
+    bytes of one sorted-key json.dumps per record, also for timestamps past
+    int64 that only a graph built from records holds."""
     rng = random.Random(86)
     seen = set()
     for trial in range(80):
-        g = edge_graph(rng)
+        g = edge_graph(rng) if trial % 2 else build_graph(
+            *edge_graph_records(rng))
         expected = reference_graph_lines(g)
         assert list(graph_lines(g)) == expected
         text = "".join(line + "\n" for line in expected)
@@ -204,10 +208,12 @@ def test_export_bytes_equal_json_dumps_encoding(tmp_path):
         for n in g.nodes.values():
             seen.add(n.kind)
             seen.update({n.first_seen, n.local_port, n.remote_port}
-                        & {*EDGE_TS, *EDGE_PORTS})
+                        & {*EDGE_TS, *WIDE_TS, *EDGE_PORTS})
             seen.update(c for c in n.id + n.attr_text()
                         if "\ud800" <= c <= "\udfff")
-    assert {"process", "file", "netflow", *EDGE_TS, *EDGE_PORTS} <= seen
+        seen.update({ev.ts for ev in g.events} & {*EDGE_TS, *WIDE_TS})
+    assert {"process", "file", "netflow", *EDGE_TS, *WIDE_TS,
+            *EDGE_PORTS} <= seen
     assert {"\ud800", "\udfff"} <= seen
 
 

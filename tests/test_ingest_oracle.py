@@ -55,6 +55,14 @@ MALFORMED = [
     (json.dumps(event(ts=True)), "malformed_events"),
     (json.dumps(event(ts=1.5)), "malformed_events"),
     (json.dumps(event(ts=None)), "malformed_events"),
+    (json.dumps(event(ts=2 ** 63 - 1)), "accepted_events"),
+    (json.dumps(event(ts=-2 ** 63)), "accepted_events"),
+    (json.dumps(event(ts=2 ** 63)), "malformed_events"),
+    (json.dumps(event(ts=-2 ** 63 - 1)), "malformed_events"),
+    (json.dumps(dict(FILE, id="f9", ts=2 ** 63 - 1)), "accepted_nodes"),
+    (json.dumps(dict(FILE, id="f10", ts=-2 ** 63)), "accepted_nodes"),
+    (json.dumps(dict(FILE, id="f11", ts=2 ** 63)), "malformed_nodes"),
+    (json.dumps(dict(PROC, id="p3", ts=-2 ** 63 - 1)), "malformed_nodes"),
     (json.dumps(dict(FILE, id="f2", ts=False)), "malformed_nodes"),
     (json.dumps(dict(FILE, id="f3", ts=2.0)), "malformed_nodes"),
     (json.dumps(dict(FILE, id="f4", ts=None)), "accepted_nodes"),
@@ -119,7 +127,9 @@ def test_fixed_malformed_lines_with_placeholders_match_reference():
     assert stats.dangling_events == 0
     assert stats.synthesized_nodes == 2
     assert {"ghost", "ghost-p"} <= {n.id for n in nodes}
-    assert len(events) == stats.accepted_events == 3
+    # The accepted events, plus the two whose endpoints became placeholders.
+    accepted = sum(counter == "accepted_events" for _, counter in MALFORMED)
+    assert len(events) == stats.accepted_events == accepted + 2
 
 
 def test_bytes_lines_parse_like_text():
