@@ -17,7 +17,9 @@ from .ingest import (
     ANALYZED_SYSCALLS,
     CorpusStats,
     Event,
+    EventTable,
     NodeRecord,
+    NodeTable,
     ParseStats,
     cmdline_frequency,
     compute_corpus_stats,
@@ -47,6 +49,7 @@ __all__ = [
     "DEFAULT_DIM",
     "DEFAULT_SEED",
     "Event",
+    "EventTable",
     "Graph",
     "GroundTruth",
     "HashNgramEmbedder",
@@ -54,6 +57,7 @@ __all__ = [
     "MaliciousNodeList",
     "NodeRecord",
     "NodeSet",
+    "NodeTable",
     "ParseStats",
     "ReductionReport",
     "SynthSpec",

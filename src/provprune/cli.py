@@ -2,7 +2,8 @@
 
 Subcommands: stats, synth, label, reduce, report. Settings resolve in
 ascending precedence: built-in defaults, config file, PROVPRUNE_SEED, flags.
-Every label/reduce run writes a config echo that reproduces it.
+Every label/reduce run writes a config echo that reproduces it, and
+metrics.json: seconds per stage, peak RSS, and what each corpus gave.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ import argparse
 import gc
 import json
 import os
+import resource
 import shutil
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from .label import (
 from .nodeset import (
     DEFAULT_CAP_PER_ANCHOR,
     DEFAULT_SET_SIZE,
+    chain_counts,
     enumerate_node_sets,
     featurize_sets,
 )
@@ -287,37 +291,109 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _prepare_graph(cfg: RunConfig, path: str):
+class _RunMetrics:
+    """What one label or reduce run did, written out as metrics.json.
+
+    seconds sums each stage over the corpora; corpora holds, per corpus
+    role ("labeled", "eval"), its parse tallies and the counts its stages
+    gave.
+    """
+
+    def __init__(self, command: str):
+        self.command = command
+        self.started = time.perf_counter()
+        self.seconds: dict[str, float] = {}
+        self.corpora: dict[str, dict] = {}
+        self.embedders: dict[str, object] = {}
+        self.labels: dict[str, int] = {}
+
+    @contextmanager
+    def stage(self, name: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] = (self.seconds.get(name, 0.0)
+                                  + time.perf_counter() - t0)
+
+    def write(self, out_dir: Path) -> None:
+        corpora = {role: dict(entry, embedder_misses=getattr(
+                       self.embedders[role], "misses", None))
+                   for role, entry in self.corpora.items()}
+        payload = {
+            "command": self.command,
+            "version": __version__,
+            "seconds": dict(self.seconds,
+                            total=time.perf_counter() - self.started),
+            # ru_maxrss is in kilobytes on Linux.
+            "peak_rss_mb": resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "corpora": corpora,
+            "labels": self.labels,
+        }
+        (out_dir / "metrics.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+
+
+def _prepare_graph(cfg: RunConfig, path: str, run: _RunMetrics, role: str):
     """Parse one corpus into its graph, weights, embedder and IoC list."""
-    nodes, events, _ = parse_file(path,
-                                  synthesize_dangling=cfg.synthesize_dangling)
-    graph = build_graph(nodes, events)
-    weights = compute_weights(compute_corpus_stats(graph.events), graph.nodes)
+    with run.stage("parse"):
+        nodes, events, parse_stats = parse_file(
+            path, synthesize_dangling=cfg.synthesize_dangling)
+    with run.stage("build"):
+        graph = build_graph(nodes, events)
+    del nodes, events
+    with run.stage("stats"):
+        stats = compute_corpus_stats(graph.events)
+    with run.stage("weights"):
+        weights = compute_weights(stats, graph.nodes)
+    del stats
     embedder = get_embedder(cfg.model, dim=cfg.dim, seed=cfg.seed)
-    iocs, explicit = parse_ioc_file(cfg.iocs) if cfg.iocs else ([], [])
-    return graph, weights, embedder, build_malicious_list(graph, iocs, explicit)
+    with run.stage("iocs"):
+        iocs, explicit = parse_ioc_file(cfg.iocs) if cfg.iocs else ([], [])
+        malicious = build_malicious_list(graph, iocs, explicit)
+    run.corpora[role] = {
+        "path": path, "parse": parse_stats.to_dict(),
+        "rejected_events": graph.rejected_events,
+        "nodes": len(graph.table), "events": len(graph.events),
+        "malicious_nodes": len(malicious.ids),
+        "ioc_warnings": malicious.warnings}
+    run.embedders[role] = embedder
+    return graph, weights, embedder, malicious
 
 
-def _label_pipeline(cfg: RunConfig, corpus_path: str):
+def _label_pipeline(cfg: RunConfig, corpus_path: str, run: _RunMetrics):
     """Enumerate, featurize and label the node-sets of one corpus."""
-    graph, weights, embedder, malicious = _prepare_graph(cfg, corpus_path)
-    sets = enumerate_node_sets(graph, size=cfg.set_size,
-                               cap_per_anchor=cfg.cap_per_anchor)
-    sets = featurize_sets(sets, graph, weights, embedder)
-    return label_node_sets(sets, malicious, threshold=cfg.threshold)
+    graph, weights, embedder, malicious = _prepare_graph(cfg, corpus_path,
+                                                         run, "labeled")
+    with run.stage("enumerate"):
+        sets = enumerate_node_sets(graph, size=cfg.set_size,
+                                   cap_per_anchor=cfg.cap_per_anchor)
+    run.corpora["labeled"].update(chain_counts(sets, cfg.cap_per_anchor))
+    with run.stage("featurize"):
+        sets = featurize_sets(sets, graph, weights, embedder)
+    with run.stage("label"):
+        table = label_node_sets(sets, malicious, threshold=cfg.threshold)
+    run.labels = {"minted": len(table.labels),
+                  "zero_vector_sets": table.zero_vector_sets}
+    return table
 
 
 def cmd_label(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    run = _RunMetrics("label")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    table = _label_pipeline(cfg, cfg.labeled)
+    table = _label_pipeline(cfg, cfg.labeled, run)
     seconds = time.perf_counter() - t0
-    with open(out_dir / "labels.json", "w", encoding="utf-8") as fh:
-        table.write_json(fh)
-        fh.write("\n")
+    with run.stage("table_write"):
+        with open(out_dir / "labels.json", "w", encoding="utf-8") as fh:
+            table.write_json(fh)
+            fh.write("\n")
     _write_config_echo(cfg, out_dir, "label")
+    run.write(out_dir)
     benign = sum(1 for lb in table.labels if lb.polarity == "benign")
     print(f"labels={len(table.labels)} benign={benign} "
           f"malicious={len(table.labels) - benign} "
@@ -329,22 +405,37 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     if not cfg.labels_file and not cfg.labeled:
         raise ValueError("reduce needs --labels or --labeled")
+    run = _RunMetrics("reduce")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.labels_file:
-        table = label_table_from_json(
-            Path(cfg.labels_file).read_text(encoding="utf-8"))
+        with run.stage("table_load"):
+            table = label_table_from_json(
+                Path(cfg.labels_file).read_text(encoding="utf-8"))
+        run.labels = {"loaded": len(table.labels),
+                      "zero_vector_sets": table.zero_vector_sets}
     else:
-        table = _label_pipeline(cfg, cfg.labeled)
-    g_eval, w_eval, embedder, malicious = _prepare_graph(cfg, cfg.eval_corpus)
+        table = _label_pipeline(cfg, cfg.labeled, run)
+    g_eval, w_eval, embedder, malicious = _prepare_graph(
+        cfg, cfg.eval_corpus, run, "eval")
 
     keep_ids = cfg.emit_removed_ids or cfg.emit_graph or cfg.emit_dot
     population = set(g_eval.nodes) if cfg.include_isolated_nodes else None
+    counts: dict[str, int] = {}
     reports = sweep_top_n(g_eval, table, w_eval, embedder, malicious,
                           ns=cfg.top_n, threshold=cfg.threshold,
                           size=cfg.set_size, cap_per_anchor=cfg.cap_per_anchor,
-                          keep_removed_ids=keep_ids, population=population)
+                          keep_removed_ids=keep_ids, population=population,
+                          counts=counts)
+    run.corpora["eval"].update(counts)
+    if reports:
+        # The shared stages ran once, select once per n.
+        for name in ("enumerate", "featurize", "match"):
+            run.seconds[name] = (run.seconds.get(name, 0.0)
+                                 + reports[0].per_stage_seconds[name])
+        run.seconds["select"] = sum(r.per_stage_seconds["select"]
+                                    for r in reports)
 
     payload = [r.to_dict(include_removed_ids=cfg.emit_removed_ids)
                for r in reports]
@@ -355,9 +446,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     formats = [fmt for fmt, wanted in (("jsonl", cfg.emit_graph),
                                        ("dot", cfg.emit_dot)) if wanted]
-    if formats:
+    with run.stage("export"):
         last_stem, last_removed = None, -1
-        for report in reports:
+        for report in reports if formats else ():
             stem = out_dir / f"reduced_top{report.n_requested}"
             # Removals only grow with n, so an equal count is an equal set and
             # the previous export is copied instead of rebuilt.
@@ -369,6 +460,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                 for fmt in formats:
                     save_graph(reduced, f"{stem}.{fmt}", fmt=fmt)
             last_stem, last_removed = stem, report.nodes_removed
+    run.write(out_dir)
 
     for report in reports:
         print(f"n={report.n_requested} removed={report.nodes_removed} "

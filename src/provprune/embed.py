@@ -16,7 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import KIND_FILE, KIND_NETFLOW, KIND_PROCESS, CorpusStats, NodeRecord
+from .ingest import (
+    FILE,
+    KIND_FILE,
+    KIND_PROCESS,
+    NETFLOW,
+    PROCESS,
+    CorpusStats,
+    NodeRecord,
+    NodeTable,
+)
 
 DEFAULT_DIM = 64
 DEFAULT_SEED = 97
@@ -179,28 +188,45 @@ class WeightTable:
             return self.file_weight.get(node.id, 0.0)
         return self.netflow_weight.get(node.id, 0.0)
 
+    def node_weights(self, nodes: NodeTable, rows: np.ndarray) -> np.ndarray:
+        """weight_for of the given rows of a node table, without records."""
+        kind = nodes.kind[rows]
+        out = np.where(kind == PROCESS, self.process_weight, 0.0)
+        for code, weights in ((FILE, self.file_weight),
+                              (NETFLOW, self.netflow_weight)):
+            pick = kind == code
+            out[pick] = [weights.get(nodes.ids[v], 0.0)
+                         for v in rows[pick].tolist()]
+        return out
 
-def compute_weights(stats: CorpusStats, nodes: dict[str, NodeRecord]) -> WeightTable:
+
+def compute_weights(stats: CorpusStats, nodes) -> WeightTable:
     """ln(P / P_f) per file and netflow entity; process weight = pooled mean.
 
-    Entities that never appear in an event are left out of the table and act
-    as weight-0 contributors. An empty corpus has no defined weights.
+    nodes is a graph's node map, a NodeTable, or records by id. Entities
+    that never appear in an event are left out of the table and act as
+    weight-0 contributors. An empty corpus has no defined weights.
     """
     total = stats.total_events
     if total == 0:
         raise ValueError("weights are undefined for a corpus with zero events")
-    table = WeightTable()
-    for node in nodes.values():
-        count = stats.per_entity_event_count.get(node.id, 0)
-        if count < 1:
-            continue
-        if node.kind == KIND_FILE:
-            table.file_weight[node.id] = math.log(total / count)
-        elif node.kind == KIND_NETFLOW:
-            table.netflow_weight[node.id] = math.log(total / count)
-    pool = list(table.file_weight.values()) + list(table.netflow_weight.values())
-    table.process_weight = statistics.fmean(pool) if pool else 0.0
-    return table
+    table = NodeTable.of(nodes)
+    if stats.ids is table.ids:
+        counts = stats.entity_counts
+    else:
+        counted = dict(zip(stats.ids, stats.entity_counts.tolist()))
+        counts = np.array([counted.get(i, 0) for i in table.ids],
+                          dtype=np.int64)
+    weights = WeightTable()
+    for code, out in ((FILE, weights.file_weight),
+                      (NETFLOW, weights.netflow_weight)):
+        rows = np.flatnonzero((table.kind == code) & (counts >= 1))
+        out.update(zip([table.ids[v] for v in rows.tolist()],
+                       [math.log(total / c) for c in counts[rows].tolist()]))
+    pool = list(weights.file_weight.values()) + list(
+        weights.netflow_weight.values())
+    weights.process_weight = statistics.fmean(pool) if pool else 0.0
+    return weights
 
 
 def effective_threshold(threshold: float) -> float:

@@ -1,31 +1,44 @@
-"""In-memory provenance graph: entities plus time-ordered syscall events."""
+"""In-memory provenance graph: node columns plus time-ordered event columns.
+
+A Graph holds the NodeTable and EventTable that ingest produces, its events
+sorted into global temporal order. `Graph.nodes` reads as a mapping of id
+to NodeRecord and `Graph.events` as a sequence of Event, each record built
+on access; the pipeline stages read the columns.
+"""
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Mapping
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .ingest import (
-    KIND_FILE,
-    KIND_NETFLOW,
-    KIND_PROCESS,
-    Event,
+    FILE,
+    NETFLOW,
+    NODE_KINDS,
+    PROCESS,
+    SYSCALL_NAMES,
+    EventTable,
     NodeRecord,
+    NodeTable,
+    numbered_events,
 )
+
+# Rows formatted per block by the exporters: their column values are made
+# Python objects a block at a time, never for the whole graph.
+EXPORT_CHUNK = 4096
 
 
 class NodeIndex(NamedTuple):
     """Dense integer numbering of a graph's nodes, in `Graph.nodes` order.
 
     ids[v] is node v's id; src[i] and dst[i] number the subject and object
-    of event i. The id-to-number map is not kept: it would hold one dict
-    entry and one int per node for as long as the index lives.
+    of event i. No id-to-number map is kept.
     """
 
     ids: list[str]
@@ -34,15 +47,8 @@ class NodeIndex(NamedTuple):
 
     @classmethod
     def of(cls, graph: Graph) -> NodeIndex:
-        """Number graph's nodes and the endpoints of its events."""
-        ids = list(graph.nodes)
-        number = dict(zip(ids, range(len(ids)))).__getitem__
-        count = len(graph.events)
-        return cls(ids,
-                   np.fromiter(map(number, map(_subject, graph.events)),
-                               dtype=np.intp, count=count),
-                   np.fromiter(map(number, map(_object, graph.events)),
-                               dtype=np.intp, count=count))
+        """The graph's own ids and event endpoint columns."""
+        return cls(graph.table.ids, graph.events.src, graph.events.dst)
 
     def mask(self, members: AbstractSet[str]) -> np.ndarray:
         """Per node, whether its id is among members; others are ignored.
@@ -62,45 +68,86 @@ class NodeIndex(NamedTuple):
         return out
 
 
-_subject = itemgetter(0)
-_object = itemgetter(1)
+class _NodeMap(Mapping):
+    """A node table by id, each NodeRecord built on access. The id lookup
+    behind `[id]` and `in` is made on first use; iteration and len need
+    none."""
+
+    def __init__(self, table: NodeTable):
+        self._table = table
+        self._number: dict[str, int] | None = None
+
+    def __getitem__(self, node_id: str) -> NodeRecord:
+        if self._number is None:
+            ids = self._table.ids
+            self._number = dict(zip(ids, range(len(ids))))
+        return self._table[self._number[node_id]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._table.ids)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def values(self) -> NodeTable:
+        return self._table
 
 
-@dataclass
+@dataclass(eq=False)
 class Graph:
-    """Nodes keyed by id and events held in global temporal order."""
+    """Node columns and event columns held in global temporal order.
 
-    nodes: dict[str, NodeRecord] = field(default_factory=dict)
-    events: list[Event] = field(default_factory=list)
-    # Bookkeeping only; two graphs with equal content compare equal.
-    rejected_events: int = field(default=0, compare=False)
-    ignored_removals: int = field(default=0, compare=False)
-
-
-# Global temporal order: (ts, subject, object, syscall).
-_temporal_order = itemgetter(3, 0, 1, 2)
-
-
-def build_graph(nodes: Iterable[NodeRecord], events: Iterable[Event]) -> Graph:
-    """Assemble a graph, sorting events into their global temporal order.
-
-    Duplicate node ids keep the first record seen. Events referencing an
-    undeclared endpoint are dropped and counted on the returned graph; the
-    parser normally leaves none behind.
+    order lists the node numbers by ascending id. Two graphs with the same
+    nodes and events compare equal, whatever their numbering.
     """
-    node_map: dict[str, NodeRecord] = {}
-    for n in nodes:
-        if n.id not in node_map:
-            node_map[n.id] = n
-    kept = []
+
+    table: NodeTable
+    events: EventTable
+    order: np.ndarray
+    # Bookkeeping only; not compared.
+    rejected_events: int = 0
+    ignored_removals: int = 0
+
+    @cached_property
+    def nodes(self) -> Mapping[str, NodeRecord]:
+        return _NodeMap(self.table)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.nodes == other.nodes and self.events == other.events
+
+    __hash__ = None
+
+
+def build_graph(nodes, events) -> Graph:
+    """Assemble a graph, sorting events into their global temporal order:
+    timestamp, subject id, object id, syscall name, ties in the order given.
+
+    nodes and events are parse_stream's tables, or records: duplicate node
+    ids keep the first record seen, and events referencing an undeclared
+    endpoint are dropped and counted on the returned graph; the parser
+    leaves none behind.
+    """
+    table = NodeTable.of(nodes)
+    ids = table.ids
+    events = numbered_events(events, ids)
     rejected = 0
-    for ev in events:
-        if ev.subject in node_map and ev.object in node_map:
-            kept.append(ev)
-        else:
-            rejected += 1
-    kept.sort(key=_temporal_order)
-    return Graph(nodes=node_map, events=kept, rejected_events=rejected)
+    if events.ids is not ids:
+        inside = (events.src < len(ids)) & (events.dst < len(ids))
+        rejected = len(inside) - int(inside.sum())
+        events = EventTable(ids, events.src[inside], events.dst[inside],
+                            events.syscall[inside], events.ts[inside])
+    # Ids compare in code-point order, lone surrogates included, and equal
+    # ids are one node, so ranks order events as their id strings do.
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__),
+                     dtype=np.int32)
+    rank = np.empty(len(ids), dtype=np.int32)
+    rank[order] = np.arange(len(ids), dtype=np.int32)
+    temporal = np.lexsort((events.syscall, rank[events.dst],
+                           rank[events.src], events.ts))
+    return Graph(table, events.take(temporal), order,
+                 rejected_events=rejected)
 
 
 def remove_nodes(graph: Graph, node_ids: Iterable[str]) -> Graph:
@@ -108,38 +155,72 @@ def remove_nodes(graph: Graph, node_ids: Iterable[str]) -> Graph:
 
     Ids not present in the graph are ignored and counted.
     """
-    gone = set(node_ids)
-    ignored = len(gone - graph.nodes.keys())
-    kept_nodes = {nid: n for nid, n in graph.nodes.items() if nid not in gone}
-    kept_events = [ev for ev in graph.events
-                   if ev.subject not in gone and ev.object not in gone]
-    return Graph(nodes=kept_nodes, events=kept_events, ignored_removals=ignored)
+    gone = node_ids if isinstance(node_ids, AbstractSet) else set(node_ids)
+    index = NodeIndex.of(graph)
+    keep = ~index.mask(gone)
+    ignored = len(gone) - (len(keep) - int(keep.sum()))
+    renumber = np.cumsum(keep, dtype=np.int32) - 1
+    table = graph.table.take(keep)
+    events = graph.events
+    kept = keep[events.src] & keep[events.dst]
+    return Graph(table,
+                 EventTable(table.ids, renumber[events.src[kept]],
+                            renumber[events.dst[kept]], events.syscall[kept],
+                            events.ts[kept]),
+                 renumber[graph.order[keep[graph.order]]],
+                 ignored_removals=ignored)
+
+
+def _node_rows(graph: Graph) -> Iterator[tuple]:
+    """(id, kind code, attribute text, first_seen, laddr, lport) per node, by
+    ascending id, read from the columns a block at a time."""
+    table = graph.table
+    ids, texts = table.ids, table.texts
+    for lo in range(0, len(graph.order), EXPORT_CHUNK):
+        rows = graph.order[lo:lo + EXPORT_CHUNK]
+        for v, kind, text, first, laddr, lport in zip(
+                rows.tolist(), table.kind[rows].tolist(),
+                table.text[rows].tolist(), table.first_seen[rows].tolist(),
+                table.laddr[rows].tolist(), table.lport[rows].tolist()):
+            yield ids[v], kind, texts[text], first, texts[laddr], lport
+
+
+def _event_rows(graph: Graph) -> Iterator[tuple]:
+    """(subject id, object id, syscall code, ts) per event, in order, read
+    from the columns a block at a time."""
+    events = graph.events
+    ids = events.ids
+    for lo in range(0, len(events), EXPORT_CHUNK):
+        hi = lo + EXPORT_CHUNK
+        for s, d, call, ts in zip(events.src[lo:hi].tolist(),
+                                  events.dst[lo:hi].tolist(),
+                                  events.syscall[lo:hi].tolist(),
+                                  events.ts[lo:hi].tolist()):
+            yield ids[s], ids[d], call, ts
 
 
 # One f-string per record kind writes the text json.dumps(obj, sort_keys=True,
 # separators=(",", ":")) gives: keys in sorted order, strings through the
 # encoder's own ASCII escaper, ints as their repr.
-def _node_line(node: NodeRecord) -> str:
-    if node.kind == KIND_PROCESS:
-        return (f'{{"cmdline":{_quote(node.cmdline)},"id":{_quote(node.id)},'
-                f'"kind":"process","ts":{node.first_seen}}}')
-    if node.kind == KIND_FILE:
-        return (f'{{"id":{_quote(node.id)},"kind":"file",'
-                f'"path":{_quote(node.path)},"ts":{node.first_seen}}}')
-    return (f'{{"id":{_quote(node.id)},"kind":{_quote(node.kind)},'
-            f'"laddr":{_quote(node.local_addr)},"lport":{node.local_port},'
-            f'"raddr":{_quote(node.remote_addr)},"rport":{node.remote_port},'
-            f'"ts":{node.first_seen}}}')
-
-
 def graph_lines(graph: Graph) -> Iterator[str]:
     """Canonical line-delimited form: nodes sorted by id, then ordered events."""
-    yield from map(_node_line, map(graph.nodes.__getitem__,
-                                   sorted(graph.nodes)))
-    for ev in graph.events:
-        yield (f'{{"kind":"event","object":{_quote(ev.object)},'
-               f'"subject":{_quote(ev.subject)},'
-               f'"syscall":{_quote(ev.syscall)},"ts":{ev.ts}}}')
+    for node_id, kind, text, first, laddr, lport in _node_rows(graph):
+        if kind == PROCESS:
+            yield (f'{{"cmdline":{_quote(text)},"id":{_quote(node_id)},'
+                   f'"kind":"process","ts":{first}}}')
+        elif kind == FILE:
+            yield (f'{{"id":{_quote(node_id)},"kind":"file",'
+                   f'"path":{_quote(text)},"ts":{first}}}')
+        else:
+            raddr, _, rport = text.rpartition(":")
+            yield (f'{{"id":{_quote(node_id)},"kind":"netflow",'
+                   f'"laddr":{_quote(laddr)},"lport":{lport},'
+                   f'"raddr":{_quote(raddr)},"rport":{rport},'
+                   f'"ts":{first}}}')
+    for subject, target, call, ts in _event_rows(graph):
+        yield (f'{{"kind":"event","object":{_quote(target)},'
+               f'"subject":{_quote(subject)},'
+               f'"syscall":"{SYSCALL_NAMES[call]}","ts":{ts}}}')
 
 
 def _dot_escape(text: str) -> str:
@@ -153,12 +234,12 @@ def _dot_escape(text: str) -> str:
 def dot_lines(graph: Graph) -> Iterator[str]:
     """Graphviz form with `kind:attribute` node labels and `syscall@ts` edges."""
     yield "digraph provenance {"
-    for n in map(graph.nodes.__getitem__, sorted(graph.nodes)):
-        label = _dot_escape(f"{n.kind}:{n.attr_text()[:40]}")
-        yield f'  "{_dot_escape(n.id)}" [label="{label}"];'
-    for ev in graph.events:
-        yield (f'  "{_dot_escape(ev.subject)}" -> "{_dot_escape(ev.object)}"'
-               f' [label="{ev.syscall}@{ev.ts}"];')
+    for node_id, kind, text, _, _, _ in _node_rows(graph):
+        label = _dot_escape(f"{NODE_KINDS[kind]}:{text[:40]}")
+        yield f'  "{_dot_escape(node_id)}" [label="{label}"];'
+    for subject, target, call, ts in _event_rows(graph):
+        yield (f'  "{_dot_escape(subject)}" -> "{_dot_escape(target)}"'
+               f' [label="{SYSCALL_NAMES[call]}@{ts}"];')
     yield "}"
 
 
@@ -183,14 +264,16 @@ def save_graph(graph: Graph, path, fmt: str = "jsonl") -> None:
 
 def summarize(graph: Graph) -> dict:
     """Counts used by the command-line info report."""
-    kinds = Counter(n.kind for n in graph.nodes.values())
-    syscalls = Counter(ev.syscall for ev in graph.events)
+    kinds = np.bincount(graph.table.kind, minlength=len(NODE_KINDS)).tolist()
+    syscalls = np.bincount(graph.events.syscall,
+                           minlength=len(SYSCALL_NAMES)).tolist()
     return {
-        "nodes": len(graph.nodes),
-        "processes": kinds.get(KIND_PROCESS, 0),
-        "files": kinds.get(KIND_FILE, 0),
-        "netflows": kinds.get(KIND_NETFLOW, 0),
+        "nodes": len(graph.table),
+        "processes": kinds[PROCESS],
+        "files": kinds[FILE],
+        "netflows": kinds[NETFLOW],
         "events": len(graph.events),
         "event_nodes": int(NodeIndex.of(graph).incident().sum()),
-        "per_syscall": dict(sorted(syscalls.items())),
+        "per_syscall": {name: count for name, count
+                        in zip(SYSCALL_NAMES, syscalls) if count},
     }

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import candidate_window, effective_threshold, window_holds
-from .graph import Graph
+from .graph import Graph, NodeIndex
 from .nodeset import ChainBatch
 
 BENIGN = "benign"
@@ -150,42 +150,45 @@ def build_malicious_list(graph: Graph, iocs: list[str],
     explicit ids that hit nothing produce warnings rather than errors.
     """
     out = MaliciousNodeList()
-    hits_per_ioc = {ioc: 0 for ioc in iocs}
-    matched: dict[str, str] = {}
+    table = graph.table
+    ids, order = table.ids, graph.order
     # Many nodes share an attribute text; scan the IoCs once per text.
-    first_ioc: dict[str, str | None] = {}
-    for node_id in sorted(graph.nodes):
-        text = graph.nodes[node_id].attr_text()
-        if text not in first_ioc:
-            first_ioc[text] = next(
-                (ioc for ioc in iocs if ioc and ioc in text), None)
-        ioc = first_ioc[text]
-        if ioc is not None:
-            matched[node_id] = ioc
-            hits_per_ioc[ioc] += 1
-    for ioc, hits in hits_per_ioc.items():
-        if hits == 0:
+    first_ioc = np.full(len(table.texts), -1, dtype=np.intp)
+    if iocs:
+        used = np.zeros(len(table.texts), dtype=bool)
+        used[table.text] = True
+        for code in np.flatnonzero(used).tolist():
+            text = table.texts[code]
+            first_ioc[code] = next(
+                (i for i, ioc in enumerate(iocs) if ioc and ioc in text), -1)
+    hit = first_ioc[table.text]
+    matched = hit >= 0
+    hits = np.bincount(hit[matched], minlength=len(iocs)).tolist()
+    # A repeated IoC's hits all go to its first place in the list.
+    for ioc in dict.fromkeys(iocs):
+        if not hits[iocs.index(ioc)]:
             out.warnings.append(f"ioc matched no nodes: {ioc!r}")
 
-    adjacent: set[str] = set()
-    for ev in graph.events:
-        if ev.subject in matched and ev.object not in matched:
-            adjacent.add(ev.object)
-        if ev.object in matched and ev.subject not in matched:
-            adjacent.add(ev.subject)
+    src, dst = graph.events.src, graph.events.dst
+    adjacent = np.zeros(len(ids), dtype=bool)
+    adjacent[dst[matched[src] & ~matched[dst]]] = True
+    adjacent[src[matched[dst] & ~matched[src]]] = True
 
-    for node_id, ioc in matched.items():
-        out.ids.add(node_id)
-        out.provenance[node_id] = ioc
+    for v in order[matched[order]].tolist():
+        out.ids.add(ids[v])
+        out.provenance[ids[v]] = iocs[hit[v]]
+    if explicit_ids:
+        declared = NodeIndex.of(graph).mask(explicit_ids)
+        declared = {ids[v] for v in np.flatnonzero(declared).tolist()}
     for node_id in explicit_ids:
-        if node_id not in graph.nodes:
+        if node_id not in declared:
             out.warnings.append(f"explicit id not in graph: {node_id!r}")
             continue
         out.ids.add(node_id)
         out.provenance.setdefault(node_id, PROV_EXPLICIT)
-    for node_id in sorted(adjacent):
-        out.ids.add(node_id)
-        out.provenance.setdefault(node_id, PROV_ADJACENT)
+    for v in order[adjacent[order]].tolist():
+        out.ids.add(ids[v])
+        out.provenance.setdefault(ids[v], PROV_ADJACENT)
     return out
 
 

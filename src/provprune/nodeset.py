@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import compress
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .embed import WeightTable
 from .graph import Graph, NodeIndex
-from .ingest import Event, NodeRecord
+from .ingest import EventTable
 
 DEFAULT_SET_SIZE = 5
 DEFAULT_CAP_PER_ANCHOR = 8
@@ -54,7 +53,7 @@ class ChainBatch:
     index: NodeIndex
     nodes: np.ndarray
     edges: np.ndarray
-    anchor_ts: list[int]
+    anchor_ts: np.ndarray | list[int]
     features: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -65,7 +64,7 @@ class ChainBatch:
         return NodeSet(
             node_ids=tuple([ids[v] for v in self.nodes[i].tolist()]),
             edge_indices=tuple(self.edges[i].tolist()),
-            anchor_ts=self.anchor_ts[i],
+            anchor_ts=int(self.anchor_ts[i]),
             feature=None if self.features is None else self.features[i])
 
     def __iter__(self) -> Iterator[NodeSet]:
@@ -76,11 +75,13 @@ class _HalfEdges(NamedTuple):
     """Both ends of every non-self-loop event, grouped by node number.
 
     Node v owns positions bounds[v]:bounds[v + 1] of the flat lists, in
-    (timestamp, edge index) order; a node without edges owns none.
-    reach[pos] bounds the edges that can still follow after crossing the
-    half-edge at pos to its neighbor. anchors, starts and nexts list the
-    anchor orientations whose bound lets them reach far enough: event
-    index, first node and second node, in event order, subject first.
+    (timestamp, edge index) order; a node without edges owns none. ts holds
+    each half-edge's timestamp rank, dense among the kept events, so ranks
+    compare as the timestamps do. reach[pos] bounds the edges that can
+    still follow after crossing the half-edge at pos to its neighbor.
+    anchors, starts, nexts and stamps list the anchor orientations whose
+    bound lets them reach far enough: event index, first node, second node
+    and timestamp rank, in event order, subject first.
     """
 
     bounds: list[int]
@@ -91,9 +92,10 @@ class _HalfEdges(NamedTuple):
     anchors: list[int]
     starts: list[int]
     nexts: list[int]
+    stamps: list[int]
 
 
-def _half_edges(index: NodeIndex, events: list[Event], size: int
+def _half_edges(index: NodeIndex, events: EventTable, size: int
                 ) -> _HalfEdges:
     """Sorted half-edges plus their reach bounds, capped at size - 2.
 
@@ -109,27 +111,25 @@ def _half_edges(index: NodeIndex, events: list[Event], size: int
     n = 2 * m
     if not m:
         return _HalfEdges([0] * (len(index.ids) + 1), [], [], [], b"",
-                          [], [], [])
-    # Timestamps stay the events' own ints for the DFS and enter numpy
-    # arithmetic only as dense ranks, so no value can overflow. Events are
-    # kept in temporal order, so the stable sort of the int objects is a
-    # single linear run. Ranks and positions are int32, which holds them
-    # below 2**30 events, far more than fit in memory as event records.
-    stamp_of = np.array([ev.ts for ev in compress(events, kept.tolist())],
-                        dtype=object)
+                          [], [], [], [])
+    # Timestamps enter the search and numpy arithmetic only as dense ranks,
+    # so no value can overflow, not even one past int64 from records.
+    # Events are kept in temporal order, so the stable sort is a single
+    # linear run. Ranks and positions are int32, which holds them below
+    # 2**30 events.
+    stamp_of = events.ts[keep]
     del kept
     chrono = np.argsort(stamp_of, kind="stable")
     in_order = stamp_of[chrono]
     rank = np.zeros(m, dtype=np.int32)
     rank[chrono[1:]] = np.cumsum(in_order[1:] != in_order[:-1],
                                  dtype=np.int32)
-    del chrono, in_order
+    del chrono, in_order, stamp_of
     # Half-edge h < m sits at the subject of kept event h, h >= m at the
     # object of kept event h - m.
     subjects, objects = index.src[keep], index.dst[keep]
     node = np.concatenate([subjects, objects])
     ts = np.concatenate([rank, rank])
-    del rank
     order = np.lexsort((np.arange(n, dtype=np.int32) % m, ts, node)
                        ).astype(np.int32)
     pos = np.empty(n, dtype=np.int32)
@@ -179,6 +179,7 @@ def _half_edges(index: NodeIndex, events: list[Event], size: int
     anchors = np.stack([edge_of, edge_of], axis=1)[live].tolist()
     starts = numbers[ends[live]].tolist()
     nexts = numbers[ends[:, ::-1][live]].tolist()
+    stamps = numbers[np.stack([rank, rank], axis=1)[live]].tolist()
     del live, ends
     reach = reach[twin].tobytes()
     del twin
@@ -186,11 +187,10 @@ def _half_edges(index: NodeIndex, events: list[Event], size: int
     half = order % m
     del subjects, objects, order
     bounds = numbers[bounds].tolist()
-    del numbers
-    ts = stamp_of[half].tolist()
-    del stamp_of
+    ts = numbers[rank[half]].tolist()
+    del numbers, rank
     return _HalfEdges(bounds, ts, edge_of[half].tolist(), neighbor, reach,
-                      anchors, starts, nexts)
+                      anchors, starts, nexts, stamps)
 
 
 def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
@@ -209,8 +209,9 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
     if cap_per_anchor < 0:
         raise ValueError("cap_per_anchor must be 0 (unlimited) or positive")
     index = NodeIndex.of(graph)
+    events = graph.events
     (bounds, ts_list, edge_list, neighbors, ahead, anchors, starts,
-     nexts) = _half_edges(index, graph.events, size)
+     nexts, stamps) = _half_edges(index, events, size)
     want_edges = size - 1
     limit = min(size - 2, REACH_LIMIT)
     budget = cap_per_anchor if cap_per_anchor > 0 else None
@@ -245,9 +246,8 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
                 return False
         return True
 
-    events = graph.events
     previous = -1
-    for anchor_idx, start, nxt in zip(anchors, starts, nexts):
+    for anchor_idx, start, nxt, stamp in zip(anchors, starts, nexts, stamps):
         if anchor_idx != previous:
             previous, remaining = anchor_idx, budget
         elif remaining is not None and remaining <= 0:
@@ -255,7 +255,7 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
         chain_nodes = [start, nxt]
         chain_edges = [anchor_idx]
         visited = {start, nxt}
-        extend(nxt, events[anchor_idx].ts)
+        extend(nxt, stamp)
     # The function refers to itself through its closure cell; emptying the
     # cell leaves no reference cycle behind.
     del extend
@@ -263,7 +263,16 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
     nodes = np.array(out_nodes, dtype=np.intp).reshape(-1, size)
     edges = np.array(out_edges, dtype=np.intp).reshape(-1, want_edges)
     return ChainBatch(index=index, nodes=nodes, edges=edges,
-                      anchor_ts=[events[e].ts for e in edges[:, 0].tolist()])
+                      anchor_ts=events.ts[edges[:, 0]])
+
+
+def chain_counts(sets: ChainBatch, cap_per_anchor: int) -> dict[str, int]:
+    """Chains, the anchor edges that emitted any, and the capped anchors:
+    those that emitted cap_per_anchor chains (none when the cap is 0)."""
+    _, per_anchor = np.unique(sets.edges[:, 0], return_counts=True)
+    capped = int((per_anchor >= cap_per_anchor).sum()) if cap_per_anchor else 0
+    return {"chains": len(sets), "anchor_edges": len(per_anchor),
+            "capped_anchors": capped}
 
 
 def featurize_sets(sets: ChainBatch, graph: Graph, weights: WeightTable,
@@ -272,27 +281,27 @@ def featurize_sets(sets: ChainBatch, graph: Graph, weights: WeightTable,
 
     A chain's feature is the weighted sum of its node vectors, deliberately
     not normalized. The embedder is asked once per distinct attribute text,
-    through the first node that carries it, and each node is weighed once.
+    through the record of the first node that carries it, and each node is
+    weighed once. The batch must number nodes as graph does.
     """
     if not len(sets):
         return replace(sets, features=np.zeros((0, embedder.dim)))
-    ids, nodes = sets.index.ids, sets.nodes
-    seen = np.zeros(len(ids), dtype=bool)
+    table, nodes = graph.table, sets.nodes
+    seen = np.zeros(len(table), dtype=bool)
     seen[nodes] = True
     used = np.flatnonzero(seen)
-    records = [graph.nodes[ids[v]] for v in used.tolist()]
-    texts = [node.attr_text() for node in records]
-    first: dict[str, NodeRecord] = {}
-    for node, text in zip(records, texts):
-        first.setdefault(text, node)
-    slot = dict(zip(first, range(len(first))))
-    text_vectors = np.stack([embedder.node_vector(node)
-                             for node in first.values()])
-    slot_of = np.zeros(len(ids), dtype=np.intp)
-    slot_of[used] = [slot[text] for text in texts]
-    weight_of = np.zeros(len(ids))
-    weight_of[used] = [weights.weight_for(node) for node in records]
-    del seen, used, records, texts, first, slot
+    # Equal texts share one code, so the codes number the distinct texts.
+    codes, first, slot = np.unique(table.text[used], return_index=True,
+                                   return_inverse=True)
+    vectors = [None] * len(codes)
+    for j in np.argsort(first, kind="stable").tolist():
+        vectors[j] = embedder.node_vector(table[int(used[first[j]])])
+    text_vectors = np.stack(vectors)
+    slot_of = np.zeros(len(table), dtype=np.intp)
+    slot_of[used] = slot
+    weight_of = np.zeros(len(table))
+    weight_of[used] = weights.node_weights(table, used)
+    del seen, used, codes, first, slot, vectors
 
     features = np.zeros((len(sets), text_vectors.shape[1]))
     for lo in range(0, len(sets), FEATURE_CHUNK):

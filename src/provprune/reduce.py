@@ -28,6 +28,7 @@ from .label import BENIGN, LabelTable, MaliciousNodeList
 from .nodeset import (
     DEFAULT_CAP_PER_ANCHOR,
     DEFAULT_SET_SIZE,
+    chain_counts,
     enumerate_node_sets,
     featurize_sets,
 )
@@ -174,7 +175,8 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
                 threshold: float = 1.0, size: int = DEFAULT_SET_SIZE,
                 cap_per_anchor: int = DEFAULT_CAP_PER_ANCHOR,
                 keep_removed_ids: bool = False,
-                population: set[str] | None = None) -> list[ReductionReport]:
+                population: set[str] | None = None,
+                counts: dict | None = None) -> list[ReductionReport]:
     """One reduction report per requested top-n, sharing a single match pass.
 
     Representative prefixes are nested, so each node only needs the lowest
@@ -182,7 +184,8 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
     those whose rank is below n. population is the node set the reduction
     rate is taken over; by default the nodes incident to at least one event.
     A single-n reduction is `ns=[n], keep_removed_ids=True`, then
-    `graph.remove_nodes` on the ids.
+    `graph.remove_nodes` on the ids. A counts dict, when given, receives the
+    enumeration's `nodeset.chain_counts`.
     """
     if sorted(ns) != list(ns):
         raise ValueError("top-n list must be ascending")
@@ -201,6 +204,8 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
     ranks = _min_match_ranks(sets.features, reps, threshold)
     t3 = time.perf_counter()
     shared = {"enumerate": t1 - t0, "featurize": t2 - t1, "match": t3 - t2}
+    if counts is not None:
+        counts.update(chain_counts(sets, cap_per_anchor))
 
     index = sets.index
     flagged = index.mask(malicious.ids)

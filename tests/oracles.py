@@ -12,6 +12,7 @@ import io
 import json
 import math
 import random
+from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,6 +102,11 @@ def ordered_chains(events, size, cap_per_anchor):
                 break
             budget = grow([start, nxt], [idx], ev.ts, ev.ts, budget)
     return found
+
+
+# Global temporal order, one key tuple per event: (ts, subject, object,
+# syscall). build_graph's order must equal a stable sort by it.
+temporal_order = itemgetter(3, 0, 1, 2)
 
 
 def recount_entity_events(events):
@@ -638,11 +644,9 @@ def make_rng(seed):
     return random.Random(seed)
 
 
-def synth_graph(scale=1):
-    """The graph of a fixed two-shape synthgen corpus with an attack chain:
+def synth_lines(scale=1):
+    """The lines of a fixed two-shape synthgen corpus with an attack chain:
     5,000 nodes and 3,696 events at scale 1, about scale times that above."""
-    from provprune.graph import build_graph
-    from provprune.ingest import parse_stream
     from provprune.synthgen import AttackSpec, PatternSpec, SynthSpec, generate
 
     shapes = [("boot net probe", "mount scratch", "start workers",
@@ -654,22 +658,38 @@ def synth_graph(scale=1):
         benign_patterns=[PatternSpec(kinds=("process",) * 5, texts=texts,
                                      repetitions=reps * scale)
                          for texts, reps in zip(shapes, (200, 100))])
-    nodes, events, _ = parse_stream(generate(spec)[0])
+    return generate(spec)[0]
+
+
+def synth_graph(scale=1):
+    """The graph of synth_lines(scale)."""
+    from provprune.graph import build_graph
+    from provprune.ingest import parse_stream
+
+    nodes, events, _ = parse_stream(synth_lines(scale))
     return build_graph(nodes, events)
 
 
-def traced_peak(fn, *args, **kwargs):
-    """fn's result and the most memory tracemalloc saw it hold above what
-    was held when it started, in bytes; numpy reports its buffers too."""
+def traced_memory(fn, *args, **kwargs):
+    """fn's result, then the memory tracemalloc saw it still hold when it
+    returned and the most it held, both above what was held when it
+    started, in bytes; numpy reports its buffers too."""
     import tracemalloc
 
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         result = fn(*args, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, held - start, peak - start
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the most memory tracemalloc saw it hold above what
+    was held when it started, in bytes."""
+    result, _, peak = traced_memory(fn, *args, **kwargs)
     return result, peak
 
 

@@ -2,7 +2,7 @@
 
 The output bytes are the contract a refactor must keep: `labels.json`, every
 `reduced_top*.jsonl`, and `reports.json`/`sweep.csv` with the wall-clock
-timings masked. Their sha256 digests live in `tests/golden/digests.json`.
+timings masked. The config echo and `metrics.json` are not compared. Their sha256 digests live in `tests/golden/digests.json`.
 
 After a change that is meant to alter outputs, regenerate the digests with
 
@@ -14,9 +14,13 @@ import json
 import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from provprune.cli import main
+from provprune.graph import build_graph
+from provprune.ingest import parse_file
+from provprune.nodeset import DEFAULT_CAP_PER_ANCHOR, enumerate_node_sets
 from provprune.synthgen import ioc_file_lines, generate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -73,7 +77,7 @@ def golden_outputs(root: Path) -> dict[str, str]:
     for out in runs:
         for path in sorted((root / out).iterdir()):
             name = f"{out}/{path.name}"
-            if path.name == "run_config.json":
+            if path.name in ("run_config.json", "metrics.json"):
                 continue
             data = mask_timings(name, path.read_bytes())
             digests[name] = hashlib.sha256(data).hexdigest()
@@ -86,6 +90,44 @@ def test_cli_outputs_match_golden_digests(tmp_path):
     assert sorted(got) == sorted(want)
     for name in sorted(want):
         assert got[name] == want[name], name
+
+
+STAGES = {"parse", "build", "stats", "weights", "iocs", "enumerate",
+          "featurize", "total"}
+
+
+def test_metrics_counts_equal_the_library_counts(tmp_path):
+    """metrics.json of each golden run: per corpus, the parse tallies are
+    parse_file's, the chains and capped anchors those of
+    enumerate_node_sets, and the label count is labels.json's."""
+    golden_outputs(tmp_path)
+    lab, red, inline = (json.loads((tmp_path / out / "metrics.json")
+                                   .read_text())
+                        for out in ("lab", "red", "inline"))
+    for metrics, role in ((lab, "labeled"), (red, "eval"),
+                          (inline, "labeled"), (inline, "eval")):
+        nodes, events, stats = parse_file(tmp_path / f"{role}.jsonl")
+        chains = enumerate_node_sets(build_graph(nodes, events))
+        per_anchor = Counter(chain.edge_indices[0] for chain in chains)
+        corpus = metrics["corpora"][role]
+        assert corpus["parse"] == stats.to_dict()
+        assert corpus["chains"] == len(chains) > 0
+        assert corpus["anchor_edges"] == len(per_anchor)
+        assert corpus["capped_anchors"] == sum(
+            count >= DEFAULT_CAP_PER_ANCHOR for count in per_anchor.values())
+        assert corpus["rejected_events"] == 0
+        assert corpus["embedder_misses"] is None
+    labels = json.loads((tmp_path / "lab" / "labels.json").read_text())
+    assert lab["labels"] == {"minted": len(labels["labels"]),
+                             "zero_vector_sets": labels["zero_vector_sets"]}
+    assert inline["labels"] == lab["labels"]
+    assert red["labels"]["loaded"] == len(labels["labels"])
+    assert set(lab["seconds"]) == STAGES | {"label", "table_write"}
+    assert set(red["seconds"]) == STAGES | {"match", "select", "table_load",
+                                            "export"}
+    assert set(inline["seconds"]) == STAGES | {"label", "match", "select",
+                                               "export"}
+    assert all(m["peak_rss_mb"] > 0 for m in (lab, red, inline))
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from provprune.ingest import (
@@ -239,9 +240,10 @@ def test_events_share_node_id_and_syscall_strings(synthesize_dangling):
 @pytest.mark.parametrize("synthesize_dangling", [False, True])
 def test_equal_values_are_one_object_and_early_events_share_ids(
         synthesize_dangling):
-    """One object per distinct attribute text, port and node timestamp; an
-    event read before its endpoints' declarations, or one whose endpoint is
-    a minted placeholder, still holds the records' own id strings."""
+    """One object per distinct attribute text, which equal texts share as
+    one code, and ports and node timestamps held in int columns; an event
+    read before its endpoints' declarations, or one whose endpoint is a
+    minted placeholder, still holds the records' own id strings."""
     ts = 1_700_000_000
     event = {"kind": "event", "syscall": "read", "ts": ts + 1}
     source = lines(
@@ -260,9 +262,15 @@ def test_equal_values_are_one_object_and_early_events_share_ids(
                               ("p1", "p2", "f1", "f2", "n1", "n2"))
     assert p1.cmdline is p2.cmdline
     assert f1.path is f2.path
-    for field in ("remote_addr", "remote_port", "local_addr", "local_port"):
-        assert getattr(n1, field) is getattr(n2, field)
-    assert p1.first_seen is p2.first_seen is f1.first_seen is n2.first_seen
+    assert n1.local_addr is n2.local_addr
+    number = {node_id: v for v, node_id in enumerate(nodes.ids)}
+    n1_row, n2_row = number["n1"], number["n2"]
+    for column in (nodes.text, nodes.laddr, nodes.lport):
+        assert column[n1_row] == column[n2_row]
+    assert n1 == n2._replace(id="n1")
+    assert nodes.lport.dtype == np.uint16
+    assert nodes.first_seen.dtype == np.int64
+    assert p1.first_seen == p2.first_seen == f1.first_seen == n2.first_seen
     assert len(events) == (5 if synthesize_dangling else 3)
     assert stats.synthesized_nodes == (2 if synthesize_dangling else 0)
     for ev in events:

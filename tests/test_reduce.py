@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from provprune.embed import HashNgramEmbedder, compute_weights, effective_threshold
-from provprune.graph import Graph, build_graph, remove_nodes, write_graph
+from provprune.graph import build_graph, remove_nodes, write_graph
 from provprune.ingest import NodeRecord, compute_corpus_stats, parse_stream
 from provprune.label import (
     BENIGN,
@@ -257,8 +257,9 @@ def test_sweep_population_sets_rate_denominator():
 
 
 def test_sweep_follows_changes_made_after_indexing():
-    """Nodes and events changed after a graph's index was built are seen by
-    the next enumeration and sweep, as on a fresh copy of the graph."""
+    """A graph is never changed in place: one built from another's nodes
+    and part of its events, after the first was enumerated, is enumerated
+    and swept as a fresh copy of its records is."""
     g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(12))
 
     def outcome(graph):
@@ -271,17 +272,19 @@ def test_sweep_follows_changes_made_after_indexing():
                          r.fn_count, r.fp_count) for r in reports]
 
     def fresh(graph):
-        return Graph(nodes=dict(graph.nodes), events=list(graph.events))
+        return build_graph(list(graph.nodes.values()), list(graph.events))
 
+    whole = outcome(g)
     half = len(g.events) // 2
     later = g.events[half:]
-    del g.events[half:]
+    g = build_graph(g.nodes.values(), g.events[:half])
     shortened = outcome(g)
     assert shortened == outcome(fresh(g))
-    g.events.extend(later)
-    g.nodes["lonely"] = NodeRecord(id="lonely", kind="file", path="/island")
+    lonely = NodeRecord(id="lonely", kind="file", path="/island")
+    g = build_graph([*g.nodes.values(), lonely], [*g.events, *later])
     restored = outcome(g)
     assert restored == outcome(fresh(g))
+    assert restored[0] == whole[0]
     assert len(restored[0]) > len(shortened[0]) > 0
     assert restored[1][0][0] == shortened[1][0][0] + 1
 
