@@ -446,20 +446,21 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     formats = [fmt for fmt, wanted in (("jsonl", cfg.emit_graph),
                                        ("dot", cfg.emit_dot)) if wanted]
-    with run.stage("export"):
-        last_stem, last_removed = None, -1
-        for report in reports if formats else ():
-            stem = out_dir / f"reduced_top{report.n_requested}"
-            # Removals only grow with n, so an equal count is an equal set and
-            # the previous export is copied instead of rebuilt.
-            if report.nodes_removed == last_removed:
-                for fmt in formats:
-                    shutil.copyfile(f"{last_stem}.{fmt}", f"{stem}.{fmt}")
-            else:
-                reduced = remove_nodes(g_eval, report.removed_node_ids)
-                for fmt in formats:
-                    save_graph(reduced, f"{stem}.{fmt}", fmt=fmt)
-            last_stem, last_removed = stem, report.nodes_removed
+    if formats:
+        with run.stage("export"):
+            last_stem, last_removed = None, -1
+            for report in reports:
+                stem = out_dir / f"reduced_top{report.n_requested}"
+                # Removals only grow with n, so an equal count is an equal
+                # set and the previous export is copied instead of rebuilt.
+                if report.nodes_removed == last_removed:
+                    for fmt in formats:
+                        shutil.copyfile(f"{last_stem}.{fmt}", f"{stem}.{fmt}")
+                else:
+                    reduced = remove_nodes(g_eval, report.removed_node_ids)
+                    for fmt in formats:
+                        save_graph(reduced, f"{stem}.{fmt}", fmt=fmt)
+                last_stem, last_removed = stem, report.nodes_removed
     run.write(out_dir)
 
     for report in reports:

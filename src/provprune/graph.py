@@ -12,6 +12,7 @@ from collections.abc import Mapping
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -29,8 +30,8 @@ from .ingest import (
     numbered_events,
 )
 
-# Rows formatted per block by the exporters: their column values are made
-# Python objects a block at a time, never for the whole graph.
+# Rows formatted, and lines written, per block by the exporters: column
+# values become Python objects a block at a time, never for the whole graph.
 EXPORT_CHUNK = 4096
 
 
@@ -253,8 +254,10 @@ def _format_lines(graph: Graph, fmt: str) -> Iterator[str]:
 
 def write_graph(graph: Graph, sink: IO[str], fmt: str = "jsonl") -> None:
     """Write the graph as 'jsonl' (round-trips through the parser) or 'dot'
-    to sink, each line as it is made; the text is never held whole."""
-    sink.writelines(line + "\n" for line in _format_lines(graph, fmt))
+    to sink, EXPORT_CHUNK lines at a time; the text is never held whole."""
+    lines = _format_lines(graph, fmt)
+    while chunk := list(islice(lines, EXPORT_CHUNK)):
+        sink.write("\n".join(chunk) + "\n")
 
 
 def save_graph(graph: Graph, path, fmt: str = "jsonl") -> None:

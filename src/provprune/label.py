@@ -177,9 +177,10 @@ def build_malicious_list(graph: Graph, iocs: list[str],
     for v in order[matched[order]].tolist():
         out.ids.add(ids[v])
         out.provenance[ids[v]] = iocs[hit[v]]
+    declared = set()
     if explicit_ids:
-        declared = NodeIndex.of(graph).mask(explicit_ids)
-        declared = {ids[v] for v in np.flatnonzero(declared).tolist()}
+        declared = {ids[v] for v in np.flatnonzero(
+            NodeIndex.of(graph).mask(explicit_ids)).tolist()}
     for node_id in explicit_ids:
         if node_id not in declared:
             out.warnings.append(f"explicit id not in graph: {node_id!r}")

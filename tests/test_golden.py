@@ -125,8 +125,7 @@ def test_metrics_counts_equal_the_library_counts(tmp_path):
     assert set(lab["seconds"]) == STAGES | {"label", "table_write"}
     assert set(red["seconds"]) == STAGES | {"match", "select", "table_load",
                                             "export"}
-    assert set(inline["seconds"]) == STAGES | {"label", "match", "select",
-                                               "export"}
+    assert set(inline["seconds"]) == STAGES | {"label", "match", "select"}
     assert all(m["peak_rss_mb"] > 0 for m in (lab, red, inline))
 
 
