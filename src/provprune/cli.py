@@ -304,7 +304,6 @@ class _RunMetrics:
         self.started = time.perf_counter()
         self.seconds: dict[str, float] = {}
         self.corpora: dict[str, dict] = {}
-        self.embedders: dict[str, object] = {}
         self.labels: dict[str, int] = {}
 
     @contextmanager
@@ -316,10 +315,12 @@ class _RunMetrics:
             self.seconds[name] = (self.seconds.get(name, 0.0)
                                   + time.perf_counter() - t0)
 
+    def featurized(self, role: str, embedder) -> None:
+        """Note what the embedder of a corpus missed, once it is done."""
+        self.corpora[role]["embedder_misses"] = getattr(embedder, "misses",
+                                                        None)
+
     def write(self, out_dir: Path) -> None:
-        corpora = {role: dict(entry, embedder_misses=getattr(
-                       self.embedders[role], "misses", None))
-                   for role, entry in self.corpora.items()}
         payload = {
             "command": self.command,
             "version": __version__,
@@ -328,7 +329,7 @@ class _RunMetrics:
             # ru_maxrss is in kilobytes on Linux.
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "corpora": corpora,
+            "corpora": self.corpora,
             "labels": self.labels,
         }
         (out_dir / "metrics.json").write_text(
@@ -359,7 +360,6 @@ def _prepare_graph(cfg: RunConfig, path: str, run: _RunMetrics, role: str):
         "nodes": len(graph.table), "events": len(graph.events),
         "malicious_nodes": len(malicious.ids),
         "ioc_warnings": malicious.warnings}
-    run.embedders[role] = embedder
     return graph, weights, embedder, malicious
 
 
@@ -373,6 +373,7 @@ def _label_pipeline(cfg: RunConfig, corpus_path: str, run: _RunMetrics):
     run.corpora["labeled"].update(chain_counts(sets, cfg.cap_per_anchor))
     with run.stage("featurize"):
         sets = featurize_sets(sets, graph, weights, embedder)
+    run.featurized("labeled", embedder)
     with run.stage("label"):
         table = label_node_sets(sets, malicious, threshold=cfg.threshold)
     run.labels = {"minted": len(table.labels),
@@ -429,6 +430,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                           keep_removed_ids=keep_ids, population=population,
                           counts=counts)
     run.corpora["eval"].update(counts)
+    run.featurized("eval", embedder)
     if reports:
         # The shared stages ran once, select once per n.
         for name in ("enumerate", "featurize", "match"):

@@ -197,9 +197,7 @@ class NodeTable(_Rows):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, v):
-        if isinstance(v, slice):
-            return [self[i] for i in range(*v.indices(len(self)))]
+    def __getitem__(self, v: int) -> NodeRecord:
         node_id = self.ids[v]
         kind = self.kind[v]
         text = self.texts[self.text[v]]
