@@ -121,11 +121,21 @@ def _int_column(values, dtype) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-class _Rows(Sequence):
-    """Equal, as a list is, to any sequence holding equal records in the
-    same order."""
+class _Columns(Sequence):
+    """A sequence of records built on access from the columns its subclass
+    declares, set in that order by the constructor and not reassigned.
 
+    Equal, as a list is, to any sequence holding equal records in the same
+    order. A plain slotted class, not a dataclass: making one costs the
+    import about a millisecond.
+    """
+
+    __slots__ = ()
     __hash__ = None
+
+    def __init__(self, *columns):
+        for name, column in zip(self.__slots__, columns, strict=True):
+            setattr(self, name, column)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
@@ -133,8 +143,7 @@ class _Rows(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-@dataclass(frozen=True, eq=False)
-class NodeTable(_Rows):
+class NodeTable(_Columns):
     """Node columns, row v for node v; reads as a sequence of NodeRecord.
 
     texts holds each distinct string once. text[v] is the position there of
@@ -153,6 +162,8 @@ class NodeTable(_Rows):
     lport: np.ndarray       # uint16
     first_seen: np.ndarray  # int64
     texts: list[str]
+    __slots__ = ("ids", "kind", "text", "laddr", "lport", "first_seen",
+                 "texts")
 
     @classmethod
     def from_records(cls, records: Iterable[NodeRecord]) -> NodeTable:
@@ -217,8 +228,7 @@ class NodeTable(_Rows):
         return map(self.__getitem__, range(len(self)))
 
 
-@dataclass(frozen=True, eq=False)
-class EventTable(_Rows):
+class EventTable(_Columns):
     """Event columns, row i for event i; reads as a sequence of Event.
 
     src[i] and dst[i] number the subject and object in ids, syscall[i] is
@@ -231,6 +241,7 @@ class EventTable(_Rows):
     dst: np.ndarray      # int32
     syscall: np.ndarray  # uint8
     ts: np.ndarray       # int64
+    __slots__ = ("ids", "src", "dst", "syscall", "ts")
 
     def take(self, rows: np.ndarray) -> EventTable:
         """The given rows (indices or a boolean mask), in that order."""
@@ -280,7 +291,6 @@ def numbered_events(events, ids: Sequence[str] | None = None) -> EventTable:
                       _int_column(stamps, np.int64))
 
 
-@dataclass(frozen=True, eq=False)
 class CorpusStats:
     """Event totals feeding the entity weights and the dataset characterization.
 
@@ -289,10 +299,14 @@ class CorpusStats:
     counts the events of SYSCALL_NAMES[c].
     """
 
-    total_events: int
-    ids: list[str]
-    entity_counts: np.ndarray
-    syscall_counts: np.ndarray
+    __slots__ = ("total_events", "ids", "entity_counts", "syscall_counts")
+
+    def __init__(self, total_events: int, ids: list[str],
+                 entity_counts: np.ndarray, syscall_counts: np.ndarray):
+        self.total_events = total_events
+        self.ids = ids
+        self.entity_counts = entity_counts
+        self.syscall_counts = syscall_counts
 
     @property
     def per_entity_event_count(self) -> Counter:
