@@ -34,6 +34,8 @@ from .label import (
     label_node_sets,
     label_table_from_json,
     parse_ioc_file,
+    sidecar_path,
+    write_sidecar,
 )
 from .nodeset import (
     DEFAULT_CAP_PER_ANCHOR,
@@ -245,6 +247,39 @@ def _write_config_echo(cfg: RunConfig, out_dir: Path, command: str) -> None:
                     encoding="utf-8")
 
 
+def _stamp(cfg: RunConfig) -> dict:
+    """The settings that shape a label table: a table is used only by runs
+    with the same ones."""
+    return {"version": __version__, "model": cfg.model, "dim": cfg.dim,
+            "seed": cfg.seed, "set_size": cfg.set_size,
+            "cap_per_anchor": cfg.cap_per_anchor,
+            "threshold": float(cfg.threshold)}
+
+
+def _load_table(cfg: RunConfig):
+    """The label table at cfg.labels_file, from its sidecar when that is
+    bound to the file's bytes; a stamp that differs from cfg is an error."""
+    import hashlib
+
+    data = Path(cfg.labels_file).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    text = data.decode("utf-8")
+    del data
+    table = label_table_from_json(text, sidecar=sidecar_path(cfg.labels_file),
+                                  digest=digest)
+    if table.stamp is None:
+        print(f"provprune: warning: {cfg.labels_file} is unstamped "
+              f"({table.source}); its settings are not checked",
+              file=sys.stderr)
+        return table
+    for key, value in _stamp(cfg).items():
+        if table.stamp.get(key) != value:
+            raise ValueError(
+                f"{cfg.labels_file} was labeled with {key}="
+                f"{table.stamp.get(key)!r}, this run has {key}={value!r}")
+    return table
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     nodes, events, parse_stats = parse_file(
         args.input, synthesize_dangling=args.synthesize_dangling)
@@ -304,7 +339,7 @@ class _RunMetrics:
         self.started = time.perf_counter()
         self.seconds: dict[str, float] = {}
         self.corpora: dict[str, dict] = {}
-        self.labels: dict[str, int] = {}
+        self.labels: dict[str, int | str] = {}
 
     @contextmanager
     def stage(self, name: str):
@@ -393,6 +428,7 @@ def cmd_label(args: argparse.Namespace) -> int:
         with open(out_dir / "labels.json", "w", encoding="utf-8") as fh:
             table.write_json(fh)
             fh.write("\n")
+        write_sidecar(table, out_dir / "labels.json", _stamp(cfg))
     _write_config_echo(cfg, out_dir, "label")
     run.write(out_dir)
     benign = sum(1 for lb in table.labels if lb.polarity == "benign")
@@ -412,10 +448,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     if cfg.labels_file:
         with run.stage("table_load"):
-            table = label_table_from_json(
-                Path(cfg.labels_file).read_text(encoding="utf-8"))
+            table = _load_table(cfg)
         run.labels = {"loaded": len(table.labels),
-                      "zero_vector_sets": table.zero_vector_sets}
+                      "zero_vector_sets": table.zero_vector_sets,
+                      "source": table.source}
     else:
         table = _label_pipeline(cfg, cfg.labeled, run)
     g_eval, w_eval, embedder, malicious = _prepare_graph(

@@ -6,6 +6,10 @@ match at or above the threshold absorbs it, otherwise it founds a new label
 whose polarity comes from its own nodes. Representatives are frozen at label
 creation. Labeling scores chains a block at a time but decides each one
 exactly as the one-at-a-time flow would.
+
+A table is saved as labels.json and, beside it, labels.npz: the same table
+as arrays, bound to the bytes of labels.json by their sha256, which reads
+back without parsing a float.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -57,6 +62,11 @@ class LabelTable:
     labels: list[Label] = field(default_factory=list)
     assignment: list[int] = field(default_factory=list)
     zero_vector_sets: int = 0
+    # Set by label_table_from_json: the settings recorded in the table's
+    # sidecar (None when the sidecar was not used), and where the table came
+    # from, "npz" or "json", with why not the sidecar when one was named.
+    stamp: dict | None = None
+    source: str | None = None
 
     def write_json(self, fh) -> None:
         """Write compact JSON with sorted keys to fh, WRITE_LABELS labels at
@@ -102,8 +112,23 @@ def _decoded_object(obj: dict) -> dict:
     return obj
 
 
-def label_table_from_json(text: str) -> LabelTable:
-    """Inverse of LabelTable.write_json."""
+def label_table_from_json(text: str, sidecar=None,
+                          digest: str | None = None) -> LabelTable:
+    """Inverse of LabelTable.write_json.
+
+    sidecar names the labels.npz that write_sidecar wrote beside the table,
+    and digest is the sha256 (hex) of text's UTF-8 bytes. When the sidecar
+    loads, its arrays have the shapes it writes and its sha256 is digest,
+    the table comes from it and text is not parsed. Otherwise it comes
+    from text, and source says why not the sidecar: missing, digest
+    mismatch or unreadable.
+    """
+    source = "json"
+    if sidecar is not None:
+        table, why = _table_from_sidecar(sidecar, digest)
+        if table is not None:
+            return table
+        source = f"json: {why}"
     payload = json.loads(text, object_hook=_decoded_object)
     labels = [
         Label(
@@ -116,7 +141,126 @@ def label_table_from_json(text: str) -> LabelTable:
         for entry in payload["labels"]
     ]
     return LabelTable(labels=labels, assignment=list(payload["assignment"]),
-                      zero_vector_sets=payload.get("zero_vector_sets", 0))
+                      zero_vector_sets=payload.get("zero_vector_sets", 0),
+                      source=source)
+
+
+def sidecar_path(table_path) -> Path:
+    """The labels.npz beside a labels.json: same directory and stem."""
+    return Path(table_path).with_suffix(".npz")
+
+
+# Representative rows per write to the sidecar: a 32 KB block at dim 64.
+SIDECAR_ROWS = 64
+# Every sidecar member is stored, not compressed, under this date, so equal
+# tables give equal bytes.
+_SIDECAR_DATE = (1980, 1, 1, 0, 0, 0)
+_SIDECAR_INTS = ("label_id", "member_count", "created_seq", "assignment",
+                 "zero_vector_sets")
+
+
+def write_sidecar(table: LabelTable, table_path, stamp: dict) -> None:
+    """Write table as the labels.npz beside the labels.json at table_path,
+    bound to that file's bytes by their sha256.
+
+    The members are .npy arrays: sha256 and stamp (stamp as JSON) as
+    strings; label_id, polarity, member_count and created_seq per label;
+    representatives, labels x dim float64; assignment and
+    zero_vector_sets. The file is hashed a block at a time and the
+    representatives are written SIDECAR_ROWS rows at a time. A NaN
+    component is stored as the NaN that json.loads gives for the table's
+    `NaN`, so both files give the same bits.
+    """
+    import hashlib
+    import zipfile
+
+    digest = hashlib.sha256()
+    with open(table_path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    labels = table.labels
+    arrays = {
+        "sha256": np.array(digest.hexdigest()),
+        "stamp": np.array(json.dumps(stamp, sort_keys=True)),
+        "label_id": np.array([lb.label_id for lb in labels], dtype=np.int64),
+        "polarity": np.array([lb.polarity for lb in labels], dtype=str),
+        "member_count": np.array([lb.member_count for lb in labels],
+                                 dtype=np.int64),
+        "created_seq": np.array([lb.created_seq for lb in labels],
+                                dtype=np.int64),
+        "assignment": np.array(table.assignment, dtype=np.int64),
+        "zero_vector_sets": np.array(table.zero_vector_sets, dtype=np.int64),
+    }
+
+    def member(name: str) -> zipfile.ZipInfo:
+        info = zipfile.ZipInfo(f"{name}.npy", date_time=_SIDECAR_DATE)
+        # Unix attributes whatever the platform, which would otherwise show
+        # in the bytes.
+        info.create_system = 3
+        info.external_attr = 0o644 << 16
+        return info
+
+    width = len(labels[0].representative) if labels else 0
+    with zipfile.ZipFile(sidecar_path(table_path), "w") as zf:
+        for name, array in arrays.items():
+            with zf.open(member(name), "w") as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+        with zf.open(member("representatives"), "w") as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": "<f8", "fortran_order": False,
+                "shape": (len(labels), width)})
+            for lo in range(0, len(labels), SIDECAR_ROWS):
+                block = np.array([lb.representative
+                                  for lb in labels[lo:lo + SIDECAR_ROWS]],
+                                 dtype="<f8")
+                if block.shape[1:] != (width,):
+                    raise ValueError("representatives differ in width")
+                np.copyto(block, np.nan, where=np.isnan(block))
+                fh.write(block.tobytes())
+
+
+def _table_from_sidecar(path, digest: str | None
+                        ) -> tuple[LabelTable | None, str]:
+    """The table in the sidecar at path when it is bound to digest, else
+    None and why not."""
+    import zipfile
+
+    try:
+        with zipfile.ZipFile(path) as zf:
+            def read(name: str) -> np.ndarray:
+                with zf.open(f"{name}.npy") as fh:
+                    return np.lib.format.read_array(fh, allow_pickle=False)
+
+            sha = read("sha256")
+            if sha.shape or str(sha) != digest:
+                return None, "digest mismatch"
+            arrays = {name: read(name) for name in (
+                "stamp", "polarity", "representatives", *_SIDECAR_INTS)}
+        stamp = json.loads(str(arrays["stamp"]))
+    except FileNotFoundError:
+        return None, "missing"
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+        return None, "unreadable"
+    reps, polarity = arrays["representatives"], arrays["polarity"]
+    count = reps.shape[:1]
+    if not (isinstance(stamp, dict) and reps.dtype == np.float64
+            and reps.ndim == 2 and polarity.dtype.kind == "U"
+            and all(arrays[name].dtype.kind == "i" for name in _SIDECAR_INTS)
+            and all(arrays[name].shape == count for name in (
+                "polarity", "label_id", "member_count", "created_seq"))
+            and arrays["assignment"].ndim == 1
+            and arrays["zero_vector_sets"].ndim == 0):
+        return None, "unreadable"
+    labels = [
+        Label(label_id=label_id, polarity=kind, representative=rep,
+              member_count=members, created_seq=seq)
+        for label_id, kind, rep, members, seq in zip(
+            arrays["label_id"].tolist(), polarity.tolist(), reps,
+            arrays["member_count"].tolist(), arrays["created_seq"].tolist())
+    ]
+    return LabelTable(labels=labels, assignment=arrays["assignment"].tolist(),
+                      zero_vector_sets=int(arrays["zero_vector_sets"]),
+                      stamp=stamp, source="npz"), ""
 
 
 def parse_ioc_file(path) -> tuple[list[str], list[str]]:

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import random
+import zipfile
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -705,6 +706,20 @@ def table_json(table):
     buf = io.StringIO()
     table.write_json(buf)
     return buf.getvalue()
+
+
+def rewritten_sidecar(path, **members):
+    """Rewrite the sidecar at path with some members replaced; an object
+    array is stored as a pickle, which a load must refuse."""
+    with zipfile.ZipFile(path) as zf:
+        data = {info.filename: zf.read(info) for info in zf.infolist()}
+    for name, array in members.items():
+        buf = io.BytesIO()
+        np.save(buf, array, allow_pickle=True)
+        data[f"{name}.npy"] = buf.getvalue()
+    with zipfile.ZipFile(path, "w") as zf:
+        for member, payload in data.items():
+            zf.writestr(member, payload)
 
 
 def chain_batch(sets, dim=None):

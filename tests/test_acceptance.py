@@ -272,6 +272,7 @@ def test_criterion_6_labeling_groups_identical_features_thread_deterministic(
                      (out / "red" / "sweep.csv").read_text(),
                      flags=re.MULTILINE)
         outputs[threads] = ((out / "lab" / "labels.json").read_bytes(),
+                            (out / "lab" / "labels.npz").read_bytes(),
                             reports, csv)
     assert outputs["1"] == outputs["4"]
 

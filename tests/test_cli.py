@@ -2,6 +2,7 @@ import gc
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from provprune import cli
@@ -9,7 +10,8 @@ from provprune.cli import RunConfig, _write_config_echo, main
 from provprune.graph import build_graph, remove_nodes
 from provprune.ingest import parse_file
 
-from oracles import export_graph
+from oracles import export_graph, rewritten_sidecar
+from test_golden import mask_timings
 
 SPEC = {
     "seed": 31,
@@ -493,6 +495,121 @@ def test_table_of_another_width_is_usage_error(corpus, capsys):
     assert rc == 1
     assert "64" in err and "32" in err
     assert "Traceback" not in err
+
+
+def test_label_writes_deterministic_sidecar(corpus):
+    """Two label runs write the same labels.json and labels.npz bytes."""
+    runs = []
+    for out in ("lab1", "lab2"):
+        assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+                     "--iocs", str(corpus / "a" / "iocs.tsv"),
+                     "--out", str(corpus / out)]) == 0
+        runs.append([(corpus / out / name).read_bytes()
+                     for name in ("labels.json", "labels.npz")])
+    assert runs[0] == runs[1]
+
+
+def _label_default(corpus, *extra):
+    lab = corpus / "lab"
+    assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+                 "--iocs", str(corpus / "a" / "iocs.tsv"),
+                 "--out", str(lab), *extra]) == 0
+    return lab / "labels.json"
+
+
+def _reduce_outputs(corpus, table, out, *extra):
+    """Exit code, every compared output (timings masked) and the table's
+    source in metrics.json of a reduce run against table."""
+    rc = main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
+               "--labels", str(table), "--iocs", str(corpus / "b" / "iocs.tsv"),
+               "--top-n", "1,2,5", "--emit-graph", "--emit-dot",
+               "--emit-removed-ids", "--out", str(corpus / out), *extra])
+    if rc:
+        return rc, None, None
+    outputs = {path.name: mask_timings(path.name, path.read_bytes())
+               for path in sorted((corpus / out).iterdir())
+               if path.name not in ("run_config.json", "metrics.json")}
+    metrics = json.loads((corpus / out / "metrics.json").read_text())
+    return rc, outputs, metrics["labels"]["source"]
+
+
+@pytest.mark.parametrize("flag, value, key, stamped", [
+    ("--seed", "99", "seed", "97"),
+    ("--threshold", "0.9", "threshold", "1.0"),
+    ("--set-size", "4", "set_size", "5"),
+    ("--cap-per-anchor", "3", "cap_per_anchor", "8"),
+    ("--model", "vectors-file:vecs.txt", "model", "hash-ngrams"),
+])
+def test_table_of_other_settings_is_usage_error(corpus, capsys, monkeypatch,
+                                                flag, value, key, stamped):
+    """A stamped table is refused, before the evaluation corpus is parsed,
+    by a run whose settings differ, with the key and both values named."""
+    table = _label_default(corpus)
+    capsys.readouterr()
+    parsed = []
+    monkeypatch.setattr(cli, "parse_file", lambda *a, **k: parsed.append(a))
+    rc, _, _ = _reduce_outputs(corpus, table, "red", flag, value)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{key}=" in err and stamped in err and value in err
+    assert "Traceback" not in err
+    assert parsed == []
+
+
+def test_table_of_the_same_settings_loads_silently(corpus, capsys):
+    table = _label_default(corpus, "--seed", "5", "--threshold", "0.95",
+                           "--cap-per-anchor", "4")
+    capsys.readouterr()
+    rc, _, source = _reduce_outputs(corpus, table, "red", "--seed", "5",
+                                    "--threshold", "0.95",
+                                    "--cap-per-anchor", "4")
+    assert (rc, source) == (0, "npz")
+    assert capsys.readouterr().err == ""
+
+
+def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys):
+    """A missing, truncated, garbage or pickled sidecar, or one of other
+    bytes, leaves the table to labels.json: same outputs as with no sidecar,
+    exit 0 and one warning line."""
+    table = _label_default(corpus)
+    sidecar = table.with_suffix(".npz")
+    good = sidecar.read_bytes()
+    capsys.readouterr()
+    rc, want, source = _reduce_outputs(corpus, table, "red")
+    assert (rc, source) == (0, "npz")
+    assert capsys.readouterr().err == ""
+
+    def pickled(path):
+        path.write_bytes(good)
+        rewritten_sidecar(path, representatives=np.array([[1.0, "x"]],
+                                                         dtype=object))
+
+    spoils = [(lambda p: p.unlink(), "missing"),
+              (lambda p: p.write_bytes(good[: len(good) // 2]), "unreadable"),
+              (lambda p: p.write_bytes(b"\x00garbage" * 64), "unreadable"),
+              (pickled, "unreadable")]
+    for i, (spoil, why) in enumerate(spoils):
+        sidecar.write_bytes(good)
+        spoil(sidecar)
+        rc, got, source = _reduce_outputs(corpus, table, f"red{i}")
+        err = capsys.readouterr().err
+        assert (rc, source) == (0, f"json: {why}")
+        assert got == want
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "unstamped" in err
+
+    # One polarity changed: the sidecar no longer matches the table's bytes.
+    sidecar.write_bytes(good)
+    text = table.read_text()
+    table.write_text(text.replace('"polarity":"benign"',
+                                  '"polarity":"malicious"', 1))
+    rc, edited, source = _reduce_outputs(corpus, table, "edited")
+    assert (rc, source) == (0, "json: digest mismatch")
+    assert edited != want
+    sidecar.unlink()
+    rc, alone, source = _reduce_outputs(corpus, table, "alone")
+    assert (rc, source) == (0, "json: missing")
+    assert alone == edited
 
 
 def _perfbench_trace():

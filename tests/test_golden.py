@@ -1,8 +1,8 @@
 """Golden-output gate: the CLI's output bytes for a fixed corpus pair.
 
-The output bytes are the contract a refactor must keep: `labels.json`, every
-`reduced_top*.jsonl`, and `reports.json`/`sweep.csv` with the wall-clock
-timings masked. The config echo and `metrics.json` are not compared. Their sha256 digests live in `tests/golden/digests.json`.
+The output bytes are the contract a refactor must keep: `labels.json` and
+`labels.npz`, every `reduced_top*.jsonl`, and `reports.json`/`sweep.csv` with
+the wall-clock timings masked. The config echo and `metrics.json` are not compared. Their sha256 digests live in `tests/golden/digests.json`.
 
 After a change that is meant to alter outputs, regenerate the digests with
 
@@ -31,12 +31,14 @@ DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
 
 def mask_timings(name: str, data: bytes) -> bytes:
     """Zero the wall-clock fields, the only bytes allowed to vary."""
-    text = data.decode("utf-8")
     if name.endswith("reports.json"):
         text = re.sub(r'"(enumerate|featurize|match|select|total)": '
-                      r'[-0-9.e+]+', r'"\1": 0', text)
+                      r'[-0-9.e+]+', r'"\1": 0', data.decode("utf-8"))
     elif name.endswith("sweep.csv"):
-        text = re.sub(r",[0-9.]+(?=\r?$)", ",0", text, flags=re.MULTILINE)
+        text = re.sub(r",[0-9.]+(?=\r?$)", ",0", data.decode("utf-8"),
+                      flags=re.MULTILINE)
+    else:
+        return data
     return text.encode("utf-8")
 
 
@@ -122,6 +124,7 @@ def test_metrics_counts_equal_the_library_counts(tmp_path):
                              "zero_vector_sets": labels["zero_vector_sets"]}
     assert inline["labels"] == lab["labels"]
     assert red["labels"]["loaded"] == len(labels["labels"])
+    assert red["labels"]["source"] == "npz"
     assert set(lab["seconds"]) == STAGES | {"label", "table_write"}
     assert set(red["seconds"]) == STAGES | {"match", "select", "table_load",
                                             "export"}

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -26,6 +27,7 @@ from oracles import (
     random_graph_records,
     reference_ioc_matches,
     reference_table_json,
+    rewritten_sidecar,
     sequential_labels,
     table_json,
     traced_peak,
@@ -623,3 +625,165 @@ def test_near_cutoff_takes_exact_scan(exact_scans, offset):
         if offset:
             assert joined == (offset > 0)
         assert exact_scans
+
+
+STAMP = {"version": "0", "model": "hash-ngrams", "dim": 6, "seed": 97,
+         "set_size": 5, "cap_per_anchor": 8, "threshold": 1.0}
+
+
+def saved_table(path, table, stamp=STAMP):
+    """Write table as labels.json at path plus its sidecar; return the
+    table's text and the sha256 of its bytes."""
+    text = table_json(table) + "\n"
+    path.write_text(text, encoding="utf-8")
+    label.write_sidecar(table, path, stamp)
+    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def sidecar_tables():
+    """Tables with zero-vector sets, signed zeros, NaNs of other payloads,
+    infinities, both polarities, one label and no labels."""
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64).view(np.float64)
+    rng = np.random.default_rng(640)
+    rows = rng.normal(size=(9, 6))
+    rows[0] = 0.0
+    rows[1, :3] = -0.0
+    rows[2, :2] = nans
+    rows[3, 1:3] = np.inf, -np.inf
+    rows[4] = -0.0
+    mixed = LabelTable(
+        labels=[label.Label(label_id=i, polarity=MALICIOUS if i % 3 else BENIGN,
+                            representative=row, member_count=1 + i % 4,
+                            created_seq=i)
+                for i, row in enumerate(rows)],
+        assignment=[i % 9 for i in range(23)], zero_vector_sets=2)
+    one = LabelTable(labels=[label.Label(
+        label_id=0, polarity=BENIGN, representative=np.array([-0.0, 1.5]),
+        member_count=3, created_seq=0)], assignment=[0, 0, 0])
+    return {"mixed": mixed, "one": one, "none": LabelTable()}
+
+
+@pytest.mark.parametrize("name", ["mixed", "one", "none"])
+def test_sidecar_gives_the_json_table(tmp_path, name):
+    """From a sidecar bound to its bytes, label_table_from_json gives the
+    table the text gives, field by field, representatives bit for bit."""
+    path = tmp_path / "labels.json"
+    text, digest = saved_table(path, sidecar_tables()[name])
+    want = label_table_from_json(text)
+    got = label_table_from_json(text, sidecar=label.sidecar_path(path),
+                                digest=digest)
+    assert (want.source, want.stamp) == ("json", None)
+    assert (got.source, got.stamp) == ("npz", STAMP)
+    assert label.sidecar_path(path) == tmp_path / "labels.npz"
+    assert got.assignment == want.assignment
+    assert type(got.zero_vector_sets) is int
+    assert got.zero_vector_sets == want.zero_vector_sets
+    assert len(got.labels) == len(want.labels)
+    for a, b in zip(got.labels, want.labels):
+        assert (a.label_id, a.polarity, a.member_count, a.created_seq) == \
+            (b.label_id, b.polarity, b.member_count, b.created_seq)
+        assert all(type(v) is type(w) for v, w in (
+            (a.label_id, b.label_id), (a.polarity, b.polarity),
+            (a.member_count, b.member_count), (a.created_seq, b.created_seq)))
+        assert a.representative.dtype == b.representative.dtype
+        assert a.representative.view(np.uint64).tolist() == \
+            b.representative.view(np.uint64).tolist()
+    assert table_json(got) == table_json(want)
+
+
+def test_sidecar_refuses_ragged_representatives(tmp_path, monkeypatch):
+    """Rows of another width in a later block cannot slip into the array."""
+    monkeypatch.setattr(label, "SIDECAR_ROWS", 2)
+    table = sidecar_tables()["mixed"]
+    for lb in table.labels[4:6]:
+        lb.representative = np.zeros(7)
+    path = tmp_path / "labels.json"
+    path.write_text("{}")
+    with pytest.raises(ValueError, match="width"):
+        label.write_sidecar(table, path, STAMP)
+
+
+def test_sidecar_bytes_are_deterministic(tmp_path):
+    table = sidecar_tables()["mixed"]
+    saved_table(tmp_path / "labels.json", table)
+    first = (tmp_path / "labels.npz").read_bytes()
+    saved_table(tmp_path / "labels.json", table)
+    assert (tmp_path / "labels.npz").read_bytes() == first
+
+
+def spoiled_member(**members):
+    return lambda path, data: rewritten_sidecar(path, **members)
+
+
+@pytest.mark.parametrize("spoil, why", [
+    (lambda p, d: p.unlink(), "missing"),
+    (lambda p, d: p.write_bytes(d[: len(d) // 2]), "unreadable"),
+    (lambda p, d: p.write_bytes(d[:-30]), "unreadable"),
+    (lambda p, d: p.write_bytes(b"not a table\n" * 50), "unreadable"),
+    (lambda p, d: p.write_bytes(b""), "unreadable"),
+    (lambda p, d: (p.unlink(), p.mkdir()), "unreadable"),
+    (spoiled_member(representatives=np.array([[1.0, "x"]], dtype=object)),
+     "unreadable"),
+    (spoiled_member(representatives=np.zeros(9)), "unreadable"),
+    (spoiled_member(representatives=np.zeros((9, 6), dtype=np.float32)),
+     "unreadable"),
+    (spoiled_member(polarity=np.array(["benign"])), "unreadable"),
+    (spoiled_member(polarity=np.zeros(9, dtype=np.int64)), "unreadable"),
+    (spoiled_member(label_id=np.arange(8)), "unreadable"),
+    (spoiled_member(member_count=np.ones(10, dtype=np.int64)), "unreadable"),
+    (spoiled_member(created_seq=np.arange(9.0)), "unreadable"),
+    (spoiled_member(created_seq=np.arange(90).reshape(9, 10)), "unreadable"),
+    (spoiled_member(assignment=np.zeros(3)), "unreadable"),
+    (spoiled_member(assignment=np.zeros((3, 1), dtype=np.int64)),
+     "unreadable"),
+    (spoiled_member(zero_vector_sets=np.array([2])), "unreadable"),
+    (spoiled_member(stamp=np.array("[1]")), "unreadable"),
+    (spoiled_member(stamp=np.array("{")), "unreadable"),
+    (spoiled_member(sha256=np.array("0" * 64)), "digest mismatch"),
+])
+def test_sidecar_that_fails_a_check_leaves_the_json(tmp_path, spoil, why):
+    path = tmp_path / "labels.json"
+    text, digest = saved_table(path, sidecar_tables()["mixed"])
+    sidecar = label.sidecar_path(path)
+    spoil(sidecar, sidecar.read_bytes())
+    got = label_table_from_json(text, sidecar=sidecar, digest=digest)
+    assert (got.source, got.stamp) == (f"json: {why}", None)
+    assert table_json(got) + "\n" == text
+
+
+def test_sidecar_of_other_bytes_is_not_used(tmp_path):
+    """One polarity changed in labels.json: its sidecar no longer matches."""
+    path = tmp_path / "labels.json"
+    text, _ = saved_table(path, sidecar_tables()["mixed"])
+    edited = text.replace('"polarity":"benign"', '"polarity":"malicious"', 1)
+    assert edited != text
+    got = label_table_from_json(
+        edited, sidecar=label.sidecar_path(path),
+        digest=hashlib.sha256(edited.encode("utf-8")).hexdigest())
+    assert got.source == "json: digest mismatch"
+    assert table_json(got) + "\n" == edited
+
+
+def test_sidecar_write_holds_no_second_table(tmp_path):
+    """The sidecar is written from the table's own rows, a few at a time,
+    and labels.json is hashed a block at a time: the write never holds a
+    second copy of the representatives, let alone the whole file."""
+    rng = np.random.default_rng(641)
+    reps = rng.normal(size=(8192, 64))
+    table = LabelTable(labels=[
+        label.Label(label_id=i, polarity=BENIGN, representative=row,
+                    member_count=1, created_seq=i)
+        for i, row in enumerate(reps)], assignment=list(range(8192)))
+    path = tmp_path / "labels.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        table.write_json(fh)
+    assert path.stat().st_size > 2 * reps.nbytes
+    _, peak = traced_peak(label.write_sidecar, table, path, STAMP)
+    assert peak < reps.nbytes / 4
+    back = label_table_from_json(
+        path.read_text(), sidecar=tmp_path / "labels.npz",
+        digest=hashlib.sha256(path.read_bytes()).hexdigest())
+    assert back.source == "npz"
+    assert np.array_equal(np.array([lb.representative for lb in back.labels]),
+                          reps)
