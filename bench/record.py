@@ -2,18 +2,18 @@
 
 Usage, from the root of a provprune checkout:
 
-    python3 bench/record.py [--seed 1] [--seconds 20] [--workload NAME]
+    python3 bench/record.py
 
-Each workload of BENCHMARK.json runs `perfbench/run.py --trace 0` as a child
-process of this interpreter. Its result line (end-to-end metrics, operations attempted and
-failed) is written to bench/BENCH_<workload>.json, with the processors this
-process may use, the Python and numpy versions, and the commit measured.
-Committing the files after a change keeps the performance trajectory in git.
+Each workload of BENCHMARK.json runs `perfbench/run.py --trace 0` at seed 1
+for BENCHMARK.json's run_seconds, as a child process of this interpreter. Its
+result line (end-to-end metrics, operations attempted and failed) is written
+to bench/BENCH_<workload>.json, with the processors this process may use, the
+Python and numpy versions, and the commit measured. Committing the files
+after a change keeps the performance trajectory in git.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -26,20 +26,16 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 
-def record(workload: str, seed: int, seconds: float, result_line: str,
-           commit: str, dirty: bool) -> dict:
+def record(workload: str, result_line: str, commit: str) -> dict:
     """The BENCH file's content for one workload's perfbench result line."""
     return {
         "workload": workload,
-        "seed": seed,
-        "seconds": seconds,
         "result": json.loads(result_line),
         "nproc": (len(os.sched_getaffinity(0))
                   if hasattr(os, "sched_getaffinity") else os.cpu_count()),
         "python": platform.python_version(),
         "numpy": version("numpy"),
         "commit": commit,
-        "dirty": dirty,
     }
 
 
@@ -50,37 +46,21 @@ def write_record(out_dir: Path, entry: dict) -> Path:
     return path
 
 
-def _git(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                          text=True)
-
-
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [w["name"] for w in bench["workloads"]]
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float,
-                        default=bench["run_seconds"])
-    parser.add_argument("--workload", choices=names, action="append",
-                        help="record only this workload (repeatable)")
-    args = parser.parse_args(argv)
-
-    commit = _git("rev-parse", "HEAD").stdout.strip()
-    # Whether the measured code differs from the commit: the program, the
-    # benchmark and its declaration, not documents or earlier BENCH files.
-    dirty = _git("diff", "--quiet", "HEAD", "--", "src", "perfbench",
-                 "BENCHMARK.json").returncode != 0
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                            capture_output=True, text=True).stdout.strip()
     failed = False
-    for name in args.workload or names:
+    for workload in bench["workloads"]:
+        name = workload["name"]
         proc = subprocess.run(
-            [sys.executable, *bench["command"][1:], "--workload", name, "--seed", str(args.seed),
-             "--seconds", str(args.seconds), "--trace", "0"],
+            [sys.executable, *bench["command"][1:], "--workload", name,
+             "--seed", "1", "--seconds", str(bench["run_seconds"]),
+             "--trace", "0"],
             cwd=ROOT, capture_output=True, text=True)
         lines = proc.stdout.strip().splitlines()
         try:
-            entry = record(name, args.seed, args.seconds, lines[-1], commit,
-                           dirty)
+            entry = record(name, lines[-1], commit)
         except (IndexError, ValueError):
             print(f"record: {name} gave no result line (exit "
                   f"{proc.returncode}):\n{proc.stderr[-2000:]}",

@@ -62,11 +62,6 @@ class LabelTable:
     labels: list[Label] = field(default_factory=list)
     assignment: list[int] = field(default_factory=list)
     zero_vector_sets: int = 0
-    # Set by label_table_from_json: the settings recorded in the table's
-    # sidecar (None when the sidecar was not used), and where the table came
-    # from, "npz" or "json", with why not the sidecar when one was named.
-    stamp: dict | None = None
-    source: str | None = None
 
     def write_json(self, fh) -> None:
         """Write compact JSON with sorted keys to fh, WRITE_LABELS labels at
@@ -103,6 +98,15 @@ class LabelTable:
         fh.write(f'],"zero_vector_sets":{encode(self.zero_vector_sets)}}}')
 
 
+@dataclass
+class LoadedTable(LabelTable):
+    """A LabelTable as label_table_from_json loaded it: the settings recorded
+    in its sidecar (None when the sidecar was not used), and where it came
+    from, "npz" or "json", with why not the sidecar when one was named."""
+    stamp: dict | None = None
+    source: str = "json"
+
+
 def _decoded_object(obj: dict) -> dict:
     """A decoded JSON object, its representative, if it holds one, as an
     array: each label's floats are freed as soon as the label is read."""
@@ -113,7 +117,7 @@ def _decoded_object(obj: dict) -> dict:
 
 
 def label_table_from_json(text: str, sidecar=None,
-                          digest: str | None = None) -> LabelTable:
+                          digest: str | None = None) -> LoadedTable:
     """Inverse of LabelTable.write_json.
 
     sidecar names the labels.npz that write_sidecar wrote beside the table,
@@ -140,9 +144,9 @@ def label_table_from_json(text: str, sidecar=None,
         )
         for entry in payload["labels"]
     ]
-    return LabelTable(labels=labels, assignment=list(payload["assignment"]),
-                      zero_vector_sets=payload.get("zero_vector_sets", 0),
-                      source=source)
+    return LoadedTable(labels=labels, assignment=list(payload["assignment"]),
+                       zero_vector_sets=payload.get("zero_vector_sets", 0),
+                       source=source)
 
 
 def sidecar_path(table_path) -> Path:
@@ -258,9 +262,9 @@ def _table_from_sidecar(path, digest: str | None
             arrays["label_id"].tolist(), polarity.tolist(), reps,
             arrays["member_count"].tolist(), arrays["created_seq"].tolist())
     ]
-    return LabelTable(labels=labels, assignment=arrays["assignment"].tolist(),
-                      zero_vector_sets=int(arrays["zero_vector_sets"]),
-                      stamp=stamp, source="npz"), ""
+    return LoadedTable(labels=labels, assignment=arrays["assignment"].tolist(),
+                       zero_vector_sets=int(arrays["zero_vector_sets"]),
+                       stamp=stamp, source="npz"), ""
 
 
 def parse_ioc_file(path) -> tuple[list[str], list[str]]:

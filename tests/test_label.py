@@ -673,6 +673,8 @@ def test_sidecar_gives_the_json_table(tmp_path, name):
     want = label_table_from_json(text)
     got = label_table_from_json(text, sidecar=label.sidecar_path(path),
                                 digest=digest)
+    assert type(want) is type(got) is label.LoadedTable
+    assert isinstance(got, LabelTable)
     assert (want.source, want.stamp) == ("json", None)
     assert (got.source, got.stamp) == ("npz", STAMP)
     assert label.sidecar_path(path) == tmp_path / "labels.npz"

@@ -26,16 +26,13 @@ def test_record_writes_the_result_line_and_the_machine(tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess, "run", no_child)
     monkeypatch.setattr(subprocess, "Popen", no_child)
     record = _recorder()
-    entry = record.record("label-dense", 1, 20.0, RESULT + "\n", "abc123",
-                          False)
+    entry = record.record("label-dense", RESULT + "\n", "abc123")
     path = record.write_record(tmp_path, entry)
     assert path == tmp_path / "BENCH_label-dense.json"
     written = json.loads(path.read_text())
     assert written == entry
     assert written["result"] == json.loads(RESULT)
-    assert (written["workload"], written["seed"], written["seconds"]) == \
-        ("label-dense", 1, 20.0)
-    assert (written["commit"], written["dirty"]) == ("abc123", False)
+    assert (written["workload"], written["commit"]) == ("label-dense", "abc123")
     assert written["python"] == platform.python_version()
     assert written["numpy"] == version("numpy")
     assert type(written["nproc"]) is int and written["nproc"] >= 1
