@@ -2,8 +2,8 @@
 
 Subcommands: stats, synth, label, reduce, report. Settings resolve in
 ascending precedence: built-in defaults, config file, PROVPRUNE_SEED, flags.
-Every label/reduce run writes a config echo that reproduces it, and
-metrics.json: seconds per stage, peak RSS, and what each corpus gave.
+Every label/reduce run writes run_config.json, a record of its settings and
+not a config file, and metrics.json: stage seconds, peak RSS and counts.
 """
 
 from __future__ import annotations
@@ -145,10 +145,8 @@ def build_parser() -> _Parser:
                                    argument_default=argparse.SUPPRESS)
     p_reduce.add_argument("--eval", dest="eval_corpus", required=True,
                           help="evaluation corpus path")
-    p_reduce.add_argument("--labels", dest="labels_file",
+    p_reduce.add_argument("--labels", dest="labels_file", required=True,
                           help="label table from a previous label run")
-    p_reduce.add_argument("--labeled",
-                          help="labeled corpus (labels computed inline)")
     p_reduce.add_argument("--iocs", help="IoC file scoring the evaluation graph")
     p_reduce.add_argument("--top-n", help="comma-separated label counts")
     p_reduce.add_argument("--emit-dot", action="store_true",
@@ -174,7 +172,6 @@ _INTS = (lambda v: type(v) is list and all(type(x) is int for x in v),
 # Config-file keys, dotted under their group, with the RunConfig field each
 # sets and the JSON type it must have.
 _CONFIG_KEYS = {
-    "labeled": ("labeled", _STR), "eval": ("eval_corpus", _STR),
     "iocs": ("iocs", _STR), "out_dir": ("out_dir", _STR),
     "embed.dim": ("dim", _INT), "embed.seed": ("seed", _INT),
     "embed.model": ("model", _STR), "nodeset.size": ("set_size", _INT),
@@ -329,9 +326,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 class _RunMetrics:
     """What one label or reduce run did, written out as metrics.json.
 
-    seconds sums each stage over the corpora; corpora holds, per corpus
-    role ("labeled", "eval"), its parse tallies and the counts its stages
-    gave.
+    seconds holds each stage's time; corpora holds, under the corpus's role
+    ("labeled" for label, "eval" for reduce), its parse tallies and the
+    counts its stages gave.
     """
 
     def __init__(self, command: str):
@@ -347,8 +344,7 @@ class _RunMetrics:
         try:
             yield
         finally:
-            self.seconds[name] = (self.seconds.get(name, 0.0)
-                                  + time.perf_counter() - t0)
+            self.seconds[name] = time.perf_counter() - t0
 
     def featurized(self, role: str, embedder) -> None:
         """Note what the embedder of a corpus missed, once it is done."""
@@ -398,9 +394,13 @@ def _prepare_graph(cfg: RunConfig, path: str, run: _RunMetrics, role: str):
     return graph, weights, embedder, malicious
 
 
-def _label_pipeline(cfg: RunConfig, corpus_path: str, run: _RunMetrics):
-    """Enumerate, featurize and label the node-sets of one corpus."""
-    graph, weights, embedder, malicious = _prepare_graph(cfg, corpus_path,
+def cmd_label(args: argparse.Namespace) -> int:
+    cfg = _resolve_config(args)
+    run = _RunMetrics("label")
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
+    graph, weights, embedder, malicious = _prepare_graph(cfg, cfg.labeled,
                                                          run, "labeled")
     with run.stage("enumerate"):
         sets = enumerate_node_sets(graph, size=cfg.set_size,
@@ -413,17 +413,8 @@ def _label_pipeline(cfg: RunConfig, corpus_path: str, run: _RunMetrics):
         table = label_node_sets(sets, malicious, threshold=cfg.threshold)
     run.labels = {"minted": len(table.labels),
                   "zero_vector_sets": table.zero_vector_sets}
-    return table
-
-
-def cmd_label(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    run = _RunMetrics("label")
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    table = _label_pipeline(cfg, cfg.labeled, run)
     seconds = time.perf_counter() - t0
+    del graph, weights, embedder, malicious, sets  # freed before the write
     with run.stage("table_write"):
         with open(out_dir / "labels.json", "w", encoding="utf-8") as fh:
             table.write_json(fh)
@@ -440,20 +431,15 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    if not cfg.labels_file and not cfg.labeled:
-        raise ValueError("reduce needs --labels or --labeled")
     run = _RunMetrics("reduce")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.labels_file:
-        with run.stage("table_load"):
-            table = _load_table(cfg)
-        run.labels = {"loaded": len(table.labels),
-                      "zero_vector_sets": table.zero_vector_sets,
-                      "source": table.source}
-    else:
-        table = _label_pipeline(cfg, cfg.labeled, run)
+    with run.stage("table_load"):
+        table = _load_table(cfg)
+    run.labels = {"loaded": len(table.labels),
+                  "zero_vector_sets": table.zero_vector_sets,
+                  "source": table.source}
     g_eval, w_eval, embedder, malicious = _prepare_graph(
         cfg, cfg.eval_corpus, run, "eval")
 
@@ -470,8 +456,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if reports:
         # The shared stages ran once, select once per n.
         for name in ("enumerate", "featurize", "match"):
-            run.seconds[name] = (run.seconds.get(name, 0.0)
-                                 + reports[0].per_stage_seconds[name])
+            run.seconds[name] = reports[0].per_stage_seconds[name]
         run.seconds["select"] = sum(r.per_stage_seconds["select"]
                                     for r in reports)
 

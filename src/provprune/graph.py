@@ -51,7 +51,7 @@ class NodeIndex(NamedTuple):
         """The graph's own ids and event endpoint columns."""
         return cls(graph.table.ids, graph.events.src, graph.events.dst)
 
-    def mask(self, members: AbstractSet[str]) -> np.ndarray:
+    def mask(self, members: Iterable[str]) -> np.ndarray:
         """Per node, whether its id is among members; others are ignored.
 
         Any other iterable is made a set first, so each test is a hash
@@ -107,7 +107,6 @@ class Graph:
     order: np.ndarray
     # Bookkeeping only; not compared.
     rejected_events: int = 0
-    ignored_removals: int = 0
 
     @cached_property
     def nodes(self) -> Mapping[str, NodeRecord]:
@@ -154,12 +153,9 @@ def build_graph(nodes, events) -> Graph:
 def remove_nodes(graph: Graph, node_ids: Iterable[str]) -> Graph:
     """Drop the given nodes and every event incident to any of them.
 
-    Ids not present in the graph are ignored and counted.
+    Ids not present in the graph are ignored.
     """
-    gone = node_ids if isinstance(node_ids, AbstractSet) else set(node_ids)
-    index = NodeIndex.of(graph)
-    keep = ~index.mask(gone)
-    ignored = len(gone) - (len(keep) - int(keep.sum()))
+    keep = ~NodeIndex.of(graph).mask(node_ids)
     renumber = np.cumsum(keep, dtype=np.int32) - 1
     table = graph.table.take(keep)
     events = graph.events
@@ -168,8 +164,7 @@ def remove_nodes(graph: Graph, node_ids: Iterable[str]) -> Graph:
                  EventTable(table.ids, renumber[events.src[kept]],
                             renumber[events.dst[kept]], events.syscall[kept],
                             events.ts[kept]),
-                 renumber[graph.order[keep[graph.order]]],
-                 ignored_removals=ignored)
+                 renumber[graph.order[keep[graph.order]]])
 
 
 def _node_rows(graph: Graph) -> Iterator[tuple]:

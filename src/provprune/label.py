@@ -108,12 +108,52 @@ class LoadedTable(LabelTable):
 
 
 def _decoded_object(obj: dict) -> dict:
-    """A decoded JSON object, its representative, if it holds one, as an
-    array: each label's floats are freed as soon as the label is read."""
-    if "representative" in obj:
-        obj["representative"] = np.array(obj["representative"],
-                                         dtype=np.float64)
+    """A decoded JSON object, its representative, if that is a flat list of
+    numbers, as an array: each label's floats are freed as soon as the label
+    is read. Any other representative, an integer beyond float range
+    included, stays as decoded, for _check_payload to refuse."""
+    rep = obj.get("representative")
+    if type(rep) is list and set(map(type, rep)) <= {int, float}:
+        try:
+            obj["representative"] = np.array(rep, dtype=np.float64)
+        except OverflowError:
+            pass
     return obj
+
+
+def _check_payload(payload) -> None:
+    """Refuse, naming the field, a decoded table that is not one write_json
+    could have written: int fields that are not ints (bools included), a
+    polarity other than benign or malicious, representatives that are not
+    flat numbers of one width, or a label id that repeats."""
+    def refuse(name: str, expected: str):
+        raise ValueError(f"label table: {name} must be {expected}")
+
+    if type(payload) is not dict:
+        refuse("the top level", "an object")
+    labels = payload.get("labels")
+    if type(labels) is not list or not all(type(e) is dict for e in labels):
+        refuse("labels", "a list of objects")
+    for i, entry in enumerate(labels):
+        for name in ("label_id", "member_count", "created_seq"):
+            if type(entry.get(name)) is not int:
+                refuse(f"labels[{i}].{name}", "an integer")
+        if entry.get("polarity") not in (BENIGN, MALICIOUS):
+            refuse(f"labels[{i}].polarity", f"{BENIGN!r} or {MALICIOUS!r}")
+        # labels[0]'s representative is checked first, at i = 0.
+        rep = entry.get("representative")
+        if not isinstance(rep, np.ndarray) or \
+                rep.size != labels[0]["representative"].size:
+            refuse(f"labels[{i}].representative",
+                   "a flat list of numbers as wide as labels[0]'s")
+    if len({entry["label_id"] for entry in labels}) < len(labels):
+        refuse("each label_id", "distinct")
+    assignment = payload.get("assignment")
+    if type(assignment) is not list or \
+            not all(type(x) is int for x in assignment):
+        refuse("assignment", "a list of integers")
+    if type(payload.get("zero_vector_sets", 0)) is not int:
+        refuse("zero_vector_sets", "an integer")
 
 
 def label_table_from_json(text: str, sidecar=None,
@@ -125,7 +165,8 @@ def label_table_from_json(text: str, sidecar=None,
     loads, its arrays have the shapes it writes and its sha256 is digest,
     the table comes from it and text is not parsed. Otherwise it comes
     from text, and source says why not the sidecar: missing, digest
-    mismatch or unreadable.
+    mismatch or unreadable. A text that is not such a table is refused with
+    a ValueError naming the field at fault.
     """
     source = "json"
     if sidecar is not None:
@@ -134,6 +175,7 @@ def label_table_from_json(text: str, sidecar=None,
             return table
         source = f"json: {why}"
     payload = json.loads(text, object_hook=_decoded_object)
+    _check_payload(payload)
     labels = [
         Label(
             label_id=entry["label_id"],
@@ -253,7 +295,9 @@ def _table_from_sidecar(path, digest: str | None
             and all(arrays[name].shape == count for name in (
                 "polarity", "label_id", "member_count", "created_seq"))
             and arrays["assignment"].ndim == 1
-            and arrays["zero_vector_sets"].ndim == 0):
+            and arrays["zero_vector_sets"].ndim == 0
+            and ((polarity == BENIGN) | (polarity == MALICIOUS)).all()
+            and np.diff(np.sort(arrays["label_id"])).all()):
         return None, "unreadable"
     labels = [
         Label(label_id=label_id, polarity=kind, representative=rep,

@@ -138,26 +138,6 @@ def test_reduce_end_to_end(corpus, capsys):
     assert len(sweep) == 3
 
 
-def test_reduce_inline_labeling_matches_saved_labels(corpus):
-    lab = corpus / "lab"
-    main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
-          "--iocs", str(corpus / "a" / "iocs.tsv"), "--out", str(lab)])
-    via_file = corpus / "via_file"
-    via_inline = corpus / "via_inline"
-    args_tail = ["--eval", str(corpus / "b" / "corpus.jsonl"),
-                 "--iocs", str(corpus / "b" / "iocs.tsv"), "--top-n", "3"]
-    assert main(["reduce", "--labels", str(lab / "labels.json"),
-                 "--out", str(via_file)] + args_tail) == 0
-    assert main(["reduce", "--labeled", str(corpus / "a" / "corpus.jsonl"),
-                 "--out", str(via_inline)] + args_tail) == 0
-    a = json.loads((via_file / "reports.json").read_text())
-    b = json.loads((via_inline / "reports.json").read_text())
-    for x, y in zip(a, b):
-        x.pop("per_stage_seconds")
-        y.pop("per_stage_seconds")
-    assert a == b
-
-
 @pytest.mark.parametrize("enabled", [True, False])
 def test_commands_run_with_collector_off(corpus, monkeypatch, enabled):
     """Handlers run with the cyclic collector off, and main gives the
@@ -229,14 +209,31 @@ def test_commands_leave_no_garbage_growing_with_the_corpus(tmp_path):
     assert small == large
 
 
-def test_reduce_requires_label_source(corpus):
-    assert main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
-                 "--out", str(corpus / "x")]) == 1
+def test_reduce_requires_label_source(corpus, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
+              "--out", str(corpus / "x")])
+    assert err.value.code == 1
+    assert "--labels" in capsys.readouterr().err
+
+
+def test_reduce_has_no_inline_labeling(corpus, capsys):
+    """reduce reads a saved table only; --labeled is not one of its flags."""
+    with pytest.raises(SystemExit) as err:
+        main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
+              "--labels", str(corpus / "lab" / "labels.json"),
+              "--labeled", str(corpus / "a" / "corpus.jsonl"),
+              "--out", str(corpus / "x")])
+    assert err.value.code == 1
+    assert "--labeled" in capsys.readouterr().err
 
 
 def test_bad_top_n_is_usage_error(corpus):
+    lab = corpus / "lab"
+    assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+                 "--out", str(lab)]) == 0
     assert main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
-                 "--labeled", str(corpus / "a" / "corpus.jsonl"),
+                 "--labels", str(lab / "labels.json"),
                  "--top-n", "three"]) == 1
 
 
@@ -439,6 +436,7 @@ def test_report_renders_table(corpus, capsys):
     ({"reduce": {"top_n": [1, "2"]}}, "reduce.top_n"),
     ({"label": {"threshold": "high"}}, "label.threshold"),
     ({"eval": None}, "eval"),
+    ({"labeled": "corpus.jsonl"}, "labeled"),
 ])
 def test_bad_config_file_is_usage_error(tmp_path, capsys, obj, key):
     cfg = tmp_path / "cfg.json"
@@ -610,6 +608,55 @@ def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys):
     rc, alone, source = _reduce_outputs(corpus, table, "alone")
     assert (rc, source) == (0, "json: missing")
     assert alone == edited
+
+
+def _set_first_benign(**fields):
+    def spoil(table):
+        entry = next(e for e in table["labels"] if e["polarity"] == "benign")
+        entry.update(fields)
+        return table
+    return spoil
+
+
+def _repeat_first_id(table):
+    table["labels"][1]["label_id"] = table["labels"][0]["label_id"]
+    return table
+
+
+def _widen_last(table):
+    table["labels"][-1]["representative"].append(0.5)
+    return table
+
+
+@pytest.mark.parametrize("spoil, field", [
+    (lambda t: [], "top level"),
+    (lambda t: dict(t, labels=[1]), "labels"),
+    (lambda t: dict(t, assignment=5), "assignment"),
+    (lambda t: dict(t, zero_vector_sets="many"), "zero_vector_sets"),
+    (_set_first_benign(member_count="x"), "member_count"),
+    (_set_first_benign(member_count=True), "member_count"),
+    (_set_first_benign(polarity=7), "polarity"),
+    (_set_first_benign(representative=[[1.0, 2.0]]), "representative"),
+    (_set_first_benign(representative=[None, 1.0]), "representative"),
+    (_set_first_benign(representative=[10 ** 400]), "representative"),
+    (_widen_last, "representative"),
+    (_repeat_first_id, "label_id"),
+])
+def test_malformed_label_table_is_usage_error(corpus, capsys, spoil, field):
+    """A labels.json that write_json could not have written exits 1 naming
+    the field at fault: never a traceback, never a run on a wrong table."""
+    table = _label_default(corpus)
+    table.with_suffix(".npz").unlink()
+    payload = json.loads(table.read_text())
+    assert len(payload["labels"]) > 1
+    table.write_text(json.dumps(spoil(payload)))
+    capsys.readouterr()
+    rc, _, _ = _reduce_outputs(corpus, table, "red")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert field in err
+    assert "Traceback" not in err
+    assert not (corpus / "red" / "reports.json").exists()
 
 
 def _perfbench_trace():

@@ -43,7 +43,8 @@ def mask_timings(name: str, data: bytes) -> bytes:
 
 
 def golden_outputs(root: Path) -> dict[str, str]:
-    """Run label, reduce and reduce --labeled; digest every compared file."""
+    """Run label, then reduce twice on its table; digest every compared
+    file."""
     label_spec, eval_spec = corpus_pair_specs(
         (12, 9, 7), (60, 40, 30), label_seed=606, eval_seed=707)
     # One declared node no event touches, so --include-isolated-nodes
@@ -67,10 +68,10 @@ def golden_outputs(root: Path) -> dict[str, str]:
                 "--labels", str(root / "lab" / "labels.json"),
                 "--iocs", str(paths["eval_iocs"]),
                 "--top-n", "1,2,5,50", "--emit-graph", "--emit-removed-ids"],
-        "inline": ["reduce", "--eval", str(paths["eval"]),
-                   "--labeled", str(paths["labeled"]),
-                   "--iocs", str(paths["eval_iocs"]),
-                   "--top-n", "1,2,5,50", "--include-isolated-nodes"],
+        "iso": ["reduce", "--eval", str(paths["eval"]),
+                "--labels", str(root / "lab" / "labels.json"),
+                "--iocs", str(paths["eval_iocs"]),
+                "--top-n", "1,2,5,50", "--include-isolated-nodes"],
     }
     for out, argv in runs.items():
         assert main(argv + ["--out", str(root / out)]) == 0, out
@@ -103,11 +104,11 @@ def test_metrics_counts_equal_the_library_counts(tmp_path):
     parse_file's, the chains and capped anchors those of
     enumerate_node_sets, and the label count is labels.json's."""
     golden_outputs(tmp_path)
-    lab, red, inline = (json.loads((tmp_path / out / "metrics.json")
-                                   .read_text())
-                        for out in ("lab", "red", "inline"))
-    for metrics, role in ((lab, "labeled"), (red, "eval"),
-                          (inline, "labeled"), (inline, "eval")):
+    lab, red, iso = (json.loads((tmp_path / out / "metrics.json").read_text())
+                     for out in ("lab", "red", "iso"))
+    assert [list(m["corpora"]) for m in (lab, red, iso)] == [
+        ["labeled"], ["eval"], ["eval"]]
+    for metrics, role in ((lab, "labeled"), (red, "eval"), (iso, "eval")):
         nodes, events, stats = parse_file(tmp_path / f"{role}.jsonl")
         chains = enumerate_node_sets(build_graph(nodes, events))
         per_anchor = Counter(chain.edge_indices[0] for chain in chains)
@@ -122,14 +123,14 @@ def test_metrics_counts_equal_the_library_counts(tmp_path):
     labels = json.loads((tmp_path / "lab" / "labels.json").read_text())
     assert lab["labels"] == {"minted": len(labels["labels"]),
                              "zero_vector_sets": labels["zero_vector_sets"]}
-    assert inline["labels"] == lab["labels"]
+    assert iso["labels"] == red["labels"]
     assert red["labels"]["loaded"] == len(labels["labels"])
     assert red["labels"]["source"] == "npz"
     assert set(lab["seconds"]) == STAGES | {"label", "table_write"}
     assert set(red["seconds"]) == STAGES | {"match", "select", "table_load",
                                             "export"}
-    assert set(inline["seconds"]) == STAGES | {"label", "match", "select"}
-    assert all(m["peak_rss_mb"] > 0 for m in (lab, red, inline))
+    assert set(iso["seconds"]) == STAGES | {"match", "select", "table_load"}
+    assert all(m["peak_rss_mb"] > 0 for m in (lab, red, iso))
 
 
 if __name__ == "__main__":

@@ -219,11 +219,12 @@ def test_remove_everything():
     assert not g.nodes and not g.events
 
 
-def test_remove_unknown_ids_ignored_and_counted():
+def test_remove_unknown_ids_ignored():
     nodes, events = small_fixture()
-    g = remove_nodes(build_graph(nodes, events), ["nope", "p2"])
-    assert g.ignored_removals == 1
-    assert "p2" not in g.nodes
+    g = build_graph(nodes, events)
+    h = remove_nodes(g, ["nope", "p2"])
+    assert h == remove_nodes(g, ["p2"])
+    assert "p2" not in h.nodes
 
 
 def test_removal_drops_incident_edges_full_scan():

@@ -743,6 +743,9 @@ def spoiled_member(**members):
     (spoiled_member(stamp=np.array("[1]")), "unreadable"),
     (spoiled_member(stamp=np.array("{")), "unreadable"),
     (spoiled_member(sha256=np.array("0" * 64)), "digest mismatch"),
+    (spoiled_member(polarity=np.array(["benign"] * 8 + ["neutral"])),
+     "unreadable"),
+    (spoiled_member(label_id=np.zeros(9, dtype=np.int64)), "unreadable"),
 ])
 def test_sidecar_that_fails_a_check_leaves_the_json(tmp_path, spoil, why):
     path = tmp_path / "labels.json"
