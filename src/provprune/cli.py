@@ -31,6 +31,7 @@ from .ingest import (
 )
 from .label import (
     build_malicious_list,
+    file_sha256,
     label_node_sets,
     label_table_from_json,
     parse_ioc_file,
@@ -246,29 +247,22 @@ def _write_config_echo(cfg: RunConfig, out_dir: Path, command: str) -> None:
 
 def _stamp(cfg: RunConfig) -> dict:
     """The settings that shape a label table: a table is used only by runs
-    with the same ones."""
-    return {"version": __version__, "model": cfg.model, "dim": cfg.dim,
+    with the same ones. A vectors file is named by the sha256 of its bytes,
+    not by its path."""
+    model = cfg.model
+    if model.startswith("vectors-file:"):
+        model = f"vectors-file sha256={file_sha256(model.split(':', 1)[1])}"
+    return {"version": __version__, "model": model, "dim": cfg.dim,
             "seed": cfg.seed, "set_size": cfg.set_size,
             "cap_per_anchor": cfg.cap_per_anchor,
             "threshold": float(cfg.threshold)}
 
 
 def _load_table(cfg: RunConfig):
-    """The label table at cfg.labels_file, from its sidecar when that is
-    bound to the file's bytes; a stamp that differs from cfg is an error."""
-    import hashlib
-
-    data = Path(cfg.labels_file).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    text = data.decode("utf-8")
-    del data
-    table = label_table_from_json(text, sidecar=sidecar_path(cfg.labels_file),
-                                  digest=digest)
-    if table.stamp is None:
-        print(f"provprune: warning: {cfg.labels_file} is unstamped "
-              f"({table.source}); its settings are not checked",
-              file=sys.stderr)
-        return table
+    """The label table at cfg.labels_file, from its sidecar; a stamp that
+    differs from cfg is an error."""
+    text = Path(cfg.labels_file).read_bytes().decode("utf-8")
+    table = label_table_from_json(text, sidecar_path(cfg.labels_file))
     for key, value in _stamp(cfg).items():
         if table.stamp.get(key) != value:
             raise ValueError(
@@ -387,7 +381,6 @@ def _prepare_graph(cfg: RunConfig, path: str, run: _RunMetrics, role: str):
         malicious = build_malicious_list(graph, iocs, explicit)
     run.corpora[role] = {
         "path": path, "parse": parse_stats.to_dict(),
-        "rejected_events": graph.rejected_events,
         "nodes": len(graph.table), "events": len(graph.events),
         "malicious_nodes": len(malicious.ids),
         "ioc_warnings": malicious.warnings}
@@ -438,8 +431,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     with run.stage("table_load"):
         table = _load_table(cfg)
     run.labels = {"loaded": len(table.labels),
-                  "zero_vector_sets": table.zero_vector_sets,
-                  "source": table.source}
+                  "zero_vector_sets": table.zero_vector_sets}
     g_eval, w_eval, embedder, malicious = _prepare_graph(
         cfg, cfg.eval_corpus, run, "eval")
 

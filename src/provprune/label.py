@@ -8,13 +8,15 @@ creation. Labeling scores chains a block at a time but decides each one
 exactly as the one-at-a-time flow would.
 
 A table is saved as labels.json and, beside it, labels.npz: the same table
-as arrays, bound to the bytes of labels.json by their sha256, which reads
-back without parsing a float.
+as arrays, bound to the bytes of labels.json by their sha256. A table is
+read back only from its labels.npz, without parsing a float; one whose
+labels.npz is missing, unreadable or bound to other bytes is refused.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -100,95 +102,23 @@ class LabelTable:
 
 @dataclass
 class LoadedTable(LabelTable):
-    """A LabelTable as label_table_from_json loaded it: the settings recorded
-    in its sidecar (None when the sidecar was not used), and where it came
-    from, "npz" or "json", with why not the sidecar when one was named."""
-    stamp: dict | None = None
-    source: str = "json"
+    """A LabelTable as label_table_from_json loaded it, with the settings
+    recorded in its sidecar."""
+    stamp: dict = field(default_factory=dict)
 
 
-def _decoded_object(obj: dict) -> dict:
-    """A decoded JSON object, its representative, if that is a flat list of
-    numbers, as an array: each label's floats are freed as soon as the label
-    is read. Any other representative, an integer beyond float range
-    included, stays as decoded, for _check_payload to refuse."""
-    rep = obj.get("representative")
-    if type(rep) is list and set(map(type, rep)) <= {int, float}:
-        try:
-            obj["representative"] = np.array(rep, dtype=np.float64)
-        except OverflowError:
-            pass
-    return obj
+# Bytes, or characters, hashed at a time: a table is never held twice to be
+# hashed.
+HASH_BLOCK = 1 << 16
 
 
-def _check_payload(payload) -> None:
-    """Refuse, naming the field, a decoded table that is not one write_json
-    could have written: int fields that are not ints (bools included), a
-    polarity other than benign or malicious, representatives that are not
-    flat numbers of one width, or a label id that repeats."""
-    def refuse(name: str, expected: str):
-        raise ValueError(f"label table: {name} must be {expected}")
-
-    if type(payload) is not dict:
-        refuse("the top level", "an object")
-    labels = payload.get("labels")
-    if type(labels) is not list or not all(type(e) is dict for e in labels):
-        refuse("labels", "a list of objects")
-    for i, entry in enumerate(labels):
-        for name in ("label_id", "member_count", "created_seq"):
-            if type(entry.get(name)) is not int:
-                refuse(f"labels[{i}].{name}", "an integer")
-        if entry.get("polarity") not in (BENIGN, MALICIOUS):
-            refuse(f"labels[{i}].polarity", f"{BENIGN!r} or {MALICIOUS!r}")
-        # labels[0]'s representative is checked first, at i = 0.
-        rep = entry.get("representative")
-        if not isinstance(rep, np.ndarray) or \
-                rep.size != labels[0]["representative"].size:
-            refuse(f"labels[{i}].representative",
-                   "a flat list of numbers as wide as labels[0]'s")
-    if len({entry["label_id"] for entry in labels}) < len(labels):
-        refuse("each label_id", "distinct")
-    assignment = payload.get("assignment")
-    if type(assignment) is not list or \
-            not all(type(x) is int for x in assignment):
-        refuse("assignment", "a list of integers")
-    if type(payload.get("zero_vector_sets", 0)) is not int:
-        refuse("zero_vector_sets", "an integer")
-
-
-def label_table_from_json(text: str, sidecar=None,
-                          digest: str | None = None) -> LoadedTable:
-    """Inverse of LabelTable.write_json.
-
-    sidecar names the labels.npz that write_sidecar wrote beside the table,
-    and digest is the sha256 (hex) of text's UTF-8 bytes. When the sidecar
-    loads, its arrays have the shapes it writes and its sha256 is digest,
-    the table comes from it and text is not parsed. Otherwise it comes
-    from text, and source says why not the sidecar: missing, digest
-    mismatch or unreadable. A text that is not such a table is refused with
-    a ValueError naming the field at fault.
-    """
-    source = "json"
-    if sidecar is not None:
-        table, why = _table_from_sidecar(sidecar, digest)
-        if table is not None:
-            return table
-        source = f"json: {why}"
-    payload = json.loads(text, object_hook=_decoded_object)
-    _check_payload(payload)
-    labels = [
-        Label(
-            label_id=entry["label_id"],
-            polarity=entry["polarity"],
-            representative=entry["representative"],
-            member_count=entry["member_count"],
-            created_seq=entry["created_seq"],
-        )
-        for entry in payload["labels"]
-    ]
-    return LoadedTable(labels=labels, assignment=list(payload["assignment"]),
-                       zero_vector_sets=payload.get("zero_vector_sets", 0),
-                       source=source)
+def file_sha256(path) -> str:
+    """The sha256 (hex) of the bytes of the file at path."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def sidecar_path(table_path) -> Path:
@@ -217,16 +147,11 @@ def write_sidecar(table: LabelTable, table_path, stamp: dict) -> None:
     component is stored as the NaN that json.loads gives for the table's
     `NaN`, so both files give the same bits.
     """
-    import hashlib
     import zipfile
 
-    digest = hashlib.sha256()
-    with open(table_path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
     labels = table.labels
     arrays = {
-        "sha256": np.array(digest.hexdigest()),
+        "sha256": np.array(file_sha256(table_path)),
         "stamp": np.array(json.dumps(stamp, sort_keys=True)),
         "label_id": np.array([lb.label_id for lb in labels], dtype=np.int64),
         "polarity": np.array([lb.polarity for lb in labels], dtype=str),
@@ -265,28 +190,40 @@ def write_sidecar(table: LabelTable, table_path, stamp: dict) -> None:
                 fh.write(block.tobytes())
 
 
-def _table_from_sidecar(path, digest: str | None
-                        ) -> tuple[LabelTable | None, str]:
-    """The table in the sidecar at path when it is bound to digest, else
-    None and why not."""
+def label_table_from_json(text: str, sidecar) -> LoadedTable:
+    """The table saved as a labels.json whose text is text, read from
+    sidecar, the labels.npz that write_sidecar wrote beside it.
+
+    The sidecar is used when its zip opens, every member loads without
+    pickles, its sha256 is that of text's UTF-8 bytes (hashed HASH_BLOCK
+    characters at a time), and kinds and shapes are those write_sidecar
+    writes. Otherwise a ValueError names the sidecar and why not: missing,
+    digest mismatch or unreadable.
+    """
     import zipfile
 
+    def refuse(why: str):
+        raise ValueError(f"label table {sidecar}: {why}; rerun label")
+
     try:
-        with zipfile.ZipFile(path) as zf:
+        with zipfile.ZipFile(sidecar) as zf:
             def read(name: str) -> np.ndarray:
                 with zf.open(f"{name}.npy") as fh:
                     return np.lib.format.read_array(fh, allow_pickle=False)
 
-            sha = read("sha256")
-            if sha.shape or str(sha) != digest:
-                return None, "digest mismatch"
             arrays = {name: read(name) for name in (
-                "stamp", "polarity", "representatives", *_SIDECAR_INTS)}
+                "sha256", "stamp", "polarity", "representatives",
+                *_SIDECAR_INTS)}
         stamp = json.loads(str(arrays["stamp"]))
     except FileNotFoundError:
-        return None, "missing"
+        refuse("missing")
     except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-        return None, "unreadable"
+        refuse("unreadable")
+    digest = hashlib.sha256()
+    for lo in range(0, len(text), HASH_BLOCK):
+        digest.update(text[lo:lo + HASH_BLOCK].encode("utf-8"))
+    if arrays["sha256"].shape or str(arrays["sha256"]) != digest.hexdigest():
+        refuse("digest mismatch")
     reps, polarity = arrays["representatives"], arrays["polarity"]
     count = reps.shape[:1]
     if not (isinstance(stamp, dict) and reps.dtype == np.float64
@@ -298,7 +235,7 @@ def _table_from_sidecar(path, digest: str | None
             and arrays["zero_vector_sets"].ndim == 0
             and ((polarity == BENIGN) | (polarity == MALICIOUS)).all()
             and np.diff(np.sort(arrays["label_id"])).all()):
-        return None, "unreadable"
+        refuse("unreadable")
     labels = [
         Label(label_id=label_id, polarity=kind, representative=rep,
               member_count=members, created_seq=seq)
@@ -308,7 +245,7 @@ def _table_from_sidecar(path, digest: str | None
     ]
     return LoadedTable(labels=labels, assignment=arrays["assignment"].tolist(),
                        zero_vector_sets=int(arrays["zero_vector_sets"]),
-                       stamp=stamp, source="npz"), ""
+                       stamp=stamp)
 
 
 def parse_ioc_file(path) -> tuple[list[str], list[str]]:

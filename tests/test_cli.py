@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 from pathlib import Path
 
@@ -516,19 +517,25 @@ def _label_default(corpus, *extra):
 
 
 def _reduce_outputs(corpus, table, out, *extra):
-    """Exit code, every compared output (timings masked) and the table's
-    source in metrics.json of a reduce run against table."""
+    """Exit code and every compared output (timings masked) of a reduce run
+    against table."""
     rc = main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
                "--labels", str(table), "--iocs", str(corpus / "b" / "iocs.tsv"),
                "--top-n", "1,2,5", "--emit-graph", "--emit-dot",
                "--emit-removed-ids", "--out", str(corpus / out), *extra])
     if rc:
-        return rc, None, None
-    outputs = {path.name: mask_timings(path.name, path.read_bytes())
-               for path in sorted((corpus / out).iterdir())
-               if path.name not in ("run_config.json", "metrics.json")}
-    metrics = json.loads((corpus / out / "metrics.json").read_text())
-    return rc, outputs, metrics["labels"]["source"]
+        return rc, None
+    return rc, {path.name: mask_timings(path.name, path.read_bytes())
+                for path in sorted((corpus / out).iterdir())
+                if path.name not in ("run_config.json", "metrics.json")}
+
+
+def _vectors(path, axis):
+    """Write a vectors file of one token, the unit vector along axis of 16,
+    and return the model string its stamp holds."""
+    path.write_text("tok " + " ".join("1" if i == axis else "0"
+                                      for i in range(16)) + "\n")
+    return f"vectors-file sha256={hashlib.sha256(path.read_bytes()).hexdigest()}"
 
 
 @pytest.mark.parametrize("flag, value, key, stamped", [
@@ -541,73 +548,129 @@ def _reduce_outputs(corpus, table, out, *extra):
 def test_table_of_other_settings_is_usage_error(corpus, capsys, monkeypatch,
                                                 flag, value, key, stamped):
     """A stamped table is refused, before the evaluation corpus is parsed,
-    by a run whose settings differ, with the key and both values named."""
+    by a run whose settings differ, with the key and both values named (a
+    vectors file by its bytes, so it has to exist)."""
     table = _label_default(corpus)
     capsys.readouterr()
+    shown = value
+    if key == "model":
+        monkeypatch.chdir(corpus)
+        shown = _vectors(corpus / "vecs.txt", 0)
     parsed = []
     monkeypatch.setattr(cli, "parse_file", lambda *a, **k: parsed.append(a))
-    rc, _, _ = _reduce_outputs(corpus, table, "red", flag, value)
+    rc, _ = _reduce_outputs(corpus, table, "red", flag, value)
     err = capsys.readouterr().err
     assert rc == 1
-    assert f"{key}=" in err and stamped in err and value in err
+    assert f"{key}=" in err and stamped in err and shown in err
     assert "Traceback" not in err
     assert parsed == []
+
+
+def test_vectors_file_is_stamped_by_content(corpus, capsys):
+    """A table labeled with a vectors file is used with the same bytes under
+    another path, and refused, naming model, once the file is overwritten;
+    a vectors file that is not there is an input error."""
+    vectors = corpus / "model.vec"
+    labeled = _vectors(vectors, 0)
+    table = _label_default(corpus, "--model", f"vectors-file:{vectors}")
+    assert json.loads(np.load(table.with_suffix(".npz"))["stamp"].item())[
+        "model"] == labeled
+    moved = corpus / "moved.vec"
+    moved.write_bytes(vectors.read_bytes())
+    capsys.readouterr()
+    rc, _ = _reduce_outputs(corpus, table, "moved",
+                            "--model", f"vectors-file:{moved}")
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+    overwritten = _vectors(vectors, 1)
+    rc, _ = _reduce_outputs(corpus, table, "red",
+                            "--model", f"vectors-file:{vectors}")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"model={labeled!r}" in err and f"model={overwritten!r}" in err
+    assert "Traceback" not in err
+    assert not (corpus / "red" / "reports.json").exists()
+    rc, _ = _reduce_outputs(corpus, table, "gone",
+                            "--model", f"vectors-file:{corpus / 'gone.vec'}")
+    assert rc == 2
 
 
 def test_table_of_the_same_settings_loads_silently(corpus, capsys):
     table = _label_default(corpus, "--seed", "5", "--threshold", "0.95",
                            "--cap-per-anchor", "4")
     capsys.readouterr()
-    rc, _, source = _reduce_outputs(corpus, table, "red", "--seed", "5",
-                                    "--threshold", "0.95",
-                                    "--cap-per-anchor", "4")
-    assert (rc, source) == (0, "npz")
+    rc, _ = _reduce_outputs(corpus, table, "red", "--seed", "5",
+                            "--threshold", "0.95", "--cap-per-anchor", "4")
+    assert rc == 0
     assert capsys.readouterr().err == ""
 
 
-def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys):
+def test_table_without_its_sidecar_is_refused(corpus, capsys):
+    """label --seed 5 then reduce at the default seed exits 1 on the stamp;
+    with labels.npz deleted, the same reduce still exits 1, naming it,
+    instead of running on a table whose settings go unchecked."""
+    table = _label_default(corpus, "--seed", "5")
+    capsys.readouterr()
+    rc, _ = _reduce_outputs(corpus, table, "red")
+    assert rc == 1 and "seed=5" in capsys.readouterr().err
+    sidecar = table.with_suffix(".npz")
+    sidecar.unlink()
+    rc, _ = _reduce_outputs(corpus, table, "red")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert sidecar.name == "labels.npz"
+    assert f"label table {sidecar}: missing; rerun label" in err
+    assert "Traceback" not in err
+    assert not (corpus / "red" / "reports.json").exists()
+
+
+def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
+                                                          monkeypatch):
     """A missing, truncated, garbage or pickled sidecar, or one of other
-    bytes, leaves the table to labels.json: same outputs as with no sidecar,
-    exit 0 and one warning line."""
+    bytes than labels.json, is refused before the evaluation corpus is
+    parsed: exit 1 naming the sidecar and why, no traceback and no
+    reports. The table is never read from labels.json instead."""
     table = _label_default(corpus)
     sidecar = table.with_suffix(".npz")
-    good = sidecar.read_bytes()
+    good, text = sidecar.read_bytes(), table.read_text()
     capsys.readouterr()
-    rc, want, source = _reduce_outputs(corpus, table, "red")
-    assert (rc, source) == (0, "npz")
+    rc, want = _reduce_outputs(corpus, table, "red")
+    assert rc == 0 and want
     assert capsys.readouterr().err == ""
 
     def pickled(path):
-        path.write_bytes(good)
         rewritten_sidecar(path, representatives=np.array([[1.0, "x"]],
                                                          dtype=object))
+
+    def edited(path):
+        # One polarity changed: the sidecar no longer matches the bytes.
+        table.write_text(text.replace('"polarity":"benign"',
+                                      '"polarity":"malicious"', 1))
 
     spoils = [(lambda p: p.unlink(), "missing"),
               (lambda p: p.write_bytes(good[: len(good) // 2]), "unreadable"),
               (lambda p: p.write_bytes(b"\x00garbage" * 64), "unreadable"),
-              (pickled, "unreadable")]
+              (pickled, "unreadable"),
+              (edited, "digest mismatch")]
+    parse_file = cli.parse_file
+    parsed = []
+    monkeypatch.setattr(cli, "parse_file",
+                        lambda *a, **k: parsed.append(a) or parse_file(*a, **k))
     for i, (spoil, why) in enumerate(spoils):
         sidecar.write_bytes(good)
+        table.write_text(text)
         spoil(sidecar)
-        rc, got, source = _reduce_outputs(corpus, table, f"red{i}")
+        rc, got = _reduce_outputs(corpus, table, f"red{i}")
         err = capsys.readouterr().err
-        assert (rc, source) == (0, f"json: {why}")
-        assert got == want
+        assert (rc, got) == (1, None)
+        assert f"label table {sidecar}: {why}; rerun label" in err
         assert "Traceback" not in err
-        assert err.count("\n") == 1 and "unstamped" in err
-
-    # One polarity changed: the sidecar no longer matches the table's bytes.
+        assert not (corpus / f"red{i}" / "reports.json").exists()
+    assert parsed == []
     sidecar.write_bytes(good)
-    text = table.read_text()
-    table.write_text(text.replace('"polarity":"benign"',
-                                  '"polarity":"malicious"', 1))
-    rc, edited, source = _reduce_outputs(corpus, table, "edited")
-    assert (rc, source) == (0, "json: digest mismatch")
-    assert edited != want
-    sidecar.unlink()
-    rc, alone, source = _reduce_outputs(corpus, table, "alone")
-    assert (rc, source) == (0, "json: missing")
-    assert alone == edited
+    table.write_text(text)
+    assert _reduce_outputs(corpus, table, "again") == (0, want)
 
 
 def _set_first_benign(**fields):
@@ -643,18 +706,18 @@ def _widen_last(table):
     (_repeat_first_id, "label_id"),
 ])
 def test_malformed_label_table_is_usage_error(corpus, capsys, spoil, field):
-    """A labels.json that write_json could not have written exits 1 naming
-    the field at fault: never a traceback, never a run on a wrong table."""
+    """A labels.json that write_json could not have written, with field at
+    fault, no longer matches its labels.npz: exit 1 naming the digest
+    mismatch, never a traceback, never a run on a wrong table."""
     table = _label_default(corpus)
-    table.with_suffix(".npz").unlink()
     payload = json.loads(table.read_text())
     assert len(payload["labels"]) > 1
     table.write_text(json.dumps(spoil(payload)))
     capsys.readouterr()
-    rc, _, _ = _reduce_outputs(corpus, table, "red")
+    rc, _ = _reduce_outputs(corpus, table, "red")
     err = capsys.readouterr().err
     assert rc == 1
-    assert field in err
+    assert f"{table.with_suffix('.npz')}: digest mismatch" in err
     assert "Traceback" not in err
     assert not (corpus / "red" / "reports.json").exists()
 
@@ -690,7 +753,7 @@ def test_benchmark_count_extractors_bind_by_name(corpus):
     import inspect
 
     from provprune.ingest import ParseStats
-    from provprune.label import label_table_from_json
+    from provprune.label import label_table_from_json, sidecar_path
 
     trace = _perfbench_trace()
     extractors = {name: counts for _, name, _, counts in trace.TARGETS}
@@ -710,5 +773,5 @@ def test_benchmark_count_extractors_bind_by_name(corpus):
     assert trace._export_counts(None, cli.save_graph, (graph, out), {}) == {
         "export_bytes": out.stat().st_size}
     text = '{"assignment":[],"labels":[]}'
-    assert trace._table_counts(None, label_table_from_json, (), {
-        "text": text}) == {"table_bytes": len(text)}
+    assert trace._table_counts(None, label_table_from_json, (
+        text, sidecar_path(out)), {}) == {"table_bytes": len(text)}

@@ -118,14 +118,13 @@ def test_metrics_counts_equal_the_library_counts(tmp_path):
         assert corpus["anchor_edges"] == len(per_anchor)
         assert corpus["capped_anchors"] == sum(
             count >= DEFAULT_CAP_PER_ANCHOR for count in per_anchor.values())
-        assert corpus["rejected_events"] == 0
         assert corpus["embedder_misses"] is None
     labels = json.loads((tmp_path / "lab" / "labels.json").read_text())
     assert lab["labels"] == {"minted": len(labels["labels"]),
                              "zero_vector_sets": labels["zero_vector_sets"]}
     assert iso["labels"] == red["labels"]
-    assert red["labels"]["loaded"] == len(labels["labels"])
-    assert red["labels"]["source"] == "npz"
+    assert red["labels"] == {"loaded": len(labels["labels"]),
+                             "zero_vector_sets": labels["zero_vector_sets"]}
     assert set(lab["seconds"]) == STAGES | {"label", "table_write"}
     assert set(red["seconds"]) == STAGES | {"match", "select", "table_load",
                                             "export"}
