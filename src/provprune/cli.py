@@ -317,6 +317,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _peak_rss_mb() -> float:
+    """The process's high-water RSS so far; ru_maxrss is in kilobytes on
+    Linux."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 class _RunMetrics:
     """What one label or reduce run did, written out as metrics.json.
 
@@ -328,6 +334,7 @@ class _RunMetrics:
     def __init__(self, command: str):
         self.command = command
         self.started = time.perf_counter()
+        self.start_peak_rss_mb = _peak_rss_mb()
         self.seconds: dict[str, float] = {}
         self.corpora: dict[str, dict] = {}
         self.labels: dict[str, int | str] = {}
@@ -351,9 +358,8 @@ class _RunMetrics:
             "version": __version__,
             "seconds": dict(self.seconds,
                             total=time.perf_counter() - self.started),
-            # ru_maxrss is in kilobytes on Linux.
-            "peak_rss_mb": resource.getrusage(
-                resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "peak_rss_mb": _peak_rss_mb(),
+            "start_peak_rss_mb": self.start_peak_rss_mb,
             "corpora": self.corpora,
             "labels": self.labels,
         }

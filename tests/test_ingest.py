@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from pathlib import Path
@@ -115,6 +116,21 @@ def test_file_bytes_parse_like_text(tmp_path):
     nodes, events, stats = parsed
     assert nodes[0].cmdline == "caf\u00e9 \u2615"
     assert stats.malformed_lines == 0 and len(events) == 1
+
+
+def test_streams_parse_like_lines():
+    """A binary io stream is read in blocks, where canonical lines skip the
+    JSON scanner; a text stream and a list go one line at a time."""
+    records = [dict(PROC, ts=1), dict(FILE, ts=2), READ]
+    text = [json.dumps(r, sort_keys=True, separators=(",", ":"))
+            for r in records]
+    data = "\n".join(text).encode()
+    parsed = parse_stream(text)
+    assert parse_stream(io.BytesIO(data)) == parsed
+    assert parse_stream(io.StringIO("\n".join(text))) == parsed
+    assert parse_stream(io.BytesIO(data))[2].scanned_lines == 0
+    assert parsed[2].scanned_lines == 3
+    assert len(parsed[1]) == 1
 
 
 def test_unknown_kind_counted_as_malformed_line():
