@@ -379,7 +379,7 @@ def _prepare_graph(cfg: RunConfig, path: str, run: _RunMetrics, role: str):
     with run.stage("stats"):
         stats = compute_corpus_stats(graph.events)
     with run.stage("weights"):
-        weights = compute_weights(stats, graph.nodes)
+        weights = compute_weights(stats, graph.table)
     del stats
     embedder = get_embedder(cfg.model, dim=cfg.dim, seed=cfg.seed)
     with run.stage("iocs"):
@@ -442,12 +442,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         cfg, cfg.eval_corpus, run, "eval")
 
     keep_ids = cfg.emit_removed_ids or cfg.emit_graph or cfg.emit_dot
-    population = set(g_eval.nodes) if cfg.include_isolated_nodes else None
     counts: dict[str, int] = {}
     reports = sweep_top_n(g_eval, table, w_eval, embedder, malicious,
                           ns=cfg.top_n, threshold=cfg.threshold,
                           size=cfg.set_size, cap_per_anchor=cfg.cap_per_anchor,
-                          keep_removed_ids=keep_ids, population=population,
+                          keep_removed_ids=keep_ids,
+                          include_isolated_nodes=cfg.include_isolated_nodes,
                           counts=counts)
     run.corpora["eval"].update(counts)
     run.featurized("eval", embedder)

@@ -18,13 +18,12 @@ import numpy as np
 
 from .ingest import (
     FILE,
-    KIND_FILE,
-    KIND_PROCESS,
     NETFLOW,
     PROCESS,
     CorpusStats,
     NodeRecord,
     NodeTable,
+    check_numbering,
 )
 
 DEFAULT_DIM = 64
@@ -181,15 +180,9 @@ class WeightTable:
     netflow_weight: dict[str, float] = field(default_factory=dict)
     process_weight: float = 0.0
 
-    def weight_for(self, node: NodeRecord) -> float:
-        if node.kind == KIND_PROCESS:
-            return self.process_weight
-        if node.kind == KIND_FILE:
-            return self.file_weight.get(node.id, 0.0)
-        return self.netflow_weight.get(node.id, 0.0)
-
     def node_weights(self, nodes: NodeTable, rows: np.ndarray) -> np.ndarray:
-        """weight_for of the given rows of a node table, without records."""
+        """The weights of the given rows of a node table: the process weight
+        for a process, else its id's file or netflow weight, 0 if absent."""
         kind = nodes.kind[rows]
         out = np.where(kind == PROCESS, self.process_weight, 0.0)
         for code, weights in ((FILE, self.file_weight),
@@ -203,20 +196,17 @@ class WeightTable:
 def compute_weights(stats: CorpusStats, nodes) -> WeightTable:
     """ln(P / P_f) per file and netflow entity; process weight = pooled mean.
 
-    nodes is a graph's node map, a NodeTable, or records by id. Entities
-    that never appear in an event are left out of the table and act as
-    weight-0 contributors. An empty corpus has no defined weights.
+    nodes is the NodeTable stats was counted over, or a graph's node map
+    (whose values() is that table). Entities that never appear in an event
+    are left out of the table and act as weight-0 contributors. An empty
+    corpus has no defined weights.
     """
     total = stats.total_events
     if total == 0:
         raise ValueError("weights are undefined for a corpus with zero events")
-    table = NodeTable.of(nodes)
-    if stats.ids is table.ids:
-        counts = stats.entity_counts
-    else:
-        counted = dict(zip(stats.ids, stats.entity_counts.tolist()))
-        counts = np.array([counted.get(i, 0) for i in table.ids],
-                          dtype=np.int64)
+    table = nodes if isinstance(nodes, NodeTable) else nodes.values()
+    check_numbering(table.ids, stats.ids, "the corpus stats")
+    counts = stats.entity_counts
     weights = WeightTable()
     for code, out in ((FILE, weights.file_weight),
                       (NETFLOW, weights.netflow_weight)):

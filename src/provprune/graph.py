@@ -1,9 +1,9 @@
 """In-memory provenance graph: node columns plus time-ordered event columns.
 
-A Graph holds the NodeTable and EventTable that ingest produces, its events
-sorted into global temporal order. `Graph.nodes` reads as a mapping of id
-to NodeRecord and `Graph.events` as a sequence of Event, each record built
-on access; the pipeline stages read the columns.
+A Graph holds the NodeTable and EventTable that parse_stream produces, its
+events sorted into global temporal order. `Graph.nodes` reads as a mapping
+of id to NodeRecord and `Graph.events` as a sequence of Event, each record
+a view built on access; the pipeline stages read the columns.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .ingest import (
     EventTable,
     NodeRecord,
     NodeTable,
-    numbered_events,
+    check_numbering,
 )
 
 # Rows formatted, and lines written, per block by the exporters: column
@@ -36,7 +36,7 @@ EXPORT_CHUNK = 4096
 
 
 class NodeIndex(NamedTuple):
-    """Dense integer numbering of a graph's nodes, in `Graph.nodes` order.
+    """Dense integer numbering of a graph's nodes, in its node table's order.
 
     ids[v] is node v's id; src[i] and dst[i] number the subject and object
     of event i. No id-to-number map is kept.
@@ -105,8 +105,6 @@ class Graph:
     table: NodeTable
     events: EventTable
     order: np.ndarray
-    # Bookkeeping only; not compared.
-    rejected_events: int = 0
 
     @cached_property
     def nodes(self) -> Mapping[str, NodeRecord]:
@@ -115,29 +113,20 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.nodes == other.nodes and self.events == other.events
+        # Node records by ascending id, so the numbering does not matter.
+        return (list(map(self.table.__getitem__, self.order.tolist()))
+                == list(map(other.table.__getitem__, other.order.tolist()))
+                and self.events == other.events)
 
     __hash__ = None
 
 
-def build_graph(nodes, events) -> Graph:
-    """Assemble a graph, sorting events into their global temporal order:
-    timestamp, subject id, object id, syscall name, ties in the order given.
-
-    nodes and events are parse_stream's tables, or records: duplicate node
-    ids keep the first record seen, and events referencing an undeclared
-    endpoint are dropped and counted on the returned graph; the parser
-    leaves none behind.
-    """
-    table = NodeTable.of(nodes)
-    ids = table.ids
-    events = numbered_events(events, ids)
-    rejected = 0
-    if events.ids is not ids:
-        inside = (events.src < len(ids)) & (events.dst < len(ids))
-        rejected = len(inside) - int(inside.sum())
-        events = EventTable(ids, events.src[inside], events.dst[inside],
-                            events.syscall[inside], events.ts[inside])
+def build_graph(nodes: NodeTable, events: EventTable) -> Graph:
+    """Assemble a graph from parse_stream's tables, sorting events into
+    their global temporal order: timestamp, subject id, object id, syscall
+    name, ties in the order given."""
+    ids = nodes.ids
+    check_numbering(ids, events.ids, "the events")
     # Ids compare in code-point order, lone surrogates included, and equal
     # ids are one node, so ranks order events as their id strings do.
     order = np.array(sorted(range(len(ids)), key=ids.__getitem__),
@@ -146,8 +135,7 @@ def build_graph(nodes, events) -> Graph:
     rank[order] = np.arange(len(ids), dtype=np.int32)
     temporal = np.lexsort((events.syscall, rank[events.dst],
                            rank[events.src], events.ts))
-    return Graph(table, events.take(temporal), order,
-                 rejected_events=rejected)
+    return Graph(nodes, events.take(temporal), order)
 
 
 def remove_nodes(graph: Graph, node_ids: Iterable[str]) -> Graph:

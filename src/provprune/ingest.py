@@ -4,9 +4,11 @@ Reads line-delimited JSON records (one node or event per line), keeps only
 events whose system call belongs to the analyzed set, and tallies everything
 it rejects instead of failing. What it keeps is held as columns: a node gets
 a number at its first declaration, and an event holds its endpoints'
-numbers, a syscall code and its timestamp. A NodeTable reads as a sequence
-of NodeRecord and an EventTable as a sequence of Event, each record built on
-access.
+numbers, a syscall code and its timestamp. parse_stream is the only way
+records become columns: the two tables it returns share one ids list, and
+every later stage takes them as they are. A NodeTable reads as a sequence
+of NodeRecord and an EventTable as a sequence of Event, each record a view
+built on access.
 
 A binary io stream is read in blocks of whole lines. A block whose lines are
 all canonical (the form synth, the JSONL export and json.dumps with sorted
@@ -23,7 +25,7 @@ import json
 import re
 from array import array
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import eq, itemgetter
@@ -71,7 +73,8 @@ TS_MAX = 2 ** 63 - 1
 class NodeRecord(NamedTuple):
     """A process, file, or netflow entity. Only the fields for its kind are set.
 
-    An immutable named tuple: equal by value, hashable, and ``._replace(...)``
+    A view of a NodeTable row; no function builds columns from one. An
+    immutable named tuple: equal by value, hashable, and ``._replace(...)``
     gives a variant.
     """
 
@@ -95,7 +98,8 @@ class NodeRecord(NamedTuple):
 
 
 class Event(NamedTuple):
-    """A syscall-typed edge: subject is always a process."""
+    """A syscall-typed edge: subject is always a process. A view of an
+    EventTable row."""
 
     subject: str
     object: str
@@ -122,15 +126,6 @@ class ParseStats:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-
-def _int_column(values, dtype) -> np.ndarray:
-    """values as a dtype column, or as an object column of the same ints
-    when one does not fit; only records handed in directly hold such."""
-    try:
-        return np.array(values, dtype=dtype)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 class _Columns(Sequence):
@@ -176,40 +171,6 @@ class NodeTable(_Columns):
     texts: list[str]
     __slots__ = ("ids", "kind", "text", "laddr", "lport", "first_seen",
                  "texts")
-
-    @classmethod
-    def from_records(cls, records: Iterable[NodeRecord]) -> NodeTable:
-        """The first record of each id, in the order given."""
-        number: dict[str, int] = {}
-        codes = {"": 0}
-        kind, text, laddr, lport, first = [], [], [], [], []
-        for node in records:
-            if node.id in number:
-                continue
-            if node.kind not in NODE_KINDS:
-                raise ValueError(f"unknown node kind {node.kind!r}")
-            number[node.id] = len(number)
-            code = NODE_KINDS.index(node.kind)
-            kind.append(code)
-            text.append(codes.setdefault(node.attr_text(), len(codes)))
-            netflow = code == NETFLOW
-            laddr.append(codes.setdefault(node.local_addr, len(codes))
-                         if netflow else 0)
-            lport.append(node.local_port if netflow else 0)
-            first.append(node.first_seen)
-        return cls(list(number), np.array(kind, dtype=np.int8),
-                   np.array(text, dtype=np.int32),
-                   np.array(laddr, dtype=np.int32),
-                   _int_column(lport, np.uint16),
-                   _int_column(first, np.int64), list(codes))
-
-    @classmethod
-    def of(cls, nodes) -> NodeTable:
-        """nodes as a table: a table (or a mapping whose values are one) as
-        it is, records through from_records."""
-        if isinstance(nodes, Mapping):
-            nodes = nodes.values()
-        return nodes if isinstance(nodes, NodeTable) else cls.from_records(nodes)
 
     def take(self, keep: np.ndarray) -> NodeTable:
         """The rows where the boolean keep is set, numbered in order."""
@@ -276,31 +237,6 @@ class EventTable(_Columns):
             map(ids.__getitem__, self.dst.tolist()),
             map(SYSCALL_NAMES.__getitem__, self.syscall.tolist()),
             self.ts.tolist()))
-
-
-def numbered_events(events, ids: Sequence[str] | None = None) -> EventTable:
-    """events as a table whose numbering starts with ids.
-
-    A table is returned as it is when ids is None or its own ids. Records,
-    or a table over other ids, are numbered anew: an endpoint among ids
-    takes its position there, any other a number after them, in order of
-    first appearance.
-    """
-    if isinstance(events, EventTable) and (ids is None or events.ids is ids):
-        return events
-    number = dict(zip(ids or (), range(len(ids or ()))))
-    src, dst, calls, stamps = [], [], [], []
-    for subject, target, syscall, ts in events:
-        if syscall not in _SYSCALL_CODE:
-            raise ValueError(f"not an analyzed syscall: {syscall!r}")
-        src.append(number.setdefault(subject, len(number)))
-        dst.append(number.setdefault(target, len(number)))
-        calls.append(_SYSCALL_CODE[syscall])
-        stamps.append(ts)
-    return EventTable(list(number), np.array(src, dtype=np.int32),
-                      np.array(dst, dtype=np.int32),
-                      np.array(calls, dtype=np.uint8),
-                      _int_column(stamps, np.int64))
 
 
 class CorpusStats:
@@ -674,16 +610,24 @@ def parse_file(path, synthesize_dangling: bool = False):
         return parse_stream(fh, synthesize_dangling=synthesize_dangling)
 
 
-def compute_corpus_stats(events, nodes: Iterable[NodeRecord] = ()
-                         ) -> CorpusStats:
+def check_numbering(ids: list[str], other: list[str], what: str) -> None:
+    """Refuse columns that number nodes other than as the node table does:
+    both must hold the same ids list, as parse_stream's two tables do."""
+    if other is ids or other == ids:
+        return
+    at = next((v for v, (a, b) in enumerate(zip(ids, other)) if a != b),
+              min(len(ids), len(other)))
+    raise ValueError(f"{what} number {len(other)} node ids and the node "
+                     f"table {len(ids)}; they differ from position {at}")
+
+
+def compute_corpus_stats(events: EventTable, nodes=()) -> CorpusStats:
     """Count events per entity and per syscall.
 
-    events is an EventTable or Event records. An entity appearing in an
-    event is counted once per event, whether it is the subject, the object,
-    or both. The counts come from events alone; ``nodes`` is not read and
-    stays only so two-argument calls keep working.
+    An entity appearing in an event is counted once per event, whether it
+    is the subject, the object, or both. The counts come from events alone;
+    ``nodes`` is not read and stays only so two-argument calls keep working.
     """
-    events = numbered_events(events)
     size = len(events.ids)
     counts = np.bincount(events.src, minlength=size)
     counts += np.bincount(events.dst[events.dst != events.src], minlength=size)
@@ -692,19 +636,17 @@ def compute_corpus_stats(events, nodes: Iterable[NodeRecord] = ()
                                    minlength=len(SYSCALL_NAMES)))
 
 
-def cmdline_frequency(events, nodes) -> Counter:
+def cmdline_frequency(events: EventTable, nodes: NodeTable) -> Counter:
     """Events per normalized command line of the acting process.
 
     Each event counts once, keyed by its subject's command line; subjects
-    that are not declared processes are skipped. Of nodes sharing an id,
-    the first counts.
+    that are not processes are skipped.
     """
-    table = NodeTable.of(nodes)
-    events = numbered_events(events, table.ids)
-    acts = np.bincount(events.src, minlength=len(events.ids))[:len(table)]
+    check_numbering(nodes.ids, events.ids, "the events")
+    acts = np.bincount(events.src, minlength=len(nodes))
     frequency: Counter = Counter()
-    for v in np.flatnonzero(acts * (table.kind == PROCESS)).tolist():
-        frequency[normalize_cmdline(table.texts[table.text[v]])] += int(acts[v])
+    for v in np.flatnonzero(acts * (nodes.kind == PROCESS)).tolist():
+        frequency[normalize_cmdline(nodes.texts[nodes.text[v]])] += int(acts[v])
     return frequency
 
 

@@ -113,7 +113,7 @@ def _half_edges(index: NodeIndex, events: EventTable, size: int
         return _HalfEdges([0] * (len(index.ids) + 1), [], [], [], b"",
                           [], [], [], [])
     # Timestamps enter the search and numpy arithmetic only as dense ranks,
-    # so no value can overflow, not even one past int64 from records.
+    # so no value can overflow.
     # Events are kept in temporal order, so the stable sort is a single
     # linear run. Ranks and positions are int32, which holds them below
     # 2**30 events.

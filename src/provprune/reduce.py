@@ -175,14 +175,15 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
                 threshold: float = 1.0, size: int = DEFAULT_SET_SIZE,
                 cap_per_anchor: int = DEFAULT_CAP_PER_ANCHOR,
                 keep_removed_ids: bool = False,
-                population: set[str] | None = None,
+                include_isolated_nodes: bool = False,
                 counts: dict | None = None) -> list[ReductionReport]:
     """One reduction report per requested top-n, sharing a single match pass.
 
     Representative prefixes are nested, so each node only needs the lowest
     rank of any matching chain that holds it; the nodes removed at n are
-    those whose rank is below n. population is the node set the reduction
-    rate is taken over; by default the nodes incident to at least one event.
+    those whose rank is below n. The reduction rate is taken over the nodes
+    incident to at least one event, or over every node when
+    include_isolated_nodes is set.
     A single-n reduction is `ns=[n], keep_removed_ids=True`, then
     `graph.remove_nodes` on the ids. A counts dict, when given, receives the
     enumeration's `nodeset.chain_counts`.
@@ -209,14 +210,12 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
 
     index = sets.index
     flagged = index.mask(malicious.ids)
-    if population is None:
-        in_population = index.incident()
-        population_total = int(in_population.sum())
-        malicious_total = int((flagged & in_population).sum())
+    if include_isolated_nodes:
+        in_population = np.ones(len(index.ids), dtype=bool)
     else:
-        in_population = index.mask(population)
-        population_total = len(population)
-        malicious_total = len(malicious.ids & population)
+        in_population = index.incident()
+    population_total = int(in_population.sum())
+    malicious_total = int((flagged & in_population).sum())
     # Per node, the lowest rank of a matching chain holding it.
     node_rank = np.full(len(index.ids), len(reps), dtype=np.int64)
     matched = ranks >= 0
@@ -232,7 +231,7 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
             n, use, population_total, int(removed.sum()),
             int(removed_malicious.sum()),
             malicious_total - int((removed_malicious & in_population).sum()),
-            len(g_eval.nodes))
+            len(g_eval.table))
         report.per_stage_seconds = dict(shared)
         report.per_stage_seconds["select"] = time.perf_counter() - t4
         report.per_stage_seconds["total"] = (

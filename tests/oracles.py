@@ -4,7 +4,9 @@ Everything here is written straight from the documented contracts using the
 dumbest data structures that work: raw event-list scans, plain dict counters,
 pure-Python arithmetic. None of it shares logic with the package internals;
 the reference labeler builds the package's table types only so that tables
-compare byte for byte.
+compare byte for byte. The graph fixtures (graph_of, synth_graph) are not
+references: they send their records through the package's own parser, the
+only way records become columns.
 """
 
 import hashlib
@@ -19,13 +21,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from provprune.embed import candidate_window, effective_threshold
-from provprune.graph import NodeIndex, write_graph
+from provprune.graph import NodeIndex, build_graph, write_graph
 from provprune.ingest import (
     KIND_PROCESS,
     SYSCALL_OBJECT_KIND,
     Event,
     NodeRecord,
     ParseStats,
+    parse_stream,
 )
 from provprune.label import BENIGN, MALICIOUS, Label, LabelTable
 from provprune.nodeset import ChainBatch
@@ -328,6 +331,13 @@ def record_lines(nodes, events):
     return lines
 
 
+def graph_of(nodes, events):
+    """The graph of the records: their lines through parse_stream, then
+    build_graph. The parser keeps the first of nodes sharing an id and
+    drops events it counts as malformed or dangling."""
+    return build_graph(*parse_stream(record_lines(nodes, events))[:2])
+
+
 def reference_graph_lines(graph):
     """The JSONL export built as dicts and encoded one json.dumps at a time."""
     def dumps(obj):
@@ -456,6 +466,17 @@ def sequential_labels(sets, malicious_ids, cutoff):
     return table
 
 
+def weight_for(weights, node):
+    """A node record's weight in a WeightTable (or reference_weights): the
+    process weight for a process, else its id's file or netflow weight, 0
+    when absent. WeightTable.node_weights must give the same per row."""
+    if node.kind == "process":
+        return weights.process_weight
+    if node.kind == "file":
+        return weights.file_weight.get(node.id, 0.0)
+    return weights.netflow_weight.get(node.id, 0.0)
+
+
 def compose_feature(chain, weights, embedder):
     """Weighted sum of the chain's node vectors, one numpy add per node.
 
@@ -463,7 +484,7 @@ def compose_feature(chain, weights, embedder):
     """
     total = np.zeros(embedder.dim, dtype=np.float64)
     for node in chain:
-        total = total + weights.weight_for(node) * embedder.node_vector(node)
+        total = total + weight_for(weights, node) * embedder.node_vector(node)
     return total
 
 
@@ -472,7 +493,7 @@ def sum_feature_by_hand(chain, weights, embedder):
     dim = embedder.dim
     total = [0.0] * dim
     for node in chain:
-        w = weights.weight_for(node)
+        w = weight_for(weights, node)
         vec = embedder.node_vector(node)
         for i in range(dim):
             total[i] += w * float(vec[i])
@@ -587,8 +608,8 @@ EDGE_TEXTS = ["", '"', "\\", "\x00\x1f\x7f", "\n\r\t\x0b\x0c", "caf\u00e9",
               "\u2028\u2029", "\U0001f600", json.loads('"\\ud800"'),
               json.loads('"\\udfff"'), "  ls \t -la  ", "\\u0041", "a b"]
 EDGE_TS = [0, -1, -(2 ** 63), 2 ** 63 - 1]
-# Timestamps past either end of int64: the parser refuses them, build_graph
-# takes them from records.
+# Timestamps past either end of int64: the parser counts their records as
+# malformed, so no graph holds one.
 WIDE_TS = [2 ** 63, -(2 ** 63) - 1, 2 ** 64 + 7, 10 ** 30]
 EDGE_PORTS = [0, 65535]
 
@@ -664,9 +685,6 @@ def synth_lines(scale=1):
 
 def synth_graph(scale=1):
     """The graph of synth_lines(scale)."""
-    from provprune.graph import build_graph
-    from provprune.ingest import parse_stream
-
     nodes, events, _ = parse_stream(synth_lines(scale))
     return build_graph(nodes, events)
 
@@ -761,22 +779,20 @@ def reference_table_json(table):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-class _ReferenceWeights:
-    """ln(P / P_f) per file and netflow id; processes weigh the mean of those."""
-
-    def __init__(self, events, nodes_by_id):
-        counts = recount_entity_events(events)
-        total = len(events)
-        self.by_id = {nid: math.log(total / count)
-                      for nid, count in counts.items()
-                      if nodes_by_id[nid].kind in ("file", "netflow")}
-        pool = list(self.by_id.values())
-        self.process = math.fsum(pool) / len(pool) if pool else 0.0
-
-    def weight_for(self, node):
-        if node.kind == "process":
-            return self.process
-        return self.by_id.get(node.id, 0.0)
+def reference_weights(events, nodes_by_id):
+    """ln(P / P_f) per file and per netflow id, and for processes the mean
+    of those, under a WeightTable's three field names."""
+    counts = recount_entity_events(events)
+    total = len(events)
+    by_kind = {"file": {}, "netflow": {}}
+    for nid, count in counts.items():
+        kind = nodes_by_id[nid].kind
+        if kind in by_kind:
+            by_kind[kind][nid] = math.log(total / count)
+    pool = [*by_kind["file"].values(), *by_kind["netflow"].values()]
+    return SimpleNamespace(
+        file_weight=by_kind["file"], netflow_weight=by_kind["netflow"],
+        process_weight=math.fsum(pool) / len(pool) if pool else 0.0)
 
 
 class _ReferenceEmbedder:
@@ -816,7 +832,7 @@ def _reference_corpus(lines, iocs, cfg):
             malicious.add(ev.object)
         if ev.object in matched and ev.subject not in matched:
             malicious.add(ev.subject)
-    weights = _ReferenceWeights(events, by_id)
+    weights = reference_weights(events, by_id)
     embedder = _ReferenceEmbedder(cfg.dim, cfg.seed)
     chains = [_Chain(node_ids, compose_feature([by_id[n] for n in node_ids],
                                                weights, embedder))

@@ -38,6 +38,7 @@ from oracles import (
     chain_batch,
     exhaustive_removed_nodes,
     expected_weights,
+    graph_of,
     random_graph_records,
 )
 
@@ -190,7 +191,7 @@ def test_criterion_4_enumeration_matches_brute_force_on_200_graphs():
     for trial in range(200):
         nodes, events = random_graph_records(rng, max_nodes=30, max_events=40,
                                              allow_self_loops=(trial % 3 == 0))
-        g = build_graph(nodes, events)
+        g = graph_of(nodes, events)
         size = 5 if trial % 4 else rng.choice([3, 4])
         got = {(s.node_ids, s.edge_indices)
                for s in enumerate_node_sets(g, size=size, cap_per_anchor=0)}
@@ -205,7 +206,7 @@ def test_criterion_5_weights_match_independent_recomputation():
     rng = random.Random(55)
     for _ in range(60):
         nodes, events = random_graph_records(rng, max_nodes=24, max_events=50)
-        g = build_graph(nodes, events)
+        g = graph_of(nodes, events)
         stats = compute_corpus_stats(g.events, g.nodes.values())
         table = compute_weights(stats, g.nodes)
         want = expected_weights(g.events, g.nodes)
@@ -219,7 +220,7 @@ def test_criterion_5_weights_match_independent_recomputation():
                  NodeRecord(id="f0", kind="file", path="/always")]
     everywhere = [Event(subject="p0", object="f0", syscall="read", ts=t)
                   for t in range(1, 8)]
-    g = build_graph(saturated, everywhere)
+    g = graph_of(saturated, everywhere)
     stats = compute_corpus_stats(g.events, g.nodes.values())
     table = compute_weights(stats, g.nodes)
     assert table.file_weight["f0"] == 0.0

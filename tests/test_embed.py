@@ -21,9 +21,11 @@ from provprune.ingest import Event, NodeRecord, compute_corpus_stats
 from oracles import (
     EDGE_TEXTS,
     expected_weights,
+    graph_of,
     python_cosine,
     random_graph_records,
     reference_embed_text,
+    weight_for,
 )
 
 
@@ -153,18 +155,22 @@ def corpus_fixture():
     return nodes, events
 
 
+def weights_of(nodes, events):
+    """compute_weights over the graph of the records."""
+    g = graph_of(nodes, events)
+    return compute_weights(compute_corpus_stats(g.events), g.table)
+
+
 def test_saturated_entity_weight_exactly_zero():
     nodes, events = corpus_fixture()
     events = [e for e in events if e.object == "f1"]
-    stats = compute_corpus_stats(events, nodes.values())
-    table = compute_weights(stats, nodes)
+    table = weights_of(nodes.values(), events)
     assert table.file_weight["f1"] == 0.0
 
 
 def test_weight_log_ratio_values():
     nodes, events = corpus_fixture()
-    stats = compute_corpus_stats(events, nodes.values())
-    table = compute_weights(stats, nodes)
+    table = weights_of(nodes.values(), events)
     assert table.file_weight["f1"] == pytest.approx(math.log(150 / 100),
                                                     rel=1e-12)
     assert table.file_weight["f2"] == pytest.approx(math.log(15.0), rel=1e-12)
@@ -181,8 +187,7 @@ def test_weight_hundredfold_ratio():
               for i in range(990)]
     events += [Event(subject="p1", object="f2", syscall="read", ts=i)
                for i in range(10)]
-    stats = compute_corpus_stats(events, n.values())
-    table = compute_weights(stats, n)
+    table = weights_of(n.values(), events)
     assert table.file_weight["f2"] == pytest.approx(4.605170185988092,
                                                     rel=1e-12)
     # The natural-log choice pins the scale: a ratio of e means weight 1.
@@ -191,17 +196,15 @@ def test_weight_hundredfold_ratio():
 
 def test_unused_entities_absent_from_table():
     nodes, events = corpus_fixture()
-    stats = compute_corpus_stats(events, nodes.values())
-    table = compute_weights(stats, nodes)
+    table = weights_of(nodes.values(), events)
     assert "f_unused" not in table.file_weight
     unused = nodes["f_unused"]
-    assert table.weight_for(unused) == 0.0
+    assert weight_for(table, unused) == 0.0
 
 
 def test_process_weight_is_pooled_mean():
     nodes, events = corpus_fixture()
-    stats = compute_corpus_stats(events, nodes.values())
-    table = compute_weights(stats, nodes)
+    table = weights_of(nodes.values(), events)
     pool = [table.file_weight["f1"], table.file_weight["f2"],
             table.netflow_weight["n1"]]
     assert table.process_weight == pytest.approx(sum(pool) / 3, rel=1e-12)
@@ -209,9 +212,20 @@ def test_process_weight_is_pooled_mean():
 
 
 def test_zero_event_corpus_rejected():
-    stats = compute_corpus_stats([], [])
-    with pytest.raises(ValueError):
-        compute_weights(stats, {})
+    with pytest.raises(ValueError, match="zero events"):
+        weights_of([], [])
+
+
+def test_compute_weights_reads_the_table_its_stats_counted():
+    """A graph's node map reads as its table; a table that numbers the
+    nodes otherwise is refused."""
+    nodes, events = corpus_fixture()
+    g = graph_of(nodes.values(), events)
+    stats = compute_corpus_stats(g.events)
+    assert compute_weights(stats, g.nodes) == compute_weights(stats, g.table)
+    other = graph_of(list(nodes.values())[::-1], events)
+    with pytest.raises(ValueError, match="corpus stats number"):
+        compute_weights(stats, other.table)
 
 
 def test_weights_nonnegative_and_match_oracle_on_random_corpora():
@@ -221,8 +235,11 @@ def test_weights_nonnegative_and_match_oracle_on_random_corpora():
         if not events:
             continue
         by_id = {n.id: n for n in nodes}
-        stats = compute_corpus_stats(events, nodes)
-        table = compute_weights(stats, by_id)
+        g = graph_of(nodes, events)
+        table = compute_weights(compute_corpus_stats(g.events), g.table)
+        rows = np.arange(len(g.table))
+        assert table.node_weights(g.table, rows).tolist() == [
+            weight_for(table, node) for node in g.table]
         want = expected_weights(events, by_id)
         got = dict(table.file_weight)
         got.update(table.netflow_weight)
@@ -275,11 +292,22 @@ def test_effective_threshold_slack():
 
 
 def test_weight_table_routing():
-    table = WeightTable(file_weight={"f": 2.0}, netflow_weight={"n": 3.0},
+    """node_weights routes each row by kind, as the reference weight_for
+    does per record, in the order the rows are given; an id absent from
+    its kind's table weighs 0."""
+    table = WeightTable(file_weight={"f": 2.0, "n": 7.0},
+                        netflow_weight={"n": 3.0, "f": 5.0},
                         process_weight=1.5)
-    assert table.weight_for(NodeRecord(id="f", kind="file", path="/")) == 2.0
-    assert table.weight_for(NodeRecord(id="n", kind="netflow")) == 3.0
-    assert table.weight_for(NodeRecord(id="p", kind="process")) == 1.5
+    nodes = [NodeRecord(id="f", kind="file", path="/"),
+             NodeRecord(id="n", kind="netflow"),
+             NodeRecord(id="p", kind="process"),
+             NodeRecord(id="f2", kind="file", path="/"),
+             NodeRecord(id="n2", kind="netflow")]
+    g = graph_of(nodes, [])
+    rows = np.array([4, 2, 0, 1, 3, 0])
+    got = table.node_weights(g.table, rows).tolist()
+    assert got == [weight_for(table, g.table[v]) for v in rows.tolist()]
+    assert got == [0.0, 1.5, 2.0, 3.0, 0.0, 2.0]
 
 
 def test_vectors_file_roundtrip(tmp_path):

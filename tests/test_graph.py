@@ -18,6 +18,7 @@ from provprune.ingest import (
     NODE_KINDS,
     SYSCALL_OBJECT_KIND,
     Event,
+    EventTable,
     NodeRecord,
     parse_stream,
 )
@@ -25,14 +26,15 @@ from provprune.ingest import (
 from oracles import (
     EDGE_PORTS,
     EDGE_TS,
-    WIDE_TS,
     degree_counts,
     edge_graph_records,
     event_node_ids,
     export_graph,
+    graph_of,
     random_graph_records,
     record_lines,
     reference_graph_lines,
+    reference_parse_stream,
     synth_graph,
     synth_lines,
     temporal_order,
@@ -58,7 +60,7 @@ def small_fixture():
 
 def test_build_counts_and_order():
     nodes, events = small_fixture()
-    g = build_graph(nodes, list(reversed(events)))
+    g = graph_of(nodes, list(reversed(events)))
     assert len(g.nodes) == 3
     assert [e.syscall for e in g.events] == ["clone", "open"]
 
@@ -71,7 +73,7 @@ def test_events_sorted_by_full_key():
         Event(subject="a", object="b", syscall="execve", ts=5),
         Event(subject="a", object="b", syscall="clone", ts=5),
     ]
-    g = build_graph(nodes, events)
+    g = graph_of(nodes, events)
     assert g.events == [events[2], events[1], events[0]]
     keys = [(e.ts, e.subject, e.object, e.syscall) for e in g.events]
     assert keys == sorted(keys)
@@ -85,16 +87,27 @@ ID_CHARS = ["a", "B", "z", "0", " ", "\u00e9", "\U0001f600",
 
 def tie_heavy_records(rng):
     """Nodes of shuffled random ids and events of few timestamps, with
-    repeated endpoints, syscalls and whole events."""
+    repeated endpoints, syscalls and whole events; each event's subject is
+    a process and its object of the kind its syscall takes."""
     ids = list(dict.fromkeys(
         "".join(rng.choices(ID_CHARS, k=rng.randint(1, 3)))
         for _ in range(rng.randint(1, 20))))
     rng.shuffle(ids)
-    nodes = [NodeRecord(id=i, kind=rng.choice(NODE_KINDS), first_seen=1)
-             for i in ids]
-    events = [Event(rng.choice(ids), rng.choice(ids),
-                    rng.choice(list(SYSCALL_OBJECT_KIND)), rng.randint(0, 3))
-              for _ in range(rng.randint(0, 60))]
+    kinds = ["process"] + rng.choices(NODE_KINDS, k=len(ids) - 1)
+    nodes = [NodeRecord(id=i, kind=kind, first_seen=1)
+             for i, kind in zip(ids, kinds)]
+    by_kind = {}
+    for i, kind in zip(ids, kinds):
+        by_kind.setdefault(kind, []).append(i)
+    syscalls = [s for s, kind in SYSCALL_OBJECT_KIND.items()
+                if kind in by_kind]
+    events = []
+    for _ in range(rng.randint(0, 60)):
+        syscall = rng.choice(syscalls)
+        events.append(Event(
+            rng.choice(by_kind["process"]),
+            rng.choice(by_kind[SYSCALL_OBJECT_KIND[syscall]]), syscall,
+            rng.randint(0, 3)))
     events += rng.sample(events, len(events) // 4)
     rng.shuffle(events)
     return nodes, events
@@ -103,37 +116,39 @@ def tie_heavy_records(rng):
 def test_temporal_order_is_a_stable_sort_by_the_key_tuple():
     """Heavy ties, non-ASCII ids, lone surrogates and ids declared out of
     string order: the event columns sort as the records do under the
-    (ts, subject, object, syscall) key, equal events in the order given,
-    from records and from parsed columns alike."""
+    (ts, subject, object, syscall) key, equal events in the order given.
+    The records are as the reference parser reads their lines, where an
+    escaped high and low surrogate in a row are one character."""
     rng = random.Random(2718)
     unordered = 0
     for _ in range(150):
         nodes, events = tie_heavy_records(rng)
         unordered += [n.id for n in nodes] != sorted(n.id for n in nodes)
-        g = build_graph(nodes, events)
-        assert g.events == sorted(events, key=temporal_order)
+        _, read, _ = reference_parse_stream(record_lines(nodes, events))
+        assert len(read) == len(events)
+        g = graph_of(nodes, events)
+        assert g.events == sorted(read, key=temporal_order)
     for _ in range(60):
         nodes, events = edge_graph_records(rng, wide=False)
         parsed_nodes, parsed_events, _ = parse_stream(
             record_lines(nodes, events))
         g = build_graph(parsed_nodes, parsed_events)
         assert g.events == sorted(parsed_events, key=temporal_order)
-        assert g == build_graph(list(parsed_nodes), list(parsed_events))
     assert unordered > 100
 
 
 def test_record_views_give_the_records_built_from():
-    """g.nodes and g.events read back the records build_graph was given:
-    the first record of each id, by [id], in, len and iteration, and every
-    accepted event."""
+    """g.nodes and g.events read back the records graph_of was given, as
+    the reference parser reads their lines: the first record of each id,
+    by [id], in, len and iteration, and every event."""
     rng = random.Random(1414)
     for _ in range(60):
-        nodes, events = edge_graph_records(rng)
+        nodes, events = edge_graph_records(rng, wide=False)
         nodes += [n._replace(first_seen=7) for n in rng.sample(nodes, 1)]
-        first = {}
-        for node in nodes:
-            first.setdefault(node.id, node)
-        g = build_graph(nodes, events)
+        read_nodes, events, _ = reference_parse_stream(
+            record_lines(nodes, events))
+        first = {node.id: node for node in read_nodes}
+        g = graph_of(nodes, events)
         assert len(g.nodes) == len(first)
         assert list(g.nodes) == list(first)
         assert list(g.nodes.values()) == list(first.values())
@@ -169,21 +184,38 @@ def test_parse_and_build_hold_few_bytes_per_record():
 def test_duplicate_nodes_keep_first():
     nodes = [NodeRecord(id="p1", kind="process", cmdline="first"),
              NodeRecord(id="p1", kind="process", cmdline="second")]
-    g = build_graph(nodes, [])
+    g = graph_of(nodes, [])
     assert g.nodes["p1"].cmdline == "first"
 
 
 def test_missing_endpoint_rejected_and_counted():
     nodes, events = small_fixture()
     events.append(Event(subject="p1", object="ghost", syscall="open", ts=30))
-    g = build_graph(nodes, events)
+    table, columns, stats = parse_stream(record_lines(nodes, events))
+    g = build_graph(table, columns)
     assert len(g.events) == 2
-    assert g.rejected_events == 1
+    assert stats.dangling_events == 1
+
+
+def test_build_graph_refuses_tables_of_another_numbering():
+    """Tables that number their nodes alike build the same graph; tables
+    that do not are refused, not renumbered."""
+    nodes, events = small_fixture()
+    table, columns, _ = parse_stream(record_lines(nodes, events))
+    copy = EventTable(list(columns.ids), columns.src, columns.dst,
+                      columns.syscall, columns.ts)
+    assert build_graph(table, copy) == build_graph(table, columns)
+    other, _, _ = parse_stream(record_lines(nodes[::-1], []))
+    with pytest.raises(ValueError, match="differ from position 0"):
+        build_graph(other, columns)
+    fewer, _, _ = parse_stream(record_lines(nodes[:2], []))
+    with pytest.raises(ValueError, match="3 node ids and the node table 2"):
+        build_graph(fewer, columns)
 
 
 def test_zero_events_graph_is_isolated():
     nodes, _ = small_fixture()
-    g = build_graph(nodes, [])
+    g = graph_of(nodes, [])
     assert g.events == []
     assert event_node_ids(g) == set()
     assert not NodeIndex.of(g).incident().any()
@@ -203,25 +235,25 @@ def test_handshake_identity():
         syscall = "clone" if o.startswith("p") else "read"
         events.append(Event(subject=s, object=o, syscall=syscall,
                             ts=rng.randrange(1000)))
-    g = build_graph(nodes, events)
+    g = graph_of(nodes, events)
     assert sum(degree_counts(g).values()) == 2 * len(g.events)
 
 
 def test_remove_nothing_is_identity():
     nodes, events = small_fixture()
-    g = build_graph(nodes, events)
+    g = graph_of(nodes, events)
     assert export_graph(remove_nodes(g, [])) == export_graph(g)
 
 
 def test_remove_everything():
     nodes, events = small_fixture()
-    g = remove_nodes(build_graph(nodes, events), ["p1", "p2", "fA"])
+    g = remove_nodes(graph_of(nodes, events), ["p1", "p2", "fA"])
     assert not g.nodes and not g.events
 
 
 def test_remove_unknown_ids_ignored():
     nodes, events = small_fixture()
-    g = build_graph(nodes, events)
+    g = graph_of(nodes, events)
     h = remove_nodes(g, ["nope", "p2"])
     assert h == remove_nodes(g, ["p2"])
     assert "p2" not in h.nodes
@@ -231,7 +263,7 @@ def test_removal_drops_incident_edges_full_scan():
     rng = random.Random(83)
     for _ in range(20):
         nodes, events = random_graph_records(rng)
-        g = build_graph(nodes, events)
+        g = graph_of(nodes, events)
         victims = {n.id for n in nodes if rng.random() < 0.3}
         h = remove_nodes(g, victims)
         assert not victims & set(h.nodes)
@@ -245,7 +277,7 @@ def test_removal_drops_incident_edges_full_scan():
 def test_removal_order_insensitive():
     rng = random.Random(84)
     nodes, events = random_graph_records(rng)
-    g = build_graph(nodes, events)
+    g = graph_of(nodes, events)
     ids = [n.id for n in nodes]
     a = set(rng.sample(ids, 3))
     b = set(rng.sample(ids, 3))
@@ -255,7 +287,7 @@ def test_removal_order_insensitive():
 
 
 def test_export_empty_graph():
-    assert export_graph(build_graph([], [])) == ""
+    assert export_graph(graph_of([], [])) == ""
 
 
 def edge_graph(rng):
@@ -265,7 +297,7 @@ def edge_graph(rng):
     ghosts = [{"kind": "event", "syscall": syscall, "subject": "ghost:p",
                "object": f"ghost:{syscall}\ud800", "ts": rng.choice(EDGE_TS)}
               for syscall in rng.sample(["read", "clone", "sendto"], 2)]
-    lines = reference_graph_lines(build_graph(nodes, events))
+    lines = reference_graph_lines(graph_of(nodes, events))
     lines += [json.dumps(obj) for obj in ghosts]
     nodes, events, stats = parse_stream(lines, synthesize_dangling=True)
     assert stats.synthesized_nodes == 3
@@ -277,7 +309,7 @@ def test_jsonl_round_trip_fixpoint():
     export read as a binary stream, where its canonical lines skip the JSON
     scanner, parses as its lines do."""
     rng = random.Random(85)
-    graphs = [build_graph(*random_graph_records(rng)) for _ in range(10)]
+    graphs = [graph_of(*random_graph_records(rng)) for _ in range(10)]
     graphs += [edge_graph(rng) for _ in range(80)]
     for g in graphs:
         first = export_graph(g)
@@ -292,13 +324,12 @@ def test_jsonl_round_trip_fixpoint():
 
 def test_export_bytes_equal_json_dumps_encoding(tmp_path):
     """graph_lines, export_graph, write_graph and save_graph all give the
-    bytes of one sorted-key json.dumps per record, also for timestamps past
-    int64 that only a graph built from records holds."""
+    bytes of one sorted-key json.dumps per record."""
     rng = random.Random(86)
     seen = set()
     for trial in range(80):
-        g = edge_graph(rng) if trial % 2 else build_graph(
-            *edge_graph_records(rng))
+        g = edge_graph(rng) if trial % 2 else graph_of(
+            *edge_graph_records(rng, wide=False))
         expected = reference_graph_lines(g)
         assert list(graph_lines(g)) == expected
         text = "".join(line + "\n" for line in expected)
@@ -312,12 +343,11 @@ def test_export_bytes_equal_json_dumps_encoding(tmp_path):
         for n in g.nodes.values():
             seen.add(n.kind)
             seen.update({n.first_seen, n.local_port, n.remote_port}
-                        & {*EDGE_TS, *WIDE_TS, *EDGE_PORTS})
+                        & {*EDGE_TS, *EDGE_PORTS})
             seen.update(c for c in n.id + n.attr_text()
                         if "\ud800" <= c <= "\udfff")
-        seen.update({ev.ts for ev in g.events} & {*EDGE_TS, *WIDE_TS})
-    assert {"process", "file", "netflow", *EDGE_TS, *WIDE_TS,
-            *EDGE_PORTS} <= seen
+        seen.update({ev.ts for ev in g.events} & set(EDGE_TS))
+    assert {"process", "file", "netflow", *EDGE_TS, *EDGE_PORTS} <= seen
     assert {"\ud800", "\udfff"} <= seen
 
 
@@ -342,7 +372,7 @@ def test_save_graph_holds_no_text_of_the_whole_graph(tmp_path, synth_graphs,
 
 def test_dot_output_shape():
     nodes, events = small_fixture()
-    lines = list(dot_lines(build_graph(nodes, events)))
+    lines = list(dot_lines(graph_of(nodes, events)))
     assert lines[0].startswith("digraph")
     assert sum(1 for ln in lines if "label=" in ln and "->" not in ln) == 3
     assert sum(1 for ln in lines if "->" in ln) == 2
@@ -354,18 +384,18 @@ def test_dot_escapes_quotes():
     nodes = [NodeRecord(id="p1", kind="process", cmdline='sh -c "rm x"'),
              NodeRecord(id="p2", kind="process", cmdline="y")]
     events = [Event(subject="p1", object="p2", syscall="clone", ts=1)]
-    text = export_graph(build_graph(nodes, events), fmt="dot")
+    text = export_graph(graph_of(nodes, events), fmt="dot")
     assert '\\"rm' in text
 
 
 def test_unknown_export_format_raises():
     with pytest.raises(ValueError):
-        export_graph(build_graph([], []), fmt="xml")
+        export_graph(graph_of([], []), fmt="xml")
 
 
 def test_summarize_fields():
     nodes, events = small_fixture()
-    info = summarize(build_graph(nodes, events))
+    info = summarize(graph_of(nodes, events))
     assert info["nodes"] == 3
     assert info["processes"] == 2
     assert info["files"] == 1
@@ -382,7 +412,7 @@ def test_incident_nodes_equal_the_oracle():
     for _ in range(40):
         nodes, events = random_graph_records(rng, allow_self_loops=True)
         nodes.append(NodeRecord(id="island", kind="file", path="/island"))
-        g = build_graph(nodes, events)
+        g = graph_of(nodes, events)
         loops += sum(ev.subject == ev.object for ev in g.events)
         index = NodeIndex.of(g)
         want = event_node_ids(g)
@@ -408,7 +438,7 @@ class _ScanOnly:
 
 def test_mask_makes_a_set_of_any_other_iterable():
     nodes, events = small_fixture()
-    index = NodeIndex.of(build_graph(nodes, events))
+    index = NodeIndex.of(graph_of(nodes, events))
     members = {"p2", "elsewhere"}
     want = index.mask(members)
     assert want.tolist() == [nid in members for nid in index.ids]
@@ -419,6 +449,6 @@ def test_mask_makes_a_set_of_any_other_iterable():
 
 def test_graph_lines_nodes_before_events():
     nodes, events = small_fixture()
-    lines = list(graph_lines(build_graph(nodes, events)))
+    lines = list(graph_lines(graph_of(nodes, events)))
     kinds = ["event" if '"kind":"event"' in ln else "node" for ln in lines]
     assert kinds == ["node", "node", "node", "event", "event"]

@@ -21,10 +21,13 @@ from provprune.ingest import (
 
 from oracles import (
     edge_graph_records,
+    graph_of,
     random_graph_records,
     record_lines,
     recount_entity_events,
     reference_corpus_stats,
+    reference_parse_stream,
+    synth_lines,
     total_event_records,
 )
 
@@ -323,13 +326,13 @@ def test_stats_saturation_case():
              NodeRecord(id="f1", kind="file", path="/x")]
     events = [Event(subject="p1", object="f1", syscall="read", ts=i)
               for i in range(100)]
-    stats = compute_corpus_stats(events, nodes)
+    stats = compute_corpus_stats(graph_of(nodes, events).events)
     assert stats.total_events == 100
     assert stats.per_entity_event_count["f1"] == 100
 
 
 def test_stats_zero_events():
-    stats = compute_corpus_stats([], [])
+    stats = compute_corpus_stats(graph_of([], []).events)
     assert stats.total_events == 0
     assert not stats.per_entity_event_count
 
@@ -345,17 +348,18 @@ def test_stats_match_bruteforce_recount():
         events.append(Event(subject=f"p{rng.randrange(10)}",
                             object=f"f{rng.randrange(20)}",
                             syscall="write", ts=rng.randrange(50)))
-    stats = compute_corpus_stats(events, nodes)
+    stats = compute_corpus_stats(graph_of(nodes, events).events)
     assert dict(stats.per_entity_event_count) == recount_entity_events(events)
     assert stats.total_events == len(events)
     assert sum(stats.per_syscall_count.values()) == stats.total_events
 
 
 def test_stats_match_per_event_reference():
-    """Counts equal a one-increment-per-event loop, self-loops included."""
+    """Counts equal a one-increment-per-event loop over what the reference
+    parser reads, self-loops and placeholder processes included."""
     rng = random.Random(2025)
     spaced = ["ls  -la", " ls -la ", "ls\t-la", "make\n -j4", "", "   "]
-    self_loops = 0
+    self_loops = placeholders = 0
     for trial in range(60):
         if trial % 2:
             nodes, events = edge_graph_records(rng)
@@ -363,17 +367,34 @@ def test_stats_match_per_event_reference():
             nodes, events = random_graph_records(rng, allow_self_loops=True)
             nodes = [n._replace(cmdline=rng.choice(spaced))
                      if n.kind == "process" else n for n in nodes]
-        self_loops += sum(ev.subject == ev.object for ev in events)
         declared = nodes if trial % 3 else nodes[1:]
+        synthesize = trial % 4 < 2
+        source = record_lines(declared, events)
+        read_nodes, read_events, read_stats = reference_parse_stream(
+            source, synthesize_dangling=synthesize)
+        self_loops += sum(ev.subject == ev.object for ev in read_events)
+        placeholders += read_stats.synthesized_nodes
         total, per_entity, per_syscall, cmdlines = reference_corpus_stats(
-            events, declared)
-        stats = compute_corpus_stats(iter(events))
+            read_events, read_nodes)
+        table, columns, _ = parse_stream(source,
+                                         synthesize_dangling=synthesize)
+        stats = compute_corpus_stats(columns)
         assert stats.total_events == total
         assert dict(stats.per_entity_event_count) == per_entity
         assert dict(stats.per_syscall_count) == per_syscall
-        assert compute_corpus_stats(events, nodes) == stats
-        assert dict(cmdline_frequency(events, declared)) == cmdlines
-    assert self_loops > 0
+        assert compute_corpus_stats(columns, table) == stats
+        assert dict(cmdline_frequency(columns, table)) == cmdlines
+    assert self_loops > 0 and placeholders > 0
+
+
+def test_cmdline_frequency_refuses_tables_of_another_numbering():
+    nodes = [NodeRecord(id="p1", kind="process", cmdline="a"),
+             NodeRecord(id="f1", kind="file", path="/x")]
+    events = [Event(subject="p1", object="f1", syscall="read", ts=1)]
+    g = graph_of(nodes, events)
+    other = graph_of(nodes[::-1], events)
+    with pytest.raises(ValueError, match="differ from position 0"):
+        cmdline_frequency(g.events, other.table)
 
 
 def test_cmdline_counted_once_per_event():
@@ -381,7 +402,8 @@ def test_cmdline_counted_once_per_event():
              NodeRecord(id="f1", kind="file", path="/x")]
     events = [Event(subject="p1", object="f1", syscall="read", ts=i)
               for i in range(7)]
-    assert cmdline_frequency(events, nodes) == {"/usr/bin/firefox": 7}
+    g = graph_of(nodes, events)
+    assert cmdline_frequency(g.events, g.table) == {"/usr/bin/firefox": 7}
 
 
 def test_normalize_cmdline_collapses_whitespace_only():
@@ -394,7 +416,8 @@ def test_top_commands_single():
              NodeRecord(id="f1", kind="file", path="/x")]
     events = [Event(subject="p1", object="f1", syscall="read", ts=i)
               for i in range(5)]
-    assert top_commands(cmdline_frequency(events, nodes), 10) == [
+    g = graph_of(nodes, events)
+    assert top_commands(cmdline_frequency(g.events, g.table), 10) == [
         ("solo", 5, 1.0)]
 
 
@@ -406,13 +429,16 @@ def test_top_commands_shares_and_tiebreak():
     events = []
     events += [Event(subject="p1", object="f1", syscall="read", ts=1)] * 3
     events += [Event(subject="p2", object="f1", syscall="read", ts=1)] * 1
-    ranked = top_commands(cmdline_frequency(events, nodes), 5)
+    g = graph_of(nodes, events)
+    ranked = top_commands(cmdline_frequency(g.events, g.table), 5)
     assert ranked[0] == ("bbb", 3, 0.75)
     assert ranked[1] == ("aaa", 1, 0.25)
 
-    tie = cmdline_frequency(
-        [Event(subject="p1", object="f1", syscall="read", ts=1),
-         Event(subject="p2", object="f1", syscall="read", ts=1)], nodes)
+    g = graph_of(nodes, [Event(subject="p1", object="f1", syscall="read",
+                               ts=1),
+                         Event(subject="p2", object="f1", syscall="read",
+                               ts=1)])
+    tie = cmdline_frequency(g.events, g.table)
     assert [c for c, _, _ in top_commands(tie, 5)] == ["aaa", "bbb"]
 
 
@@ -428,11 +454,16 @@ def test_placeholder_kind_follows_syscall(syscall, expected_kind):
     assert {n.id: n.kind for n in nodes}[target] == expected_kind
 
 
+def readme_block(heading, lang):
+    """The first fenced block of lang under README's heading."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split(heading, 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_input_example_parses_cleanly():
     """The JSON block under README's "## Input format" is valid input."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("## Input format", 1)[1]
-    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    block = readme_block("## Input format", "json")
     nodes, events, stats = parse_stream(block.splitlines())
     assert len(nodes) == 3
     assert len(events) == 1
@@ -441,3 +472,18 @@ def test_readme_input_example_parses_cleanly():
             stats.dangling_events, stats.duplicate_nodes) == (0,) * 6
     netflow, = [n for n in nodes if n.kind == "netflow"]
     assert netflow.attr_text() == "10.0.0.5:443"
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    """The Python block under README's "## Library use" runs as written on
+    a synthesized corpus at the path it reads, and labels and sweeps it."""
+    corpus = tmp_path / "labeled" / "corpus.jsonl"
+    corpus.parent.mkdir()
+    corpus.write_text("".join(line + "\n" for line in synth_lines()))
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(readme_block("## Library use", "python"), scope)
+    assert scope["stats"].accepted_events == len(scope["g"].events) == 3696
+    assert len(scope["table"].labels) > 0
+    assert [r.n_requested for r in scope["reports"]] == [3, 10]
+    assert scope["reports"][0].nodes_removed > 0

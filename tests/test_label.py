@@ -7,7 +7,6 @@ import pytest
 
 from provprune import label
 from provprune.embed import effective_threshold
-from provprune.graph import build_graph
 from provprune.ingest import Event, NodeRecord
 from provprune.label import (
     BENIGN,
@@ -23,6 +22,7 @@ from provprune.nodeset import NodeSet
 
 from oracles import (
     chain_batch,
+    graph_of,
     random_graph_records,
     reference_ioc_matches,
     reference_table_json,
@@ -92,7 +92,7 @@ def five_node_graph():
         Event(subject="pB", object="fEvil", syscall="read", ts=2),
         Event(subject="pB", object="fLog", syscall="write", ts=3),
     ]
-    return build_graph(nodes, events)
+    return graph_of(nodes, events)
 
 
 def test_empty_inputs_give_empty_list():
@@ -147,7 +147,7 @@ def test_ioc_matching_equals_per_node_scan():
     pool = ["cmd-1", "cmd", "/data/1", "1", "", "/data/", "10.1.2.3:",
             "absent"]
     for _ in range(40):
-        g = build_graph(*random_graph_records(rng))
+        g = graph_of(*random_graph_records(rng))
         iocs = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
         matched, unmatched = reference_ioc_matches(g, iocs)
         out = build_malicious_list(g, iocs, [])

@@ -6,14 +6,16 @@ import pytest
 
 from provprune import nodeset
 from provprune.embed import HashNgramEmbedder, WeightTable, compute_weights
-from provprune.graph import NodeIndex, build_graph
+from provprune.graph import NodeIndex
 from provprune.ingest import Event, NodeRecord, compute_corpus_stats
 from provprune.nodeset import _half_edges, enumerate_node_sets, featurize_sets
 
 from oracles import (
     brute_force_chains,
     compose_feature,
+    EDGE_TS,
     edge_graph_records,
+    graph_of,
     ordered_chains,
     random_graph_records,
     sum_feature_by_hand,
@@ -29,7 +31,7 @@ def chain_fixture(n=5, ts_step=10):
     events = [Event(subject=f"p{i}", object=f"p{i+1}", syscall="clone",
                     ts=(i + 1) * ts_step)
               for i in range(n - 1)]
-    return build_graph(nodes, events)
+    return graph_of(nodes, events)
 
 
 def test_five_node_chain_yields_exactly_one_set():
@@ -70,7 +72,7 @@ def test_decreasing_timestamps_do_not_extend():
              for i in range(3)]
     events = [Event(subject="p0", object="p1", syscall="clone", ts=50),
               Event(subject="p1", object="p2", syscall="clone", ts=40)]
-    g = build_graph(nodes, events)
+    g = graph_of(nodes, events)
     sets = enumerate_node_sets(g, size=3, cap_per_anchor=0)
     assert [s.node_ids for s in sets] == [("p2", "p1", "p0")]
 
@@ -82,7 +84,7 @@ def test_self_loops_never_enter_chains():
     events = [Event(subject="p0", object="p0", syscall="clone", ts=1),
               Event(subject="p0", object="p1", syscall="clone", ts=2),
               Event(subject="p1", object="p2", syscall="clone", ts=3)]
-    g = build_graph(nodes, events)
+    g = graph_of(nodes, events)
     for s in enumerate_node_sets(g, size=3, cap_per_anchor=0):
         assert len(set(s.node_ids)) == 3
         assert 0 not in s.edge_indices
@@ -97,7 +99,7 @@ def test_cap_keeps_earliest_extensions():
               Event(subject="p1", object="p2", syscall="clone", ts=2),
               Event(subject="p1", object="p3", syscall="clone", ts=3),
               Event(subject="p1", object="p4", syscall="clone", ts=4)]
-    g = build_graph(nodes, events)
+    g = graph_of(nodes, events)
     capped = enumerate_node_sets(g, size=3, cap_per_anchor=1)
     by_anchor = [s for s in capped if s.edge_indices[0] == 0]
     assert by_anchor == [s for s in capped if s.node_ids == ("p0", "p1", "p2")]
@@ -114,7 +116,7 @@ def test_cap_counts_across_orientations():
 def test_enumeration_is_deterministic():
     rng = random.Random(314)
     nodes, events = random_graph_records(rng)
-    g = build_graph(nodes, events)
+    g = graph_of(nodes, events)
     a = enumerate_node_sets(g, size=4, cap_per_anchor=0)
     b = enumerate_node_sets(g, size=4, cap_per_anchor=0)
     assert [(s.node_ids, s.edge_indices) for s in a] == \
@@ -125,7 +127,7 @@ def test_chain_invariants_on_random_graphs():
     rng = random.Random(271)
     for _ in range(25):
         nodes, events = random_graph_records(rng)
-        g = build_graph(nodes, events)
+        g = graph_of(nodes, events)
         for s in enumerate_node_sets(g, size=5, cap_per_anchor=0):
             assert len(set(s.node_ids)) == 5
             stamps = [g.events[i].ts for i in s.edge_indices]
@@ -139,7 +141,7 @@ def test_matches_bruteforce_on_random_graphs():
     rng = random.Random(555)
     for _ in range(30):
         nodes, events = random_graph_records(rng, allow_self_loops=True)
-        g = build_graph(nodes, events)
+        g = graph_of(nodes, events)
         size = rng.choice([3, 4, 5])
         ours = {(s.node_ids, s.edge_indices)
                 for s in enumerate_node_sets(g, size=size, cap_per_anchor=0)}
@@ -158,17 +160,19 @@ def assert_matches_ordered_oracle(g, sizes=(2, 3, 4, 5), caps=(0, 1, 3, 8)):
                 ordered_chains(g.events, size, cap), (size, cap)
 
 
-def test_timestamps_beyond_int64_keep_the_oracle_order():
-    """Timestamps past either end of int64 are ranked before numpy sees
-    them; chains and their order stay those of the unpruned search."""
+def test_timestamps_at_the_int64_bounds_keep_the_oracle_order():
+    """Timestamps at both ends of int64 are ranked before numpy does
+    arithmetic on them; chains and their order stay those of the unpruned
+    search."""
     rng = random.Random(4343)
-    wide = 0
+    bounds = {min(EDGE_TS), max(EDGE_TS)}
+    at_bounds = 0
     for _ in range(30):
-        nodes, events = edge_graph_records(rng)
-        g = build_graph(nodes, events)
-        wide += any(not -2 ** 63 <= ev.ts < 2 ** 63 for ev in g.events)
+        nodes, events = edge_graph_records(rng, wide=False)
+        g = graph_of(nodes, events)
+        at_bounds += bool(bounds & {ev.ts for ev in g.events})
         assert_matches_ordered_oracle(g, sizes=(2, 3, 4))
-    assert wide >= 10
+    assert at_bounds >= 10
 
 
 def test_capped_order_matches_ordered_oracle_with_ties():
@@ -179,7 +183,7 @@ def test_capped_order_matches_ordered_oracle_with_ties():
                                              allow_self_loops=True)
         top = rng.choice([1, 2, 3, 20])
         events = [ev._replace(ts=rng.randint(1, top)) for ev in events]
-        assert_matches_ordered_oracle(build_graph(nodes, events))
+        assert_matches_ordered_oracle(graph_of(nodes, events))
 
 
 def star_graph(leaves, hub="h", ts=lambda i: i + 1, prefix="f"):
@@ -202,24 +206,24 @@ def process_chain(names, first_ts):
                                 lambda i: 30 - i, lambda i: i % 3])
 def test_hub_shapes_match_ordered_oracle(ts):
     # Star.
-    assert_matches_ordered_oracle(build_graph(*star_graph(12, ts=ts)))
+    assert_matches_ordered_oracle(graph_of(*star_graph(12, ts=ts)))
     # Double star: two hubs joined by one edge.
     a_nodes, a_events = star_graph(8, hub="a", ts=ts, prefix="x")
     b_nodes, b_events = star_graph(8, hub="b", ts=ts, prefix="y")
     bridge = Event(subject="a", object="b", syscall="clone", ts=ts(4))
-    assert_matches_ordered_oracle(build_graph(
+    assert_matches_ordered_oracle(graph_of(
         a_nodes + b_nodes, a_events + b_events + [bridge]))
     # Hub plus chain: one leaf is read by a process that starts a chain.
     h_nodes, h_events = star_graph(10, ts=ts)
     c_nodes, c_events = process_chain(["q", "r", "s", "t"], first_ts=ts(5))
     link = Event(subject="q", object="f5", syscall="read", ts=ts(5))
-    assert_matches_ordered_oracle(build_graph(
+    assert_matches_ordered_oracle(graph_of(
         h_nodes + c_nodes, h_events + c_events + [link]))
 
 
 def test_large_star_is_not_quadratic():
     """A 20,000-leaf star has no 5-node chain and must cost about linear."""
-    g = build_graph(*star_graph(20000))
+    g = graph_of(*star_graph(20000))
     t0 = time.perf_counter()
     assert len(enumerate_node_sets(g, size=5)) == 0
     assert time.perf_counter() - t0 < 5.0
@@ -229,7 +233,7 @@ def test_star_lists_its_half_edges_and_no_live_anchor():
     """The work count behind the star timing: each of the 20,000 edges
     enters the table once per end, and no anchor orientation can reach a
     5-node chain, so the DFS starts from none."""
-    g = build_graph(*star_graph(20000))
+    g = graph_of(*star_graph(20000))
     table = _half_edges(NodeIndex.of(g), g.events, 5)
     assert len(table.ts) == len(table.edge) == len(table.neighbor) == 40000
     assert len(table.reach) == 40000
@@ -253,7 +257,7 @@ def test_hub_leaf_that_continues_still_yields_its_chain():
     h_nodes, h_events = star_graph(20000)
     c_nodes, c_events = process_chain(["q", "r", "s"], first_ts=50000)
     link = Event(subject="q", object="f0", syscall="read", ts=40000)
-    g = build_graph(h_nodes + c_nodes, h_events + c_events + [link])
+    g = graph_of(h_nodes + c_nodes, h_events + c_events + [link])
     t0 = time.perf_counter()
     sets = enumerate_node_sets(g, size=5)
     assert time.perf_counter() - t0 < 5.0
@@ -261,8 +265,7 @@ def test_hub_leaf_that_continues_still_yields_its_chain():
 
 
 def weights_for(graph):
-    stats = compute_corpus_stats(graph.events, graph.nodes.values())
-    return compute_weights(stats, graph.nodes)
+    return compute_weights(compute_corpus_stats(graph.events), graph.table)
 
 
 def test_compose_zero_weight_chain_is_zero_vector():
@@ -291,7 +294,7 @@ def test_compose_matches_hand_summation():
         nodes, events = random_graph_records(rng)
         if not events:
             continue
-        g = build_graph(nodes, events)
+        g = graph_of(nodes, events)
         table = weights_for(g)
         ids = list(g.nodes)
         chain = [g.nodes[i] for i in rng.sample(ids, min(5, len(ids)))]
@@ -316,7 +319,7 @@ def test_featurize_matches_compose_bitwise():
     emb = HashNgramEmbedder()
     for _ in range(10):
         nodes, events = random_graph_records(rng)
-        g = build_graph(nodes, events)
+        g = graph_of(nodes, events)
         if not g.events:
             continue
         table = weights_for(g)

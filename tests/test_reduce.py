@@ -42,6 +42,7 @@ from provprune.synthgen import (
 from oracles import (
     event_node_ids,
     exhaustive_removed_nodes,
+    graph_of,
     reference_match_ranks,
     underflowing_twin,
     window_edge_features,
@@ -103,8 +104,7 @@ def pipeline_pieces(spec):
     lines, truth = generate(spec)
     nodes, events, _ = parse_stream(lines)
     g = build_graph(nodes, events)
-    stats = compute_corpus_stats(g.events, g.nodes.values())
-    weights = compute_weights(stats, g.nodes)
+    weights = compute_weights(compute_corpus_stats(g.events), g.table)
     emb = HashNgramEmbedder()
     sets = featurize_sets(enumerate_node_sets(g), g, weights, emb)
     malicious = MaliciousNodeList(ids=set(truth.malicious_ids))
@@ -203,7 +203,7 @@ def test_sweep_requires_ascending_ns():
 
 def test_sweep_refuses_table_of_another_width_before_enumerating():
     g, weights, _, malicious, table, _ = pipeline_pieces(small_spec(8))
-    bare = build_graph(g.nodes.values(), [])
+    bare = graph_of(g.nodes.values(), [])
     with pytest.raises(ValueError, match=r"width 64\b.*width 32\b"):
         sweep_top_n(bare, table, weights, HashNgramEmbedder(dim=32),
                     malicious, ns=[3])
@@ -245,10 +245,10 @@ def test_sweep_n_beyond_labels_noted():
 def test_sweep_population_sets_rate_denominator():
     g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(12))
     lonely = NodeRecord(id="lonely", kind="file", path="/island")
-    g = build_graph([*g.nodes.values(), lonely], g.events)
+    g = graph_of([*g.nodes.values(), lonely], g.events)
     default, = sweep_top_n(g, table, weights, emb, malicious, ns=[3])
     declared, = sweep_top_n(g, table, weights, emb, malicious, ns=[3],
-                            population=set(g.nodes))
+                            include_isolated_nodes=True)
     assert default.total_nodes_before == len(event_node_ids(g))
     assert declared.total_nodes_before == len(g.nodes) == \
         default.total_nodes_before + 1
@@ -269,21 +269,21 @@ def test_sweep_follows_changes_made_after_indexing():
                   for s in enumerate_node_sets(graph)]
         reports = sweep_top_n(graph, table, weights, emb, malicious,
                               ns=[1, 3], keep_removed_ids=True,
-                              population=set(graph.nodes))
+                              include_isolated_nodes=True)
         return chains, [(r.total_nodes_before, r.removed_node_ids,
                          r.fn_count, r.fp_count) for r in reports]
 
     def fresh(graph):
-        return build_graph(list(graph.nodes.values()), list(graph.events))
+        return graph_of(list(graph.nodes.values()), list(graph.events))
 
     whole = outcome(g)
     half = len(g.events) // 2
     later = g.events[half:]
-    g = build_graph(g.nodes.values(), g.events[:half])
+    g = graph_of(g.nodes.values(), g.events[:half])
     shortened = outcome(g)
     assert shortened == outcome(fresh(g))
     lonely = NodeRecord(id="lonely", kind="file", path="/island")
-    g = build_graph([*g.nodes.values(), lonely], [*g.events, *later])
+    g = graph_of([*g.nodes.values(), lonely], [*g.events, *later])
     restored = outcome(g)
     assert restored == outcome(fresh(g))
     assert restored[0] == whole[0]
@@ -445,7 +445,7 @@ def test_pipeline_leaves_no_cyclic_garbage(tmp_path):
         nodes, events, _ = stage("parse", parse_stream(lines))
         g = stage("build", build_graph(nodes, events))
         weights = stage("weights", compute_weights(
-            compute_corpus_stats(g.events), g.nodes))
+            compute_corpus_stats(g.events), g.table))
         emb = HashNgramEmbedder()
         malicious = stage("iocs", build_malicious_list(
             g, *parse_ioc_file(iocs_path)))
