@@ -1,7 +1,8 @@
 """Command-line front end driving the four pipeline phases.
 
-Subcommands: stats, synth, label, reduce, report. Settings resolve in
-ascending precedence: built-in defaults, config file, PROVPRUNE_SEED, flags.
+Subcommands: stats, synth, label, reduce, report. Each command takes only
+the settings it reads: defaults, then config file, PROVPRUNE_SEED (label
+only) and flags. reduce runs at the settings stamped on its label table.
 Every label/reduce run writes run_config.json, a record of its settings and
 not a config file, and metrics.json: stage seconds, peak RSS and counts.
 """
@@ -23,28 +24,13 @@ from pathlib import Path
 from . import __version__
 from .embed import DEFAULT_DIM, DEFAULT_SEED, compute_weights, get_embedder
 from .graph import build_graph, remove_nodes, save_graph, summarize
-from .ingest import (
-    cmdline_frequency,
-    compute_corpus_stats,
-    parse_file,
-    top_commands,
-)
-from .label import (
-    build_malicious_list,
-    file_sha256,
-    label_node_sets,
-    label_table_from_json,
-    parse_ioc_file,
-    sidecar_path,
-    write_sidecar,
-)
-from .nodeset import (
-    DEFAULT_CAP_PER_ANCHOR,
-    DEFAULT_SET_SIZE,
-    chain_counts,
-    enumerate_node_sets,
-    featurize_sets,
-)
+from .ingest import (cmdline_frequency, compute_corpus_stats, parse_file,
+                     top_commands)
+from .label import (build_malicious_list, file_sha256, label_node_sets,
+                    label_table_from_json, parse_ioc_file, sidecar_path,
+                    write_sidecar)
+from .nodeset import (DEFAULT_CAP_PER_ANCHOR, DEFAULT_SET_SIZE, chain_counts,
+                      enumerate_node_sets, featurize_sets)
 from .reduce import sweep_top_n, write_sweep_csv
 from .synthgen import generate, ioc_file_lines, sample_spec_json, spec_from_json
 
@@ -53,17 +39,13 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
 
-DEFAULT_TOP_N = (3, 10, 100)
-
 
 @dataclass
-class RunConfig:
-    """Resolved settings for one pipeline run."""
+class LabelConfig:
+    """Resolved settings of one label run."""
 
     labeled: str | None = None
-    eval_corpus: str | None = None
     iocs: str | None = None
-    labels_file: str | None = None
     out_dir: str = "."
     dim: int = DEFAULT_DIM
     seed: int = DEFAULT_SEED
@@ -71,7 +53,29 @@ class RunConfig:
     set_size: int = DEFAULT_SET_SIZE
     cap_per_anchor: int = DEFAULT_CAP_PER_ANCHOR
     threshold: float = 1.0
-    top_n: list[int] = field(default_factory=lambda: list(DEFAULT_TOP_N))
+    synthesize_dangling: bool = False
+
+    def validate(self) -> None:
+        for name, ok, rule in (
+                ("dim", self.dim >= 8, "at least 8"),
+                ("set_size", self.set_size >= 2, "at least 2"),
+                ("threshold", -1.0 <= self.threshold <= 1.0, "in [-1, 1]"),
+                ("cap_per_anchor", self.cap_per_anchor >= 0, "0 or more")):
+            if not ok:
+                raise ValueError(f"{name!r} must be {rule}, "
+                                 f"got {getattr(self, name)!r}")
+
+
+@dataclass
+class ReduceConfig:
+    """Resolved settings of one reduce run."""
+
+    eval_corpus: str | None = None
+    labels_file: str | None = None
+    iocs: str | None = None
+    out_dir: str = "."
+    model: str = "hash-ngrams"
+    top_n: list[int] = field(default_factory=lambda: [3, 10, 100])
     synthesize_dangling: bool = False
     emit_dot: bool = False
     emit_removed_ids: bool = False
@@ -79,16 +83,9 @@ class RunConfig:
     include_isolated_nodes: bool = False
 
     def validate(self) -> None:
-        if self.dim < 8:
-            raise ValueError("embed dim must be at least 8")
-        if self.set_size < 2:
-            raise ValueError("node-set size must be at least 2")
-        if not -1.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must lie in [-1, 1]")
         if any(n < 0 for n in self.top_n):
             raise ValueError("top-n entries must be non-negative")
-        if self.cap_per_anchor < 0:
-            raise ValueError("cap-per-anchor must be 0 (unlimited) or positive")
+        self.top_n = sorted(set(self.top_n))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,13 +100,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override it")
     sub.add_argument("--out", dest="out_dir", help="output directory")
-    sub.add_argument("--dim", type=int, help="embedding width")
-    sub.add_argument("--seed", type=int, help="embedding seed")
     sub.add_argument("--model", help="hash-ngrams or vectors-file:<path>")
-    sub.add_argument("--set-size", type=int, help="nodes per node-set")
-    sub.add_argument("--cap-per-anchor", type=int,
-                     help="chains kept per anchor edge, 0 = unlimited")
-    sub.add_argument("--threshold", type=float, help="cosine cutoff")
     sub.add_argument("--synthesize-dangling", action="store_true",
                      help="mint placeholder nodes for undeclared event endpoints")
 
@@ -140,6 +131,12 @@ def build_parser() -> _Parser:
                                   argument_default=argparse.SUPPRESS)
     p_label.add_argument("--labeled", required=True, help="labeled corpus path")
     p_label.add_argument("--iocs", help="IoC file (tab-separated directives)")
+    p_label.add_argument("--dim", type=int, help="embedding width")
+    p_label.add_argument("--seed", type=int, help="embedding seed")
+    p_label.add_argument("--set-size", type=int, help="nodes per node-set")
+    p_label.add_argument("--cap-per-anchor", type=int,
+                         help="chains kept per anchor edge, 0 = unlimited")
+    p_label.add_argument("--threshold", type=float, help="cosine cutoff")
     _add_run_options(p_label)
 
     p_reduce = commands.add_parser("reduce", help="prune the evaluation graph",
@@ -170,51 +167,53 @@ _INT = (lambda v: type(v) is int, "an integer")
 _NUM = (lambda v: type(v) in (int, float), "a number")
 _INTS = (lambda v: type(v) is list and all(type(x) is int for x in v),
          "a list of integers")
-# Config-file keys, dotted under their group, with the RunConfig field each
-# sets and the JSON type it must have.
-_CONFIG_KEYS = {
-    "iocs": ("iocs", _STR), "out_dir": ("out_dir", _STR),
+# Config-file keys, dotted under their group, with the settings field each
+# sets and the JSON type it must have; a command accepts only those it reads.
+_SHAPE_KEYS = {
     "embed.dim": ("dim", _INT), "embed.seed": ("seed", _INT),
-    "embed.model": ("model", _STR), "nodeset.size": ("set_size", _INT),
+    "nodeset.size": ("set_size", _INT),
     "nodeset.cap_per_anchor": ("cap_per_anchor", _INT),
-    "label.threshold": ("threshold", _NUM), "reduce.top_n": ("top_n", _INTS),
-}
+    "label.threshold": ("threshold", _NUM)}
+_RUN_KEYS = {"iocs": ("iocs", _STR), "out_dir": ("out_dir", _STR),
+             "embed.model": ("model", _STR)}
+_LABEL_KEYS = {**_RUN_KEYS, **_SHAPE_KEYS}
+_REDUCE_KEYS = {**_RUN_KEYS, "reduce.top_n": ("top_n", _INTS)}
+_STAMP_KEYS = {attr: (attr, kind) for attr, kind in _SHAPE_KEYS.values()}
 
 
-def _apply_config_file(cfg: RunConfig, path: str | None) -> None:
-    """Set cfg from a config file; unknown keys and bad types are errors."""
-    if not path:
-        return
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    flat = {}
-    for name, value in obj.items():
-        if any(key.startswith(f"{name}.") for key in _CONFIG_KEYS):
-            if not isinstance(value, dict):
-                raise ValueError(f"config group {name!r} must be an object")
-            flat.update((f"{name}.{key}", v) for key, v in value.items())
-        elif "." in name:
-            raise ValueError(f"unknown config key {name!r}")
-        else:
-            flat[name] = value
-    for key, value in flat.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        attr, (valid, expected) = _CONFIG_KEYS[key]
+def _set_checked(cfg, settings: dict, keys: dict, what: str) -> None:
+    """Set cfg from settings by keys; other keys and types are errors."""
+    for key, value in settings.items():
+        if key not in keys:
+            raise ValueError(f"unknown {what} {key!r}")
+        attr, (valid, expected) = keys[key]
         if not valid(value):
-            raise ValueError(f"config key {key!r} must be {expected}, "
+            raise ValueError(f"{what} {key!r} must be {expected}, "
                              f"got {value!r}")
         setattr(cfg, attr, value)
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    _apply_config_file(cfg, getattr(args, "config", None))
+def _resolve_config(args: argparse.Namespace, cfg, keys: dict):
+    """cfg from its config file's keys, PROVPRUNE_SEED and flags; checked."""
+    if getattr(args, "config", None):
+        with open(args.config, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"config file {args.config} is not a JSON object")
+        flat = {}
+        for name, value in obj.items():
+            if name in ("embed", "nodeset", "label", "reduce"):
+                if not isinstance(value, dict):
+                    raise ValueError(f"config group {name!r} is not an object")
+                flat.update((f"{name}.{key}", v) for key, v in value.items())
+            elif "." in name:
+                raise ValueError(f"unknown config key {name!r}")
+            else:
+                flat[name] = value
+        _set_checked(cfg, flat, keys, "config key")
 
     env_seed = os.environ.get("PROVPRUNE_SEED")
-    if env_seed is not None:
+    if env_seed is not None and "embed.seed" in keys:
         try:
             cfg.seed = int(env_seed)
         except ValueError:
@@ -222,8 +221,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                              f"got {env_seed!r}") from None
 
     # A flag left out is absent from the namespace (argument_default is
-    # SUPPRESS), so a RunConfig field found there was given on the line.
-    settings = {f.name for f in fields(RunConfig)} - {"top_n"}
+    # SUPPRESS), so a settings field found there was given on the line.
+    settings = {f.name for f in fields(cfg)} - {"top_n"}
     for name, value in vars(args).items():
         if name in settings:
             setattr(cfg, name, value)
@@ -233,42 +232,41 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         except ValueError:
             raise ValueError(f"--top-n expects integers, got {args.top_n!r}") \
                 from None
-    cfg.top_n = sorted(set(cfg.top_n))
     cfg.validate()
     return cfg
 
 
-def _write_config_echo(cfg: RunConfig, out_dir: Path, command: str) -> None:
-    payload = {"command": command, "version": __version__, **asdict(cfg)}
-    path = out_dir / "run_config.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
-def _stamp(cfg: RunConfig) -> dict:
-    """The settings that shape a label table: a table is used only by runs
-    with the same ones. A vectors file is named by the sha256 of its bytes,
-    not by its path."""
+def _stamp(cfg: LabelConfig) -> dict:
+    """The settings that shape a label table. A vectors file is named by the
+    sha256 of its bytes, not by its path."""
     model = cfg.model
     if model.startswith("vectors-file:"):
         model = f"vectors-file sha256={file_sha256(model.split(':', 1)[1])}"
-    return {"version": __version__, "model": model, "dim": cfg.dim,
-            "seed": cfg.seed, "set_size": cfg.set_size,
-            "cap_per_anchor": cfg.cap_per_anchor,
+    return {"version": __version__, "model": model,
+            **{key: getattr(cfg, key) for key in _STAMP_KEYS},
             "threshold": float(cfg.threshold)}
 
 
-def _load_table(cfg: RunConfig):
-    """The label table at cfg.labels_file, from its sidecar; a stamp that
-    differs from cfg is an error."""
+def _load_table(cfg: ReduceConfig):
+    """The label table at cfg.labels_file and the LabelConfig its stamp
+    holds; a stamp of bad values, another version or model is an error."""
     text = Path(cfg.labels_file).read_bytes().decode("utf-8")
-    table = label_table_from_json(text, sidecar_path(cfg.labels_file))
-    for key, value in _stamp(cfg).items():
-        if table.stamp.get(key) != value:
+    sidecar = sidecar_path(cfg.labels_file)
+    table = label_table_from_json(text, sidecar)
+    stamp, labeled = table.stamp, LabelConfig(model=cfg.model)
+    try:
+        _set_checked(labeled, {key: stamp.get(key) for key in _STAMP_KEYS},
+                     _STAMP_KEYS, "key")
+        labeled.validate()
+    except ValueError as exc:
+        raise ValueError(f"label table {sidecar}: stamp {exc}; rerun label") \
+            from None
+    for key, value in _stamp(labeled).items():
+        if stamp.get(key) != value:
             raise ValueError(
                 f"{cfg.labels_file} was labeled with {key}="
-                f"{table.stamp.get(key)!r}, this run has {key}={value!r}")
-    return table
+                f"{stamp.get(key)!r}, this run has {key}={value!r}")
+    return table, labeled
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -305,34 +303,32 @@ def cmd_synth(args: argparse.Namespace) -> int:
     lines, truth = generate(spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "corpus.jsonl").write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8")
-    (out_dir / "ground_truth.json").write_text(truth.to_json() + "\n",
-                                               encoding="utf-8")
-    (out_dir / "iocs.tsv").write_text(
-        "".join(line + "\n" for line in ioc_file_lines(truth)),
-        encoding="utf-8")
+    for name, rows in (("corpus.jsonl", lines),
+                       ("ground_truth.json", [truth.to_json()]),
+                       ("iocs.tsv", ioc_file_lines(truth))):
+        (out_dir / name).write_text("".join(row + "\n" for row in rows),
+                                    encoding="utf-8")
     print(f"wrote {truth.total_nodes} nodes, {truth.total_events} events, "
           f"benign share {truth.planted_share:.3f} -> {out_dir}")
     return EXIT_OK
 
 
 def _peak_rss_mb() -> float:
-    """The process's high-water RSS so far; ru_maxrss is in kilobytes on
-    Linux."""
+    """The process's high-water RSS so far (ru_maxrss is in KB on Linux)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 class _RunMetrics:
-    """What one label or reduce run did, written out as metrics.json.
+    """What one label or reduce run did, written out as metrics.json beside
+    run_config.json, the record of its settings cfg.
 
     seconds holds each stage's time; corpora holds, under the corpus's role
     ("labeled" for label, "eval" for reduce), its parse tallies and the
     counts its stages gave.
     """
 
-    def __init__(self, command: str):
-        self.command = command
+    def __init__(self, command: str, cfg):
+        self.command, self.cfg = command, cfg
         self.started = time.perf_counter()
         self.start_peak_rss_mb = _peak_rss_mb()
         self.seconds: dict[str, float] = {}
@@ -353,9 +349,7 @@ class _RunMetrics:
                                                         None)
 
     def write(self, out_dir: Path) -> None:
-        payload = {
-            "command": self.command,
-            "version": __version__,
+        metrics = {
             "seconds": dict(self.seconds,
                             total=time.perf_counter() - self.started),
             "peak_rss_mb": _peak_rss_mb(),
@@ -363,13 +357,17 @@ class _RunMetrics:
             "corpora": self.corpora,
             "labels": self.labels,
         }
-        (out_dir / "metrics.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        for name, body in (("run_config.json", asdict(self.cfg)),
+                           ("metrics.json", metrics)):
+            payload = {"command": self.command, "version": __version__,
+                       **body}
+            (out_dir / name).write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8")
 
 
-def _prepare_graph(cfg: RunConfig, path: str, run: _RunMetrics, role: str):
-    """Parse one corpus into its graph, weights, embedder and IoC list."""
+def _prepare_graph(cfg, path: str, run: _RunMetrics, role: str):
+    """Parse one corpus into its graph, weights and IoC list."""
     with run.stage("parse"):
         nodes, events, parse_stats = parse_file(
             path, synthesize_dangling=cfg.synthesize_dangling)
@@ -381,7 +379,6 @@ def _prepare_graph(cfg: RunConfig, path: str, run: _RunMetrics, role: str):
     with run.stage("weights"):
         weights = compute_weights(stats, graph.table)
     del stats
-    embedder = get_embedder(cfg.model, dim=cfg.dim, seed=cfg.seed)
     with run.stage("iocs"):
         iocs, explicit = parse_ioc_file(cfg.iocs) if cfg.iocs else ([], [])
         malicious = build_malicious_list(graph, iocs, explicit)
@@ -390,17 +387,19 @@ def _prepare_graph(cfg: RunConfig, path: str, run: _RunMetrics, role: str):
         "nodes": len(graph.table), "events": len(graph.events),
         "malicious_nodes": len(malicious.ids),
         "ioc_warnings": malicious.warnings}
-    return graph, weights, embedder, malicious
+    return graph, weights, malicious
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    run = _RunMetrics("label")
+    cfg = _resolve_config(args, LabelConfig(), _LABEL_KEYS)
+    run = _RunMetrics("label", cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    graph, weights, embedder, malicious = _prepare_graph(cfg, cfg.labeled,
-                                                         run, "labeled")
+    graph, weights, malicious = _prepare_graph(cfg, cfg.labeled, run,
+                                               "labeled")
+    embedder = get_embedder(cfg.model, dim=cfg.dim, seed=cfg.seed)
+    cfg.dim = embedder.dim  # a vectors file has its own width
     with run.stage("enumerate"):
         sets = enumerate_node_sets(graph, size=cfg.set_size,
                                    cap_per_anchor=cfg.cap_per_anchor)
@@ -419,7 +418,6 @@ def cmd_label(args: argparse.Namespace) -> int:
             table.write_json(fh)
             fh.write("\n")
         write_sidecar(table, out_dir / "labels.json", _stamp(cfg))
-    _write_config_echo(cfg, out_dir, "label")
     run.write(out_dir)
     benign = sum(1 for lb in table.labels if lb.polarity == "benign")
     print(f"labels={len(table.labels)} benign={benign} "
@@ -429,23 +427,24 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    run = _RunMetrics("reduce")
+    cfg = _resolve_config(args, ReduceConfig(), _REDUCE_KEYS)
+    run = _RunMetrics("reduce", cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     with run.stage("table_load"):
-        table = _load_table(cfg)
+        table, labeled = _load_table(cfg)
     run.labels = {"loaded": len(table.labels),
                   "zero_vector_sets": table.zero_vector_sets}
-    g_eval, w_eval, embedder, malicious = _prepare_graph(
-        cfg, cfg.eval_corpus, run, "eval")
+    g_eval, w_eval, malicious = _prepare_graph(cfg, cfg.eval_corpus, run, "eval")
+    embedder = get_embedder(cfg.model, dim=labeled.dim, seed=labeled.seed)
 
     keep_ids = cfg.emit_removed_ids or cfg.emit_graph or cfg.emit_dot
     counts: dict[str, int] = {}
     reports = sweep_top_n(g_eval, table, w_eval, embedder, malicious,
-                          ns=cfg.top_n, threshold=cfg.threshold,
-                          size=cfg.set_size, cap_per_anchor=cfg.cap_per_anchor,
+                          ns=cfg.top_n, threshold=labeled.threshold,
+                          size=labeled.set_size,
+                          cap_per_anchor=labeled.cap_per_anchor,
                           keep_removed_ids=keep_ids,
                           include_isolated_nodes=cfg.include_isolated_nodes,
                           counts=counts)
@@ -463,7 +462,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     (out_dir / "reports.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     write_sweep_csv(reports, out_dir / "sweep.csv")
-    _write_config_echo(cfg, out_dir, "reduce")
 
     formats = [fmt for fmt, wanted in (("jsonl", cfg.emit_graph),
                                        ("dot", cfg.emit_dot)) if wanted]

@@ -640,13 +640,15 @@ def cmdline_frequency(events: EventTable, nodes: NodeTable) -> Counter:
     """Events per normalized command line of the acting process.
 
     Each event counts once, keyed by its subject's command line; subjects
-    that are not processes are skipped.
+    that are not processes, or whose command line is empty once normalized
+    (a placeholder's, or a process declared without one), are skipped.
     """
     check_numbering(nodes.ids, events.ids, "the events")
     acts = np.bincount(events.src, minlength=len(nodes))
     frequency: Counter = Counter()
     for v in np.flatnonzero(acts * (nodes.kind == PROCESS)).tolist():
         frequency[normalize_cmdline(nodes.texts[nodes.text[v]])] += int(acts[v])
+    del frequency[""]
     return frequency
 
 

@@ -146,7 +146,8 @@ def reference_corpus_stats(events, nodes):
 
     Returns (total_events, per_entity_event_count, per_syscall_count,
     cmdline_frequency); command lines are keyed with whitespace runs
-    collapsed, one count per event whose subject is a declared process.
+    collapsed, one count per event whose subject is a declared process with
+    a command line that is not empty once collapsed.
     """
     by_id = {n.id: n for n in nodes}
     per_entity, per_syscall, cmdlines = {}, {}, {}
@@ -157,7 +158,8 @@ def reference_corpus_stats(events, nodes):
         subject = by_id.get(ev.subject)
         if subject is not None and subject.kind == "process":
             key = " ".join(subject.cmdline.split())
-            cmdlines[key] = cmdlines.get(key, 0) + 1
+            if key:
+                cmdlines[key] = cmdlines.get(key, 0) + 1
     return len(events), per_entity, per_syscall, cmdlines
 
 
@@ -845,10 +847,11 @@ def reference_run(labeled_lines, eval_lines, iocs, cfg):
     """`label` then `reduce --top-n --emit-removed-ids --emit-graph`, composed
     from the per-stage references.
 
-    iocs is (substrings, explicit ids), read for both corpora; cfg is a
-    RunConfig. Returns None when either corpus has no accepted event (the
-    CLI refuses it), else (labels.json text, the report dicts without
-    per_stage_seconds, {n: reduced graph lines}).
+    iocs is (substrings, explicit ids), read for both corpora; cfg holds
+    both commands' settings as attributes. Returns None when either corpus
+    has no accepted event (the CLI refuses it), else (labels.json text, the
+    report dicts without per_stage_seconds, {n: reduced graph lines}, the
+    evaluation corpus's chain count).
     """
     cutoff = min(cfg.threshold, 1.0 - 1e-9)
     labeled = _reference_corpus(labeled_lines, iocs, cfg)
@@ -891,4 +894,4 @@ def reference_run(labeled_lines, eval_lines, iocs, cfg):
                    if nid not in removed},
             events=[ev for ev in events
                     if ev.subject not in removed and ev.object not in removed]))
-    return labels_text, reports, graphs
+    return labels_text, reports, graphs, len(chains)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from provprune import cli
-from provprune.cli import RunConfig, _write_config_echo, main
+from provprune.cli import LabelConfig, main
 from provprune.graph import build_graph, remove_nodes
 from provprune.ingest import parse_file
 
@@ -75,6 +75,28 @@ def test_stats_report_fields(corpus, capsys):
     assert sum(report["per_syscall"].values()) == report["total_events"]
     top = report["top_commands"][0]
     assert set(top) == {"cmdline", "count", "share"}
+
+
+def test_stats_ranks_no_empty_command_line(tmp_path, capsys):
+    """Placeholder subjects minted by --synthesize-dangling have no command
+    line; their events are left out of the ranking and of its shares."""
+    records = [
+        {"kind": "process", "id": "p1", "ts": 1, "cmdline": "make"},
+        {"kind": "file", "id": "f1", "ts": 1, "path": "/src/a.c"},
+        {"kind": "event", "subject": "p1", "object": "f1", "syscall": "read",
+         "ts": 2},
+        {"kind": "event", "subject": "ghost", "object": "f1",
+         "syscall": "read", "ts": 3},
+        {"kind": "event", "subject": "ghost", "object": "f1",
+         "syscall": "read", "ts": 4},
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["stats", str(path), "--synthesize-dangling"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["total_events"] == 3
+    assert report["top_commands"] == [
+        {"cmdline": "make", "count": 1, "share": 1.0}]
 
 
 def test_stats_out_file(corpus, tmp_path):
@@ -283,7 +305,7 @@ def test_lone_surrogates_label_and_reduce_in_every_format(tmp_path):
     assert main(["label", "--labeled", str(corpus), "--set-size", "2",
                  "--out", str(lab)]) == 0
     red = tmp_path / "red"
-    assert main(["reduce", "--eval", str(corpus), "--set-size", "2",
+    assert main(["reduce", "--eval", str(corpus),
                  "--labels", str(lab / "labels.json"), "--top-n", "1",
                  "--emit-removed-ids", "--emit-graph", "--emit-dot",
                  "--out", str(red)]) == 0
@@ -425,49 +447,111 @@ def test_report_renders_table(corpus, capsys):
     assert len(lines) == 2
 
 
-@pytest.mark.parametrize("obj, key", [
-    ({"nodeset": {"set_size": 3}}, "nodeset.set_size"),
-    ({"threads": 2}, "threads"),
-    ("echo", "cap_per_anchor"),
-    ({"embed.dim": 64}, "embed.dim"),
-    ({"embed": 5}, "embed"),
-    ({"embed": {"dim": "64"}}, "embed.dim"),
-    ({"embed": {"dim": True}}, "embed.dim"),
-    ({"reduce": {"top_n": 5}}, "reduce.top_n"),
-    ({"reduce": {"top_n": [1, "2"]}}, "reduce.top_n"),
-    ({"label": {"threshold": "high"}}, "label.threshold"),
-    ({"eval": None}, "eval"),
-    ({"labeled": "corpus.jsonl"}, "labeled"),
+@pytest.mark.parametrize("command, obj, key", [
+    ("label", {"nodeset": {"set_size": 3}}, "nodeset.set_size"),
+    ("label", {"threads": 2}, "threads"),
+    ("label", "echo", "cap_per_anchor"),
+    ("label", {"embed.dim": 64}, "embed.dim"),
+    ("label", {"embed": 5}, "embed"),
+    ("label", {"embed": {"dim": "64"}}, "embed.dim"),
+    ("label", {"embed": {"dim": True}}, "embed.dim"),
+    ("label", {"reduce": {"top_n": [3, 10]}}, "reduce.top_n"),
+    ("label", {"label": {"threshold": "high"}}, "label.threshold"),
+    ("label", {"eval": None}, "eval"),
+    ("label", {"labeled": "corpus.jsonl"}, "labeled"),
+    ("reduce", {"reduce": {"top_n": 5}}, "reduce.top_n"),
+    ("reduce", {"reduce": {"top_n": [1, "2"]}}, "reduce.top_n"),
+    # reduce runs at its table's stamp, so it takes none of these.
+    ("reduce", {"embed": {"dim": 64}}, "embed.dim"),
+    ("reduce", {"embed": {"seed": 97}}, "embed.seed"),
+    ("reduce", {"nodeset": {"size": 5}}, "nodeset.size"),
+    ("reduce", {"nodeset": {"cap_per_anchor": 8}}, "nodeset.cap_per_anchor"),
+    ("reduce", {"label": {"threshold": 1.0}}, "label.threshold"),
 ])
-def test_bad_config_file_is_usage_error(tmp_path, capsys, obj, key):
+def test_bad_config_file_is_usage_error(tmp_path, capsys, command, obj, key):
     cfg = tmp_path / "cfg.json"
     if obj == "echo":
         # A run's config echo is a record of the run, not a config file.
-        _write_config_echo(RunConfig(), tmp_path, "label")
+        cli._RunMetrics("label", LabelConfig()).write(tmp_path)
         cfg = tmp_path / "run_config.json"
     else:
         cfg.write_text(json.dumps(obj))
-    rc = main(["label", "--labeled", str(tmp_path / "never_read.jsonl"),
-               "--config", str(cfg), "--out", str(tmp_path / "out")])
+    sources = {"label": ["--labeled", str(tmp_path / "never_read.jsonl")],
+               "reduce": ["--eval", str(tmp_path / "never_read.jsonl"),
+                          "--labels", str(tmp_path / "never_read.json")]}
+    rc = main([command, *sources[command], "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
     assert f"'{key}'" in err
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--dim", "--seed", "--set-size",
+                                  "--cap-per-anchor", "--threshold"])
+def test_reduce_takes_no_shape_flag(corpus, capsys, flag):
+    """reduce runs at its table's stamp: a shape flag is a usage error."""
+    with pytest.raises(SystemExit) as err:
+        main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
+              "--labels", str(corpus / "lab" / "labels.json"), flag, "5",
+              "--out", str(corpus / "x")])
+    assert err.value.code == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_echo_records_only_what_its_command_reads(corpus):
+    table = _label_default(corpus)
+    label_echo = json.loads((table.parent / "run_config.json").read_text())
+    assert label_echo["command"] == "label"
+    for name in ("top_n", "emit_dot", "emit_graph", "emit_removed_ids",
+                 "include_isolated_nodes", "eval_corpus", "labels_file"):
+        assert name not in label_echo, name
+    assert _reduce_outputs(corpus, table, "red")[0] == 0
+    reduce_echo = json.loads((corpus / "red" / "run_config.json").read_text())
+    assert reduce_echo["command"] == "reduce"
+    assert reduce_echo["top_n"] == [1, 2, 5]
+    for name in ("labeled", "dim", "seed", "set_size", "cap_per_anchor",
+                 "threshold"):
+        assert name not in reduce_echo, name
+
+
+def test_env_seed_is_read_by_label_only(corpus, monkeypatch, capsys):
+    """PROVPRUNE_SEED sets label's seed; reduce, at its table's seed, reads
+    no seed of its own, however PROVPRUNE_SEED is set."""
+    table = _label_default(corpus)
+    monkeypatch.setenv("PROVPRUNE_SEED", "123")
+    capsys.readouterr()
+    assert _reduce_outputs(corpus, table, "red")[0] == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("PROVPRUNE_SEED", "lucky")
+    assert _reduce_outputs(corpus, table, "red2")[0] == 0
+
+
 def test_readme_config_example_is_accepted(corpus):
+    """README's label and reduce config examples are accepted, each by its
+    own command, and set what they say."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("### Configuration", 1)[1]
-    block = section.split("```json\n", 1)[1].split("```", 1)[0]
-    cfg = corpus / "readme_cfg.json"
-    cfg.write_text(block)
-    out = corpus / "readme_cfg_run"
+    blocks = [part.split("```", 1)[0]
+              for part in section.split("```json\n")[1:3]]
+    objs = [json.loads(block) for block in blocks]
+    assert "reduce" not in objs[0] and "embed" in objs[0]
+    assert "reduce" in objs[1] and "nodeset" not in objs[1]
+    for name, block in zip(("label", "reduce"), blocks):
+        (corpus / f"{name}_cfg.json").write_text(block)
+    lab, red = corpus / "readme_lab", corpus / "readme_red"
     assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
-                 "--config", str(cfg), "--out", str(out)]) == 0
-    echo = json.loads((out / "run_config.json").read_text())
-    file_obj = json.loads(block)
-    assert echo["set_size"] == file_obj["nodeset"]["size"]
-    assert echo["seed"] == file_obj["embed"]["seed"]
+                 "--config", str(corpus / "label_cfg.json"),
+                 "--out", str(lab)]) == 0
+    echo = json.loads((lab / "run_config.json").read_text())
+    assert echo["set_size"] == objs[0]["nodeset"]["size"]
+    assert echo["seed"] == objs[0]["embed"]["seed"]
+    assert main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
+                 "--labels", str(lab / "labels.json"),
+                 "--config", str(corpus / "reduce_cfg.json"),
+                 "--out", str(red)]) == 0
+    echo = json.loads((red / "run_config.json").read_text())
+    assert echo["top_n"] == sorted(objs[1]["reduce"]["top_n"])
 
 
 def test_vectors_file_with_nan_is_usage_error(corpus, capsys):
@@ -483,16 +567,21 @@ def test_vectors_file_with_nan_is_usage_error(corpus, capsys):
 
 
 def test_table_of_another_width_is_usage_error(corpus, capsys):
+    """Representatives of another width than the stamp's embedder gives are
+    refused by sweep_top_n, naming both widths."""
     lab = corpus / "lab64"
     assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
                  "--dim", "64", "--out", str(lab)]) == 0
+    sidecar = lab / "labels.npz"
+    count = len(np.load(sidecar)["representatives"])
+    rewritten_sidecar(sidecar, representatives=np.ones((count, 32)))
     capsys.readouterr()
     rc = main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
-               "--labels", str(lab / "labels.json"), "--dim", "32",
+               "--labels", str(lab / "labels.json"),
                "--out", str(corpus / "red32")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "64" in err and "32" in err
+    assert "width 32" in err and "width 64" in err
     assert "Traceback" not in err
 
 
@@ -539,16 +628,12 @@ def _vectors(path, axis):
 
 
 @pytest.mark.parametrize("flag, value, key, stamped", [
-    ("--seed", "99", "seed", "97"),
-    ("--threshold", "0.9", "threshold", "1.0"),
-    ("--set-size", "4", "set_size", "5"),
-    ("--cap-per-anchor", "3", "cap_per_anchor", "8"),
     ("--model", "vectors-file:vecs.txt", "model", "hash-ngrams"),
 ])
 def test_table_of_other_settings_is_usage_error(corpus, capsys, monkeypatch,
                                                 flag, value, key, stamped):
     """A stamped table is refused, before the evaluation corpus is parsed,
-    by a run whose settings differ, with the key and both values named (a
+    by a run whose model differs, with the key and both values named (a
     vectors file by its bytes, so it has to exist)."""
     table = _label_default(corpus)
     capsys.readouterr()
@@ -597,23 +682,88 @@ def test_vectors_file_is_stamped_by_content(corpus, capsys):
 
 
 def test_table_of_the_same_settings_loads_silently(corpus, capsys):
+    """reduce with no shape flag runs at the settings label stamped."""
     table = _label_default(corpus, "--seed", "5", "--threshold", "0.95",
                            "--cap-per-anchor", "4")
     capsys.readouterr()
-    rc, _ = _reduce_outputs(corpus, table, "red", "--seed", "5",
-                            "--threshold", "0.95", "--cap-per-anchor", "4")
+    rc, _ = _reduce_outputs(corpus, table, "red")
     assert rc == 0
     assert capsys.readouterr().err == ""
 
 
+def test_vectors_file_stamp_holds_its_width(corpus):
+    """A vectors file fixes the embedding width, so the stamp records the
+    file's width, not --dim's."""
+    vectors = corpus / "model.vec"
+    _vectors(vectors, 0)
+    table = _label_default(corpus, "--model", f"vectors-file:{vectors}",
+                           "--dim", "64")
+    with np.load(table.with_suffix(".npz")) as npz:
+        stamp = json.loads(npz["stamp"].item())
+        assert stamp["dim"] == 16 == npz["representatives"].shape[1]
+    echo = json.loads((table.parent / "run_config.json").read_text())
+    assert echo["dim"] == 16
+
+
+_MISSING = object()
+
+
+def _restamp(table, key, value):
+    """Rewrite the stamp in table's labels.npz with key set to value, or
+    without key when value is _MISSING."""
+    sidecar = table.with_suffix(".npz")
+    with np.load(sidecar) as npz:
+        stamp = json.loads(npz["stamp"].item())
+    if value is _MISSING:
+        del stamp[key]
+    else:
+        stamp[key] = value
+    rewritten_sidecar(sidecar, stamp=np.array(json.dumps(stamp)))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", _MISSING), ("dim", _MISSING), ("threshold", _MISSING),
+    ("seed", "97"), ("seed", 97.0), ("dim", True), ("dim", 4),
+    ("set_size", 1), ("cap_per_anchor", -1), ("threshold", 2.0),
+    ("threshold", "1.0"), ("threshold", float("nan")),
+])
+def test_bad_stamp_is_usage_error(corpus, capsys, monkeypatch, key, value):
+    """A stamp reduce would run at must hold each shape key with its JSON
+    type and in its range: otherwise exit 1 naming the .npz and the key,
+    before the evaluation corpus is parsed, and no traceback."""
+    table = _label_default(corpus)
+    _restamp(table, key, value)
+    capsys.readouterr()
+    parsed = []
+    monkeypatch.setattr(cli, "parse_file", lambda *a, **k: parsed.append(a))
+    rc, _ = _reduce_outputs(corpus, table, "red")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"label table {table.with_suffix('.npz')}: " in err
+    assert f"'{key}'" in err
+    assert "Traceback" not in err
+    assert parsed == []
+    assert not (corpus / "red" / "reports.json").exists()
+
+
+def test_table_of_another_version_is_usage_error(corpus, capsys, monkeypatch):
+    table = _label_default(corpus)
+    _restamp(table, "version", "0.0.9")
+    capsys.readouterr()
+    parsed = []
+    monkeypatch.setattr(cli, "parse_file", lambda *a, **k: parsed.append(a))
+    rc, _ = _reduce_outputs(corpus, table, "red")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "version='0.0.9'" in err and "Traceback" not in err
+    assert parsed == []
+
+
 def test_table_without_its_sidecar_is_refused(corpus, capsys):
-    """label --seed 5 then reduce at the default seed exits 1 on the stamp;
-    with labels.npz deleted, the same reduce still exits 1, naming it,
-    instead of running on a table whose settings go unchecked."""
+    """With labels.npz deleted, reduce exits 1, naming it, instead of
+    running on a table whose settings it cannot read."""
     table = _label_default(corpus, "--seed", "5")
     capsys.readouterr()
-    rc, _ = _reduce_outputs(corpus, table, "red")
-    assert rc == 1 and "seed=5" in capsys.readouterr().err
     sidecar = table.with_suffix(".npz")
     sidecar.unlink()
     rc, _ = _reduce_outputs(corpus, table, "red")

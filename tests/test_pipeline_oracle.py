@@ -5,16 +5,19 @@ timestamp ties, self-loops, shared attribute texts (so duplicate features),
 process-only corpora (so zero features), duplicate declarations and
 undeclared endpoints (placeholder nodes under --synthesize-dangling). The
 CLI's labels.json, reports.json with timings masked, and every reduced graph
-must equal what oracles.reference_run computes from the same lines.
+must equal what oracles.reference_run computes from the same lines. The
+shape settings go to label alone, so reduce matching the reference shows it
+ran at the ones stamped on its table.
 """
 
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from provprune.cli import RunConfig, main
+from provprune.cli import main
 
 from oracles import reference_run
 
@@ -93,14 +96,15 @@ def run_cli(root: Path, labeled, evaluation, iocs, cfg):
     (root / "iocs.tsv").write_text(
         "".join(f"ioc\t{s}\n" for s in substrings)
         + "".join(f"id\t{nid}\n" for nid in explicit))
-    common = ["--iocs", str(root / "iocs.tsv"), "--dim", str(cfg.dim),
-              "--seed", str(cfg.seed), "--set-size", str(cfg.set_size),
-              "--cap-per-anchor", str(cfg.cap_per_anchor),
-              "--threshold", str(cfg.threshold)]
+    common = ["--iocs", str(root / "iocs.tsv")]
     if cfg.synthesize_dangling:
         common.append("--synthesize-dangling")
+    shape = ["--dim", str(cfg.dim), "--seed", str(cfg.seed),
+             "--set-size", str(cfg.set_size),
+             "--cap-per-anchor", str(cfg.cap_per_anchor),
+             "--threshold", str(cfg.threshold)]
     codes = [main(["label", "--labeled", str(root / "lab.jsonl"),
-                   "--out", str(root / "lab")] + common)]
+                   "--out", str(root / "lab")] + common + shape)]
     if codes[0] == 0:
         reduce_args = ["reduce", "--eval", str(root / "eval.jsonl"),
                        "--labels", str(root / "lab" / "labels.json"),
@@ -131,10 +135,10 @@ def test_cli_label_and_reduce_equal_reference_run(
         pair, substrings, explicit, set_size, cap, threshold, top_n, seed,
         dangling, isolated):
     labeled, evaluation = pair
-    cfg = RunConfig(dim=16, seed=seed, set_size=set_size, cap_per_anchor=cap,
-                    threshold=threshold, top_n=sorted(top_n),
-                    synthesize_dangling=dangling,
-                    include_isolated_nodes=isolated)
+    cfg = SimpleNamespace(dim=16, seed=seed, set_size=set_size,
+                          cap_per_anchor=cap, threshold=threshold,
+                          top_n=sorted(top_n), synthesize_dangling=dangling,
+                          include_isolated_nodes=isolated)
     iocs = (substrings, explicit)
     want = reference_run(labeled, evaluation, iocs, cfg)
     with tempfile.TemporaryDirectory() as tmp:
@@ -145,7 +149,7 @@ def test_cli_label_and_reduce_equal_reference_run(
             assert codes[-1] == 1 and all(c == 0 for c in codes[:-1])
             return
         assert codes == [0, 0]
-        want_labels, want_reports, want_graphs = want
+        want_labels, want_reports, want_graphs, want_chains = want
         hypothesis.event(f"labels: {min(want_labels.count('label_id'), 3)}+")
         hypothesis.event(f"removes nodes: "
                          f"{any(r['nodes_removed'] for r in want_reports)}")
@@ -154,6 +158,9 @@ def test_cli_label_and_reduce_equal_reference_run(
         for report in reports:
             assert set(report.pop("per_stage_seconds")) == TIMINGS
         assert reports == want_reports
+        # Enumerated at the stamp's set_size and cap_per_anchor.
+        metrics = json.loads((root / "red" / "metrics.json").read_text())
+        assert metrics["corpora"]["eval"]["chains"] == want_chains
         for n, lines in want_graphs.items():
             path = root / "red" / f"reduced_top{n}.jsonl"
             assert path.read_text() == "".join(x + "\n" for x in lines), n
