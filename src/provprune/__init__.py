@@ -7,9 +7,7 @@ from .embed import (
     DEFAULT_SEED,
     HashNgramEmbedder,
     VectorFileEmbedder,
-    WeightTable,
     compute_weights,
-    embed_text,
     get_embedder,
 )
 from .graph import Graph, build_graph, remove_nodes
@@ -62,13 +60,11 @@ __all__ = [
     "ReductionReport",
     "SynthSpec",
     "VectorFileEmbedder",
-    "WeightTable",
     "build_graph",
     "build_malicious_list",
     "cmdline_frequency",
     "compute_corpus_stats",
     "compute_weights",
-    "embed_text",
     "enumerate_node_sets",
     "featurize_sets",
     "generate",

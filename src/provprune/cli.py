@@ -3,8 +3,9 @@
 Subcommands: stats, synth, label, reduce, report. Each command takes only
 the settings it reads: defaults, then config file, PROVPRUNE_SEED (label
 only) and flags. reduce runs at the settings stamped on its label table.
-Every label/reduce run writes run_config.json, a record of its settings and
-not a config file, and metrics.json: stage seconds, peak RSS and counts.
+Every label or reduce run writes one record, label_metrics.json or
+reduce_metrics.json: its settings (a record, not a config file), stage
+seconds, peak RSS and counts.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class LabelConfig:
     labeled: str | None = None
     iocs: str | None = None
     out_dir: str = "."
-    dim: int = DEFAULT_DIM
+    # None: the embedder's width, which is a vectors file's own.
+    dim: int | None = None
     seed: int = DEFAULT_SEED
     model: str = "hash-ngrams"
     set_size: int = DEFAULT_SET_SIZE
@@ -57,7 +59,7 @@ class LabelConfig:
 
     def validate(self) -> None:
         for name, ok, rule in (
-                ("dim", self.dim >= 8, "at least 8"),
+                ("dim", self.dim is None or self.dim >= 8, "at least 8"),
                 ("set_size", self.set_size >= 2, "at least 2"),
                 ("threshold", -1.0 <= self.threshold <= 1.0, "in [-1, 1]"),
                 ("cap_per_anchor", self.cap_per_anchor >= 0, "0 or more")):
@@ -319,8 +321,8 @@ def _peak_rss_mb() -> float:
 
 
 class _RunMetrics:
-    """What one label or reduce run did, written out as metrics.json beside
-    run_config.json, the record of its settings cfg.
+    """What one label or reduce run did, written out as
+    <command>_metrics.json with its settings cfg under config.
 
     seconds holds each stage's time; corpora holds, under the corpus's role
     ("labeled" for label, "eval" for reduce), its parse tallies and the
@@ -349,7 +351,9 @@ class _RunMetrics:
                                                         None)
 
     def write(self, out_dir: Path) -> None:
-        metrics = {
+        payload = {
+            "command": self.command, "version": __version__,
+            "config": asdict(self.cfg),
             "seconds": dict(self.seconds,
                             total=time.perf_counter() - self.started),
             "peak_rss_mb": _peak_rss_mb(),
@@ -357,13 +361,9 @@ class _RunMetrics:
             "corpora": self.corpora,
             "labels": self.labels,
         }
-        for name, body in (("run_config.json", asdict(self.cfg)),
-                           ("metrics.json", metrics)):
-            payload = {"command": self.command, "version": __version__,
-                       **body}
-            (out_dir / name).write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
+        (out_dir / f"{self.command}_metrics.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
 
 
 def _prepare_graph(cfg, path: str, run: _RunMetrics, role: str):
@@ -392,14 +392,18 @@ def _prepare_graph(cfg, path: str, run: _RunMetrics, role: str):
 
 def cmd_label(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, LabelConfig(), _LABEL_KEYS)
+    if cfg.dim is not None and cfg.model.startswith("vectors-file:"):
+        raise ValueError(f"'dim' is the vectors file's width and cannot be "
+                         f"set, got {cfg.dim!r}")
     run = _RunMetrics("label", cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     graph, weights, malicious = _prepare_graph(cfg, cfg.labeled, run,
                                                "labeled")
-    embedder = get_embedder(cfg.model, dim=cfg.dim, seed=cfg.seed)
-    cfg.dim = embedder.dim  # a vectors file has its own width
+    embedder = get_embedder(cfg.model, dim=cfg.dim or DEFAULT_DIM,
+                            seed=cfg.seed)
+    cfg.dim = embedder.dim
     with run.stage("enumerate"):
         sets = enumerate_node_sets(graph, size=cfg.set_size,
                                    cap_per_anchor=cfg.cap_per_anchor)
@@ -409,7 +413,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     run.featurized("labeled", embedder)
     with run.stage("label"):
         table = label_node_sets(sets, malicious, threshold=cfg.threshold)
-    run.labels = {"minted": len(table.labels),
+    run.labels = {"minted": len(table.polarity),
                   "zero_vector_sets": table.zero_vector_sets}
     seconds = time.perf_counter() - t0
     del graph, weights, embedder, malicious, sets  # freed before the write
@@ -419,9 +423,9 @@ def cmd_label(args: argparse.Namespace) -> int:
             fh.write("\n")
         write_sidecar(table, out_dir / "labels.json", _stamp(cfg))
     run.write(out_dir)
-    benign = sum(1 for lb in table.labels if lb.polarity == "benign")
-    print(f"labels={len(table.labels)} benign={benign} "
-          f"malicious={len(table.labels) - benign} "
+    benign = table.polarity.count("benign")
+    print(f"labels={len(table.polarity)} benign={benign} "
+          f"malicious={len(table.polarity) - benign} "
           f"node_sets={len(table.assignment)} seconds={seconds:.3f}")
     return EXIT_OK
 
@@ -434,7 +438,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     with run.stage("table_load"):
         table, labeled = _load_table(cfg)
-    run.labels = {"loaded": len(table.labels),
+    run.labels = {"loaded": len(table.polarity),
                   "zero_vector_sets": table.zero_vector_sets}
     g_eval, w_eval, malicious = _prepare_graph(cfg, cfg.eval_corpus, run, "eval")
     embedder = get_embedder(cfg.model, dim=labeled.dim, seed=labeled.seed)

@@ -3,7 +3,8 @@
 The embedder hashes character n-grams (n in 3..5) of the padded text into a
 fixed number of signed dimensions and L2-normalizes the sum. It needs no
 training, is reproducible from a seed constant, and sits behind a small
-interface so a pretrained-vector file can stand in for it.
+interface so a pretrained-vector file can stand in for it. The weights are
+one float64 per node-table row.
 """
 
 from __future__ import annotations
@@ -11,20 +12,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import statistics
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import (
-    FILE,
-    NETFLOW,
-    PROCESS,
-    CorpusStats,
-    NodeRecord,
-    NodeTable,
-    check_numbering,
-)
+from .ingest import (PROCESS, CorpusStats, NodeRecord, NodeTable,
+                     check_numbering)
 
 DEFAULT_DIM = 64
 DEFAULT_SEED = 97
@@ -75,13 +67,6 @@ def _hashed_vector(text: str, dim: int, key: bytes,
         return vec
     vec /= norm
     return vec
-
-
-def embed_text(text: str, dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Deterministic L2-normalized vector for a text; empty text maps to e0."""
-    if dim < 8:
-        raise ValueError(f"dim must be at least 8, got {dim}")
-    return _hashed_vector(text, dim, _seed_key(seed), {})
 
 
 class HashNgramEmbedder:
@@ -172,34 +157,13 @@ def get_embedder(model: str = "hash-ngrams", dim: int = DEFAULT_DIM,
     raise ValueError(f"unknown embedding model: {model!r}")
 
 
-@dataclass
-class WeightTable:
-    """Per-entity log-frequency weights plus the single process weight."""
-
-    file_weight: dict[str, float] = field(default_factory=dict)
-    netflow_weight: dict[str, float] = field(default_factory=dict)
-    process_weight: float = 0.0
-
-    def node_weights(self, nodes: NodeTable, rows: np.ndarray) -> np.ndarray:
-        """The weights of the given rows of a node table: the process weight
-        for a process, else its id's file or netflow weight, 0 if absent."""
-        kind = nodes.kind[rows]
-        out = np.where(kind == PROCESS, self.process_weight, 0.0)
-        for code, weights in ((FILE, self.file_weight),
-                              (NETFLOW, self.netflow_weight)):
-            pick = kind == code
-            out[pick] = [weights.get(nodes.ids[v], 0.0)
-                         for v in rows[pick].tolist()]
-        return out
-
-
-def compute_weights(stats: CorpusStats, nodes) -> WeightTable:
-    """ln(P / P_f) per file and netflow entity; process weight = pooled mean.
+def compute_weights(stats: CorpusStats, nodes) -> np.ndarray:
+    """One float64 weight per node-table row: ln(P / P_f) for a file or
+    netflow, the mean of those values for every process.
 
     nodes is the NodeTable stats was counted over, or a graph's node map
-    (whose values() is that table). Entities that never appear in an event
-    are left out of the table and act as weight-0 contributors. An empty
-    corpus has no defined weights.
+    (whose values() is that table). A file or netflow that never appears in
+    an event weighs 0. An empty corpus has no defined weights.
     """
     total = stats.total_events
     if total == 0:
@@ -207,15 +171,13 @@ def compute_weights(stats: CorpusStats, nodes) -> WeightTable:
     table = nodes if isinstance(nodes, NodeTable) else nodes.values()
     check_numbering(table.ids, stats.ids, "the corpus stats")
     counts = stats.entity_counts
-    weights = WeightTable()
-    for code, out in ((FILE, weights.file_weight),
-                      (NETFLOW, weights.netflow_weight)):
-        rows = np.flatnonzero((table.kind == code) & (counts >= 1))
-        out.update(zip([table.ids[v] for v in rows.tolist()],
-                       [math.log(total / c) for c in counts[rows].tolist()]))
-    pool = list(weights.file_weight.values()) + list(
-        weights.netflow_weight.values())
-    weights.process_weight = statistics.fmean(pool) if pool else 0.0
+    rows = np.flatnonzero((table.kind != PROCESS) & (counts >= 1))
+    pool = [math.log(total / c) for c in counts[rows].tolist()]
+    weights = np.zeros(len(table))
+    weights[rows] = pool
+    if pool:
+        # statistics.fmean, bit for bit.
+        weights[table.kind == PROCESS] = math.fsum(pool) / len(pool)
     return weights
 
 

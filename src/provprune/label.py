@@ -5,7 +5,8 @@ against every existing label representative by cosine similarity; the best
 match at or above the threshold absorbs it, otherwise it founds a new label
 whose polarity comes from its own nodes. Representatives are frozen at label
 creation. Labeling scores chains a block at a time but decides each one
-exactly as the one-at-a-time flow would.
+exactly as the one-at-a-time flow would. A LabelTable holds the labels as
+columns, label i in row i of each.
 
 A table is saved as labels.json and, beside it, labels.npz: the same table
 as arrays, bound to the bytes of labels.json by their sha256. A table is
@@ -44,15 +45,6 @@ class MaliciousNodeList:
     warnings: list[str] = field(default_factory=list)
 
 
-@dataclass
-class Label:
-    label_id: int
-    polarity: str
-    representative: np.ndarray
-    member_count: int
-    created_seq: int
-
-
 # Labels whose representatives share one table of float texts in
 # LabelTable.write_json: repeats are common among nearby labels, and the
 # texts of 64k floats stay a few MB.
@@ -61,42 +53,56 @@ WRITE_LABELS = 1024
 
 @dataclass
 class LabelTable:
-    labels: list[Label] = field(default_factory=list)
+    """Labels as columns. Label i is row i: i is its id and its creation
+    order, and representatives[i] (labels x dim, float64) is the feature of
+    the chain that founded it. assignment[k] is the label chain k joined or
+    founded."""
+
+    polarity: list[str] = field(default_factory=list)
+    member_count: list[int] = field(default_factory=list)
+    representatives: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 0)))
     assignment: list[int] = field(default_factory=list)
     zero_vector_sets: int = 0
+
+    @property
+    def labels(self) -> list[str]:
+        """Each label's polarity, in label order."""
+        return self.polarity
 
     def write_json(self, fh) -> None:
         """Write compact JSON with sorted keys to fh, WRITE_LABELS labels at
         a time.
 
-        The text equals json.dumps of the whole payload. Each distinct float
-        bit pattern among a chunk's representatives is turned into text
-        once, by the same encoder, and each label's list is joined from
-        those texts.
+        The text equals json.dumps of the whole payload, which lists each
+        label as an object with its label_id and created_seq, both i. Each
+        distinct float bit pattern among a chunk's representatives is
+        turned into text once, by the same encoder, and each label's list
+        is joined from those texts.
         """
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         fh.write(f'{{"assignment":{encode(self.assignment)},"labels":[')
-        for lo in range(0, len(self.labels), WRITE_LABELS):
-            chunk = self.labels[lo:lo + WRITE_LABELS]
-            reps = [np.asarray(lb.representative, dtype=np.float64)
-                    for lb in chunk]
+        width = self.representatives.shape[1]
+        for lo in range(0, len(self.polarity), WRITE_LABELS):
+            hi = lo + WRITE_LABELS
+            reps = np.ascontiguousarray(self.representatives[lo:hi],
+                                        dtype=np.float64)
             # Bits, not values: -0.0 keeps its own text, and every NaN is
             # written as the encoder writes NaN.
-            distinct, which = np.unique(
-                np.concatenate(reps).view(np.uint64), return_inverse=True)
+            distinct, which = np.unique(reps.reshape(-1).view(np.uint64),
+                                        return_inverse=True)
             texts = encode(distinct.view(np.float64).tolist())[1:-1].split(",")
             which = which.tolist()
-            end = 0
-            for i, (lb, rep) in enumerate(zip(chunk, reps)):
-                start, end = end, end + rep.size
-                fh.write(f'{"," if lo + i else ""}'
-                         f'{{"created_seq":{lb.created_seq},'
-                         f'"label_id":{lb.label_id},'
-                         f'"member_count":{lb.member_count},'
-                         f'"polarity":{encode(lb.polarity)},'
-                         f'"representative":['
-                         f'{",".join(map(texts.__getitem__, which[start:end]))}'
-                         f']}}')
+            for i, (kind, members) in enumerate(zip(
+                    self.polarity[lo:hi], self.member_count[lo:hi]), lo):
+                start = (i - lo) * width
+                row = ",".join(map(texts.__getitem__,
+                                   which[start:start + width]))
+                fh.write(f'{"," if i else ""}'
+                         f'{{"created_seq":{i},"label_id":{i},'
+                         f'"member_count":{members},'
+                         f'"polarity":{encode(kind)},'
+                         f'"representative":[{row}]}}')
         fh.write(f'],"zero_vector_sets":{encode(self.zero_vector_sets)}}}')
 
 
@@ -140,25 +146,23 @@ def write_sidecar(table: LabelTable, table_path, stamp: dict) -> None:
     bound to that file's bytes by their sha256.
 
     The members are .npy arrays: sha256 and stamp (stamp as JSON) as
-    strings; label_id, polarity, member_count and created_seq per label;
-    representatives, labels x dim float64; assignment and
-    zero_vector_sets. The file is hashed a block at a time and the
-    representatives are written SIDECAR_ROWS rows at a time. A NaN
-    component is stored as the NaN that json.loads gives for the table's
-    `NaN`, so both files give the same bits.
+    strings; label_id, polarity, member_count and created_seq per label
+    (label_id and created_seq are 0..n-1); representatives, labels x dim
+    float64; assignment and zero_vector_sets. The file is hashed a block at
+    a time and the representatives are written SIDECAR_ROWS rows at a
+    time. A NaN component is stored as the NaN that json.loads gives for
+    the table's `NaN`, so both files give the same bits.
     """
     import zipfile
 
-    labels = table.labels
+    count = len(table.polarity)
     arrays = {
         "sha256": np.array(file_sha256(table_path)),
         "stamp": np.array(json.dumps(stamp, sort_keys=True)),
-        "label_id": np.array([lb.label_id for lb in labels], dtype=np.int64),
-        "polarity": np.array([lb.polarity for lb in labels], dtype=str),
-        "member_count": np.array([lb.member_count for lb in labels],
-                                 dtype=np.int64),
-        "created_seq": np.array([lb.created_seq for lb in labels],
-                                dtype=np.int64),
+        "label_id": np.arange(count, dtype=np.int64),
+        "polarity": np.array(table.polarity, dtype=str),
+        "member_count": np.array(table.member_count, dtype=np.int64),
+        "created_seq": np.arange(count, dtype=np.int64),
         "assignment": np.array(table.assignment, dtype=np.int64),
         "zero_vector_sets": np.array(table.zero_vector_sets, dtype=np.int64),
     }
@@ -171,7 +175,7 @@ def write_sidecar(table: LabelTable, table_path, stamp: dict) -> None:
         info.external_attr = 0o644 << 16
         return info
 
-    width = len(labels[0].representative) if labels else 0
+    reps = table.representatives
     with zipfile.ZipFile(sidecar_path(table_path), "w") as zf:
         for name, array in arrays.items():
             with zf.open(member(name), "w") as fh:
@@ -179,13 +183,9 @@ def write_sidecar(table: LabelTable, table_path, stamp: dict) -> None:
         with zf.open(member("representatives"), "w") as fh:
             np.lib.format.write_array_header_1_0(fh, {
                 "descr": "<f8", "fortran_order": False,
-                "shape": (len(labels), width)})
-            for lo in range(0, len(labels), SIDECAR_ROWS):
-                block = np.array([lb.representative
-                                  for lb in labels[lo:lo + SIDECAR_ROWS]],
-                                 dtype="<f8")
-                if block.shape[1:] != (width,):
-                    raise ValueError("representatives differ in width")
+                "shape": reps.shape})
+            for lo in range(0, count, SIDECAR_ROWS):
+                block = np.array(reps[lo:lo + SIDECAR_ROWS], dtype="<f8")
                 np.copyto(block, np.nan, where=np.isnan(block))
                 fh.write(block.tobytes())
 
@@ -196,9 +196,9 @@ def label_table_from_json(text: str, sidecar) -> LoadedTable:
 
     The sidecar is used when its zip opens, every member loads without
     pickles, its sha256 is that of text's UTF-8 bytes (hashed HASH_BLOCK
-    characters at a time), and kinds and shapes are those write_sidecar
-    writes. Otherwise a ValueError names the sidecar and why not: missing,
-    digest mismatch or unreadable.
+    characters at a time), and kinds, shapes and label_id and created_seq
+    (0..n-1) are those write_sidecar writes. Otherwise a ValueError names
+    the sidecar and why not: missing, digest mismatch or unreadable.
     """
     import zipfile
 
@@ -225,25 +225,21 @@ def label_table_from_json(text: str, sidecar) -> LoadedTable:
     if arrays["sha256"].shape or str(arrays["sha256"]) != digest.hexdigest():
         refuse("digest mismatch")
     reps, polarity = arrays["representatives"], arrays["polarity"]
-    count = reps.shape[:1]
     if not (isinstance(stamp, dict) and reps.dtype == np.float64
             and reps.ndim == 2 and polarity.dtype.kind == "U"
             and all(arrays[name].dtype.kind == "i" for name in _SIDECAR_INTS)
-            and all(arrays[name].shape == count for name in (
-                "polarity", "label_id", "member_count", "created_seq"))
+            and polarity.shape == arrays["member_count"].shape
+            == reps.shape[:1]
+            and all(np.array_equal(arrays[name], np.arange(len(reps)))
+                    for name in ("label_id", "created_seq"))
             and arrays["assignment"].ndim == 1
             and arrays["zero_vector_sets"].ndim == 0
-            and ((polarity == BENIGN) | (polarity == MALICIOUS)).all()
-            and np.diff(np.sort(arrays["label_id"])).all()):
+            and ((polarity == BENIGN) | (polarity == MALICIOUS)).all()):
         refuse("unreadable")
-    labels = [
-        Label(label_id=label_id, polarity=kind, representative=rep,
-              member_count=members, created_seq=seq)
-        for label_id, kind, rep, members, seq in zip(
-            arrays["label_id"].tolist(), polarity.tolist(), reps,
-            arrays["member_count"].tolist(), arrays["created_seq"].tolist())
-    ]
-    return LoadedTable(labels=labels, assignment=arrays["assignment"].tolist(),
+    return LoadedTable(polarity=polarity.tolist(),
+                       member_count=arrays["member_count"].tolist(),
+                       representatives=reps,
+                       assignment=arrays["assignment"].tolist(),
                        zero_vector_sets=int(arrays["zero_vector_sets"]),
                        stamp=stamp)
 
@@ -504,12 +500,8 @@ def label_node_sets(sets: ChainBatch, malicious: MaliciousNodeList,
     if features is None:
         raise ValueError("node-sets have no features; featurize first")
     cutoff = effective_threshold(threshold)
-    table = LabelTable()
     if not len(sets):
-        return table
-    flagged = sets.index.mask(malicious.ids)
-    polarity = [MALICIOUS if bad else BENIGN
-                for bad in flagged[sets.nodes].any(axis=1).tolist()]
+        return LabelTable()
     dim = features.shape[1]
     reps = _RepMatrix(dim)
     margin = MARGIN * max(1.0, dim / 64)
@@ -519,6 +511,10 @@ def label_node_sets(sets: ChainBatch, malicious: MaliciousNodeList,
     # the first block with a non-finite norm, or with a row normalized from a
     # norm lost to underflow, on, every chain takes the exact scan.
     exact_only = False
+    # Per label, the chain that founded it; per chain, its label.
+    founders: list[int] = []
+    assignment: list[int] = []
+    zero_vector_sets = 0
 
     for lo in range(0, len(sets), LABEL_BLOCK):
         block = features[lo:lo + LABEL_BLOCK]
@@ -533,7 +529,7 @@ def label_node_sets(sets: ChainBatch, malicious: MaliciousNodeList,
             if norm != 0.0:
                 normalized[i] = feature / norm
         exact_only = exact_only or not window_holds(normalized).all()
-        start = len(table.labels)
+        start = len(founders)
         proj = normalized @ direction
         if not exact_only:
             tops, args, runners = (part.tolist() for part in
@@ -541,13 +537,13 @@ def label_node_sets(sets: ChainBatch, malicious: MaliciousNodeList,
                                                        radius))
         projs = proj.tolist()
 
-        for i, feature in enumerate(block):
-            kind = polarity[lo + i]
+        for i, row in enumerate(normalized):
+            # A zero vector never wins a cosine comparison; its label keeps
+            # the zero row, so row indices keep matching label ids.
             if not nonzero[i]:
-                table.zero_vector_sets += 1
-                _mint_label(table, reps, feature, kind, None, projs[i])
+                zero_vector_sets += 1
+                _mint(founders, assignment, reps, lo + i, row, projs[i])
                 continue
-            row = normalized[i]
             if not exact_only:
                 top, arg, runner = tops[i], args[i], runners[i]
                 inside = reps.recent_similarities(row, projs[i], radius)
@@ -559,38 +555,34 @@ def label_node_sets(sets: ChainBatch, malicious: MaliciousNodeList,
                     else:
                         runner = max(runner, inside_top)
                 if top < mint_below:
-                    _mint_label(table, reps, feature, kind, row, projs[i])
+                    _mint(founders, assignment, reps, lo + i, row, projs[i])
                     continue
                 if inside.size > 1:
                     inside[j] = -np.inf
                     runner = max(runner, float(inside.max()))
                 if top >= join_from and runner < top - 2 * margin:
-                    _join_label(table, arg)
+                    assignment.append(arg)
                     continue
             best, similarity = reps.best_match(row)
             if best >= 0 and similarity >= cutoff:
-                _join_label(table, best)
+                assignment.append(best)
             else:
-                _mint_label(table, reps, feature, kind, row, projs[i])
-    return table
+                _mint(founders, assignment, reps, lo + i, row, projs[i])
+    # The scan's rows go before the founders' features are copied out.
+    del reps, normalized
+    flagged = sets.index.mask(malicious.ids)
+    polarity = [MALICIOUS if bad else BENIGN
+                for bad in flagged[sets.nodes[founders]].any(axis=1).tolist()]
+    return LabelTable(
+        polarity=polarity,
+        member_count=np.bincount(assignment,
+                                 minlength=len(founders)).tolist(),
+        representatives=features[founders], assignment=assignment,
+        zero_vector_sets=zero_vector_sets)
 
 
-def _join_label(table: LabelTable, index: int) -> None:
-    table.labels[index].member_count += 1
-    table.assignment.append(table.labels[index].label_id)
-
-
-def _mint_label(table: LabelTable, reps: _RepMatrix, feature: np.ndarray,
-                polarity: str, normalized: np.ndarray | None,
-                projection: float) -> None:
-    seq = len(table.labels)
-    label = Label(label_id=seq, polarity=polarity,
-                  representative=feature, member_count=1, created_seq=seq)
-    table.labels.append(label)
-    table.assignment.append(seq)
-    if normalized is None:
-        # Zero vectors never win a cosine comparison; store a zero row so
-        # row indices keep matching label ids.
-        reps.add(np.zeros(feature.shape[0]), projection)
-    else:
-        reps.add(normalized, projection)
+def _mint(founders: list[int], assignment: list[int], reps: _RepMatrix,
+          chain: int, normalized: np.ndarray, projection: float) -> None:
+    assignment.append(len(founders))
+    founders.append(chain)
+    reps.add(normalized, projection)

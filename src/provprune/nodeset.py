@@ -14,7 +14,6 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .embed import WeightTable
 from .graph import Graph, NodeIndex
 from .ingest import EventTable
 
@@ -275,18 +274,22 @@ def chain_counts(sets: ChainBatch, cap_per_anchor: int) -> dict[str, int]:
             "capped_anchors": capped}
 
 
-def featurize_sets(sets: ChainBatch, graph: Graph, weights: WeightTable,
+def featurize_sets(sets: ChainBatch, graph: Graph, weights: np.ndarray,
                    embedder) -> ChainBatch:
     """The batch with its feature matrix, composed in one vectorized pass.
 
     A chain's feature is the weighted sum of its node vectors, deliberately
-    not normalized. The embedder is asked once per distinct attribute text,
-    through the record of the first node that carries it, and each node is
-    weighed once. The batch must number nodes as graph does.
+    not normalized. weights holds one weight per row of graph's node table
+    (embed.compute_weights). The embedder is asked once per distinct
+    attribute text, through the record of the first node that carries it.
+    The batch must number nodes as graph does.
     """
+    table, nodes = graph.table, sets.nodes
+    if len(weights) != len(table):
+        raise ValueError(f"{len(weights)} weights for a graph of "
+                         f"{len(table)} nodes")
     if not len(sets):
         return replace(sets, features=np.zeros((0, embedder.dim)))
-    table, nodes = graph.table, sets.nodes
     seen = np.zeros(len(table), dtype=bool)
     seen[nodes] = True
     used = np.flatnonzero(seen)
@@ -299,8 +302,6 @@ def featurize_sets(sets: ChainBatch, graph: Graph, weights: WeightTable,
     text_vectors = np.stack(vectors)
     slot_of = np.zeros(len(table), dtype=np.intp)
     slot_of[used] = slot
-    weight_of = np.zeros(len(table))
-    weight_of[used] = weights.node_weights(table, used)
     del seen, used, codes, first, slot, vectors
 
     features = np.zeros((len(sets), text_vectors.shape[1]))
@@ -313,7 +314,7 @@ def featurize_sets(sets: ChainBatch, graph: Graph, weights: WeightTable,
         term = np.empty_like(feats)
         for column in block.T:
             np.take(text_vectors, slot_of[column], axis=0, out=term)
-            term *= weight_of[column, None]
+            term *= weights[column, None]
             feats += term
     features.setflags(write=False)
     return replace(sets, features=features)

@@ -1,12 +1,12 @@
 """Benign-label ranking, activity matching, and graph reduction metrics.
 
-The top-ranked benign representatives are compared against every node-set of
-the evaluation graph; nodes covered by any matching set are removed
-(`graph.remove_nodes` builds the reduced graph from a report's ids). Every
-per-node count (removed, malicious, population) is taken over the node index
-the chains were enumerated with, `ChainBatch.index`. Reports carry the node
-accounting, false-negative and false-positive counts, and
-per-stage timings.
+The top-ranked benign labels' representatives, rows of the label table's
+matrix, are compared against every node-set of the evaluation graph; nodes
+covered by any matching set are removed (`graph.remove_nodes` builds the
+reduced graph from a report's ids). Every per-node count (removed,
+malicious, population) is taken over the node index the chains were
+enumerated with, `ChainBatch.index`. Reports carry the node accounting,
+false-negative and false-positive counts, and per-stage timings.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import (
-    WeightTable,
-    candidate_window,
-    effective_threshold,
-    window_holds,
-)
+from .embed import candidate_window, effective_threshold, window_holds
 from .graph import Graph
 from .label import BENIGN, LabelTable, MaliciousNodeList
 from .nodeset import (
@@ -90,9 +85,9 @@ def assemble_report(n_requested: int, labels_used: int, total: int,
 
 def rank_benign_labels(table: LabelTable) -> list[int]:
     """Benign label ids, most members first, creation order breaking ties."""
-    benign = [lb for lb in table.labels if lb.polarity == BENIGN]
-    benign.sort(key=lambda lb: (-lb.member_count, lb.created_seq))
-    return [lb.label_id for lb in benign]
+    benign = [i for i, kind in enumerate(table.polarity) if kind == BENIGN]
+    # The sort is stable, and ids ascend in creation order.
+    return sorted(benign, key=lambda i: -table.member_count[i])
 
 
 def representatives(table: LabelTable, ranked_ids: list[int]) -> np.ndarray:
@@ -101,15 +96,17 @@ def representatives(table: LabelTable, ranked_ids: list[int]) -> np.ndarray:
     Zero representatives stay zero rows: cosine against a zero vector counts
     as 0 in every comparison.
     """
-    by_id = {lb.label_id: lb for lb in table.labels}
     if not ranked_ids:
         return np.zeros((0, 0))
-    rows = []
-    for label_id in ranked_ids:
-        rep = by_id[label_id].representative
-        norm = float(np.linalg.norm(rep))
-        rows.append(rep / norm if norm > 0.0 else np.zeros_like(rep))
-    return np.stack(rows)
+    rows = table.representatives[ranked_ids]
+    # A norm per row, the bits of np.linalg.norm on the row alone.
+    for row in rows:
+        norm = float(np.linalg.norm(row))
+        if norm > 0.0:
+            row /= norm
+        else:
+            row[:] = 0.0
+    return rows
 
 
 def _min_match_ranks(features: np.ndarray, reps: np.ndarray,
@@ -170,7 +167,7 @@ def _min_match_ranks(features: np.ndarray, reps: np.ndarray,
     return ranks
 
 
-def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: WeightTable,
+def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: np.ndarray,
                 embedder, malicious: MaliciousNodeList, ns: list[int],
                 threshold: float = 1.0, size: int = DEFAULT_SET_SIZE,
                 cap_per_anchor: int = DEFAULT_CAP_PER_ANCHOR,

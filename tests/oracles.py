@@ -30,7 +30,7 @@ from provprune.ingest import (
     ParseStats,
     parse_stream,
 )
-from provprune.label import BENIGN, MALICIOUS, Label, LabelTable
+from provprune.label import BENIGN, MALICIOUS, LabelTable
 from provprune.nodeset import ChainBatch
 
 
@@ -443,7 +443,7 @@ def sequential_labels(sets, malicious_ids, cutoff):
     and keep a zero row, so they compare as 0 with every later chain.
     """
     table = LabelTable()
-    rows = []
+    founding, rows = [], []
     for node_set in sets:
         feature = node_set.feature
         norm = float(np.linalg.norm(feature))
@@ -452,31 +452,33 @@ def sequential_labels(sets, malicious_ids, cutoff):
             sims = np.array(rows) @ normalized
             best = int(np.argmax(sims))
             if float(sims[best]) >= cutoff:
-                table.labels[best].member_count += 1
+                table.member_count[best] += 1
                 table.assignment.append(best)
                 continue
-        seq = len(table.labels)
-        polarity = (MALICIOUS if set(node_set.node_ids) & malicious_ids
-                    else BENIGN)
-        table.labels.append(Label(label_id=seq, polarity=polarity,
-                                  representative=feature, member_count=1,
-                                  created_seq=seq))
-        table.assignment.append(seq)
+        table.assignment.append(len(founding))
+        table.polarity.append(MALICIOUS if set(node_set.node_ids)
+                              & malicious_ids else BENIGN)
+        table.member_count.append(1)
+        founding.append(np.array(feature, dtype=np.float64))
         table.zero_vector_sets += normalized is None
         rows.append(np.zeros(feature.shape[0]) if normalized is None
                     else normalized)
+    if founding:
+        table.representatives = np.stack(founding)
     return table
 
 
+def weights_by_id(nodes, weights):
+    """A weight column (compute_weights) keyed by the ids of the node table
+    it is a column of."""
+    assert len(weights) == len(nodes.ids)
+    return dict(zip(nodes.ids, weights.tolist()))
+
+
 def weight_for(weights, node):
-    """A node record's weight in a WeightTable (or reference_weights): the
-    process weight for a process, else its id's file or netflow weight, 0
-    when absent. WeightTable.node_weights must give the same per row."""
-    if node.kind == "process":
-        return weights.process_weight
-    if node.kind == "file":
-        return weights.file_weight.get(node.id, 0.0)
-    return weights.netflow_weight.get(node.id, 0.0)
+    """A node record's weight in reference_weights, or in weights_by_id of
+    a weight column. Every node has one."""
+    return weights[node.id]
 
 
 def compose_feature(chain, weights, embedder):
@@ -768,13 +770,15 @@ def chain_batch(sets, dim=None):
 
 
 def reference_table_json(table):
-    """labels.json's text as one json.dumps of the whole payload."""
+    """labels.json's text as one json.dumps of the whole payload: label i is
+    row i of each column, its id and its creation order."""
     payload = {
-        "labels": [{"label_id": lb.label_id, "polarity": lb.polarity,
-                    "member_count": lb.member_count,
-                    "created_seq": lb.created_seq,
-                    "representative": [float(x) for x in lb.representative]}
-                   for lb in table.labels],
+        "labels": [{"label_id": i, "polarity": kind, "member_count": members,
+                    "created_seq": i,
+                    "representative": [float(x) for x in rep]}
+                   for i, (kind, members, rep) in enumerate(zip(
+                       table.polarity, table.member_count,
+                       table.representatives, strict=True))],
         "assignment": table.assignment,
         "zero_vector_sets": table.zero_vector_sets,
     }
@@ -782,19 +786,17 @@ def reference_table_json(table):
 
 
 def reference_weights(events, nodes_by_id):
-    """ln(P / P_f) per file and per netflow id, and for processes the mean
-    of those, under a WeightTable's three field names."""
+    """Every node id's weight: ln(P / P_f) for a file or netflow (0 if it is
+    in no event), and for a process the mean of the file and netflow
+    values of the entities in events."""
     counts = recount_entity_events(events)
     total = len(events)
-    by_kind = {"file": {}, "netflow": {}}
-    for nid, count in counts.items():
-        kind = nodes_by_id[nid].kind
-        if kind in by_kind:
-            by_kind[kind][nid] = math.log(total / count)
-    pool = [*by_kind["file"].values(), *by_kind["netflow"].values()]
-    return SimpleNamespace(
-        file_weight=by_kind["file"], netflow_weight=by_kind["netflow"],
-        process_weight=math.fsum(pool) / len(pool) if pool else 0.0)
+    logs = {nid: math.log(total / count) for nid, count in counts.items()
+            if nodes_by_id[nid].kind in ("file", "netflow")}
+    pool = list(logs.values())
+    process = math.fsum(pool) / len(pool) if pool else 0.0
+    return {nid: process if node.kind == "process" else logs.get(nid, 0.0)
+            for nid, node in nodes_by_id.items()}
 
 
 class _ReferenceEmbedder:
@@ -862,8 +864,9 @@ def reference_run(labeled_lines, eval_lines, iocs, cfg):
     table = sequential_labels(lab_chains, lab_malicious, cutoff)
     labels_text = reference_table_json(table) + "\n"
 
-    ranked = sorted((lb for lb in table.labels if lb.polarity == BENIGN),
-                    key=lambda lb: (-lb.member_count, lb.created_seq))
+    ranked = sorted((i for i, kind in enumerate(table.polarity)
+                     if kind == BENIGN),
+                    key=lambda i: (-table.member_count[i], i))
     by_id, events, malicious, chains = evaluation
     population = (set(by_id) if cfg.include_isolated_nodes
                   else {nid for ev in events for nid in (ev.subject, ev.object)})
@@ -871,7 +874,7 @@ def reference_run(labeled_lines, eval_lines, iocs, cfg):
     for n in sorted(set(cfg.top_n)):
         use = min(n, len(ranked))
         removed = exhaustive_removed_nodes(
-            chains, [lb.representative for lb in ranked[:use]], cutoff)
+            chains, [table.representatives[i] for i in ranked[:use]], cutoff)
         after = len(population) - len(removed)
         reports.append({
             "n_requested": n,

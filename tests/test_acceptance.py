@@ -40,6 +40,7 @@ from oracles import (
     expected_weights,
     graph_of,
     random_graph_records,
+    weights_by_id,
 )
 
 SINGLE_THREAD_ENV = {
@@ -208,13 +209,12 @@ def test_criterion_5_weights_match_independent_recomputation():
         nodes, events = random_graph_records(rng, max_nodes=24, max_events=50)
         g = graph_of(nodes, events)
         stats = compute_corpus_stats(g.events, g.nodes.values())
-        table = compute_weights(stats, g.nodes)
+        got = weights_by_id(g.table, compute_weights(stats, g.nodes))
         want = expected_weights(g.events, g.nodes)
-        got = dict(table.file_weight)
-        got.update(table.netflow_weight)
-        assert set(got) == set(want)
         for nid, expected in want.items():
             assert got[nid] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        for nid in set(got) - set(want):
+            assert g.nodes[nid].kind == "process" or got[nid] == 0.0
 
     saturated = [NodeRecord(id="p0", kind="process", cmdline="sh"),
                  NodeRecord(id="f0", kind="file", path="/always")]
@@ -222,8 +222,7 @@ def test_criterion_5_weights_match_independent_recomputation():
                   for t in range(1, 8)]
     g = graph_of(saturated, everywhere)
     stats = compute_corpus_stats(g.events, g.nodes.values())
-    table = compute_weights(stats, g.nodes)
-    assert table.file_weight["f0"] == 0.0
+    assert weights_by_id(g.table, compute_weights(stats, g.nodes))["f0"] == 0.0
 
 
 def test_criterion_6_labeling_groups_identical_features_thread_deterministic(

@@ -136,9 +136,12 @@ def test_label_writes_table_and_echo(corpus, capsys):
     assert "labels=" in stdout and "seconds=" in stdout
     table = json.loads((out / "labels.json").read_text())
     assert table["labels"]
-    echo = json.loads((out / "run_config.json").read_text())
-    assert echo["command"] == "label"
-    assert echo["threshold"] == 1.0
+    record = json.loads((out / "label_metrics.json").read_text())
+    assert record["command"] == "label"
+    assert record["config"]["threshold"] == 1.0
+    assert record["config"]["dim"] == 64
+    assert sorted(path.name for path in out.iterdir()) == [
+        "label_metrics.json", "labels.json", "labels.npz"]
 
 
 def test_reduce_end_to_end(corpus, capsys):
@@ -392,7 +395,7 @@ def test_threads_flag_is_gone(corpus):
     assert err.value.code == 1
     assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
                  "--out", str(corpus / "t")]) == 0
-    echo = json.loads((corpus / "t" / "run_config.json").read_text())
+    echo = _config(corpus / "t", "label")
     assert "threads" not in echo
 
 
@@ -404,7 +407,7 @@ def test_config_file_and_flag_precedence(corpus, tmp_path):
     rc = main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
                "--config", str(cfg), "--dim", "16", "--out", str(out)])
     assert rc == 0
-    echo = json.loads((out / "run_config.json").read_text())
+    echo = _config(out, "label")
     assert echo["dim"] == 16
     assert echo["seed"] == 11
     assert echo["cap_per_anchor"] == 4
@@ -415,13 +418,12 @@ def test_env_seed_override(corpus, monkeypatch):
     out = corpus / "env_run"
     assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
                  "--out", str(out)]) == 0
-    echo = json.loads((out / "run_config.json").read_text())
-    assert echo["seed"] == 123
+    assert _config(out, "label")["seed"] == 123
 
     out2 = corpus / "env_run2"
     assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
                  "--seed", "456", "--out", str(out2)]) == 0
-    assert json.loads((out2 / "run_config.json").read_text())["seed"] == 456
+    assert _config(out2, "label")["seed"] == 456
 
 
 def test_env_seed_must_be_integer(corpus, monkeypatch):
@@ -450,7 +452,7 @@ def test_report_renders_table(corpus, capsys):
 @pytest.mark.parametrize("command, obj, key", [
     ("label", {"nodeset": {"set_size": 3}}, "nodeset.set_size"),
     ("label", {"threads": 2}, "threads"),
-    ("label", "echo", "cap_per_anchor"),
+    ("label", "record", "command"),
     ("label", {"embed.dim": 64}, "embed.dim"),
     ("label", {"embed": 5}, "embed"),
     ("label", {"embed": {"dim": "64"}}, "embed.dim"),
@@ -470,10 +472,10 @@ def test_report_renders_table(corpus, capsys):
 ])
 def test_bad_config_file_is_usage_error(tmp_path, capsys, command, obj, key):
     cfg = tmp_path / "cfg.json"
-    if obj == "echo":
-        # A run's config echo is a record of the run, not a config file.
+    if obj == "record":
+        # A run's record holds its settings, but it is not a config file.
         cli._RunMetrics("label", LabelConfig()).write(tmp_path)
-        cfg = tmp_path / "run_config.json"
+        cfg = tmp_path / "label_metrics.json"
     else:
         cfg.write_text(json.dumps(obj))
     sources = {"label": ["--labeled", str(tmp_path / "never_read.jsonl")],
@@ -499,20 +501,41 @@ def test_reduce_takes_no_shape_flag(corpus, capsys, flag):
     assert flag in capsys.readouterr().err
 
 
+def _config(out, command):
+    """The settings recorded in a run's <command>_metrics.json."""
+    record = json.loads((out / f"{command}_metrics.json").read_text())
+    assert record["command"] == command
+    return record["config"]
+
+
 def test_echo_records_only_what_its_command_reads(corpus):
     table = _label_default(corpus)
-    label_echo = json.loads((table.parent / "run_config.json").read_text())
-    assert label_echo["command"] == "label"
+    label_echo = _config(table.parent, "label")
     for name in ("top_n", "emit_dot", "emit_graph", "emit_removed_ids",
                  "include_isolated_nodes", "eval_corpus", "labels_file"):
         assert name not in label_echo, name
     assert _reduce_outputs(corpus, table, "red")[0] == 0
-    reduce_echo = json.loads((corpus / "red" / "run_config.json").read_text())
-    assert reduce_echo["command"] == "reduce"
+    reduce_echo = _config(corpus / "red", "reduce")
     assert reduce_echo["top_n"] == [1, 2, 5]
     for name in ("labeled", "dim", "seed", "set_size", "cap_per_anchor",
                  "threshold"):
         assert name not in reduce_echo, name
+
+
+def test_label_and_reduce_sharing_out_keep_both_records(corpus):
+    """label and reduce given one --out each write their own record, and
+    neither overwrites the other's."""
+    table = _label_default(corpus, "--seed", "5")
+    before = (table.parent / "label_metrics.json").read_bytes()
+    rc = main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
+               "--labels", str(table), "--top-n", "4",
+               "--out", str(table.parent)])
+    assert rc == 0
+    assert (table.parent / "label_metrics.json").read_bytes() == before
+    assert _config(table.parent, "label")["seed"] == 5
+    assert _config(table.parent, "reduce")["top_n"] == [4]
+    assert not (table.parent / "run_config.json").exists()
+    assert not (table.parent / "metrics.json").exists()
 
 
 def test_env_seed_is_read_by_label_only(corpus, monkeypatch, capsys):
@@ -543,14 +566,14 @@ def test_readme_config_example_is_accepted(corpus):
     assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
                  "--config", str(corpus / "label_cfg.json"),
                  "--out", str(lab)]) == 0
-    echo = json.loads((lab / "run_config.json").read_text())
+    echo = _config(lab, "label")
     assert echo["set_size"] == objs[0]["nodeset"]["size"]
     assert echo["seed"] == objs[0]["embed"]["seed"]
     assert main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
                  "--labels", str(lab / "labels.json"),
                  "--config", str(corpus / "reduce_cfg.json"),
                  "--out", str(red)]) == 0
-    echo = json.loads((red / "run_config.json").read_text())
+    echo = _config(red, "reduce")
     assert echo["top_n"] == sorted(objs[1]["reduce"]["top_n"])
 
 
@@ -616,7 +639,7 @@ def _reduce_outputs(corpus, table, out, *extra):
         return rc, None
     return rc, {path.name: mask_timings(path.name, path.read_bytes())
                 for path in sorted((corpus / out).iterdir())
-                if path.name not in ("run_config.json", "metrics.json")}
+                if path.name != "reduce_metrics.json"}
 
 
 def _vectors(path, axis):
@@ -692,17 +715,40 @@ def test_table_of_the_same_settings_loads_silently(corpus, capsys):
 
 
 def test_vectors_file_stamp_holds_its_width(corpus):
-    """A vectors file fixes the embedding width, so the stamp records the
-    file's width, not --dim's."""
+    """A vectors file fixes the embedding width, so the stamp and the
+    record hold the file's width."""
     vectors = corpus / "model.vec"
     _vectors(vectors, 0)
-    table = _label_default(corpus, "--model", f"vectors-file:{vectors}",
-                           "--dim", "64")
+    table = _label_default(corpus, "--model", f"vectors-file:{vectors}")
     with np.load(table.with_suffix(".npz")) as npz:
         stamp = json.loads(npz["stamp"].item())
         assert stamp["dim"] == 16 == npz["representatives"].shape[1]
-    echo = json.loads((table.parent / "run_config.json").read_text())
-    assert echo["dim"] == 16
+    assert _config(table.parent, "label")["dim"] == 16
+
+
+@pytest.mark.parametrize("how", ["flag", "config", "both"])
+def test_vectors_file_refuses_a_dim(corpus, capsys, monkeypatch, how):
+    """With a vectors file, --dim or embed.dim would be ignored, so either
+    is a usage error naming dim, before the corpus is parsed, even at the
+    file's own width."""
+    vectors = corpus / "model.vec"
+    _vectors(vectors, 0)
+    cfg = corpus / "dim_cfg.json"
+    cfg.write_text(json.dumps({"embed": {"dim": 16}}))
+    extra = {"flag": ["--dim", "16"], "config": ["--config", str(cfg)],
+             "both": ["--config", str(cfg), "--dim", "64"]}[how]
+    parsed = []
+    monkeypatch.setattr(cli, "parse_file", lambda *a, **k: parsed.append(a))
+    capsys.readouterr()
+    rc = main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+               "--model", f"vectors-file:{vectors}",
+               "--out", str(corpus / "dim_out"), *extra])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "'dim'" in err and "vectors file" in err
+    assert "Traceback" not in err
+    assert parsed == []
+    assert not (corpus / "dim_out").exists()
 
 
 _MISSING = object()
@@ -777,10 +823,11 @@ def test_table_without_its_sidecar_is_refused(corpus, capsys):
 
 def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
                                                           monkeypatch):
-    """A missing, truncated, garbage or pickled sidecar, or one of other
-    bytes than labels.json, is refused before the evaluation corpus is
-    parsed: exit 1 naming the sidecar and why, no traceback and no
-    reports. The table is never read from labels.json instead."""
+    """A missing, truncated, garbage or pickled sidecar, one whose label_id
+    or created_seq is not 0..n-1, or one of other bytes than labels.json,
+    is refused before the evaluation corpus is parsed: exit 1 naming the
+    sidecar and why, no traceback and no reports. The table is never read
+    from labels.json instead."""
     table = _label_default(corpus)
     sidecar = table.with_suffix(".npz")
     good, text = sidecar.read_bytes(), table.read_text()
@@ -793,6 +840,13 @@ def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
         rewritten_sidecar(path, representatives=np.array([[1.0, "x"]],
                                                          dtype=object))
 
+    with np.load(sidecar) as npz:
+        rolled = np.roll(np.arange(len(npz["label_id"])), 1)
+    assert len(rolled) > 1
+
+    def permuted(name):
+        return lambda path: rewritten_sidecar(path, **{name: rolled})
+
     def edited(path):
         # One polarity changed: the sidecar no longer matches the bytes.
         table.write_text(text.replace('"polarity":"benign"',
@@ -802,6 +856,8 @@ def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
               (lambda p: p.write_bytes(good[: len(good) // 2]), "unreadable"),
               (lambda p: p.write_bytes(b"\x00garbage" * 64), "unreadable"),
               (pickled, "unreadable"),
+              (permuted("label_id"), "unreadable"),
+              (permuted("created_seq"), "unreadable"),
               (edited, "digest mismatch")]
     parse_file = cli.parse_file
     parsed = []

@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -8,11 +9,9 @@ from provprune.embed import (
     DEFAULT_DIM,
     HashNgramEmbedder,
     VectorFileEmbedder,
-    WeightTable,
     candidate_window,
     compute_weights,
     effective_threshold,
-    embed_text,
     get_embedder,
     window_holds,
 )
@@ -25,15 +24,22 @@ from oracles import (
     python_cosine,
     random_graph_records,
     reference_embed_text,
+    reference_weights,
     weight_for,
+    weights_by_id,
 )
+
+
+def embed_text(text, dim=DEFAULT_DIM, seed=97):
+    """A text's vector from a fresh embedder: nothing memoized."""
+    return HashNgramEmbedder(dim, seed).embed(text)
 
 
 @pytest.mark.parametrize("dim", [8, DEFAULT_DIM])
 @pytest.mark.parametrize("seed", [97, 2 ** 70 + 5])
 def test_memoized_slots_give_embed_text_bits(dim, seed):
-    """embed_text and the embedder, whose gram-slot memo has seen most
-    n-grams before, give the bits of one += per gram."""
+    """A fresh embedder and one whose gram-slot memo has seen most n-grams
+    before give the bits of one += per gram."""
     texts = EDGE_TEXTS + ["", "日本語のテキスト", "café au lait", "a" * 40,
                           "/usr/bin/python3", "/usr/bin/python3 -m x"]
     texts += [a + b for a in EDGE_TEXTS for b in EDGE_TEXTS[:4]]
@@ -71,7 +77,7 @@ def test_empty_text_sentinel():
 
 def test_dim_must_be_at_least_eight():
     with pytest.raises(ValueError):
-        embed_text("x", dim=4)
+        HashNgramEmbedder(dim=4)
 
 
 def test_dim_configurable():
@@ -156,26 +162,25 @@ def corpus_fixture():
 
 
 def weights_of(nodes, events):
-    """compute_weights over the graph of the records."""
+    """compute_weights over the graph of the records, keyed by node id."""
     g = graph_of(nodes, events)
-    return compute_weights(compute_corpus_stats(g.events), g.table)
+    return weights_by_id(g.table, compute_weights(
+        compute_corpus_stats(g.events), g.table))
 
 
 def test_saturated_entity_weight_exactly_zero():
     nodes, events = corpus_fixture()
     events = [e for e in events if e.object == "f1"]
-    table = weights_of(nodes.values(), events)
-    assert table.file_weight["f1"] == 0.0
+    weights = weights_of(nodes.values(), events)
+    assert weights["f1"] == 0.0
 
 
 def test_weight_log_ratio_values():
     nodes, events = corpus_fixture()
-    table = weights_of(nodes.values(), events)
-    assert table.file_weight["f1"] == pytest.approx(math.log(150 / 100),
-                                                    rel=1e-12)
-    assert table.file_weight["f2"] == pytest.approx(math.log(15.0), rel=1e-12)
-    assert table.netflow_weight["n1"] == pytest.approx(math.log(150 / 40),
-                                                       rel=1e-12)
+    weights = weights_of(nodes.values(), events)
+    assert weights["f1"] == pytest.approx(math.log(150 / 100), rel=1e-12)
+    assert weights["f2"] == pytest.approx(math.log(15.0), rel=1e-12)
+    assert weights["n1"] == pytest.approx(math.log(150 / 40), rel=1e-12)
 
 
 def test_weight_hundredfold_ratio():
@@ -187,28 +192,27 @@ def test_weight_hundredfold_ratio():
               for i in range(990)]
     events += [Event(subject="p1", object="f2", syscall="read", ts=i)
                for i in range(10)]
-    table = weights_of(n.values(), events)
-    assert table.file_weight["f2"] == pytest.approx(4.605170185988092,
-                                                    rel=1e-12)
+    weights = weights_of(n.values(), events)
+    assert weights["f2"] == pytest.approx(4.605170185988092, rel=1e-12)
     # The natural-log choice pins the scale: a ratio of e means weight 1.
     assert math.log(math.e) == 1.0
 
 
-def test_unused_entities_absent_from_table():
+def test_unused_entities_weigh_zero():
     nodes, events = corpus_fixture()
-    table = weights_of(nodes.values(), events)
-    assert "f_unused" not in table.file_weight
-    unused = nodes["f_unused"]
-    assert weight_for(table, unused) == 0.0
+    weights = weights_of(nodes.values(), events)
+    assert weight_for(weights, nodes["f_unused"]) == 0.0
 
 
 def test_process_weight_is_pooled_mean():
+    """Every process gets the fmean of the used entities' weights, bit for
+    bit; an unused entity's 0 is not in the pool."""
     nodes, events = corpus_fixture()
-    table = weights_of(nodes.values(), events)
-    pool = [table.file_weight["f1"], table.file_weight["f2"],
-            table.netflow_weight["n1"]]
-    assert table.process_weight == pytest.approx(sum(pool) / 3, rel=1e-12)
-    assert min(pool) <= table.process_weight <= max(pool)
+    weights = weights_of(nodes.values(), events)
+    pool = [weights["f1"], weights["f2"], weights["n1"]]
+    assert weights["p1"] == statistics.fmean(pool)
+    assert weights["p1"] == pytest.approx(sum(pool) / 3, rel=1e-12)
+    assert min(pool) <= weights["p1"] <= max(pool)
 
 
 def test_zero_event_corpus_rejected():
@@ -222,7 +226,8 @@ def test_compute_weights_reads_the_table_its_stats_counted():
     nodes, events = corpus_fixture()
     g = graph_of(nodes.values(), events)
     stats = compute_corpus_stats(g.events)
-    assert compute_weights(stats, g.nodes) == compute_weights(stats, g.table)
+    assert np.array_equal(compute_weights(stats, g.nodes),
+                          compute_weights(stats, g.table))
     other = graph_of(list(nodes.values())[::-1], events)
     with pytest.raises(ValueError, match="corpus stats number"):
         compute_weights(stats, other.table)
@@ -236,20 +241,21 @@ def test_weights_nonnegative_and_match_oracle_on_random_corpora():
             continue
         by_id = {n.id: n for n in nodes}
         g = graph_of(nodes, events)
-        table = compute_weights(compute_corpus_stats(g.events), g.table)
-        rows = np.arange(len(g.table))
-        assert table.node_weights(g.table, rows).tolist() == [
-            weight_for(table, node) for node in g.table]
+        column = compute_weights(compute_corpus_stats(g.events), g.table)
+        assert column.dtype == np.float64
+        weights = weights_by_id(g.table, column)
+        assert weights == reference_weights(events, by_id)
         want = expected_weights(events, by_id)
-        got = dict(table.file_weight)
-        got.update(table.netflow_weight)
-        assert set(got) == set(want)
         for nid, expected in want.items():
-            assert got[nid] >= 0.0
-            assert got[nid] == pytest.approx(expected, rel=1e-12, abs=1e-12)
-        if got:
-            values = list(got.values())
-            assert min(values) <= table.process_weight <= max(values)
+            assert weights[nid] >= 0.0
+            assert weights[nid] == pytest.approx(expected, rel=1e-12,
+                                                 abs=1e-12)
+        used = [weights[nid] for nid in want]
+        for nid, node in by_id.items():
+            if node.kind == "process" and used:
+                assert min(used) <= weights[nid] <= max(used)
+            elif nid not in want:
+                assert weights[nid] == 0.0
 
 
 def test_cosine_zero_vector_rule():
@@ -291,23 +297,28 @@ def test_effective_threshold_slack():
     assert effective_threshold(0.5) == 0.5
 
 
-def test_weight_table_routing():
-    """node_weights routes each row by kind, as the reference weight_for
-    does per record, in the order the rows are given; an id absent from
-    its kind's table weighs 0."""
-    table = WeightTable(file_weight={"f": 2.0, "n": 7.0},
-                        netflow_weight={"n": 3.0, "f": 5.0},
-                        process_weight=1.5)
+def test_weight_column_follows_table_rows():
+    """Row v of the column is node v's weight, whatever order kinds are
+    declared in: processes share the pooled mean, an unused entity weighs
+    0."""
     nodes = [NodeRecord(id="f", kind="file", path="/"),
-             NodeRecord(id="n", kind="netflow"),
-             NodeRecord(id="p", kind="process"),
-             NodeRecord(id="f2", kind="file", path="/"),
-             NodeRecord(id="n2", kind="netflow")]
-    g = graph_of(nodes, [])
-    rows = np.array([4, 2, 0, 1, 3, 0])
-    got = table.node_weights(g.table, rows).tolist()
-    assert got == [weight_for(table, g.table[v]) for v in rows.tolist()]
-    assert got == [0.0, 1.5, 2.0, 3.0, 0.0, 2.0]
+             NodeRecord(id="n", kind="netflow", remote_addr="1.1.1.1",
+                        remote_port=1),
+             NodeRecord(id="p", kind="process", cmdline="a"),
+             NodeRecord(id="f2", kind="file", path="/x"),
+             NodeRecord(id="q", kind="process", cmdline="b"),
+             NodeRecord(id="n2", kind="netflow", remote_addr="2.2.2.2",
+                        remote_port=2)]
+    events = [Event(subject="p", object="f", syscall="read", ts=0),
+              Event(subject="q", object="f", syscall="read", ts=1),
+              Event(subject="p", object="n", syscall="sendto", ts=2),
+              Event(subject="q", object="p", syscall="clone", ts=3)]
+    g = graph_of(nodes, events)
+    column = compute_weights(compute_corpus_stats(g.events), g.table)
+    f, n = math.log(4 / 2), math.log(4 / 1)
+    pooled = statistics.fmean([f, n])
+    assert g.table.ids == ["f", "n", "p", "f2", "q", "n2"]
+    assert column.tolist() == [f, n, pooled, 0.0, pooled, 0.0]
 
 
 def test_vectors_file_roundtrip(tmp_path):

@@ -2,7 +2,9 @@
 
 The output bytes are the contract a refactor must keep: `labels.json` and
 `labels.npz`, every `reduced_top*.jsonl`, and `reports.json`/`sweep.csv` with
-the wall-clock timings masked. The config echo and `metrics.json` are not compared. Their sha256 digests live in `tests/golden/digests.json`.
+the wall-clock timings masked. The run records, `label_metrics.json` and
+`reduce_metrics.json`, are not compared. Their sha256 digests live in
+`tests/golden/digests.json`.
 
 After a change that is meant to alter outputs, regenerate the digests with
 
@@ -80,7 +82,7 @@ def golden_outputs(root: Path) -> dict[str, str]:
     for out in runs:
         for path in sorted((root / out).iterdir()):
             name = f"{out}/{path.name}"
-            if path.name in ("run_config.json", "metrics.json"):
+            if path.name.endswith("_metrics.json"):
                 continue
             data = mask_timings(name, path.read_bytes())
             digests[name] = hashlib.sha256(data).hexdigest()
@@ -100,12 +102,14 @@ STAGES = {"parse", "build", "stats", "weights", "iocs", "enumerate",
 
 
 def test_metrics_counts_equal_the_library_counts(tmp_path):
-    """metrics.json of each golden run: per corpus, the parse tallies are
+    """The record of each golden run: per corpus, the parse tallies are
     parse_file's, the chains and capped anchors those of
     enumerate_node_sets, and the label count is labels.json's."""
     golden_outputs(tmp_path)
-    lab, red, iso = (json.loads((tmp_path / out / "metrics.json").read_text())
-                     for out in ("lab", "red", "iso"))
+    lab, red, iso = (
+        json.loads((tmp_path / out / f"{command}_metrics.json").read_text())
+        for out, command in (("lab", "label"), ("red", "reduce"),
+                             ("iso", "reduce")))
     assert [list(m["corpora"]) for m in (lab, red, iso)] == [
         ["labeled"], ["eval"], ["eval"]]
     for metrics, role in ((lab, "labeled"), (red, "eval"), (iso, "eval")):

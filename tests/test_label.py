@@ -164,17 +164,16 @@ def test_classify_set_rules():
     clean = make_set(["a", "e", "b", "c", "d"], unit(0))
     all_bad = make_set(["x"] * 1 + ["y", "z", "w", "v"], unit(0))
     mal_all = MaliciousNodeList(ids={"x", "y", "z", "w", "v"})
-    assert label_sets([dirty], mal).labels[0].polarity == MALICIOUS
-    assert label_sets([clean], mal).labels[0].polarity == BENIGN
-    assert label_sets([all_bad], mal_all).labels[0].polarity == MALICIOUS
+    assert label_sets([dirty], mal).polarity == [MALICIOUS]
+    assert label_sets([clean], mal).polarity == [BENIGN]
+    assert label_sets([all_bad], mal_all).polarity == [MALICIOUS]
 
 
 def test_identical_features_share_one_label():
     sets = [make_set(["a", "b"], unit(1)), make_set(["c", "d"], unit(1))]
     table = label_sets(sets, MaliciousNodeList(), threshold=1.0)
-    assert len(table.labels) == 1
-    assert table.labels[0].member_count == 2
-    assert table.labels[0].polarity == BENIGN
+    assert table.labels == table.polarity == [BENIGN]
+    assert table.member_count == [2]
     assert table.assignment == [0, 0]
 
 
@@ -190,23 +189,35 @@ def test_order_sensitivity_of_polarity():
     mal = MaliciousNodeList(ids={"a"})
     sets = [make_set(["a", "b"], unit(3)), make_set(["c", "d"], unit(3))]
     table = label_sets(sets, mal, threshold=1.0)
-    assert len(table.labels) == 1
-    assert table.labels[0].polarity == MALICIOUS
-    assert table.labels[0].member_count == 2
+    assert table.polarity == [MALICIOUS]
+    assert table.member_count == [2]
 
 
 def test_distinct_features_distinct_labels():
     sets = [make_set([f"n{i}", f"m{i}"], unit(i)) for i in range(6)]
     table = label_sets(sets, MaliciousNodeList(), threshold=1.0)
     assert len(table.labels) == 6
-    assert [lb.created_seq for lb in table.labels] == list(range(6))
+    assert table.assignment == list(range(6))
+    assert table.representatives.tolist() == [
+        unit(i).tolist() for i in range(6)]
 
 
 def test_representative_is_first_member_frozen():
     sets = [make_set(["a", "b"], 2.0 * unit(4)),
             make_set(["c", "d"], 5.0 * unit(4))]
     table = label_sets(sets, MaliciousNodeList(), threshold=1.0)
-    assert table.labels[0].representative[4] == 2.0
+    assert table.representatives.tolist() == [(2.0 * unit(4)).tolist()]
+
+
+def test_representatives_share_no_memory_with_features():
+    """The table holds copies of its founders' rows, so it keeps no chain's
+    feature matrix alive, and neither side can change the other."""
+    sets = chain_batch([make_set([f"x{i}", f"y{i}"], unit(i % 3), seq=i)
+                        for i in range(7)], dim=8)
+    table = label_node_sets(sets, MaliciousNodeList())
+    assert table.assignment == [0, 1, 2, 0, 1, 2, 0]
+    assert np.array_equal(table.representatives, sets.features[:3])
+    assert not np.shares_memory(table.representatives, sets.features)
 
 
 def test_lower_threshold_groups_more():
@@ -267,9 +278,9 @@ def test_assignment_totality_random():
     mal = MaliciousNodeList(ids={"x3", "x77"})
     table = label_sets(sets, mal, threshold=1.0)
     assert len(table.assignment) == len(sets)
-    assert sum(lb.member_count for lb in table.labels) == len(sets)
-    label_ids = {lb.label_id for lb in table.labels}
-    assert set(table.assignment) <= label_ids
+    assert table.member_count == np.bincount(table.assignment).tolist()
+    assert sum(table.member_count) == len(sets)
+    assert set(table.assignment) == set(range(len(table.labels)))
 
 
 def test_threshold_monotone_label_count():
@@ -296,10 +307,10 @@ def test_polarity_sound_at_creation():
     first_member = {}
     for idx, label_id in enumerate(table.assignment):
         first_member.setdefault(label_id, idx)
-    for lb in table.labels:
-        founder = sets[first_member[lb.label_id]]
+    for label_id, kind in enumerate(table.polarity):
+        founder = sets[first_member[label_id]]
         expected = MALICIOUS if set(founder.node_ids) & mal.ids else BENIGN
-        assert lb.polarity == expected
+        assert kind == expected
 
 
 def test_table_json_equals_whole_payload_dump():
@@ -310,11 +321,11 @@ def test_table_json_equals_whole_payload_dump():
     table = label_sets(sets, MaliciousNodeList(ids={"x3"}), threshold=0.5)
     table.zero_vector_sets = 2
     payload = {
-        "labels": [{"label_id": lb.label_id, "polarity": lb.polarity,
-                    "member_count": lb.member_count,
-                    "created_seq": lb.created_seq,
-                    "representative": [float(x) for x in lb.representative]}
-                   for lb in table.labels],
+        "labels": [{"label_id": i, "polarity": table.polarity[i],
+                    "member_count": table.member_count[i],
+                    "created_seq": i,
+                    "representative": table.representatives[i].tolist()}
+                   for i in range(len(table.labels))],
         "assignment": table.assignment,
         "zero_vector_sets": table.zero_vector_sets,
     }
@@ -370,10 +381,9 @@ def test_write_json_texts_each_distinct_float_once(monkeypatch, chunk):
         reps.append(np.array([rng.choice(specials) for _ in range(6)]))
     reps.append(reps[3].copy())
     table = LabelTable(
-        labels=[label.Label(label_id=i, polarity=BENIGN if i % 3 else MALICIOUS,
-                            representative=rep, member_count=1 + i % 4,
-                            created_seq=i)
-                for i, rep in enumerate(reps)],
+        polarity=[BENIGN if i % 3 else MALICIOUS for i in range(len(reps))],
+        member_count=[1 + i % 4 for i in range(len(reps))],
+        representatives=np.array(reps),
         assignment=list(range(len(reps))), zero_vector_sets=1)
     buf = io.StringIO()
     table.write_json(buf)
@@ -625,14 +635,12 @@ def sidecar_tables():
     rows[3, 1:3] = np.inf, -np.inf
     rows[4] = -0.0
     mixed = LabelTable(
-        labels=[label.Label(label_id=i, polarity=MALICIOUS if i % 3 else BENIGN,
-                            representative=row, member_count=1 + i % 4,
-                            created_seq=i)
-                for i, row in enumerate(rows)],
+        polarity=[MALICIOUS if i % 3 else BENIGN for i in range(9)],
+        member_count=[1 + i % 4 for i in range(9)], representatives=rows,
         assignment=[i % 9 for i in range(23)], zero_vector_sets=2)
-    one = LabelTable(labels=[label.Label(
-        label_id=0, polarity=BENIGN, representative=np.array([-0.0, 1.5]),
-        member_count=3, created_seq=0)], assignment=[0, 0, 0])
+    one = LabelTable(polarity=[BENIGN], member_count=[3],
+                     representatives=np.array([[-0.0, 1.5]]),
+                     assignment=[0, 0, 0])
     return {"mixed": mixed, "one": one, "none": LabelTable()}
 
 
@@ -653,31 +661,17 @@ def test_sidecar_gives_the_json_table(tmp_path, name):
     assert got.assignment == want.assignment
     assert type(got.zero_vector_sets) is int
     assert got.zero_vector_sets == want.zero_vector_sets
-    assert len(got.labels) == len(want.labels)
-    for a, b in zip(got.labels, want.labels):
-        assert (a.label_id, a.polarity, a.member_count, a.created_seq) == \
-            (b.label_id, b.polarity, b.member_count, b.created_seq)
-        assert all(type(v) is type(w) for v, w in (
-            (a.label_id, b.label_id), (a.polarity, b.polarity),
-            (a.member_count, b.member_count), (a.created_seq, b.created_seq)))
-        assert a.representative.dtype == np.float64
-        canonical = np.where(np.isnan(b.representative), float("nan"),
-                             b.representative)
-        assert a.representative.view(np.uint64).tolist() == \
-            canonical.view(np.uint64).tolist()
+    assert got.labels == got.polarity == want.polarity
+    assert got.member_count == want.member_count
+    assert all(type(v) is str for v in got.polarity)
+    assert all(type(v) is int for v in got.member_count + got.assignment)
+    assert got.representatives.dtype == np.float64
+    assert got.representatives.shape == want.representatives.shape
+    canonical = np.where(np.isnan(want.representatives), float("nan"),
+                         want.representatives)
+    assert got.representatives.view(np.uint64).tolist() == \
+        canonical.view(np.uint64).tolist()
     assert table_json(got) + "\n" == text
-
-
-def test_sidecar_refuses_ragged_representatives(tmp_path, monkeypatch):
-    """Rows of another width in a later block cannot slip into the array."""
-    monkeypatch.setattr(label, "SIDECAR_ROWS", 2)
-    table = sidecar_tables()["mixed"]
-    for lb in table.labels[4:6]:
-        lb.representative = np.zeros(7)
-    path = tmp_path / "labels.json"
-    path.write_text("{}")
-    with pytest.raises(ValueError, match="width"):
-        label.write_sidecar(table, path, STAMP)
 
 
 def test_sidecar_bytes_are_deterministic(tmp_path):
@@ -720,6 +714,11 @@ def spoiled_member(**members):
     (spoiled_member(polarity=np.array(["benign"] * 8 + ["neutral"])),
      "unreadable"),
     (spoiled_member(label_id=np.zeros(9, dtype=np.int64)), "unreadable"),
+    (spoiled_member(label_id=np.array([1, 0, 2, 3, 4, 5, 6, 7, 8])),
+     "unreadable"),
+    (spoiled_member(label_id=np.arange(1, 10)), "unreadable"),
+    (spoiled_member(created_seq=np.arange(9)[::-1].copy()), "unreadable"),
+    (spoiled_member(created_seq=np.arange(10, 19)), "unreadable"),
 ])
 def test_sidecar_that_fails_a_check_leaves_the_json(tmp_path, spoil, why):
     """A sidecar that fails a check is refused, naming it and why: the
@@ -753,10 +752,8 @@ def test_sidecar_write_holds_no_second_table(tmp_path):
     second copy of the representatives, let alone the whole file."""
     rng = np.random.default_rng(641)
     reps = rng.normal(size=(8192, 64))
-    table = LabelTable(labels=[
-        label.Label(label_id=i, polarity=BENIGN, representative=row,
-                    member_count=1, created_seq=i)
-        for i, row in enumerate(reps)], assignment=list(range(8192)))
+    table = LabelTable(polarity=[BENIGN] * 8192, member_count=[1] * 8192,
+                       representatives=reps, assignment=list(range(8192)))
     path = tmp_path / "labels.json"
     with open(path, "w", encoding="utf-8") as fh:
         table.write_json(fh)
@@ -770,5 +767,4 @@ def test_sidecar_write_holds_no_second_table(tmp_path):
                              tmp_path / "labels.npz")
     assert peak < len(text)
     assert back.stamp == STAMP
-    assert np.array_equal(np.array([lb.representative for lb in back.labels]),
-                          reps)
+    assert np.array_equal(back.representatives, reps)

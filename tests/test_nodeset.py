@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from provprune import nodeset
-from provprune.embed import HashNgramEmbedder, WeightTable, compute_weights
+from provprune.embed import HashNgramEmbedder, compute_weights
 from provprune.graph import NodeIndex
 from provprune.ingest import Event, NodeRecord, compute_corpus_stats
 from provprune.nodeset import _half_edges, enumerate_node_sets, featurize_sets
@@ -21,6 +21,7 @@ from oracles import (
     sum_feature_by_hand,
     synth_graph,
     traced_peak,
+    weights_by_id,
 )
 
 
@@ -272,8 +273,7 @@ def test_compose_zero_weight_chain_is_zero_vector():
     emb = HashNgramEmbedder()
     files = [NodeRecord(id=f"f{i}", kind="file", path=f"/{i}")
              for i in range(3)]
-    table = WeightTable()
-    feature = compose_feature(files, table, emb)
+    feature = compose_feature(files, {"f0": 0.0, "f1": 0.0, "f2": 0.0}, emb)
     assert float(np.abs(feature).sum()) == 0.0
 
 
@@ -282,7 +282,7 @@ def test_compose_single_weighted_node_is_scaled_vector():
     f = NodeRecord(id="f0", kind="file", path="/hot")
     others = [NodeRecord(id=f"f{i}", kind="file", path=f"/{i}")
               for i in range(1, 3)]
-    table = WeightTable(file_weight={"f0": 2.5})
+    table = {"f0": 2.5, "f1": 0.0, "f2": 0.0}
     feature = compose_feature([f] + others, table, emb)
     assert np.allclose(feature, 2.5 * emb.embed("/hot"))
 
@@ -295,7 +295,7 @@ def test_compose_matches_hand_summation():
         if not events:
             continue
         g = graph_of(nodes, events)
-        table = weights_for(g)
+        table = weights_by_id(g.table, weights_for(g))
         ids = list(g.nodes)
         chain = [g.nodes[i] for i in rng.sample(ids, min(5, len(ids)))]
         got = compose_feature(chain, table, emb)
@@ -306,7 +306,7 @@ def test_compose_matches_hand_summation():
 def test_compose_additive_over_partition():
     emb = HashNgramEmbedder()
     g = chain_fixture(5)
-    table = WeightTable(process_weight=1.7)
+    table = dict.fromkeys(g.nodes, 1.7)
     chain = [g.nodes[f"p{i}"] for i in range(5)]
     whole = compose_feature(chain, table, emb)
     parts = compose_feature(chain[:2], table, emb) + \
@@ -322,9 +322,10 @@ def test_featurize_matches_compose_bitwise():
         g = graph_of(nodes, events)
         if not g.events:
             continue
-        table = weights_for(g)
+        column = weights_for(g)
         sets = enumerate_node_sets(g, size=3, cap_per_anchor=0)
-        done = featurize_sets(sets, g, table, emb)
+        done = featurize_sets(sets, g, column, emb)
+        table = weights_by_id(g.table, column)
         for s in done:
             chain = [g.nodes[nid] for nid in s.node_ids]
             direct = compose_feature(chain, table, emb)
@@ -338,8 +339,9 @@ def test_featurize_bits_do_not_depend_on_chunk(monkeypatch, chunk):
     monkeypatch.setattr(nodeset, "FEATURE_CHUNK", chunk)
     g = synth_graph()
     emb = HashNgramEmbedder()
-    table = weights_for(g)
-    done = featurize_sets(enumerate_node_sets(g), g, table, emb)
+    column = weights_for(g)
+    done = featurize_sets(enumerate_node_sets(g), g, column, emb)
+    table = weights_by_id(g.table, column)
     assert len(done) == 537
     for s in done:
         direct = compose_feature([g.nodes[nid] for nid in s.node_ids],
@@ -350,9 +352,22 @@ def test_featurize_bits_do_not_depend_on_chunk(monkeypatch, chunk):
 def test_featurize_empty_input():
     emb = HashNgramEmbedder()
     g = chain_fixture(3)
-    done = featurize_sets(enumerate_node_sets(g, size=5), g, WeightTable(), emb)
+    done = featurize_sets(enumerate_node_sets(g, size=5), g,
+                          np.zeros(len(g.table)), emb)
     assert len(done) == 0 and list(done) == []
     assert done.features.shape == (0, emb.dim)
+
+
+@pytest.mark.parametrize("size", [3, 5])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_featurize_refuses_weights_of_another_length(size, delta):
+    """A weight column one row short or long of the graph's node table is
+    refused, with or without chains, rather than read out of line."""
+    g = chain_fixture(4)
+    weights = np.ones(len(g.table) + delta)
+    with pytest.raises(ValueError, match="weights for a graph of 4 nodes"):
+        featurize_sets(enumerate_node_sets(g, size=size), g, weights,
+                       HashNgramEmbedder())
 
 
 def test_feature_is_readonly_and_finite():

@@ -159,7 +159,8 @@ def test_cli_label_and_reduce_equal_reference_run(
             assert set(report.pop("per_stage_seconds")) == TIMINGS
         assert reports == want_reports
         # Enumerated at the stamp's set_size and cap_per_anchor.
-        metrics = json.loads((root / "red" / "metrics.json").read_text())
+        metrics = json.loads(
+            (root / "red" / "reduce_metrics.json").read_text())
         assert metrics["corpora"]["eval"]["chains"] == want_chains
         for n, lines in want_graphs.items():
             path = root / "red" / f"reduced_top{n}.jsonl"

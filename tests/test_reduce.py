@@ -11,7 +11,6 @@ from provprune.graph import build_graph, remove_nodes, write_graph
 from provprune.ingest import NodeRecord, compute_corpus_stats, parse_stream
 from provprune.label import (
     BENIGN,
-    Label,
     LabelTable,
     MaliciousNodeList,
     build_malicious_list,
@@ -45,40 +44,52 @@ from oracles import (
     graph_of,
     reference_match_ranks,
     underflowing_twin,
+    weights_by_id,
     window_edge_features,
 )
 
 
-def label_of(seq, polarity, members, rep=None):
-    vec = rep if rep is not None else np.eye(8)[seq % 8]
-    return Label(label_id=seq, polarity=polarity, representative=vec,
-                 member_count=members, created_seq=seq)
+def table_of(*labels):
+    """A LabelTable of (polarity, member count) rows; label i's
+    representative is e_(i mod 8)."""
+    return LabelTable(polarity=[kind for kind, _ in labels],
+                      member_count=[members for _, members in labels],
+                      representatives=np.eye(8)[np.arange(len(labels)) % 8])
 
 
 def test_rank_excludes_malicious():
-    table = LabelTable(labels=[
-        label_of(0, BENIGN, 5), label_of(1, BENIGN, 2),
-        label_of(2, "malicious", 9),
-    ])
+    table = table_of((BENIGN, 5), (BENIGN, 2), ("malicious", 9))
     assert rank_benign_labels(table) == [0, 1]
 
 
 def test_rank_tiebreak_by_creation():
-    table = LabelTable(labels=[
-        label_of(0, BENIGN, 3), label_of(1, BENIGN, 3), label_of(2, BENIGN, 7),
-    ])
+    table = table_of((BENIGN, 3), (BENIGN, 3), (BENIGN, 7))
     assert rank_benign_labels(table) == [2, 0, 1]
 
 
 def test_rank_matches_sort_oracle():
     rng = random.Random(17)
     for _ in range(30):
-        labels = [label_of(i, rng.choice([BENIGN, "malicious"]),
-                           rng.randint(1, 9)) for i in range(rng.randint(0, 25))]
-        table = LabelTable(labels=labels)
-        naive = sorted((lb for lb in labels if lb.polarity == BENIGN),
-                       key=lambda lb: (-lb.member_count, lb.created_seq))
-        assert rank_benign_labels(table) == [lb.label_id for lb in naive]
+        labels = [(rng.choice([BENIGN, "malicious"]), rng.randint(1, 9))
+                  for _ in range(rng.randint(0, 25))]
+        naive = sorted((i for i, (kind, _) in enumerate(labels)
+                        if kind == BENIGN),
+                       key=lambda i: (-labels[i][1], i))
+        assert rank_benign_labels(table_of(*labels)) == naive
+
+
+def test_representatives_are_normalized_rows_of_a_copy():
+    """Rows come in the order asked for, each divided by its own norm; a
+    zero row stays zero, and the table's matrix is left as it was."""
+    table = table_of((BENIGN, 1), (BENIGN, 1), (BENIGN, 1))
+    table.representatives[0] *= 3.0
+    table.representatives[2] = 0.0
+    before = table.representatives.copy()
+    reps = representatives(table, [2, 0, 1])
+    assert reps.tolist() == [[0.0] * 8, np.eye(8)[0].tolist(),
+                             np.eye(8)[1].tolist()]
+    assert np.array_equal(table.representatives, before)
+    assert not np.shares_memory(reps, table.representatives)
 
 
 def test_report_accounting_identities():
@@ -242,10 +253,18 @@ def test_sweep_n_beyond_labels_noted():
     assert "only" in reports[0].note
 
 
+def weights_over(weights, old, new):
+    """A weight column over graph old's rows, taken over graph new's rows by
+    node id; a node new to it weighs 0."""
+    by_id = weights_by_id(old.table, weights)
+    return np.array([by_id.get(nid, 0.0) for nid in new.table.ids])
+
+
 def test_sweep_population_sets_rate_denominator():
     g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(12))
     lonely = NodeRecord(id="lonely", kind="file", path="/island")
-    g = graph_of([*g.nodes.values(), lonely], g.events)
+    old, g = g, graph_of([*g.nodes.values(), lonely], g.events)
+    weights = weights_over(weights, old, g)
     default, = sweep_top_n(g, table, weights, emb, malicious, ns=[3])
     declared, = sweep_top_n(g, table, weights, emb, malicious, ns=[3],
                             include_isolated_nodes=True)
@@ -263,11 +282,14 @@ def test_sweep_follows_changes_made_after_indexing():
     and part of its events, after the first was enumerated, is enumerated
     and swept as a fresh copy of its records is."""
     g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(12))
+    first = g
 
     def outcome(graph):
         chains = [(s.node_ids, s.edge_indices)
                   for s in enumerate_node_sets(graph)]
-        reports = sweep_top_n(graph, table, weights, emb, malicious,
+        reports = sweep_top_n(graph, table,
+                              weights_over(weights, first, graph), emb,
+                              malicious,
                               ns=[1, 3], keep_removed_ids=True,
                               include_isolated_nodes=True)
         return chains, [(r.total_nodes_before, r.removed_node_ids,
