@@ -8,8 +8,8 @@ Each workload of BENCHMARK.json runs `perfbench/run.py --trace 0` at seed 1
 for BENCHMARK.json's run_seconds, as a child process of this interpreter. Its
 result line (end-to-end metrics, operations attempted and failed) is written
 to bench/BENCH_<workload>.json, with the processors this process may use, the
-Python and numpy versions, and the commit measured. Committing the files
-after a change keeps the performance trajectory in git.
+Python, numpy and orjson versions, and the commit measured. Committing the
+files after a change keeps the performance trajectory in git.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ def record(workload: str, result_line: str, commit: str) -> dict:
                   if hasattr(os, "sched_getaffinity") else os.cpu_count()),
         "python": platform.python_version(),
         "numpy": version("numpy"),
+        "orjson": version("orjson"),
         "commit": commit,
     }
 

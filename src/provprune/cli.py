@@ -324,9 +324,10 @@ class _RunMetrics:
     """What one label or reduce run did, written out as
     <command>_metrics.json with its settings cfg under config.
 
-    seconds holds each stage's time; corpora holds, under the corpus's role
-    ("labeled" for label, "eval" for reduce), its parse tallies and the
-    counts its stages gave.
+    seconds holds each stage's time and stage_peak_rss_mb the high-water
+    RSS at its end; corpora holds, under the corpus's role ("labeled" for
+    label, "eval" for reduce), its parse tallies and the counts its stages
+    gave; output_bytes holds the size of each file noted by wrote.
     """
 
     def __init__(self, command: str, cfg):
@@ -334,8 +335,10 @@ class _RunMetrics:
         self.started = time.perf_counter()
         self.start_peak_rss_mb = _peak_rss_mb()
         self.seconds: dict[str, float] = {}
+        self.stage_peak_rss_mb: dict[str, float] = {}
         self.corpora: dict[str, dict] = {}
         self.labels: dict[str, int | str] = {}
+        self.output_bytes: dict[str, int] = {}
 
     @contextmanager
     def stage(self, name: str):
@@ -344,6 +347,12 @@ class _RunMetrics:
             yield
         finally:
             self.seconds[name] = time.perf_counter() - t0
+            self.stage_peak_rss_mb[name] = _peak_rss_mb()
+
+    def wrote(self, *paths: Path) -> None:
+        """Note the size on disk of each output file, by name."""
+        for path in paths:
+            self.output_bytes[path.name] = path.stat().st_size
 
     def featurized(self, role: str, embedder) -> None:
         """Note what the embedder of a corpus missed, once it is done."""
@@ -358,8 +367,10 @@ class _RunMetrics:
                             total=time.perf_counter() - self.started),
             "peak_rss_mb": _peak_rss_mb(),
             "start_peak_rss_mb": self.start_peak_rss_mb,
+            "stage_peak_rss_mb": self.stage_peak_rss_mb,
             "corpora": self.corpora,
             "labels": self.labels,
+            "output_bytes": self.output_bytes,
         }
         (out_dir / f"{self.command}_metrics.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -422,6 +433,7 @@ def cmd_label(args: argparse.Namespace) -> int:
             table.write_json(fh)
             fh.write("\n")
         write_sidecar(table, out_dir / "labels.json", _stamp(cfg))
+    run.wrote(out_dir / "labels.json", out_dir / "labels.npz")
     run.write(out_dir)
     benign = table.polarity.count("benign")
     print(f"labels={len(table.polarity)} benign={benign} "
@@ -466,6 +478,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     (out_dir / "reports.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     write_sweep_csv(reports, out_dir / "sweep.csv")
+    run.wrote(out_dir / "reports.json", out_dir / "sweep.csv")
 
     formats = [fmt for fmt, wanted in (("jsonl", cfg.emit_graph),
                                        ("dot", cfg.emit_dot)) if wanted]
@@ -483,6 +496,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                     reduced = remove_nodes(g_eval, report.removed_node_ids)
                     for fmt in formats:
                         save_graph(reduced, f"{stem}.{fmt}", fmt=fmt)
+                run.wrote(*(Path(f"{stem}.{fmt}") for fmt in formats))
                 last_stem, last_removed = stem, report.nodes_removed
     run.write(out_dir)
 

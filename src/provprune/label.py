@@ -45,10 +45,12 @@ class MaliciousNodeList:
     warnings: list[str] = field(default_factory=list)
 
 
-# Labels whose representatives share one table of float texts in
-# LabelTable.write_json: repeats are common among nearby labels, and the
-# texts of 64k floats stay a few MB.
+# Representative rows per orjson call in LabelTable.write_json: the text of
+# 1024 rows of dimension 64 is about 1.3 MB.
 WRITE_LABELS = 1024
+# Magnitudes at which float.__repr__, which json.dumps writes, switches to
+# exponent notation: below the first or from the second on.
+_REPR_PLAIN = (1e-4, 1e16)
 
 
 @dataclass
@@ -75,29 +77,30 @@ class LabelTable:
         a time.
 
         The text equals json.dumps of the whole payload, which lists each
-        label as an object with its label_id and created_seq, both i. Each
-        distinct float bit pattern among a chunk's representatives is
-        turned into text once, by the same encoder, and each label's list
-        is joined from those texts.
+        label as an object with its label_id and created_seq, both i. A
+        chunk's representatives are turned into text by one orjson call and
+        split into rows. orjson writes the shortest text that round-trips,
+        as float.__repr__ does, but lays it out differently for a value that
+        is not finite or whose magnitude is nonzero and outside
+        _REPR_PLAIN; a row holding one is written by the json encoder.
         """
+        import orjson
+
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         fh.write(f'{{"assignment":{encode(self.assignment)},"labels":[')
-        width = self.representatives.shape[1]
         for lo in range(0, len(self.polarity), WRITE_LABELS):
             hi = lo + WRITE_LABELS
             reps = np.ascontiguousarray(self.representatives[lo:hi],
                                         dtype=np.float64)
-            # Bits, not values: -0.0 keeps its own text, and every NaN is
-            # written as the encoder writes NaN.
-            distinct, which = np.unique(reps.reshape(-1).view(np.uint64),
-                                        return_inverse=True)
-            texts = encode(distinct.view(np.float64).tolist())[1:-1].split(",")
-            which = which.tolist()
-            for i, (kind, members) in enumerate(zip(
-                    self.polarity[lo:hi], self.member_count[lo:hi]), lo):
-                start = (i - lo) * width
-                row = ",".join(map(texts.__getitem__,
-                                   which[start:start + width]))
+            rows = orjson.dumps(reps, option=orjson.OPT_SERIALIZE_NUMPY)
+            rows = rows[2:-2].decode().split("],[")
+            size = np.abs(reps)
+            plain = (size == 0) | ((size >= _REPR_PLAIN[0])
+                                   & (size < _REPR_PLAIN[1]))
+            for k in np.flatnonzero(~plain.all(axis=1)).tolist():
+                rows[k] = encode(reps[k].tolist())[1:-1]
+            for i, (kind, members, row) in enumerate(zip(
+                    self.polarity[lo:hi], self.member_count[lo:hi], rows), lo):
                 fh.write(f'{"," if i else ""}'
                          f'{{"created_seq":{i},"label_id":{i},'
                          f'"member_count":{members},'
@@ -196,9 +199,11 @@ def label_table_from_json(text: str, sidecar) -> LoadedTable:
 
     The sidecar is used when its zip opens, every member loads without
     pickles, its sha256 is that of text's UTF-8 bytes (hashed HASH_BLOCK
-    characters at a time), and kinds, shapes and label_id and created_seq
-    (0..n-1) are those write_sidecar writes. Otherwise a ValueError names
-    the sidecar and why not: missing, digest mismatch or unreadable.
+    characters at a time), kinds, shapes and label_id and created_seq
+    (0..n-1) are those write_sidecar writes, every assignment names a label,
+    member_count counts each label's assignments and zero_vector_sets is
+    in 0..len(assignment). Otherwise a ValueError names the sidecar and why
+    not: missing, digest mismatch or unreadable.
     """
     import zipfile
 
@@ -235,6 +240,14 @@ def label_table_from_json(text: str, sidecar) -> LoadedTable:
             and arrays["assignment"].ndim == 1
             and arrays["zero_vector_sets"].ndim == 0
             and ((polarity == BENIGN) | (polarity == MALICIOUS)).all()):
+        refuse("unreadable")
+    # The arrays must agree with each other, as the labeler's do: a count
+    # rewritten alone would rank the labels by wrong counts.
+    assignment, count = arrays["assignment"], len(reps)
+    if not (((assignment >= 0) & (assignment < count)).all()
+            and np.array_equal(arrays["member_count"],
+                               np.bincount(assignment, minlength=count))
+            and 0 <= arrays["zero_vector_sets"] <= len(assignment)):
         refuse("unreadable")
     return LoadedTable(polarity=polarity.tolist(),
                        member_count=arrays["member_count"].tolist(),

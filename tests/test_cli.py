@@ -1,6 +1,9 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -608,6 +611,28 @@ def test_table_of_another_width_is_usage_error(corpus, capsys):
     assert "Traceback" not in err
 
 
+def test_only_label_loads_orjson(corpus):
+    """orjson writes labels.json's floats and is imported there, so
+    `--version` and `reduce` never pay for loading it."""
+    table = _label_default(corpus)
+    probe = (
+        "import sys\n"
+        "from provprune.cli import main\n"
+        "try:\n"
+        "    main(['--version'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "assert 'orjson' not in sys.modules\n"
+        f"assert main(['reduce', '--eval', {str(corpus / 'b' / 'corpus.jsonl')!r},"
+        f" '--labels', {str(table)!r}, '--out', {str(corpus / 'red')!r}]) == 0\n"
+        "assert 'orjson' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_label_writes_deterministic_sidecar(corpus):
     """Two label runs write the same labels.json and labels.npz bytes."""
     runs = []
@@ -824,10 +849,12 @@ def test_table_without_its_sidecar_is_refused(corpus, capsys):
 def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
                                                           monkeypatch):
     """A missing, truncated, garbage or pickled sidecar, one whose label_id
-    or created_seq is not 0..n-1, or one of other bytes than labels.json,
-    is refused before the evaluation corpus is parsed: exit 1 naming the
-    sidecar and why, no traceback and no reports. The table is never read
-    from labels.json instead."""
+    or created_seq is not 0..n-1, one whose arrays disagree with each other
+    (an assignment naming no label, member counts that do not count the
+    assignment, zero-vector sets outside 0..len(assignment)), or one of
+    other bytes than labels.json, is refused before the evaluation corpus
+    is parsed: exit 1 naming the sidecar and why, no traceback and no
+    reports. The table is never read from labels.json instead."""
     table = _label_default(corpus)
     sidecar = table.with_suffix(".npz")
     good, text = sidecar.read_bytes(), table.read_text()
@@ -842,10 +869,20 @@ def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
 
     with np.load(sidecar) as npz:
         rolled = np.roll(np.arange(len(npz["label_id"])), 1)
+        counts, assignment = npz["member_count"], npz["assignment"]
     assert len(rolled) > 1
+    assert counts.tolist() != counts[::-1].tolist()
 
     def permuted(name):
         return lambda path: rewritten_sidecar(path, **{name: rolled})
+
+    def rewritten(**members):
+        return lambda path: rewritten_sidecar(path, **members)
+
+    past_last = assignment.copy()
+    past_last[-1] = len(counts)
+    negative = assignment.copy()
+    negative[0] = -1
 
     def edited(path):
         # One polarity changed: the sidecar no longer matches the bytes.
@@ -858,6 +895,15 @@ def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
               (pickled, "unreadable"),
               (permuted("label_id"), "unreadable"),
               (permuted("created_seq"), "unreadable"),
+              (rewritten(member_count=counts[::-1].copy(),
+                         assignment=np.full_like(assignment, 1_000_000)),
+               "unreadable"),
+              (rewritten(assignment=past_last), "unreadable"),
+              (rewritten(assignment=negative), "unreadable"),
+              (rewritten(member_count=counts[::-1].copy()), "unreadable"),
+              (rewritten(zero_vector_sets=np.array(-1)), "unreadable"),
+              (rewritten(zero_vector_sets=np.array(len(assignment) + 1)),
+               "unreadable"),
               (edited, "digest mismatch")]
     parse_file = cli.parse_file
     parsed = []

@@ -135,6 +135,24 @@ def test_metrics_counts_equal_the_library_counts(tmp_path):
     assert set(iso["seconds"]) == STAGES | {"match", "select", "table_load"}
     assert all(0 < m["start_peak_rss_mb"] <= m["peak_rss_mb"]
                for m in (lab, red, iso))
+    # Each stage the record times itself notes the high-water RSS at its
+    # end, which never falls from one stage to the next.
+    assert set(lab["stage_peak_rss_mb"]) == set(lab["seconds"]) - {"total"}
+    assert set(red["stage_peak_rss_mb"]) == set(red["seconds"]) - {
+        "total", "enumerate", "featurize", "match", "select"}
+    for m in (lab, red, iso):
+        peaks = list(m["stage_peak_rss_mb"].values())
+        assert peaks == sorted(peaks)
+        assert m["start_peak_rss_mb"] <= peaks[0]
+        assert peaks[-1] <= m["peak_rss_mb"]
+    # The size on disk of every file the run wrote but its own record.
+    for m, out, names in (
+            (lab, "lab", ["labels.json", "labels.npz"]),
+            (red, "red", ["reports.json", "sweep.csv",
+                          *(f"reduced_top{n}.jsonl" for n in (1, 2, 5, 50))]),
+            (iso, "iso", ["reports.json", "sweep.csv"])):
+        assert m["output_bytes"] == {
+            name: (tmp_path / out / name).stat().st_size for name in names}
     # The synthesized corpora are canonical and skip the JSON scanner; the
     # spaced isolated-node line at the end of the evaluation corpus takes
     # it, with the rest of its block.

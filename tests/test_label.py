@@ -366,15 +366,19 @@ def test_write_json_streams_the_to_json_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("chunk", [1, 3, label.WRITE_LABELS])
-def test_write_json_texts_each_distinct_float_once(monkeypatch, chunk):
-    """Floats that share a bit pattern share a text; signed zeros, NaNs of
-    any payload, infinities and subnormals come out as json.dumps writes
-    them, across chunk boundaries."""
+def test_write_json_writes_special_floats_as_json_dumps(monkeypatch, chunk):
+    """Signed zeros, NaNs of any payload, infinities, subnormals and the
+    neighbours of the magnitudes where json.dumps turns to exponent
+    notation come out as json.dumps writes them, across chunk
+    boundaries."""
     monkeypatch.setattr(label, "WRITE_LABELS", chunk)
     nans = np.array([0x7FF8000000000001, 0xFFF8000000000000],
                     dtype=np.uint64).view(np.float64)
+    edges = [float(x) for edge in (1e-4, 1e16) for x in (
+        np.nextafter(edge, 0), edge, np.nextafter(edge, np.inf))]
     specials = [0.0, -0.0, np.nan, *nans, np.inf, -np.inf, 5e-324,
-                -2.2250738585072014e-308, 0.1, 1 / 3, 1e300]
+                -2.2250738585072014e-308, 0.1, 1 / 3, 1e300,
+                *edges, *(-x for x in edges)]
     rng = random.Random(625)
     reps = [np.zeros(6)]
     for _ in range(9):
@@ -637,7 +641,8 @@ def sidecar_tables():
     mixed = LabelTable(
         polarity=[MALICIOUS if i % 3 else BENIGN for i in range(9)],
         member_count=[1 + i % 4 for i in range(9)], representatives=rows,
-        assignment=[i % 9 for i in range(23)], zero_vector_sets=2)
+        assignment=[*range(9), *(i for i in range(9) for _ in range(i % 4))],
+        zero_vector_sets=2)
     one = LabelTable(polarity=[BENIGN], member_count=[3],
                      representatives=np.array([[-0.0, 1.5]]),
                      assignment=[0, 0, 0])
@@ -719,6 +724,17 @@ def spoiled_member(**members):
     (spoiled_member(label_id=np.arange(1, 10)), "unreadable"),
     (spoiled_member(created_seq=np.arange(9)[::-1].copy()), "unreadable"),
     (spoiled_member(created_seq=np.arange(10, 19)), "unreadable"),
+    (spoiled_member(assignment=np.full(21, 1_000_000)), "unreadable"),
+    (spoiled_member(assignment=np.array([*range(9), 9] + [0] * 11)),
+     "unreadable"),
+    (spoiled_member(assignment=np.array([-1, *range(1, 9)] + [0] * 12)),
+     "unreadable"),
+    (spoiled_member(member_count=np.array([1, 4, 3, 2, 1, 4, 3, 2, 1])),
+     "unreadable"),
+    (spoiled_member(member_count=np.array([1, 2, 3, 4, 1, 2, 3, 4, 2])),
+     "unreadable"),
+    (spoiled_member(zero_vector_sets=np.array(-1)), "unreadable"),
+    (spoiled_member(zero_vector_sets=np.array(22)), "unreadable"),
 ])
 def test_sidecar_that_fails_a_check_leaves_the_json(tmp_path, spoil, why):
     """A sidecar that fails a check is refused, naming it and why: the
@@ -730,6 +746,21 @@ def test_sidecar_that_fails_a_check_leaves_the_json(tmp_path, spoil, why):
     with pytest.raises(ValueError) as refused:
         label_table_from_json(text, sidecar)
     assert str(refused.value) == f"label table {sidecar}: {why}; rerun label"
+
+
+def test_sidecar_arrays_that_agree_are_used(tmp_path):
+    """Each consistency check admits its bounds: every chain a zero vector,
+    and assignments and counts rewritten to agree with each other."""
+    path = tmp_path / "labels.json"
+    text = saved_table(path, sidecar_tables()["mixed"])
+    sidecar = label.sidecar_path(path)
+    rewritten_sidecar(sidecar, zero_vector_sets=np.array(21))
+    assert label_table_from_json(text, sidecar).zero_vector_sets == 21
+    assignment = [*range(9), *[8] * 12]
+    rewritten_sidecar(sidecar, assignment=np.array(assignment),
+                      member_count=np.array([1] * 8 + [13]))
+    got = label_table_from_json(text, sidecar)
+    assert (got.assignment, got.member_count) == (assignment, [1] * 8 + [13])
 
 
 def test_sidecar_of_other_bytes_is_not_used(tmp_path):

@@ -35,4 +35,5 @@ def test_record_writes_the_result_line_and_the_machine(tmp_path, monkeypatch):
     assert (written["workload"], written["commit"]) == ("label-dense", "abc123")
     assert written["python"] == platform.python_version()
     assert written["numpy"] == version("numpy")
+    assert written["orjson"] == version("orjson")
     assert type(written["nproc"]) is int and written["nproc"] >= 1
