@@ -324,8 +324,8 @@ class _RunMetrics:
     """What one label or reduce run did, written out as
     <command>_metrics.json with its settings cfg under config.
 
-    seconds holds each stage's time and stage_peak_rss_mb the high-water
-    RSS at its end; corpora holds, under the corpus's role ("labeled" for
+    seconds holds each stage's time and stage_peak_rss_mb, in run order,
+    each stage's name and the high-water RSS at its end; corpora holds, under the corpus's role ("labeled" for
     label, "eval" for reduce), its parse tallies and the counts its stages
     gave; output_bytes holds the size of each file noted by wrote.
     """
@@ -335,7 +335,7 @@ class _RunMetrics:
         self.started = time.perf_counter()
         self.start_peak_rss_mb = _peak_rss_mb()
         self.seconds: dict[str, float] = {}
-        self.stage_peak_rss_mb: dict[str, float] = {}
+        self.stage_peak_rss_mb: list[tuple[str, float]] = []
         self.corpora: dict[str, dict] = {}
         self.labels: dict[str, int | str] = {}
         self.output_bytes: dict[str, int] = {}
@@ -347,7 +347,7 @@ class _RunMetrics:
             yield
         finally:
             self.seconds[name] = time.perf_counter() - t0
-            self.stage_peak_rss_mb[name] = _peak_rss_mb()
+            self.stage_peak_rss_mb.append((name, _peak_rss_mb()))
 
     def wrote(self, *paths: Path) -> None:
         """Note the size on disk of each output file, by name."""

@@ -48,9 +48,6 @@ class MaliciousNodeList:
 # Representative rows per orjson call in LabelTable.write_json: the text of
 # 1024 rows of dimension 64 is about 1.3 MB.
 WRITE_LABELS = 1024
-# Magnitudes at which float.__repr__, which json.dumps writes, switches to
-# exponent notation: below the first or from the second on.
-_REPR_PLAIN = (1e-4, 1e16)
 
 
 @dataclass
@@ -81,10 +78,11 @@ class LabelTable:
         chunk's representatives are turned into text by one orjson call and
         split into rows. orjson writes the shortest text that round-trips,
         as float.__repr__ does, but lays it out differently for a value that
-        is not finite or whose magnitude is nonzero and outside
-        _REPR_PLAIN; a row holding one is written by the json encoder.
+        is not finite or whose magnitude is nonzero and below 1e-4 or from
+        1e16 on, where float.__repr__ turns to exponent notation; a row
+        holding one is written by the json encoder.
         """
-        import orjson
+        import orjson  # only here: reduce and --version never load it
 
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         fh.write(f'{{"assignment":{encode(self.assignment)},"labels":[')
@@ -95,8 +93,7 @@ class LabelTable:
             rows = orjson.dumps(reps, option=orjson.OPT_SERIALIZE_NUMPY)
             rows = rows[2:-2].decode().split("],[")
             size = np.abs(reps)
-            plain = (size == 0) | ((size >= _REPR_PLAIN[0])
-                                   & (size < _REPR_PLAIN[1]))
+            plain = (size == 0) | ((size >= 1e-4) & (size < 1e16))
             for k in np.flatnonzero(~plain.all(axis=1)).tolist():
                 rows[k] = encode(reps[k].tolist())[1:-1]
             for i, (kind, members, row) in enumerate(zip(

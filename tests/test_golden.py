@@ -135,13 +135,16 @@ def test_metrics_counts_equal_the_library_counts(tmp_path):
     assert set(iso["seconds"]) == STAGES | {"match", "select", "table_load"}
     assert all(0 < m["start_peak_rss_mb"] <= m["peak_rss_mb"]
                for m in (lab, red, iso))
-    # Each stage the record times itself notes the high-water RSS at its
-    # end, which never falls from one stage to the next.
-    assert set(lab["stage_peak_rss_mb"]) == set(lab["seconds"]) - {"total"}
-    assert set(red["stage_peak_rss_mb"]) == set(red["seconds"]) - {
-        "total", "enumerate", "featurize", "match", "select"}
+    # Each stage the record times itself notes, in run order, the
+    # high-water RSS at its end, which never falls from one stage to the
+    # next.
+    assert [name for name, _ in lab["stage_peak_rss_mb"]] == [
+        "parse", "build", "stats", "weights", "iocs", "enumerate",
+        "featurize", "label", "table_write"]
+    assert [name for name, _ in red["stage_peak_rss_mb"]] == [
+        "table_load", "parse", "build", "stats", "weights", "iocs", "export"]
     for m in (lab, red, iso):
-        peaks = list(m["stage_peak_rss_mb"].values())
+        peaks = [peak for _, peak in m["stage_peak_rss_mb"]]
         assert peaks == sorted(peaks)
         assert m["start_peak_rss_mb"] <= peaks[0]
         assert peaks[-1] <= m["peak_rss_mb"]
