@@ -241,7 +241,8 @@ def label_table_from_json(text: str, sidecar) -> LoadedTable:
     # The arrays must agree with each other, as the labeler's do: a count
     # rewritten alone would rank the labels by wrong counts.
     assignment, count = arrays["assignment"], len(reps)
-    if not (((assignment >= 0) & (assignment < count)).all()
+    if not ((not assignment.size
+             or 0 <= assignment.min() and assignment.max() < count)
             and np.array_equal(arrays["member_count"],
                                np.bincount(assignment, minlength=count))
             and 0 <= arrays["zero_vector_sets"] <= len(assignment)):

@@ -729,6 +729,9 @@ def spoiled_member(**members):
      "unreadable"),
     (spoiled_member(assignment=np.array([-1, *range(1, 9)] + [0] * 12)),
      "unreadable"),
+    # Refused before any count is taken: counting would need 2**62 bins.
+    (spoiled_member(assignment=np.array([*range(8), 2 ** 62] + [0] * 12)),
+     "unreadable"),
     (spoiled_member(member_count=np.array([1, 4, 3, 2, 1, 4, 3, 2, 1])),
      "unreadable"),
     (spoiled_member(member_count=np.array([1, 2, 3, 4, 1, 2, 3, 4, 2])),
