@@ -254,8 +254,8 @@ def _load_table(cfg: ReduceConfig):
     holds; a stamp of bad values, another version or model is an error."""
     text = Path(cfg.labels_file).read_bytes().decode("utf-8")
     sidecar = sidecar_path(cfg.labels_file)
-    table = label_table_from_json(text, sidecar)
-    stamp, labeled = table.stamp, LabelConfig(model=cfg.model)
+    table, stamp = label_table_from_json(text, sidecar)
+    labeled = LabelConfig(model=cfg.model)
     try:
         _set_checked(labeled, {key: stamp.get(key) for key in _STAMP_KEYS},
                      _STAMP_KEYS, "key")
@@ -422,12 +422,13 @@ def cmd_label(args: argparse.Namespace) -> int:
     with run.stage("featurize"):
         sets = featurize_sets(sets, graph, weights, embedder)
     run.featurized("labeled", embedder)
+    del graph, weights, embedder  # labeling reads none: freed before it
     with run.stage("label"):
         table = label_node_sets(sets, malicious, threshold=cfg.threshold)
     run.labels = {"minted": len(table.polarity),
                   "zero_vector_sets": table.zero_vector_sets}
     seconds = time.perf_counter() - t0
-    del graph, weights, embedder, malicious, sets  # freed before the write
+    del malicious, sets  # freed before the write
     with run.stage("table_write"):
         with open(out_dir / "labels.json", "w", encoding="utf-8") as fh:
             table.write_json(fh)

@@ -316,6 +316,9 @@ _NODE_LINE = re.compile(
     rf'|"id":{_ID},"kind":"netflow","laddr":{_STR},"lport":{_PORT},'
     rf'"raddr":{_STR},"rport":{_PORT}),"ts":{_INT}\}}(?=\n)')
 
+# A high surrogate directly followed by a low one (see parse_stream).
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]").search
+
 # Bytes read from a binary stream at a time. Blocks of 1 MB were no faster
 # and raised the peak RSS of parsing a 237k-line corpus from 56 to 67 MB.
 BLOCK_BYTES = 1 << 16
@@ -374,12 +377,14 @@ def parse_stream(
     tallies.
 
     Lines are str, or bytes decoded as UTF-8. A timestamp outside int64
-    makes its record malformed. Events with unanalyzed syscalls
-    are dropped and counted; structurally bad records and undecodable lines
-    are counted; events whose endpoints were never declared are counted as
-    dangling and excluded unless ``synthesize_dangling`` is set, in which case
-    placeholder nodes of the kind implied by the syscall are minted so the
-    event can be kept. Nodes are numbered in order of declaration and the
+    makes its record malformed, and so does an id or text holding a high
+    surrogate directly followed by a low one, which JSON escapes as a pair
+    that reads back as one character (only str lines can hold it). Events
+    with unanalyzed syscalls are dropped and counted; structurally bad
+    records and undecodable lines are counted; events whose endpoints were
+    never declared are counted as dangling and excluded unless
+    ``synthesize_dangling`` is set, in which case placeholder nodes of the
+    kind implied by the syscall are minted so the event can be kept. Nodes are numbered in order of declaration and the
     placeholders after them, in the order they are minted; events stay in
     file order. A binary io stream is read a block at a time, and canonical
     lines skip the JSON scanner (see the module docstring).
@@ -478,7 +483,8 @@ def parse_stream(
                 if (type(subject) is not str or not subject
                         or type(target) is not str or not target
                         or type(syscall) is not str or type(ts) is not int
-                        or not TS_MIN <= ts <= TS_MAX):
+                        or not TS_MIN <= ts <= TS_MAX
+                        or _SURROGATE_PAIR(subject) or _SURROGATE_PAIR(target)):
                     malformed_events += 1
                     continue
                 call = _SYSCALL_CODE.get(syscall)
@@ -522,7 +528,8 @@ def parse_stream(
                             and type(lport) is int and 0 <= lport <= 65535):
                         text = f"{raddr}:{rport}"
                     kind = NETFLOW
-            if type(text) is not str:
+            if (type(text) is not str or _SURROGATE_PAIR(node_id)
+                    or _SURROGATE_PAIR(text) or _SURROGATE_PAIR(laddr)):
                 malformed_nodes += 1
             elif node_id in number:
                 duplicate_nodes += 1

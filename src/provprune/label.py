@@ -106,13 +106,6 @@ class LabelTable:
         fh.write(f'],"zero_vector_sets":{encode(self.zero_vector_sets)}}}')
 
 
-@dataclass
-class LoadedTable(LabelTable):
-    """A LabelTable as label_table_from_json loaded it, with the settings
-    recorded in its sidecar."""
-    stamp: dict = field(default_factory=dict)
-
-
 # Bytes, or characters, hashed at a time: a table is never held twice to be
 # hashed.
 HASH_BLOCK = 1 << 16
@@ -190,9 +183,10 @@ def write_sidecar(table: LabelTable, table_path, stamp: dict) -> None:
                 fh.write(block.tobytes())
 
 
-def label_table_from_json(text: str, sidecar) -> LoadedTable:
-    """The table saved as a labels.json whose text is text, read from
-    sidecar, the labels.npz that write_sidecar wrote beside it.
+def label_table_from_json(text: str, sidecar) -> tuple[LabelTable, dict]:
+    """The table saved as a labels.json whose text is text, and the stamp
+    it was written with, read from sidecar, the labels.npz that
+    write_sidecar wrote beside it.
 
     The sidecar is used when its zip opens, every member loads without
     pickles, its sha256 is that of text's UTF-8 bytes (hashed HASH_BLOCK
@@ -247,12 +241,11 @@ def label_table_from_json(text: str, sidecar) -> LoadedTable:
                                np.bincount(assignment, minlength=count))
             and 0 <= arrays["zero_vector_sets"] <= len(assignment)):
         refuse("unreadable")
-    return LoadedTable(polarity=polarity.tolist(),
-                       member_count=arrays["member_count"].tolist(),
-                       representatives=reps,
-                       assignment=arrays["assignment"].tolist(),
-                       zero_vector_sets=int(arrays["zero_vector_sets"]),
-                       stamp=stamp)
+    return LabelTable(polarity=polarity.tolist(),
+                      member_count=arrays["member_count"].tolist(),
+                      representatives=reps,
+                      assignment=arrays["assignment"].tolist(),
+                      zero_vector_sets=int(arrays["zero_vector_sets"])), stamp
 
 
 def parse_ioc_file(path) -> tuple[list[str], list[str]]:
@@ -347,16 +340,16 @@ _NO_SCORES.setflags(write=False)
 
 
 class _RepMatrix:
-    """Growable row store of normalized representatives for the cosine scan.
-
-    Each row keeps its projection onto the direction of the candidate
-    window (embed.candidate_window); the rows added before the last
-    top_two_before are also indexed by projection.
+    """Row store of normalized representatives for the cosine scan, allocated
+    once for capacity rows: no row is ever copied, and rows not yet written
+    cost no resident memory. Each row keeps its projection onto the
+    direction of the candidate window (embed.candidate_window); the rows
+    added before the last top_two_before are also indexed by projection.
     """
 
-    def __init__(self, dim: int):
-        self._rows = np.empty((64, dim), dtype=np.float64)
-        self._proj = np.empty(64)
+    def __init__(self, dim: int, capacity: int):
+        self._rows = np.empty((capacity, dim), dtype=np.float64)
+        self._proj = np.empty(capacity)
         self._count = 0
         # Rows [0, _ordered) by ascending projection: ids and projections.
         # While the last top_two_before scored windows, the projections of
@@ -367,11 +360,6 @@ class _RepMatrix:
         self._recent: list[float] | None = None
 
     def add(self, normalized: np.ndarray, projection: float) -> None:
-        if self._count == self._rows.shape[0]:
-            grown = np.empty((self._rows.shape[0] * 2, self._rows.shape[1]))
-            grown[: self._count] = self._rows
-            self._rows = grown
-            self._proj = np.resize(self._proj, grown.shape[0])
         self._rows[self._count] = normalized
         self._proj[self._count] = projection
         self._count += 1
@@ -514,7 +502,7 @@ def label_node_sets(sets: ChainBatch, malicious: MaliciousNodeList,
     if not len(sets):
         return LabelTable()
     dim = features.shape[1]
-    reps = _RepMatrix(dim)
+    reps = _RepMatrix(dim, len(sets))  # a chain mints at most one label
     margin = MARGIN * max(1.0, dim / 64)
     mint_below, join_from = cutoff - margin, cutoff + margin
     direction, radius = candidate_window(cutoff - 3 * margin, dim)

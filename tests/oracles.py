@@ -196,6 +196,13 @@ def _reference_ts(value):
     return value
 
 
+def _surrogate_pair(text):
+    """Whether a high surrogate directly precedes a low one in text: its
+    JSON escapes would read back as one character."""
+    return any("\ud800" <= high <= "\udbff" and "\udc00" <= low <= "\udfff"
+               for high, low in zip(text, text[1:]))
+
+
 def _reference_node(obj):
     node_id = obj.get("id")
     if not isinstance(node_id, str) or not node_id:
@@ -232,7 +239,9 @@ def reference_parse_stream(lines, synthesize_dangling=False):
 
     Takes str lines only. Lines json.loads cannot turn into a value (bad
     JSON, an integer too long to convert, nesting too deep) and records whose
-    kind is neither "event" nor a node kind are malformed lines.
+    kind is neither "event" nor a node kind are malformed lines. A node or
+    event whose id or text holds a high surrogate directly followed by a low
+    one is malformed.
     An undeclared endpoint gets one placeholder, the subject's first, so a
     self-loop on an undeclared id mints one process.
     """
@@ -261,7 +270,8 @@ def reference_parse_stream(lines, synthesize_dangling=False):
             if (not isinstance(syscall, str) or not isinstance(subject, str)
                     or not isinstance(target, str) or not subject or not target
                     or isinstance(ts, bool) or not isinstance(ts, int)
-                    or not -2 ** 63 <= ts <= 2 ** 63 - 1):
+                    or not -2 ** 63 <= ts <= 2 ** 63 - 1
+                    or _surrogate_pair(subject) or _surrogate_pair(target)):
                 stats.malformed_events += 1
                 continue
             if syscall not in SYSCALL_OBJECT_KIND:
@@ -270,7 +280,8 @@ def reference_parse_stream(lines, synthesize_dangling=False):
             pending.append((subject, target, syscall, ts))
         elif kind in ("process", "file", "netflow"):
             record = _reference_node(obj)
-            if record is None:
+            if record is None or any(map(_surrogate_pair, (
+                    record.id, record.attr_text(), record.local_addr))):
                 stats.malformed_nodes += 1
             elif record.id in nodes:
                 stats.duplicate_nodes += 1
@@ -313,8 +324,10 @@ def total_event_records(stats):
             + stats.malformed_events + stats.dangling_events)
 
 
-def record_lines(nodes, events):
-    """Input lines declaring ``nodes`` then ``events``, in list order."""
+def record_lines(nodes, events, ensure_ascii=True):
+    """Input lines declaring ``nodes`` then ``events``, in list order;
+    non-ASCII, lone surrogates included, is left unescaped unless
+    ensure_ascii."""
     lines = []
     for n in nodes:
         obj = {"kind": n.kind, "id": n.id, "ts": n.first_seen}
@@ -325,10 +338,10 @@ def record_lines(nodes, events):
         else:
             obj.update(raddr=n.remote_addr, rport=n.remote_port,
                        laddr=n.local_addr, lport=n.local_port)
-        lines.append(json.dumps(obj))
+        lines.append(json.dumps(obj, ensure_ascii=ensure_ascii))
     lines.extend(json.dumps({"kind": "event", "subject": ev.subject,
                              "object": ev.object, "syscall": ev.syscall,
-                             "ts": ev.ts})
+                             "ts": ev.ts}, ensure_ascii=ensure_ascii)
                  for ev in events)
     return lines
 

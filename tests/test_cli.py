@@ -653,6 +653,29 @@ def _label_default(corpus, *extra):
     return lab / "labels.json"
 
 
+def test_label_frees_the_embedder_before_labeling(corpus, monkeypatch):
+    """cmd_label drops the embedder, with its cached vectors, once featurize
+    is done: none is alive when labeling starts."""
+    import weakref
+
+    embedders, alive = [], []
+
+    def tracked(*args, **kwargs):
+        embedder = get_embedder(*args, **kwargs)
+        embedders.append(weakref.ref(embedder))
+        return embedder
+
+    def labeling(*args, **kwargs):
+        alive.extend(ref() is not None for ref in embedders)
+        return label_node_sets(*args, **kwargs)
+
+    get_embedder, label_node_sets = cli.get_embedder, cli.label_node_sets
+    monkeypatch.setattr(cli, "get_embedder", tracked)
+    monkeypatch.setattr(cli, "label_node_sets", labeling)
+    _label_default(corpus)
+    assert alive == [False]
+
+
 def _reduce_outputs(corpus, table, out, *extra):
     """Exit code and every compared output (timings masked) of a reduce run
     against table."""

@@ -190,6 +190,51 @@ def test_fixed_malformed_lines_with_placeholders_match_reference():
     assert len(events) == stats.accepted_events == accepted + 2
 
 
+HIGH, LOW = "\ud800", "\udfff"
+# str lines holding lone surrogates unescaped, after the declarations of p1,
+# f1 and n1: (line, counter it lands in). A high surrogate directly followed
+# by a low one in an id or text makes its record malformed, whether either
+# half is written raw or escaped; an escaped pair is one character.
+SURROGATES = [
+    (json.dumps(dict(FILE, id="f2" + HIGH + LOW), ensure_ascii=False),
+     "malformed_nodes"),
+    (json.dumps(dict(PROC, id="p2", cmdline="a" + HIGH + LOW + "b"),
+                ensure_ascii=False), "malformed_nodes"),
+    ('{"kind": "file", "id": "f3", "path": "' + HIGH + '\\udfff"}',
+     "malformed_nodes"),
+    ('{"kind": "file", "id": "f4", "path": "\\ud800' + LOW + '"}',
+     "malformed_nodes"),
+    (json.dumps(dict(NET, id="n2", raddr=HIGH + LOW), ensure_ascii=False),
+     "malformed_nodes"),
+    (json.dumps(dict(NET, id="n3", laddr=HIGH + LOW), ensure_ascii=False),
+     "malformed_nodes"),
+    (json.dumps(event(subject="p1" + HIGH + LOW), ensure_ascii=False),
+     "malformed_events"),
+    (json.dumps(event(target="f1" + HIGH + LOW), ensure_ascii=False),
+     "malformed_events"),
+    (json.dumps(dict(FILE, id="f5" + LOW + HIGH), ensure_ascii=False),
+     "accepted_nodes"),
+    (json.dumps(dict(FILE, id="f6" + HIGH, path=HIGH + "x" + LOW),
+                ensure_ascii=False), "accepted_nodes"),
+    (json.dumps(dict(FILE, id="f7" + HIGH + LOW)), "accepted_nodes"),
+    (json.dumps(event(target="f6" + HIGH), ensure_ascii=False),
+     "accepted_events"),
+]
+
+
+@pytest.mark.parametrize("synthesize", [False, True])
+def test_adjacent_lone_surrogates_are_malformed(synthesize):
+    lines = [json.dumps(r) for r in (PROC, FILE, NET)] + [
+        line for line, _ in SURROGATES]
+    nodes, _, stats = assert_same_parse(lines, synthesize)
+    expected = {"accepted_nodes": 3, "synthesized_nodes": 0}
+    for _, counter in SURROGATES:
+        expected[counter] = expected.get(counter, 0) + 1
+    counts = stats.to_dict()
+    assert {k: counts[k] for k in expected} == expected
+    assert "f7\U000103ff" in {n.id for n in nodes}
+
+
 def test_bytes_lines_parse_like_text():
     lines = malformed_corpus()
     assert (parse_stream([line.encode() for line in lines])

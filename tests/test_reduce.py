@@ -478,7 +478,7 @@ def test_pipeline_leaves_no_cyclic_garbage(tmp_path):
         with open(path, "w", encoding="utf-8") as fh:
             table.write_json(fh)
         write_sidecar(table, path, {})
-        table = stage("labels.json", label_table_from_json(
+        table, _ = stage("labels.json", label_table_from_json(
             path.read_text(encoding="utf-8"), sidecar_path(path)))
         reports = stage("sweep", sweep_top_n(
             g, table, weights, emb, malicious, ns=[1, 5],
