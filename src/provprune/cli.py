@@ -1,11 +1,11 @@
 """Command-line front end driving the four pipeline phases.
 
 Subcommands: stats, synth, label, reduce, report. Each command takes only
-the settings it reads: defaults, then config file, PROVPRUNE_SEED (label
-only) and flags. reduce runs at the settings stamped on its label table.
-Every label or reduce run writes one record, label_metrics.json or
-reduce_metrics.json: its settings (a record, not a config file), stage
-seconds, peak RSS and counts.
+the settings it reads, each named by its LabelConfig or ReduceConfig field:
+defaults, then config file, PROVPRUNE_SEED (label only) and flags. reduce
+runs at the settings stamped on its label table. Every label or reduce run
+writes one record, label_metrics.json or reduce_metrics.json: its settings
+(a config file that reproduces the run), stage seconds, peak RSS, counts.
 """
 
 from __future__ import annotations
@@ -21,15 +21,17 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
 from .embed import DEFAULT_DIM, DEFAULT_SEED, compute_weights, get_embedder
 from .graph import build_graph, remove_nodes, save_graph, summarize
 from .ingest import (cmdline_frequency, compute_corpus_stats, parse_file,
                      top_commands)
-from .label import (build_malicious_list, file_sha256, label_node_sets,
-                    label_table_from_json, parse_ioc_file, sidecar_path,
-                    write_sidecar)
+from .label import (TABLE_FORMAT, build_malicious_list, file_sha256,
+                    label_node_sets, label_table_from_json, parse_ioc_file,
+                    sidecar_path, write_sidecar)
 from .nodeset import (DEFAULT_CAP_PER_ANCHOR, DEFAULT_SET_SIZE, chain_counts,
                       enumerate_node_sets, featurize_sets)
 from .reduce import sweep_top_n, write_sweep_csv
@@ -131,7 +133,7 @@ def build_parser() -> _Parser:
 
     p_label = commands.add_parser("label", help="build the label table",
                                   argument_default=argparse.SUPPRESS)
-    p_label.add_argument("--labeled", required=True, help="labeled corpus path")
+    p_label.add_argument("--labeled", help="labeled corpus path")
     p_label.add_argument("--iocs", help="IoC file (tab-separated directives)")
     p_label.add_argument("--dim", type=int, help="embedding width")
     p_label.add_argument("--seed", type=int, help="embedding seed")
@@ -143,9 +145,9 @@ def build_parser() -> _Parser:
 
     p_reduce = commands.add_parser("reduce", help="prune the evaluation graph",
                                    argument_default=argparse.SUPPRESS)
-    p_reduce.add_argument("--eval", dest="eval_corpus", required=True,
+    p_reduce.add_argument("--eval", dest="eval_corpus",
                           help="evaluation corpus path")
-    p_reduce.add_argument("--labels", dest="labels_file", required=True,
+    p_reduce.add_argument("--labels", dest="labels_file",
                           help="label table from a previous label run")
     p_reduce.add_argument("--iocs", help="IoC file scoring the evaluation graph")
     p_reduce.add_argument("--top-n", help="comma-separated label counts")
@@ -164,58 +166,46 @@ def build_parser() -> _Parser:
     return parser
 
 
-_STR = (lambda v: isinstance(v, str), "a string")
-_INT = (lambda v: type(v) is int, "an integer")
-_NUM = (lambda v: type(v) in (int, float), "a number")
-_INTS = (lambda v: type(v) is list and all(type(x) is int for x in v),
-         "a list of integers")
-# Config-file keys, dotted under their group, with the settings field each
-# sets and the JSON type it must have; a command accepts only those it reads.
-_SHAPE_KEYS = {
-    "embed.dim": ("dim", _INT), "embed.seed": ("seed", _INT),
-    "nodeset.size": ("set_size", _INT),
-    "nodeset.cap_per_anchor": ("cap_per_anchor", _INT),
-    "label.threshold": ("threshold", _NUM)}
-_RUN_KEYS = {"iocs": ("iocs", _STR), "out_dir": ("out_dir", _STR),
-             "embed.model": ("model", _STR)}
-_LABEL_KEYS = {**_RUN_KEYS, **_SHAPE_KEYS}
-_REDUCE_KEYS = {**_RUN_KEYS, "reduce.top_n": ("top_n", _INTS)}
-_STAMP_KEYS = {attr: (attr, kind) for attr, kind in _SHAPE_KEYS.values()}
+# The settings a label table's stamp holds and reduce runs at.
+_STAMP_KEYS = ("dim", "seed", "set_size", "cap_per_anchor", "threshold")
 
 
-def _set_checked(cfg, settings: dict, keys: dict, what: str) -> None:
-    """Set cfg from settings by keys; other keys and types are errors."""
+def _fits(value, kind) -> bool:
+    """Whether JSON value has the type kind a settings field is annotated
+    with; a float field takes an integer, an int field no bool."""
+    if get_origin(kind) is UnionType:
+        return any(_fits(value, k) for k in get_args(kind))
+    if get_origin(kind) is list:
+        return type(value) is list and all(_fits(x, *get_args(kind))
+                                           for x in value)
+    return type(value) is kind or kind is float and type(value) is int
+
+
+def _set_checked(cfg, settings: dict, what: str) -> None:
+    """Set cfg's fields from settings, each checked against its annotation;
+    a key that is no field of cfg is an error."""
+    kinds = get_type_hints(type(cfg))
+    annotations = {f.name: f.type for f in fields(cfg)}
     for key, value in settings.items():
-        if key not in keys:
+        if key not in kinds:
             raise ValueError(f"unknown {what} {key!r}")
-        attr, (valid, expected) = keys[key]
-        if not valid(value):
-            raise ValueError(f"{what} {key!r} must be {expected}, "
+        if not _fits(value, kinds[key]):
+            raise ValueError(f"{what} {key!r} must be {annotations[key]}, "
                              f"got {value!r}")
-        setattr(cfg, attr, value)
+        setattr(cfg, key, value)
 
 
-def _resolve_config(args: argparse.Namespace, cfg, keys: dict):
-    """cfg from its config file's keys, PROVPRUNE_SEED and flags; checked."""
+def _resolve_config(args: argparse.Namespace, cfg):
+    """cfg from its config file, PROVPRUNE_SEED and flags; checked."""
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         if not isinstance(obj, dict):
             raise ValueError(f"config file {args.config} is not a JSON object")
-        flat = {}
-        for name, value in obj.items():
-            if name in ("embed", "nodeset", "label", "reduce"):
-                if not isinstance(value, dict):
-                    raise ValueError(f"config group {name!r} is not an object")
-                flat.update((f"{name}.{key}", v) for key, v in value.items())
-            elif "." in name:
-                raise ValueError(f"unknown config key {name!r}")
-            else:
-                flat[name] = value
-        _set_checked(cfg, flat, keys, "config key")
+        _set_checked(cfg, obj, "config key")
 
     env_seed = os.environ.get("PROVPRUNE_SEED")
-    if env_seed is not None and "embed.seed" in keys:
+    if env_seed is not None and hasattr(cfg, "seed"):
         try:
             cfg.seed = int(env_seed)
         except ValueError:
@@ -234,6 +224,11 @@ def _resolve_config(args: argparse.Namespace, cfg, keys: dict):
         except ValueError:
             raise ValueError(f"--top-n expects integers, got {args.top_n!r}") \
                 from None
+    for name, flag in (("labeled", "--labeled"), ("eval_corpus", "--eval"),
+                       ("labels_file", "--labels")):
+        if getattr(cfg, name, "") is None:
+            raise ValueError(f"{flag} is required, as the flag or as config "
+                             f"key {name!r}")
     cfg.validate()
     return cfg
 
@@ -244,21 +239,27 @@ def _stamp(cfg: LabelConfig) -> dict:
     model = cfg.model
     if model.startswith("vectors-file:"):
         model = f"vectors-file sha256={file_sha256(model.split(':', 1)[1])}"
-    return {"version": __version__, "model": model,
+    return {"format": TABLE_FORMAT, "model": model,
             **{key: getattr(cfg, key) for key in _STAMP_KEYS},
             "threshold": float(cfg.threshold)}
 
 
 def _load_table(cfg: ReduceConfig):
     """The label table at cfg.labels_file and the LabelConfig its stamp
-    holds; a stamp of bad values, another version or model is an error."""
+    holds; a stamp of another format, of bad values or of another model is
+    an error."""
     text = Path(cfg.labels_file).read_bytes().decode("utf-8")
     sidecar = sidecar_path(cfg.labels_file)
     table, stamp = label_table_from_json(text, sidecar)
     labeled = LabelConfig(model=cfg.model)
     try:
-        _set_checked(labeled, {key: stamp.get(key) for key in _STAMP_KEYS},
-                     _STAMP_KEYS, "key")
+        found = stamp.get("format")
+        if type(found) is not int or found != TABLE_FORMAT:
+            raise ValueError(f"format {found!r}, not {TABLE_FORMAT}")
+        for key in _STAMP_KEYS:
+            if stamp.get(key) is None:
+                raise ValueError(f"key {key!r} is missing")
+        _set_checked(labeled, {key: stamp[key] for key in _STAMP_KEYS}, "key")
         labeled.validate()
     except ValueError as exc:
         raise ValueError(f"label table {sidecar}: stamp {exc}; rerun label") \
@@ -325,9 +326,10 @@ class _RunMetrics:
     <command>_metrics.json with its settings cfg under config.
 
     seconds holds each stage's time and stage_peak_rss_mb, in run order,
-    each stage's name and the high-water RSS at its end; corpora holds, under the corpus's role ("labeled" for
-    label, "eval" for reduce), its parse tallies and the counts its stages
-    gave; output_bytes holds the size of each file noted by wrote.
+    each stage's name and the high-water RSS at its end; corpora holds,
+    under the corpus's role ("labeled" for label, "eval" for reduce), its
+    parse tallies and the counts its stages gave; output_bytes holds the
+    size of each file noted by wrote.
     """
 
     def __init__(self, command: str, cfg):
@@ -402,19 +404,19 @@ def _prepare_graph(cfg, path: str, run: _RunMetrics, role: str):
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, LabelConfig(), _LABEL_KEYS)
-    if cfg.dim is not None and cfg.model.startswith("vectors-file:"):
-        raise ValueError(f"'dim' is the vectors file's width and cannot be "
-                         f"set, got {cfg.dim!r}")
+    cfg = _resolve_config(args, LabelConfig())
+    embedder = get_embedder(cfg.model, dim=cfg.dim or DEFAULT_DIM,
+                            seed=cfg.seed)
+    if cfg.dim not in (None, embedder.dim):
+        raise ValueError(f"'dim' is the vectors file's width, {embedder.dim}, "
+                         f"got {cfg.dim!r}")
+    cfg.dim = embedder.dim
     run = _RunMetrics("label", cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     graph, weights, malicious = _prepare_graph(cfg, cfg.labeled, run,
                                                "labeled")
-    embedder = get_embedder(cfg.model, dim=cfg.dim or DEFAULT_DIM,
-                            seed=cfg.seed)
-    cfg.dim = embedder.dim
     with run.stage("enumerate"):
         sets = enumerate_node_sets(graph, size=cfg.set_size,
                                    cap_per_anchor=cfg.cap_per_anchor)
@@ -444,7 +446,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, ReduceConfig(), _REDUCE_KEYS)
+    cfg = _resolve_config(args, ReduceConfig())
     run = _RunMetrics("reduce", cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

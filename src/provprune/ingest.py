@@ -384,10 +384,11 @@ def parse_stream(
     records and undecodable lines are counted; events whose endpoints were
     never declared are counted as dangling and excluded unless
     ``synthesize_dangling`` is set, in which case placeholder nodes of the
-    kind implied by the syscall are minted so the event can be kept. Nodes are numbered in order of declaration and the
-    placeholders after them, in the order they are minted; events stay in
-    file order. A binary io stream is read a block at a time, and canonical
-    lines skip the JSON scanner (see the module docstring).
+    kind implied by the syscall are minted so the event can be kept. Nodes
+    are numbered in order of declaration and the placeholders after them,
+    in the order they are minted; events stay in file order. A binary io
+    stream is read a block at a time, and canonical lines skip the JSON
+    scanner (see the module docstring).
     """
     number: dict[str, int] = {}
     # Every distinct string a node holds, numbered; "" is 0.

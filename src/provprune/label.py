@@ -32,16 +32,17 @@ from .nodeset import ChainBatch
 BENIGN = "benign"
 MALICIOUS = "malicious"
 
-PROV_EXPLICIT = "explicit"
-PROV_ADJACENT = "event-adjacent"
+# The layout of labels.npz and the features its representatives hold: a
+# change to either bumps it, and reduce refuses a table of another format.
+TABLE_FORMAT = 1
 
 
 @dataclass
 class MaliciousNodeList:
-    """Node ids tied to attack activity, with how each one got flagged."""
+    """Node ids tied to attack activity, and the IoCs and explicit ids that
+    flagged nothing."""
 
     ids: set[str] = field(default_factory=set)
-    provenance: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -275,37 +276,33 @@ def build_malicious_list(graph: Graph, iocs: list[str],
                          explicit_ids: list[str]) -> MaliciousNodeList:
     """Flag nodes by IoC substring match, explicit id, and one-hop adjacency.
 
-    Adjacency expands from the substring matches only, and only once. IoCs or
-    explicit ids that hit nothing produce warnings rather than errors.
+    Adjacency expands from the substring matches only, and only once. An
+    IoC that no node's text contains, and an explicit id not in the graph,
+    give a warning rather than an error.
     """
     out = MaliciousNodeList()
     table = graph.table
-    ids, order = table.ids, graph.order
+    ids = table.ids
     # Many nodes share an attribute text; scan the IoCs once per text.
-    first_ioc = np.full(len(table.texts), -1, dtype=np.intp)
+    text_hit = np.zeros(len(table.texts), dtype=bool)
+    unmatched = dict.fromkeys(iocs)
     if iocs:
         used = np.zeros(len(table.texts), dtype=bool)
         used[table.text] = True
         for code in np.flatnonzero(used).tolist():
             text = table.texts[code]
-            first_ioc[code] = next(
-                (i for i, ioc in enumerate(iocs) if ioc and ioc in text), -1)
-    hit = first_ioc[table.text]
-    matched = hit >= 0
-    hits = np.bincount(hit[matched], minlength=len(iocs)).tolist()
-    # A repeated IoC's hits all go to its first place in the list.
-    for ioc in dict.fromkeys(iocs):
-        if not hits[iocs.index(ioc)]:
-            out.warnings.append(f"ioc matched no nodes: {ioc!r}")
+            if any(ioc and ioc in text for ioc in iocs):
+                text_hit[code] = True
+                for ioc in [i for i in unmatched if i and i in text]:
+                    del unmatched[ioc]
+    out.warnings.extend(f"ioc matched no nodes: {ioc!r}" for ioc in unmatched)
+    matched = text_hit[table.text]
 
     src, dst = graph.events.src, graph.events.dst
-    adjacent = np.zeros(len(ids), dtype=bool)
-    adjacent[dst[matched[src] & ~matched[dst]]] = True
-    adjacent[src[matched[dst] & ~matched[src]]] = True
-
-    for v in order[matched[order]].tolist():
-        out.ids.add(ids[v])
-        out.provenance[ids[v]] = iocs[hit[v]]
+    flagged = matched.copy()
+    flagged[dst[matched[src]]] = True
+    flagged[src[matched[dst]]] = True
+    out.ids.update(ids[v] for v in np.flatnonzero(flagged).tolist())
     declared = set()
     if explicit_ids:
         declared = {ids[v] for v in np.flatnonzero(
@@ -315,10 +312,6 @@ def build_malicious_list(graph: Graph, iocs: list[str],
             out.warnings.append(f"explicit id not in graph: {node_id!r}")
             continue
         out.ids.add(node_id)
-        out.provenance.setdefault(node_id, PROV_EXPLICIT)
-    for v in order[adjacent[order]].tolist():
-        out.ids.add(ids[v])
-        out.provenance.setdefault(ids[v], PROV_ADJACENT)
     return out
 
 

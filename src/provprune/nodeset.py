@@ -256,8 +256,11 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
         visited = {start, nxt}
         extend(nxt, stamp)
     # The function refers to itself through its closure cell; emptying the
-    # cell leaves no reference cycle behind.
-    del extend
+    # cell leaves no reference cycle behind. The search lists go before the
+    # result is allocated, which can then take their place instead of
+    # pinning the heap above them.
+    del (extend, bounds, ts_list, edge_list, neighbors, ahead, anchors,
+         starts, nexts, stamps)
 
     nodes = np.array(out_nodes, dtype=np.intp).reshape(-1, size)
     edges = np.array(out_edges, dtype=np.intp).reshape(-1, want_edges)

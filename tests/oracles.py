@@ -164,16 +164,13 @@ def reference_corpus_stats(events, nodes):
 
 
 def reference_ioc_matches(graph, iocs):
-    """Node id -> first IoC in list order its attribute text contains, plus
-    the IoCs that matched nothing; every node scans the whole IoC list."""
-    matched = {}
-    for node_id in sorted(graph.nodes):
-        for ioc in iocs:
-            if ioc and ioc in graph.nodes[node_id].attr_text():
-                matched[node_id] = ioc
-                break
+    """The ids of the nodes whose attribute text contains some IoC, plus the
+    IoCs no node's text contains; every node scans the whole IoC list."""
+    matched = sorted(node_id for node_id, node in graph.nodes.items()
+                     if any(ioc and ioc in node.attr_text() for ioc in iocs))
     unmatched = [ioc for ioc in dict.fromkeys(iocs)
-                 if ioc not in matched.values()]
+                 if not any(ioc and ioc in node.attr_text()
+                            for node in graph.nodes.values())]
     return matched, unmatched
 
 

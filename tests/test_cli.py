@@ -13,6 +13,7 @@ from provprune import cli
 from provprune.cli import LabelConfig, main
 from provprune.graph import build_graph, remove_nodes
 from provprune.ingest import parse_file
+from provprune.label import TABLE_FORMAT
 
 from oracles import export_graph, rewritten_sidecar
 from test_golden import mask_timings
@@ -239,11 +240,14 @@ def test_commands_leave_no_garbage_growing_with_the_corpus(tmp_path):
 
 
 def test_reduce_requires_label_source(corpus, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
-              "--out", str(corpus / "x")])
-    assert err.value.code == 1
-    assert "--labels" in capsys.readouterr().err
+    """The corpora are settings like any other, so a missing one is found
+    once the config file and flags are resolved: exit 1 naming its flag."""
+    assert main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
+                 "--out", str(corpus / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "--labels" in err and "'labels_file'" in err
+    assert "Traceback" not in err
+    assert not (corpus / "x").exists()
 
 
 def test_reduce_has_no_inline_labeling(corpus, capsys):
@@ -404,8 +408,7 @@ def test_threads_flag_is_gone(corpus):
 
 def test_config_file_and_flag_precedence(corpus, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"embed": {"dim": 32, "seed": 11},
-                               "nodeset": {"cap_per_anchor": 4}}))
+    cfg.write_text(json.dumps({"dim": 32, "seed": 11, "cap_per_anchor": 4}))
     out = corpus / "cfg_run"
     rc = main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
                "--config", str(cfg), "--dim", "16", "--out", str(out)])
@@ -453,30 +456,36 @@ def test_report_renders_table(corpus, capsys):
 
 
 @pytest.mark.parametrize("command, obj, key", [
-    ("label", {"nodeset": {"set_size": 3}}, "nodeset.set_size"),
+    ("label", {"size": 3}, "size"),
     ("label", {"threads": 2}, "threads"),
     ("label", "record", "command"),
     ("label", {"embed.dim": 64}, "embed.dim"),
     ("label", {"embed": 5}, "embed"),
-    ("label", {"embed": {"dim": "64"}}, "embed.dim"),
-    ("label", {"embed": {"dim": True}}, "embed.dim"),
-    ("label", {"reduce": {"top_n": [3, 10]}}, "reduce.top_n"),
-    ("label", {"label": {"threshold": "high"}}, "label.threshold"),
+    ("label", {"dim": "64"}, "dim"),
+    ("label", {"dim": True}, "dim"),
+    ("label", {"top_n": [3, 10]}, "top_n"),
+    ("label", {"threshold": "high"}, "threshold"),
     ("label", {"eval": None}, "eval"),
-    ("label", {"labeled": "corpus.jsonl"}, "labeled"),
-    ("reduce", {"reduce": {"top_n": 5}}, "reduce.top_n"),
-    ("reduce", {"reduce": {"top_n": [1, "2"]}}, "reduce.top_n"),
+    ("label", {"labeled": 5}, "labeled"),
+    ("reduce", {"top_n": 5}, "top_n"),
+    ("reduce", {"top_n": [1, "2"]}, "top_n"),
     # reduce runs at its table's stamp, so it takes none of these.
-    ("reduce", {"embed": {"dim": 64}}, "embed.dim"),
-    ("reduce", {"embed": {"seed": 97}}, "embed.seed"),
-    ("reduce", {"nodeset": {"size": 5}}, "nodeset.size"),
-    ("reduce", {"nodeset": {"cap_per_anchor": 8}}, "nodeset.cap_per_anchor"),
-    ("reduce", {"label": {"threshold": 1.0}}, "label.threshold"),
+    ("reduce", {"dim": 64}, "dim"),
+    ("reduce", {"seed": 97}, "seed"),
+    ("reduce", {"set_size": 5}, "set_size"),
+    ("reduce", {"cap_per_anchor": 8}, "cap_per_anchor"),
+    ("reduce", {"threshold": 1.0}, "threshold"),
+    # A grouped file is refused on its first group, with no second reader;
+    # reduce reads no labeled corpus, and an emit flag is a JSON bool.
+    ("label", {"embed": {"dim": 64}, "seed": 5}, "embed"),
+    ("reduce", {"labeled": "corpus.jsonl"}, "labeled"),
+    ("reduce", {"emit_graph": 1}, "emit_graph"),
 ])
 def test_bad_config_file_is_usage_error(tmp_path, capsys, command, obj, key):
     cfg = tmp_path / "cfg.json"
     if obj == "record":
-        # A run's record holds its settings, but it is not a config file.
+        # A run's record holds a config file under `config`; the record
+        # itself is not one.
         cli._RunMetrics("label", LabelConfig()).write(tmp_path)
         cfg = tmp_path / "label_metrics.json"
     else:
@@ -561,8 +570,8 @@ def test_readme_config_example_is_accepted(corpus):
     blocks = [part.split("```", 1)[0]
               for part in section.split("```json\n")[1:3]]
     objs = [json.loads(block) for block in blocks]
-    assert "reduce" not in objs[0] and "embed" in objs[0]
-    assert "reduce" in objs[1] and "nodeset" not in objs[1]
+    assert "top_n" not in objs[0] and "set_size" in objs[0]
+    assert "top_n" in objs[1] and "set_size" not in objs[1]
     for name, block in zip(("label", "reduce"), blocks):
         (corpus / f"{name}_cfg.json").write_text(block)
     lab, red = corpus / "readme_lab", corpus / "readme_red"
@@ -570,14 +579,14 @@ def test_readme_config_example_is_accepted(corpus):
                  "--config", str(corpus / "label_cfg.json"),
                  "--out", str(lab)]) == 0
     echo = _config(lab, "label")
-    assert echo["set_size"] == objs[0]["nodeset"]["size"]
-    assert echo["seed"] == objs[0]["embed"]["seed"]
+    assert echo["set_size"] == objs[0]["set_size"]
+    assert echo["seed"] == objs[0]["seed"]
     assert main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
                  "--labels", str(lab / "labels.json"),
                  "--config", str(corpus / "reduce_cfg.json"),
                  "--out", str(red)]) == 0
     echo = _config(red, "reduce")
-    assert echo["top_n"] == sorted(objs[1]["reduce"]["top_n"])
+    assert echo["top_n"] == sorted(objs[1]["top_n"])
 
 
 def test_vectors_file_with_nan_is_usage_error(corpus, capsys):
@@ -685,9 +694,61 @@ def _reduce_outputs(corpus, table, out, *extra):
                "--emit-removed-ids", "--out", str(corpus / out), *extra])
     if rc:
         return rc, None
-    return rc, {path.name: mask_timings(path.name, path.read_bytes())
-                for path in sorted((corpus / out).iterdir())
-                if path.name != "reduce_metrics.json"}
+    return rc, _reduce_files(corpus / out)
+
+
+def _reduce_files(out):
+    """Every output of the reduce run in out but its record, timings
+    masked."""
+    return {path.name: mask_timings(path.name, path.read_bytes())
+            for path in sorted(out.iterdir())
+            if path.name != "reduce_metrics.json"}
+
+
+def _fed_back(out, command):
+    """The config of the record in out, written as a config file beside
+    it."""
+    path = out / f"{command}_config.json"
+    path.write_text(json.dumps(_config(out, command)))
+    return str(path)
+
+
+@pytest.mark.parametrize("model", ["hash-ngrams", "vectors-file"])
+def test_label_record_fed_back_reproduces_the_table(corpus, model):
+    """A label record's config, given back as --config with only --out
+    added, writes the same labels.json and labels.npz bytes."""
+    extra = []
+    if model == "vectors-file":
+        _vectors(corpus / "model.vec", 0)
+        extra = ["--model", f"vectors-file:{corpus / 'model.vec'}"]
+    table = _label_default(corpus, "--seed", "5", "--set-size", "4",
+                           "--cap-per-anchor", "3", "--threshold", "0.95",
+                           "--synthesize-dangling", *extra)
+    again = corpus / "again"
+    assert main(["label", "--config", _fed_back(table.parent, "label"),
+                 "--out", str(again)]) == 0
+    for name in ("labels.json", "labels.npz"):
+        assert ((again / name).read_bytes()
+                == (table.parent / name).read_bytes())
+    assert _config(again, "label") == dict(_config(table.parent, "label"),
+                                           out_dir=str(again))
+
+
+def test_reduce_record_fed_back_reproduces_the_reports(corpus):
+    """A reduce record's config, given back as --config with only --out
+    added, writes the same reports.json and sweep.csv (timings masked) and
+    reduced graphs."""
+    table = _label_default(corpus)
+    rc, want = _reduce_outputs(corpus, table, "red",
+                               "--include-isolated-nodes")
+    assert rc == 0
+    assert {"reduced_top5.jsonl", "reduced_top5.dot"} <= set(want)
+    assert "removed_node_ids" in json.loads(want["reports.json"])[0]
+    again = corpus / "again"
+    assert main(["reduce", "--config", _fed_back(corpus / "red", "reduce"),
+                 "--out", str(again)]) == 0
+    assert _reduce_files(again) == want
+    assert _config(again, "reduce")["include_isolated_nodes"] is True
 
 
 def _vectors(path, axis):
@@ -776,27 +837,35 @@ def test_vectors_file_stamp_holds_its_width(corpus):
 
 @pytest.mark.parametrize("how", ["flag", "config", "both"])
 def test_vectors_file_refuses_a_dim(corpus, capsys, monkeypatch, how):
-    """With a vectors file, --dim or embed.dim would be ignored, so either
-    is a usage error naming dim, before the corpus is parsed, even at the
-    file's own width."""
+    """With a vectors file, dim is the file's width: another width, from
+    --dim or the config file's dim, is a usage error naming dim, before
+    the corpus is parsed. The file's own width is accepted, as a record
+    fed back as a config file holds it."""
     vectors = corpus / "model.vec"
     _vectors(vectors, 0)
     cfg = corpus / "dim_cfg.json"
-    cfg.write_text(json.dumps({"embed": {"dim": 16}}))
-    extra = {"flag": ["--dim", "16"], "config": ["--config", str(cfg)],
+    cfg.write_text(json.dumps({"dim": 64 if how == "config" else 16}))
+    extra = {"flag": ["--dim", "64"], "config": ["--config", str(cfg)],
              "both": ["--config", str(cfg), "--dim", "64"]}[how]
+    argv = ["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+            "--model", f"vectors-file:{vectors}"]
+    parse_file = cli.parse_file
     parsed = []
-    monkeypatch.setattr(cli, "parse_file", lambda *a, **k: parsed.append(a))
+    monkeypatch.setattr(cli, "parse_file",
+                        lambda *a, **k: parsed.append(a) or parse_file(*a, **k))
     capsys.readouterr()
-    rc = main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
-               "--model", f"vectors-file:{vectors}",
-               "--out", str(corpus / "dim_out"), *extra])
+    rc = main([*argv, "--out", str(corpus / "dim_out"), *extra])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "'dim'" in err and "vectors file" in err
+    assert "'dim'" in err and "vectors file" in err and "16" in err
     assert "Traceback" not in err
     assert parsed == []
     assert not (corpus / "dim_out").exists()
+    own = ["--dim", "16"] if how == "flag" else ["--config", str(cfg),
+                                                 "--dim", "16"]
+    assert main([*argv, "--out", str(corpus / "own"), *own]) == 0
+    assert len(parsed) == 1
+    assert _config(corpus / "own", "label")["dim"] == 16
 
 
 _MISSING = object()
@@ -841,15 +910,23 @@ def test_bad_stamp_is_usage_error(corpus, capsys, monkeypatch, key, value):
 
 
 def test_table_of_another_version_is_usage_error(corpus, capsys, monkeypatch):
+    """A stamp of another table format, or with none (a table written
+    before formats were stamped), is refused before the evaluation corpus
+    is parsed: exit 1 naming the .npz, and rerun label."""
     table = _label_default(corpus)
-    _restamp(table, "version", "0.0.9")
-    capsys.readouterr()
+    sidecar = table.with_suffix(".npz")
+    good = sidecar.read_bytes()
     parsed = []
     monkeypatch.setattr(cli, "parse_file", lambda *a, **k: parsed.append(a))
-    rc, _ = _reduce_outputs(corpus, table, "red")
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "version='0.0.9'" in err and "Traceback" not in err
+    for value in (TABLE_FORMAT + 1, _MISSING, str(TABLE_FORMAT), True):
+        sidecar.write_bytes(good)
+        _restamp(table, "format", value)
+        capsys.readouterr()
+        rc, _ = _reduce_outputs(corpus, table, "red")
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"label table {sidecar}: stamp format " in err
+        assert "rerun label" in err and "Traceback" not in err
     assert parsed == []
 
 

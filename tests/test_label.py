@@ -105,9 +105,7 @@ def test_ioc_match_expands_one_hop():
     """One infected file read by two processes flags exactly three nodes."""
     out = build_malicious_list(five_node_graph(), ["payload.bin"], [])
     assert out.ids == {"fEvil", "pA", "pB"}
-    assert out.provenance["fEvil"] == "payload.bin"
-    assert out.provenance["pA"] == "event-adjacent"
-    assert out.provenance["pB"] == "event-adjacent"
+    assert out.warnings == []
 
 
 def test_expansion_is_single_hop():
@@ -119,7 +117,6 @@ def test_expansion_is_single_hop():
 def test_explicit_ids_do_not_expand():
     out = build_malicious_list(five_node_graph(), [], ["fEvil"])
     assert out.ids == {"fEvil"}
-    assert out.provenance["fEvil"] == "explicit"
 
 
 def test_unmatched_ioc_warned_not_fatal():
@@ -134,15 +131,19 @@ def test_unknown_explicit_id_warned():
     assert any("ghost" in w for w in out.warnings)
 
 
-def test_direct_match_provenance_beats_adjacency():
-    g = five_node_graph()
-    out = build_malicious_list(g, ["payload.bin", "loader"], [])
-    assert out.provenance["pA"] == "loader"
+def test_ioc_inside_a_matched_text_is_not_warned():
+    """An IoC is warned only when no node's text contains it: one that
+    another IoC earlier in the list already matched still counts."""
+    out = build_malicious_list(five_node_graph(), ["payload", "payload.bin"],
+                               [])
+    assert out.ids == {"fEvil", "pA", "pB"}
+    assert out.warnings == []
 
 
 def test_ioc_matching_equals_per_node_scan():
-    """Shared texts, overlapping and repeated IoCs: the first IoC in list
-    order wins per node, and provenance and warnings keep their order."""
+    """Shared texts, overlapping and repeated IoCs: a node is flagged when
+    its text contains any IoC, and an IoC is warned, in list order, when no
+    node's text contains it."""
     rng = random.Random(88)
     pool = ["cmd-1", "cmd", "/data/1", "1", "", "/data/", "10.1.2.3:",
             "absent"]
@@ -151,8 +152,6 @@ def test_ioc_matching_equals_per_node_scan():
         iocs = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
         matched, unmatched = reference_ioc_matches(g, iocs)
         out = build_malicious_list(g, iocs, [])
-        direct = list(out.provenance.items())[:len(matched)]
-        assert direct == list(matched.items())
         assert out.warnings == [f"ioc matched no nodes: {ioc!r}"
                                 for ioc in unmatched]
         assert set(matched) <= out.ids
@@ -629,7 +628,7 @@ def test_near_cutoff_takes_exact_scan(exact_scans, offset):
         assert exact_scans
 
 
-STAMP = {"version": "0", "model": "hash-ngrams", "dim": 6, "seed": 97,
+STAMP = {"format": 1, "model": "hash-ngrams", "dim": 6, "seed": 97,
          "set_size": 5, "cap_per_anchor": 8, "threshold": 1.0}
 
 
