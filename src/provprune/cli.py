@@ -2,10 +2,10 @@
 
 Subcommands: stats, synth, label, reduce, report. Each command takes only
 the settings it reads, each named by its LabelConfig or ReduceConfig field:
-defaults, then config file, PROVPRUNE_SEED (label only) and flags. reduce
-runs at the settings stamped on its label table. Every label or reduce run
-writes one record, label_metrics.json or reduce_metrics.json: its settings
-(a config file that reproduces the run), stage seconds, peak RSS, counts.
+defaults, then config file, then flags. reduce runs at the settings stamped
+on its label table. Every label or reduce run writes one record,
+label_metrics.json or reduce_metrics.json: its settings (a config file that
+reproduces the run), stage seconds, peak RSS, counts.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import resource
 import shutil
 import sys
@@ -87,8 +86,9 @@ class ReduceConfig:
     include_isolated_nodes: bool = False
 
     def validate(self) -> None:
-        if any(n < 0 for n in self.top_n):
-            raise ValueError("top-n entries must be non-negative")
+        if not self.top_n or min(self.top_n) < 0:
+            raise ValueError(f"'top_n' must be one or more counts, each 0 "
+                             f"or more, got {self.top_n!r}")
         self.top_n = sorted(set(self.top_n))
 
 
@@ -196,7 +196,7 @@ def _set_checked(cfg, settings: dict, what: str) -> None:
 
 
 def _resolve_config(args: argparse.Namespace, cfg):
-    """cfg from its config file, PROVPRUNE_SEED and flags; checked."""
+    """cfg from its config file and flags; checked."""
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -204,21 +204,13 @@ def _resolve_config(args: argparse.Namespace, cfg):
             raise ValueError(f"config file {args.config} is not a JSON object")
         _set_checked(cfg, obj, "config key")
 
-    env_seed = os.environ.get("PROVPRUNE_SEED")
-    if env_seed is not None and hasattr(cfg, "seed"):
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError:
-            raise ValueError(f"PROVPRUNE_SEED must be an integer, "
-                             f"got {env_seed!r}") from None
-
     # A flag left out is absent from the namespace (argument_default is
     # SUPPRESS), so a settings field found there was given on the line.
     settings = {f.name for f in fields(cfg)} - {"top_n"}
     for name, value in vars(args).items():
         if name in settings:
             setattr(cfg, name, value)
-    if getattr(args, "top_n", None):
+    if getattr(args, "top_n", None) is not None:
         try:
             cfg.top_n = [int(x) for x in args.top_n.split(",") if x.strip()]
         except ValueError:
@@ -246,8 +238,8 @@ def _stamp(cfg: LabelConfig) -> dict:
 
 def _load_table(cfg: ReduceConfig):
     """The label table at cfg.labels_file and the LabelConfig its stamp
-    holds; a stamp of another format, of bad values or of another model is
-    an error."""
+    holds; a stamp of another format, of bad values or of another model than
+    cfg's is an error."""
     text = Path(cfg.labels_file).read_bytes().decode("utf-8")
     sidecar = sidecar_path(cfg.labels_file)
     table, stamp = label_table_from_json(text, sidecar)
@@ -264,11 +256,12 @@ def _load_table(cfg: ReduceConfig):
     except ValueError as exc:
         raise ValueError(f"label table {sidecar}: stamp {exc}; rerun label") \
             from None
-    for key, value in _stamp(labeled).items():
-        if stamp.get(key) != value:
-            raise ValueError(
-                f"{cfg.labels_file} was labeled with {key}="
-                f"{stamp.get(key)!r}, this run has {key}={value!r}")
+    # Every other setting was just read from the stamp.
+    model = _stamp(labeled)["model"]
+    if stamp.get("model") != model:
+        raise ValueError(f"{cfg.labels_file} was labeled with model="
+                         f"{stamp.get('model')!r}, this run has "
+                         f"model={model!r}")
     return table, labeled
 
 

@@ -34,7 +34,7 @@ MALICIOUS = "malicious"
 
 # The layout of labels.npz and the features its representatives hold: a
 # change to either bumps it, and reduce refuses a table of another format.
-TABLE_FORMAT = 1
+TABLE_FORMAT = 2
 
 
 @dataclass
@@ -126,13 +126,9 @@ def sidecar_path(table_path) -> Path:
     return Path(table_path).with_suffix(".npz")
 
 
-# Representative rows per write to the sidecar: a 32 KB block at dim 64.
-SIDECAR_ROWS = 64
 # Every sidecar member is stored, not compressed, under this date, so equal
 # tables give equal bytes.
 _SIDECAR_DATE = (1980, 1, 1, 0, 0, 0)
-_SIDECAR_INTS = ("label_id", "member_count", "created_seq", "assignment",
-                 "zero_vector_sets")
 
 
 def write_sidecar(table: LabelTable, table_path, stamp: dict) -> None:
@@ -140,48 +136,34 @@ def write_sidecar(table: LabelTable, table_path, stamp: dict) -> None:
     bound to that file's bytes by their sha256.
 
     The members are .npy arrays: sha256 and stamp (stamp as JSON) as
-    strings; label_id, polarity, member_count and created_seq per label
-    (label_id and created_seq are 0..n-1); representatives, labels x dim
-    float64; assignment and zero_vector_sets. The file is hashed a block at
-    a time and the representatives are written SIDECAR_ROWS rows at a
-    time. A NaN component is stored as the NaN that json.loads gives for
-    the table's `NaN`, so both files give the same bits.
+    strings; polarity per label; representatives, labels x dim float64, bit
+    for bit; assignment and zero_vector_sets. A label's id and creation
+    order are its row and its member count is its count in assignment, so
+    none of them is stored. The file is hashed a block at a time, and each
+    member is written from the array's own bytes, with no copy.
     """
     import zipfile
 
-    count = len(table.polarity)
     arrays = {
         "sha256": np.array(file_sha256(table_path)),
         "stamp": np.array(json.dumps(stamp, sort_keys=True)),
-        "label_id": np.arange(count, dtype=np.int64),
         "polarity": np.array(table.polarity, dtype=str),
-        "member_count": np.array(table.member_count, dtype=np.int64),
-        "created_seq": np.arange(count, dtype=np.int64),
+        "representatives": np.ascontiguousarray(table.representatives,
+                                                dtype="<f8"),
         "assignment": np.array(table.assignment, dtype=np.int64),
         "zero_vector_sets": np.array(table.zero_vector_sets, dtype=np.int64),
     }
-
-    def member(name: str) -> zipfile.ZipInfo:
-        info = zipfile.ZipInfo(f"{name}.npy", date_time=_SIDECAR_DATE)
-        # Unix attributes whatever the platform, which would otherwise show
-        # in the bytes.
-        info.create_system = 3
-        info.external_attr = 0o644 << 16
-        return info
-
-    reps = table.representatives
     with zipfile.ZipFile(sidecar_path(table_path), "w") as zf:
         for name, array in arrays.items():
-            with zf.open(member(name), "w") as fh:
-                np.lib.format.write_array(fh, array, allow_pickle=False)
-        with zf.open(member("representatives"), "w") as fh:
-            np.lib.format.write_array_header_1_0(fh, {
-                "descr": "<f8", "fortran_order": False,
-                "shape": reps.shape})
-            for lo in range(0, count, SIDECAR_ROWS):
-                block = np.array(reps[lo:lo + SIDECAR_ROWS], dtype="<f8")
-                np.copyto(block, np.nan, where=np.isnan(block))
-                fh.write(block.tobytes())
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=_SIDECAR_DATE)
+            # Unix attributes whatever the platform, which would otherwise
+            # show in the bytes.
+            info.create_system = 3
+            info.external_attr = 0o644 << 16
+            with zf.open(info, "w") as fh:
+                np.lib.format.write_array_header_1_0(
+                    fh, np.lib.format.header_data_from_array_1_0(array))
+                fh.write(array.data)
 
 
 def label_table_from_json(text: str, sidecar) -> tuple[LabelTable, dict]:
@@ -191,11 +173,11 @@ def label_table_from_json(text: str, sidecar) -> tuple[LabelTable, dict]:
 
     The sidecar is used when its zip opens, every member loads without
     pickles, its sha256 is that of text's UTF-8 bytes (hashed HASH_BLOCK
-    characters at a time), kinds, shapes and label_id and created_seq
-    (0..n-1) are those write_sidecar writes, every assignment names a label,
-    member_count counts each label's assignments and zero_vector_sets is
-    in 0..len(assignment). Otherwise a ValueError names the sidecar and why
-    not: missing, digest mismatch or unreadable.
+    characters at a time), kinds and shapes are those write_sidecar writes,
+    every assignment names a label and zero_vector_sets is in
+    0..len(assignment). Otherwise a ValueError names the sidecar and why
+    not: missing, digest mismatch or unreadable. Each label's member count
+    is its count in the assignment.
     """
     import zipfile
 
@@ -208,10 +190,11 @@ def label_table_from_json(text: str, sidecar) -> tuple[LabelTable, dict]:
                 with zf.open(f"{name}.npy") as fh:
                     return np.lib.format.read_array(fh, allow_pickle=False)
 
-            arrays = {name: read(name) for name in (
-                "sha256", "stamp", "polarity", "representatives",
-                *_SIDECAR_INTS)}
-        stamp = json.loads(str(arrays["stamp"]))
+            sha256, stamp, polarity, reps, assignment, zero_vector_sets = (
+                read(name) for name in ("sha256", "stamp", "polarity",
+                                        "representatives", "assignment",
+                                        "zero_vector_sets"))
+        stamp = json.loads(str(stamp))
     except FileNotFoundError:
         refuse("missing")
     except (OSError, ValueError, KeyError, zipfile.BadZipFile):
@@ -219,34 +202,27 @@ def label_table_from_json(text: str, sidecar) -> tuple[LabelTable, dict]:
     digest = hashlib.sha256()
     for lo in range(0, len(text), HASH_BLOCK):
         digest.update(text[lo:lo + HASH_BLOCK].encode("utf-8"))
-    if arrays["sha256"].shape or str(arrays["sha256"]) != digest.hexdigest():
+    if sha256.shape or str(sha256) != digest.hexdigest():
         refuse("digest mismatch")
-    reps, polarity = arrays["representatives"], arrays["polarity"]
     if not (isinstance(stamp, dict) and reps.dtype == np.float64
             and reps.ndim == 2 and polarity.dtype.kind == "U"
-            and all(arrays[name].dtype.kind == "i" for name in _SIDECAR_INTS)
-            and polarity.shape == arrays["member_count"].shape
-            == reps.shape[:1]
-            and all(np.array_equal(arrays[name], np.arange(len(reps)))
-                    for name in ("label_id", "created_seq"))
-            and arrays["assignment"].ndim == 1
-            and arrays["zero_vector_sets"].ndim == 0
+            and polarity.shape == reps.shape[:1]
+            and assignment.dtype.kind == zero_vector_sets.dtype.kind == "i"
+            and assignment.ndim == 1 and zero_vector_sets.ndim == 0
             and ((polarity == BENIGN) | (polarity == MALICIOUS)).all()):
         refuse("unreadable")
-    # The arrays must agree with each other, as the labeler's do: a count
-    # rewritten alone would rank the labels by wrong counts.
-    assignment, count = arrays["assignment"], len(reps)
+    # The assignment's bounds are checked before it is counted: counting an
+    # entry of 2**62 would take as many bins.
+    count = len(reps)
     if not ((not assignment.size
              or 0 <= assignment.min() and assignment.max() < count)
-            and np.array_equal(arrays["member_count"],
-                               np.bincount(assignment, minlength=count))
-            and 0 <= arrays["zero_vector_sets"] <= len(assignment)):
+            and 0 <= zero_vector_sets <= len(assignment)):
         refuse("unreadable")
     return LabelTable(polarity=polarity.tolist(),
-                      member_count=arrays["member_count"].tolist(),
-                      representatives=reps,
-                      assignment=arrays["assignment"].tolist(),
-                      zero_vector_sets=int(arrays["zero_vector_sets"])), stamp
+                      member_count=np.bincount(assignment,
+                                               minlength=count).tolist(),
+                      representatives=reps, assignment=assignment.tolist(),
+                      zero_vector_sets=int(zero_vector_sets)), stamp
 
 
 def parse_ioc_file(path) -> tuple[list[str], list[str]]:

@@ -741,11 +741,15 @@ def table_json(table):
 
 
 def rewritten_sidecar(path, **members):
-    """Rewrite the sidecar at path with some members replaced; an object
-    array is stored as a pickle, which a load must refuse."""
+    """Rewrite the sidecar at path with some members replaced, or left out
+    when given as None; an object array is stored as a pickle, which a load
+    must refuse."""
     with zipfile.ZipFile(path) as zf:
         data = {info.filename: zf.read(info) for info in zf.infolist()}
     for name, array in members.items():
+        if array is None:
+            del data[f"{name}.npy"]
+            continue
         buf = io.BytesIO()
         np.save(buf, array, allow_pickle=True)
         data[f"{name}.npy"] = buf.getvalue()

@@ -270,6 +270,31 @@ def test_bad_top_n_is_usage_error(corpus):
                  "--top-n", "three"]) == 1
 
 
+@pytest.mark.parametrize("how", ["comma", "empty", "config"])
+def test_reduce_without_top_n_counts_is_usage_error(corpus, capsys,
+                                                    monkeypatch, how):
+    """--top-n "," or "", or a config top_n of [], names no count: exit 1
+    naming top_n, before the table is loaded or the corpus parsed, and no
+    reports."""
+    cfg = corpus / "no_counts.json"
+    cfg.write_text(json.dumps({"top_n": []}))
+    extra = {"comma": ["--top-n", ","], "empty": ["--top-n", ""],
+             "config": ["--config", str(cfg)]}[how]
+    called = []
+    monkeypatch.setattr(cli, "parse_file", lambda *a, **k: called.append(a))
+    monkeypatch.setattr(cli, "label_table_from_json",
+                        lambda *a, **k: called.append(a))
+    capsys.readouterr()
+    rc = main(["reduce", "--eval", str(corpus / "b" / "corpus.jsonl"),
+               "--labels", str(corpus / "lab" / "labels.json"),
+               "--out", str(corpus / "no_counts"), *extra])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "'top_n'" in err and "Traceback" not in err
+    assert called == []
+    assert not (corpus / "no_counts" / "reports.json").exists()
+
+
 def test_bad_threshold_is_usage_error(corpus):
     assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
                  "--threshold", "2.0", "--out", str(corpus / "x")]) == 1
@@ -419,25 +444,6 @@ def test_config_file_and_flag_precedence(corpus, tmp_path):
     assert echo["cap_per_anchor"] == 4
 
 
-def test_env_seed_override(corpus, monkeypatch):
-    monkeypatch.setenv("PROVPRUNE_SEED", "123")
-    out = corpus / "env_run"
-    assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
-                 "--out", str(out)]) == 0
-    assert _config(out, "label")["seed"] == 123
-
-    out2 = corpus / "env_run2"
-    assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
-                 "--seed", "456", "--out", str(out2)]) == 0
-    assert _config(out2, "label")["seed"] == 456
-
-
-def test_env_seed_must_be_integer(corpus, monkeypatch):
-    monkeypatch.setenv("PROVPRUNE_SEED", "lucky")
-    assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
-                 "--out", str(corpus / "x")]) == 1
-
-
 def test_report_renders_table(corpus, capsys):
     lab = corpus / "lab"
     main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
@@ -550,16 +556,14 @@ def test_label_and_reduce_sharing_out_keep_both_records(corpus):
     assert not (table.parent / "metrics.json").exists()
 
 
-def test_env_seed_is_read_by_label_only(corpus, monkeypatch, capsys):
-    """PROVPRUNE_SEED sets label's seed; reduce, at its table's seed, reads
-    no seed of its own, however PROVPRUNE_SEED is set."""
-    table = _label_default(corpus)
+def test_env_seed_is_not_read(corpus, monkeypatch):
+    """The seed is set by --seed or the config key only: label with
+    PROVPRUNE_SEED set writes the default seed."""
     monkeypatch.setenv("PROVPRUNE_SEED", "123")
-    capsys.readouterr()
-    assert _reduce_outputs(corpus, table, "red")[0] == 0
-    assert capsys.readouterr().err == ""
-    monkeypatch.setenv("PROVPRUNE_SEED", "lucky")
-    assert _reduce_outputs(corpus, table, "red2")[0] == 0
+    out = corpus / "env_run"
+    assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+                 "--out", str(out)]) == 0
+    assert _config(out, "label")["seed"] == LabelConfig().seed != 123
 
 
 def test_readme_config_example_is_accepted(corpus):
@@ -930,6 +934,31 @@ def test_table_of_another_version_is_usage_error(corpus, capsys, monkeypatch):
     assert parsed == []
 
 
+def test_table_of_format_1_is_usage_error(corpus, capsys, monkeypatch):
+    """A table written at format 1, with its label_id, member_count and
+    created_seq members, is refused before the evaluation corpus is
+    parsed: exit 1 naming the .npz, and rerun label."""
+    table = _label_default(corpus)
+    sidecar = table.with_suffix(".npz")
+    with np.load(sidecar) as npz:
+        stamp = json.loads(npz["stamp"].item())
+        labels, assignment = len(npz["polarity"]), npz["assignment"]
+    rewritten_sidecar(sidecar, stamp=np.array(json.dumps(
+        dict(stamp, format=1), sort_keys=True)),
+        label_id=np.arange(labels), created_seq=np.arange(labels),
+        member_count=np.bincount(assignment, minlength=labels))
+    parsed = []
+    monkeypatch.setattr(cli, "parse_file", lambda *a, **k: parsed.append(a))
+    capsys.readouterr()
+    rc, _ = _reduce_outputs(corpus, table, "red")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"label table {sidecar}: stamp format 1, not 2; rerun label" in err
+    assert "Traceback" not in err
+    assert parsed == []
+    assert not (corpus / "red" / "reports.json").exists()
+
+
 def test_table_without_its_sidecar_is_refused(corpus, capsys):
     """With labels.npz deleted, reduce exits 1, naming it, instead of
     running on a table whose settings it cannot read."""
@@ -948,13 +977,12 @@ def test_table_without_its_sidecar_is_refused(corpus, capsys):
 
 def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
                                                           monkeypatch):
-    """A missing, truncated, garbage or pickled sidecar, one whose label_id
-    or created_seq is not 0..n-1, one whose arrays disagree with each other
-    (an assignment naming no label, member counts that do not count the
-    assignment, zero-vector sets outside 0..len(assignment)), or one of
-    other bytes than labels.json, is refused before the evaluation corpus
-    is parsed: exit 1 naming the sidecar and why, no traceback and no
-    reports. The table is never read from labels.json instead."""
+    """A missing, truncated, garbage or pickled sidecar, one whose arrays
+    disagree with each other (an assignment naming no label, zero-vector
+    sets outside 0..len(assignment)), or one of other bytes than
+    labels.json, is refused before the evaluation corpus is parsed: exit 1
+    naming the sidecar and why, no traceback and no reports. The table is
+    never read from labels.json instead."""
     table = _label_default(corpus)
     sidecar = table.with_suffix(".npz")
     good, text = sidecar.read_bytes(), table.read_text()
@@ -968,19 +996,14 @@ def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
                                                          dtype=object))
 
     with np.load(sidecar) as npz:
-        rolled = np.roll(np.arange(len(npz["label_id"])), 1)
-        counts, assignment = npz["member_count"], npz["assignment"]
-    assert len(rolled) > 1
-    assert counts.tolist() != counts[::-1].tolist()
-
-    def permuted(name):
-        return lambda path: rewritten_sidecar(path, **{name: rolled})
+        labels, assignment = len(npz["polarity"]), npz["assignment"]
+    assert labels > 1
 
     def rewritten(**members):
         return lambda path: rewritten_sidecar(path, **members)
 
     past_last = assignment.copy()
-    past_last[-1] = len(counts)
+    past_last[-1] = labels
     negative = assignment.copy()
     negative[0] = -1
 
@@ -993,14 +1016,10 @@ def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
               (lambda p: p.write_bytes(good[: len(good) // 2]), "unreadable"),
               (lambda p: p.write_bytes(b"\x00garbage" * 64), "unreadable"),
               (pickled, "unreadable"),
-              (permuted("label_id"), "unreadable"),
-              (permuted("created_seq"), "unreadable"),
-              (rewritten(member_count=counts[::-1].copy(),
-                         assignment=np.full_like(assignment, 1_000_000)),
+              (rewritten(assignment=np.full_like(assignment, 1_000_000)),
                "unreadable"),
               (rewritten(assignment=past_last), "unreadable"),
               (rewritten(assignment=negative), "unreadable"),
-              (rewritten(member_count=counts[::-1].copy()), "unreadable"),
               (rewritten(zero_vector_sets=np.array(-1)), "unreadable"),
               (rewritten(zero_vector_sets=np.array(len(assignment) + 1)),
                "unreadable"),

@@ -69,10 +69,16 @@ def test_write_json_equals_json_dumps_for_any_bits(table, chunk):
         assert table_json(table) == reference_table_json(table)
 
 
-# Feature values: any but a NaN of another sign or payload than the one
-# json.loads gives for `NaN`, which the sidecar stores for every NaN.
-FEATURE_VALUES = st.one_of(st.floats(allow_nan=False),
-                           st.sampled_from([0.0, -0.0, 1.0, float("nan")]))
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Feature values: any float, a NaN of either sign and any payload, quiet or
+# signaling, included.
+FEATURE_VALUES = st.one_of(
+    st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 1.0]),
+    st.builds(lambda sign, payload: _float(sign | 0x7FF << 52 | payload),
+              st.sampled_from([0, 1 << 63]), st.integers(1, 2 ** 52 - 1)))
 
 
 @st.composite
