@@ -451,13 +451,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     g_eval, w_eval, malicious = _prepare_graph(cfg, cfg.eval_corpus, run, "eval")
     embedder = get_embedder(cfg.model, dim=labeled.dim, seed=labeled.seed)
 
-    keep_ids = cfg.emit_removed_ids or cfg.emit_graph or cfg.emit_dot
     counts: dict[str, int] = {}
     reports = sweep_top_n(g_eval, table, w_eval, embedder, malicious,
                           ns=cfg.top_n, threshold=labeled.threshold,
                           size=labeled.set_size,
                           cap_per_anchor=labeled.cap_per_anchor,
-                          keep_removed_ids=keep_ids,
                           include_isolated_nodes=cfg.include_isolated_nodes,
                           counts=counts)
     run.corpora["eval"].update(counts)
@@ -469,8 +467,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         run.seconds["select"] = sum(r.per_stage_seconds["select"]
                                     for r in reports)
 
-    payload = [r.to_dict(include_removed_ids=cfg.emit_removed_ids)
-               for r in reports]
+    ids = g_eval.table.ids if cfg.emit_removed_ids else None
+    payload = [r.to_dict(ids) for r in reports]
     (out_dir / "reports.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     write_sweep_csv(reports, out_dir / "sweep.csv")
@@ -489,7 +487,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                     for fmt in formats:
                         shutil.copyfile(f"{last_stem}.{fmt}", f"{stem}.{fmt}")
                 else:
-                    reduced = remove_nodes(g_eval, report.removed_node_ids)
+                    reduced = remove_nodes(g_eval, report.removed)
                     for fmt in formats:
                         save_graph(reduced, f"{stem}.{fmt}", fmt=fmt)
                 run.wrote(*(Path(f"{stem}.{fmt}") for fmt in formats))

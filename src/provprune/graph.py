@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -35,38 +35,16 @@ from .ingest import (
 EXPORT_CHUNK = 4096
 
 
-class NodeIndex(NamedTuple):
-    """Dense integer numbering of a graph's nodes, in its node table's order.
+def node_mask(ids: list[str], members: Iterable[str]) -> np.ndarray:
+    """Per row of ids, whether its id is among members; others are ignored.
 
-    ids[v] is node v's id; src[i] and dst[i] number the subject and object
-    of event i. No id-to-number map is kept.
+    Any other iterable is made a set first, so each test is a hash lookup
+    rather than a scan of members.
     """
-
-    ids: list[str]
-    src: np.ndarray
-    dst: np.ndarray
-
-    @classmethod
-    def of(cls, graph: Graph) -> NodeIndex:
-        """The graph's own ids and event endpoint columns."""
-        return cls(graph.table.ids, graph.events.src, graph.events.dst)
-
-    def mask(self, members: Iterable[str]) -> np.ndarray:
-        """Per node, whether its id is among members; others are ignored.
-
-        Any other iterable is made a set first, so each test is a hash
-        lookup rather than a scan of members.
-        """
-        if not isinstance(members, AbstractSet):
-            members = set(members)
-        return np.fromiter(map(members.__contains__, self.ids), dtype=bool,
-                           count=len(self.ids))
-
-    def incident(self) -> np.ndarray:
-        """Per node, whether it is the subject or object of some event."""
-        out = np.zeros(len(self.ids), dtype=bool)
-        out[self.src] = out[self.dst] = True
-        return out
+    if not isinstance(members, AbstractSet):
+        members = set(members)
+    return np.fromiter(map(members.__contains__, ids), dtype=bool,
+                       count=len(ids))
 
 
 class _NodeMap(Mapping):
@@ -110,6 +88,12 @@ class Graph:
     def nodes(self) -> Mapping[str, NodeRecord]:
         return _NodeMap(self.table)
 
+    def incident(self) -> np.ndarray:
+        """Per node, whether it is the subject or object of some event."""
+        out = np.zeros(len(self.table), dtype=bool)
+        out[self.events.src] = out[self.events.dst] = True
+        return out
+
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -138,12 +122,15 @@ def build_graph(nodes: NodeTable, events: EventTable) -> Graph:
     return Graph(nodes, events.take(temporal), order)
 
 
-def remove_nodes(graph: Graph, node_ids: Iterable[str]) -> Graph:
-    """Drop the given nodes and every event incident to any of them.
-
-    Ids not present in the graph are ignored.
-    """
-    keep = ~NodeIndex.of(graph).mask(node_ids)
+def remove_nodes(graph: Graph, removed: np.ndarray) -> Graph:
+    """Drop the nodes removed marks, one bool per row of the graph's node
+    table, and every event incident to any of them."""
+    removed = np.asarray(removed)
+    if removed.dtype != bool or removed.shape != (len(graph.table),):
+        raise ValueError(f"a removal mask holds one bool per node, "
+                         f"{len(graph.table)} here, got {removed.dtype} "
+                         f"of shape {removed.shape}")
+    keep = ~removed
     renumber = np.cumsum(keep, dtype=np.int32) - 1
     table = graph.table.take(keep)
     events = graph.events
@@ -259,7 +246,7 @@ def summarize(graph: Graph) -> dict:
         "files": kinds[FILE],
         "netflows": kinds[NETFLOW],
         "events": len(graph.events),
-        "event_nodes": int(NodeIndex.of(graph).incident().sum()),
+        "event_nodes": int(graph.incident().sum()),
         "per_syscall": {name: count for name, count
                         in zip(SYSCALL_NAMES, syscalls) if count},
     }

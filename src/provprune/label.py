@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .embed import candidate_window, effective_threshold, window_holds
-from .graph import Graph, NodeIndex
+from .graph import Graph, node_mask
 from .nodeset import ChainBatch
 
 BENIGN = "benign"
@@ -174,10 +174,11 @@ def label_table_from_json(text: str, sidecar) -> tuple[LabelTable, dict]:
     The sidecar is used when its zip opens, every member loads without
     pickles, its sha256 is that of text's UTF-8 bytes (hashed HASH_BLOCK
     characters at a time), kinds and shapes are those write_sidecar writes,
-    every assignment names a label and zero_vector_sets is in
-    0..len(assignment). Otherwise a ValueError names the sidecar and why
-    not: missing, digest mismatch or unreadable. Each label's member count
-    is its count in the assignment.
+    the assignment is one labeling could give (entries from 0, each at most
+    one above every entry before it, the largest naming the last label) and
+    zero_vector_sets is in 0..len(assignment). Otherwise a ValueError names
+    the sidecar and why not: missing, digest mismatch or unreadable. Each
+    label's member count is its count in the assignment.
     """
     import zipfile
 
@@ -211,11 +212,13 @@ def label_table_from_json(text: str, sidecar) -> tuple[LabelTable, dict]:
             and assignment.ndim == 1 and zero_vector_sets.ndim == 0
             and ((polarity == BENIGN) | (polarity == MALICIOUS)).all()):
         refuse("unreadable")
-    # The assignment's bounds are checked before it is counted: counting an
-    # entry of 2**62 would take as many bins.
+    # The labeler's own order: each chain joins a label founded before it or
+    # founds the next, so every label has a member. It bounds the entries
+    # before they are counted: an entry of 2**62 would take as many bins.
     count = len(reps)
-    if not ((not assignment.size
-             or 0 <= assignment.min() and assignment.max() < count)
+    founded = np.concatenate([[-1], np.maximum.accumulate(assignment)])
+    if not ((assignment >= 0).all() and (assignment <= founded[:-1] + 1).all()
+            and founded[-1] == count - 1
             and 0 <= zero_vector_sets <= len(assignment)):
         refuse("unreadable")
     return LabelTable(polarity=polarity.tolist(),
@@ -279,10 +282,7 @@ def build_malicious_list(graph: Graph, iocs: list[str],
     flagged[dst[matched[src]]] = True
     flagged[src[matched[dst]]] = True
     out.ids.update(ids[v] for v in np.flatnonzero(flagged).tolist())
-    declared = set()
-    if explicit_ids:
-        declared = {ids[v] for v in np.flatnonzero(
-            NodeIndex.of(graph).mask(explicit_ids)).tolist()}
+    declared = set(explicit_ids).intersection(ids) if explicit_ids else ()
     for node_id in explicit_ids:
         if node_id not in declared:
             out.warnings.append(f"explicit id not in graph: {node_id!r}")
@@ -538,7 +538,7 @@ def label_node_sets(sets: ChainBatch, malicious: MaliciousNodeList,
                 _mint(founders, assignment, reps, lo + i, row, projs[i])
     # The scan's rows go before the founders' features are copied out.
     del reps, normalized
-    flagged = sets.index.mask(malicious.ids)
+    flagged = node_mask(sets.ids, malicious.ids)
     polarity = [MALICIOUS if bad else BENIGN
                 for bad in flagged[sets.nodes[founders]].any(axis=1).tolist()]
     return LabelTable(

@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .graph import Graph, NodeIndex
+from .graph import Graph
 from .ingest import EventTable
 
 DEFAULT_SET_SIZE = 5
@@ -39,17 +39,17 @@ class NodeSet:
 
 @dataclass(frozen=True, eq=False)
 class ChainBatch:
-    """Enumerated chains as integer rows over the node index they were
-    enumerated with.
+    """Enumerated chains as integer rows over the node table they were
+    enumerated from, whose ids list is ids.
 
-    Row i of nodes holds chain i's K node numbers (positions in index.ids) in
+    Row i of nodes holds chain i's K node numbers (rows of that table) in
     path order and row i of edges its K-1 event indices; anchor_ts[i] is the
     timestamp of its first edge. features, once featurize_sets has run, is
     the read-only S x D feature matrix. Indexing and iteration give one
     NodeSet per row, its feature a row view.
     """
 
-    index: NodeIndex
+    ids: list[str]
     nodes: np.ndarray
     edges: np.ndarray
     anchor_ts: np.ndarray | list[int]
@@ -59,9 +59,8 @@ class ChainBatch:
         return len(self.anchor_ts)
 
     def __getitem__(self, i: int) -> NodeSet:
-        ids = self.index.ids
         return NodeSet(
-            node_ids=tuple([ids[v] for v in self.nodes[i].tolist()]),
+            node_ids=tuple(map(self.ids.__getitem__, self.nodes[i].tolist())),
             edge_indices=tuple(self.edges[i].tolist()),
             anchor_ts=int(self.anchor_ts[i]),
             feature=None if self.features is None else self.features[i])
@@ -94,7 +93,7 @@ class _HalfEdges(NamedTuple):
     stamps: list[int]
 
 
-def _half_edges(index: NodeIndex, events: EventTable, size: int
+def _half_edges(events: EventTable, node_count: int, size: int
                 ) -> _HalfEdges:
     """Sorted half-edges plus their reach bounds, capped at size - 2.
 
@@ -104,12 +103,12 @@ def _half_edges(index: NodeIndex, events: EventTable, size: int
     bound never undercounts what the DFS can still add. Self-loop events are
     left out; a chain can never use one.
     """
-    kept = index.src != index.dst
+    kept = events.src != events.dst
     keep = np.flatnonzero(kept)
     m = len(keep)
     n = 2 * m
     if not m:
-        return _HalfEdges([0] * (len(index.ids) + 1), [], [], [], b"",
+        return _HalfEdges([0] * (node_count + 1), [], [], [], b"",
                           [], [], [], [])
     # Timestamps enter the search and numpy arithmetic only as dense ranks,
     # so no value can overflow.
@@ -126,7 +125,7 @@ def _half_edges(index: NodeIndex, events: EventTable, size: int
     del chrono, in_order, stamp_of
     # Half-edge h < m sits at the subject of kept event h, h >= m at the
     # object of kept event h - m.
-    subjects, objects = index.src[keep], index.dst[keep]
+    subjects, objects = events.src[keep], events.dst[keep]
     node = np.concatenate([subjects, objects])
     ts = np.concatenate([rank, rank])
     order = np.lexsort((np.arange(n, dtype=np.int32) % m, ts, node)
@@ -137,7 +136,7 @@ def _half_edges(index: NodeIndex, events: EventTable, size: int
     node_s = node[order]
     ts_s = ts[order]
     del node, ts
-    bounds = np.searchsorted(node_s, np.arange(len(index.ids) + 1))
+    bounds = np.searchsorted(node_s, np.arange(node_count + 1))
     # Where bisect_left starts each half-edge's scan (the first of its node's
     # edges at its timestamp) and where its node's block ends.
     new_run = np.ones(n, dtype=bool)
@@ -166,7 +165,7 @@ def _half_edges(index: NodeIndex, events: EventTable, size: int
     # ints: one per number up to the largest position, event index or node
     # number, made once. They are built one at a time, each once the arrays
     # it no longer needs are dropped.
-    numbers = np.arange(max(n + 1, len(events), len(index.ids))
+    numbers = np.arange(max(n + 1, len(events), node_count)
                         ).astype(object)
     edge_of = numbers[keep]
     del keep
@@ -207,10 +206,9 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
         raise ValueError(f"set size must be at least 2, got {size}")
     if cap_per_anchor < 0:
         raise ValueError("cap_per_anchor must be 0 (unlimited) or positive")
-    index = NodeIndex.of(graph)
     events = graph.events
     (bounds, ts_list, edge_list, neighbors, ahead, anchors, starts,
-     nexts, stamps) = _half_edges(index, events, size)
+     nexts, stamps) = _half_edges(events, len(graph.table), size)
     want_edges = size - 1
     limit = min(size - 2, REACH_LIMIT)
     budget = cap_per_anchor if cap_per_anchor > 0 else None
@@ -264,7 +262,7 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
 
     nodes = np.array(out_nodes, dtype=np.intp).reshape(-1, size)
     edges = np.array(out_edges, dtype=np.intp).reshape(-1, want_edges)
-    return ChainBatch(index=index, nodes=nodes, edges=edges,
+    return ChainBatch(ids=graph.table.ids, nodes=nodes, edges=edges,
                       anchor_ts=events.ts[edges[:, 0]])
 
 

@@ -3,10 +3,11 @@
 The top-ranked benign labels' representatives, rows of the label table's
 matrix, are compared against every node-set of the evaluation graph; nodes
 covered by any matching set are removed (`graph.remove_nodes` builds the
-reduced graph from a report's ids). Every per-node count (removed,
-malicious, population) is taken over the node index the chains were
-enumerated with, `ChainBatch.index`. Reports carry the node accounting,
-false-negative and false-positive counts, and per-stage timings.
+reduced graph from a report's mask). A node is its row of the evaluation
+graph's node table, and every per-node count (removed, malicious,
+population) is taken over those rows. Reports carry the node accounting,
+false-negative and false-positive counts, per-stage timings and the removal
+mask.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import candidate_window, effective_threshold, window_holds
-from .graph import Graph
+from .graph import Graph, node_mask
 from .label import BENIGN, LabelTable, MaliciousNodeList
 from .nodeset import (
     DEFAULT_CAP_PER_ANCHOR,
@@ -48,14 +49,19 @@ class ReductionReport:
     fp_count: int
     declared_nodes_total: int = 0
     per_stage_seconds: dict = field(default_factory=dict)
-    removed_node_ids: list[str] | None = None
     note: str = ""
+    # Per node of the evaluation graph, whether this run removed it.
+    removed: np.ndarray | None = field(default=None, repr=False,
+                                       compare=False)
 
-    def to_dict(self, include_removed_ids: bool = False) -> dict:
+    def to_dict(self, ids: list[str] | None = None) -> dict:
+        """The report's fields; given the evaluation graph's node ids, also
+        the removed nodes' ids, sorted."""
         out = dict(vars(self), per_stage_seconds=dict(self.per_stage_seconds))
-        removed = out.pop("removed_node_ids")
-        if include_removed_ids and removed is not None:
-            out["removed_node_ids"] = sorted(removed)
+        removed = out.pop("removed")
+        if ids is not None and removed is not None:
+            out["removed_node_ids"] = sorted(
+                [ids[v] for v in np.flatnonzero(removed).tolist()])
         return out
 
 
@@ -171,7 +177,6 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: np.ndarray,
                 embedder, malicious: MaliciousNodeList, ns: list[int],
                 threshold: float = 1.0, size: int = DEFAULT_SET_SIZE,
                 cap_per_anchor: int = DEFAULT_CAP_PER_ANCHOR,
-                keep_removed_ids: bool = False,
                 include_isolated_nodes: bool = False,
                 counts: dict | None = None) -> list[ReductionReport]:
     """One reduction report per requested top-n, sharing a single match pass.
@@ -180,10 +185,10 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: np.ndarray,
     rank of any matching chain that holds it; the nodes removed at n are
     those whose rank is below n. The reduction rate is taken over the nodes
     incident to at least one event, or over every node when
-    include_isolated_nodes is set.
-    A single-n reduction is `ns=[n], keep_removed_ids=True`, then
-    `graph.remove_nodes` on the ids. A counts dict, when given, receives the
-    enumeration's `nodeset.chain_counts`.
+    include_isolated_nodes is set. Each report carries its removal mask;
+    `graph.remove_nodes(g_eval, report.removed)` gives its reduced graph. A
+    counts dict, when given, receives the enumeration's
+    `nodeset.chain_counts`.
     """
     if sorted(ns) != list(ns):
         raise ValueError("top-n list must be ascending")
@@ -205,16 +210,15 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: np.ndarray,
     if counts is not None:
         counts.update(chain_counts(sets, cap_per_anchor))
 
-    index = sets.index
-    flagged = index.mask(malicious.ids)
+    flagged = node_mask(sets.ids, malicious.ids)
     if include_isolated_nodes:
-        in_population = np.ones(len(index.ids), dtype=bool)
+        in_population = np.ones(len(sets.ids), dtype=bool)
     else:
-        in_population = index.incident()
+        in_population = g_eval.incident()
     population_total = int(in_population.sum())
     malicious_total = int((flagged & in_population).sum())
     # Per node, the lowest rank of a matching chain holding it.
-    node_rank = np.full(len(index.ids), len(reps), dtype=np.int64)
+    node_rank = np.full(len(sets.ids), len(reps), dtype=np.int64)
     matched = ranks >= 0
     np.minimum.at(node_rank, sets.nodes[matched], ranks[matched][:, None])
 
@@ -229,6 +233,7 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: np.ndarray,
             int(removed_malicious.sum()),
             malicious_total - int((removed_malicious & in_population).sum()),
             len(g_eval.table))
+        report.removed = removed
         report.per_stage_seconds = dict(shared)
         report.per_stage_seconds["select"] = time.perf_counter() - t4
         report.per_stage_seconds["total"] = (
@@ -236,9 +241,6 @@ def sweep_top_n(g_eval: Graph, table: LabelTable, w_eval: np.ndarray,
         if n > len(ranked):
             report.note = (f"requested top-{n} but only {len(ranked)} "
                            f"benign labels exist")
-        if keep_removed_ids:
-            report.removed_node_ids = sorted(
-                [index.ids[v] for v in np.flatnonzero(removed).tolist()])
         reports.append(report)
     return reports
 

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from provprune.embed import candidate_window, effective_threshold
-from provprune.graph import NodeIndex, build_graph, write_graph
+from provprune.graph import build_graph, write_graph
 from provprune.ingest import (
     KIND_PROCESS,
     SYSCALL_OBJECT_KIND,
@@ -433,6 +433,12 @@ def exhaustive_removed_nodes(sets, reps, cutoff):
     return removed
 
 
+def removed_ids(graph, report):
+    """The ids of the nodes that report's mask removes from graph."""
+    ids = graph.table.ids
+    return {ids[v] for v in np.flatnonzero(report.removed).tolist()}
+
+
 def reference_match_ranks(features, reps, cutoff):
     """Per feature row, the lowest rank of a rep it scores at or above
     cutoff with, or -1: every row against every rep, in scalar arithmetic."""
@@ -761,7 +767,7 @@ def rewritten_sidecar(path, **members):
 def chain_batch(sets, dim=None):
     """A ChainBatch whose rows are the given NodeSets, in order.
 
-    Nodes are numbered in sorted id order, by an index of no events.
+    Nodes are numbered in sorted id order.
     Features are stacked when every set has one (dim gives the width of an
     empty batch), else left unset.
     """
@@ -772,9 +778,8 @@ def chain_batch(sets, dim=None):
     if all(s.feature is not None for s in sets):
         features = np.array([s.feature for s in sets], dtype=np.float64)
         features = features.reshape(len(sets), -1 if sets else dim or 0)
-    empty = np.zeros(0, dtype=np.intp)
     return ChainBatch(
-        index=NodeIndex(ids, empty, empty),
+        ids=ids,
         nodes=np.array([[number[nid] for nid in s.node_ids] for s in sets],
                        dtype=np.intp).reshape(-1, size),
         edges=np.array([s.edge_indices for s in sets],

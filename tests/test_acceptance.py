@@ -40,6 +40,7 @@ from oracles import (
     expected_weights,
     graph_of,
     random_graph_records,
+    removed_ids,
     weights_by_id,
 )
 
@@ -302,13 +303,13 @@ def test_criterion_7_removal_matches_exhaustive_matcher():
     assert len(g_eval.events) <= 5000
     malicious = MaliciousNodeList(ids=set(truth_eval.malicious_ids))
     report, = sweep_top_n(g_eval, table, w_eval, emb, malicious,
-                          ns=[len(ranked)], keep_removed_ids=True)
+                          ns=[len(ranked)])
 
     sets_eval = featurize_sets(enumerate_node_sets(g_eval), g_eval, w_eval,
                                emb)
     oracle = exhaustive_removed_nodes(sets_eval, reps,
                                       effective_threshold(1.0))
-    assert set(report.removed_node_ids) == oracle
+    assert removed_ids(g_eval, report) == oracle
 
 
 def test_criterion_8_export_parse_round_trip_is_lossless():

@@ -11,7 +11,7 @@ import pytest
 
 from provprune import cli
 from provprune.cli import LabelConfig, main
-from provprune.graph import build_graph, remove_nodes
+from provprune.graph import build_graph, node_mask, remove_nodes
 from provprune.ingest import parse_file
 from provprune.label import TABLE_FORMAT
 
@@ -414,7 +414,8 @@ def test_equal_removals_export_identical_graphs(corpus):
     nodes, events, _ = parse_file(str(corpus / "b" / "corpus.jsonl"))
     full = build_graph(nodes, events)
     for report in reports:
-        reduced = remove_nodes(full, report["removed_node_ids"])
+        reduced = remove_nodes(full, node_mask(full.table.ids,
+                                               report["removed_node_ids"]))
         for fmt in ("jsonl", "dot"):
             path = red / f"reduced_top{report['n_requested']}.{fmt}"
             assert path.read_text() == export_graph(reduced, fmt)
@@ -978,8 +979,8 @@ def test_table_without_its_sidecar_is_refused(corpus, capsys):
 def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
                                                           monkeypatch):
     """A missing, truncated, garbage or pickled sidecar, one whose arrays
-    disagree with each other (an assignment naming no label, zero-vector
-    sets outside 0..len(assignment)), or one of other bytes than
+    disagree with each other (an assignment naming no label or that no
+    labeling gives, zero-vector sets outside 0..len(assignment)), or one of other bytes than
     labels.json, is refused before the evaluation corpus is parsed: exit 1
     naming the sidecar and why, no traceback and no reports. The table is
     never read from labels.json instead."""
@@ -1006,6 +1007,12 @@ def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
     past_last[-1] = labels
     negative = assignment.copy()
     negative[0] = -1
+    # Entries that each name a label, in an order no labeling gives: the
+    # first chain joins label 1, and the last label loses its members.
+    assert assignment[0] == 0 and labels - 1 in assignment
+    reordered = assignment.copy()
+    reordered[0] = 1
+    unfounded = np.where(assignment == labels - 1, 0, assignment)
 
     def edited(path):
         # One polarity changed: the sidecar no longer matches the bytes.
@@ -1020,6 +1027,8 @@ def test_table_without_a_matching_sidecar_loads_from_json(corpus, capsys,
                "unreadable"),
               (rewritten(assignment=past_last), "unreadable"),
               (rewritten(assignment=negative), "unreadable"),
+              (rewritten(assignment=reordered), "unreadable"),
+              (rewritten(assignment=unfounded), "unreadable"),
               (rewritten(zero_vector_sets=np.array(-1)), "unreadable"),
               (rewritten(zero_vector_sets=np.array(len(assignment) + 1)),
                "unreadable"),

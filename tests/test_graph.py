@@ -2,13 +2,14 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 
 from provprune.graph import (
-    NodeIndex,
     build_graph,
     dot_lines,
     graph_lines,
+    node_mask,
     remove_nodes,
     save_graph,
     summarize,
@@ -160,9 +161,6 @@ def test_record_views_give_the_records_built_from():
         assert sorted(g.events, key=temporal_order) == sorted(
             events, key=temporal_order)
         assert [g.events[i] for i in range(-len(events), 0)] == list(g.events)
-        index = NodeIndex.of(g)
-        assert index.ids is g.table.ids
-        assert index.src is g.events.src and index.dst is g.events.dst
 
 
 def test_parse_and_build_hold_few_bytes_per_record():
@@ -218,7 +216,7 @@ def test_zero_events_graph_is_isolated():
     g = graph_of(nodes, [])
     assert g.events == []
     assert event_node_ids(g) == set()
-    assert not NodeIndex.of(g).incident().any()
+    assert not g.incident().any()
 
 
 def test_handshake_identity():
@@ -239,24 +237,45 @@ def test_handshake_identity():
     assert sum(degree_counts(g).values()) == 2 * len(g.events)
 
 
+def remove_ids(g, ids):
+    """g without the nodes of the given ids."""
+    return remove_nodes(g, node_mask(g.table.ids, ids))
+
+
 def test_remove_nothing_is_identity():
     nodes, events = small_fixture()
     g = graph_of(nodes, events)
-    assert export_graph(remove_nodes(g, [])) == export_graph(g)
+    assert export_graph(remove_ids(g, [])) == export_graph(g)
 
 
 def test_remove_everything():
     nodes, events = small_fixture()
-    g = remove_nodes(graph_of(nodes, events), ["p1", "p2", "fA"])
+    g = remove_ids(graph_of(nodes, events), ["p1", "p2", "fA"])
     assert not g.nodes and not g.events
 
 
 def test_remove_unknown_ids_ignored():
     nodes, events = small_fixture()
     g = graph_of(nodes, events)
-    h = remove_nodes(g, ["nope", "p2"])
-    assert h == remove_nodes(g, ["p2"])
+    mask = node_mask(g.table.ids, ["nope", "p2"])
+    assert mask.tolist() == node_mask(g.table.ids, ["p2"]).tolist()
+    h = remove_nodes(g, mask)
+    assert h == remove_ids(g, ["p2"])
     assert "p2" not in h.nodes
+
+
+@pytest.mark.parametrize("mask", [
+    np.zeros(2, dtype=bool), np.zeros(4, dtype=bool),
+    np.zeros((3, 1), dtype=bool), np.zeros(3, dtype=np.int8),
+    np.array([0, 1, 0]), ["p1", "p2", "fA"], {"p2"}, "p2"],
+    ids=["short", "long", "2-d", "int8", "ints", "ids", "id-set", "id"])
+def test_remove_refuses_a_mask_of_another_shape_or_kind(mask):
+    """A removal mask is one bool per node, in the node table's order; ids
+    or numbers, which a caller may mean as anything, are refused."""
+    nodes, events = small_fixture()
+    g = graph_of(nodes, events)
+    with pytest.raises(ValueError, match="one bool per node, 3 here"):
+        remove_nodes(g, mask)
 
 
 def test_removal_drops_incident_edges_full_scan():
@@ -265,7 +284,7 @@ def test_removal_drops_incident_edges_full_scan():
         nodes, events = random_graph_records(rng)
         g = graph_of(nodes, events)
         victims = {n.id for n in nodes if rng.random() < 0.3}
-        h = remove_nodes(g, victims)
+        h = remove_ids(g, victims)
         assert not victims & set(h.nodes)
         for ev in h.events:
             assert ev.subject not in victims and ev.object not in victims
@@ -281,8 +300,8 @@ def test_removal_order_insensitive():
     ids = [n.id for n in nodes]
     a = set(rng.sample(ids, 3))
     b = set(rng.sample(ids, 3))
-    combined = remove_nodes(g, a | b)
-    staged = remove_nodes(remove_nodes(g, a), b)
+    combined = remove_ids(g, a | b)
+    staged = remove_ids(remove_ids(g, a), b)
     assert export_graph(combined) == export_graph(staged)
 
 
@@ -440,10 +459,9 @@ def test_incident_nodes_equal_the_oracle():
         nodes.append(NodeRecord(id="island", kind="file", path="/island"))
         g = graph_of(nodes, events)
         loops += sum(ev.subject == ev.object for ev in g.events)
-        index = NodeIndex.of(g)
         want = event_node_ids(g)
         assert "island" not in want
-        assert index.mask(want).tolist() == index.incident().tolist()
+        assert node_mask(g.table.ids, want).tolist() == g.incident().tolist()
         assert summarize(g)["event_nodes"] == len(want)
     assert loops
 
@@ -464,13 +482,14 @@ class _ScanOnly:
 
 def test_mask_makes_a_set_of_any_other_iterable():
     nodes, events = small_fixture()
-    index = NodeIndex.of(graph_of(nodes, events))
+    ids = graph_of(nodes, events).table.ids
     members = {"p2", "elsewhere"}
-    want = index.mask(members)
-    assert want.tolist() == [nid in members for nid in index.ids]
-    assert index.mask(_ScanOnly(members)).tolist() == want.tolist()
-    assert index.mask(iter(sorted(members))).tolist() == want.tolist()
-    assert index.mask(dict.fromkeys(members).keys()).tolist() == want.tolist()
+    want = node_mask(ids, members)
+    assert want.tolist() == [nid in members for nid in ids]
+    assert node_mask(ids, _ScanOnly(members)).tolist() == want.tolist()
+    assert node_mask(ids, iter(sorted(members))).tolist() == want.tolist()
+    assert node_mask(ids, dict.fromkeys(members).keys()).tolist() == \
+        want.tolist()
 
 
 def test_graph_lines_nodes_before_events():

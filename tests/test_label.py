@@ -743,6 +743,17 @@ def spoiled_member(**members):
      "unreadable"),
     (spoiled_member(zero_vector_sets=np.array(-1)), "unreadable"),
     (spoiled_member(zero_vector_sets=np.array(22)), "unreadable"),
+    # Every entry names a label, but no labeling gives the assignment: label
+    # 1 is never founded, labels are founded out of order, the last label
+    # has no member, and nine labels have no chain.
+    (spoiled_member(assignment=np.array([0, *range(2, 9), 0] + [0] * 12)),
+     "unreadable"),
+    (spoiled_member(assignment=np.array([1, 0, *range(2, 9)] + [0] * 12)),
+     "unreadable"),
+    (spoiled_member(assignment=np.array([*range(8)] + [0] * 13)),
+     "unreadable"),
+    (spoiled_member(assignment=np.zeros(0, dtype=np.int64),
+                    zero_vector_sets=np.array(0)), "unreadable"),
 ])
 def test_sidecar_that_fails_a_check_leaves_the_json(tmp_path, spoil, why):
     """A sidecar that fails a check is refused, naming it and why: the

@@ -6,7 +6,6 @@ import pytest
 
 from provprune import nodeset
 from provprune.embed import HashNgramEmbedder, compute_weights
-from provprune.graph import NodeIndex
 from provprune.ingest import Event, NodeRecord, compute_corpus_stats
 from provprune.nodeset import _half_edges, enumerate_node_sets, featurize_sets
 
@@ -129,7 +128,10 @@ def test_chain_invariants_on_random_graphs():
     for _ in range(25):
         nodes, events = random_graph_records(rng)
         g = graph_of(nodes, events)
-        for s in enumerate_node_sets(g, size=5, cap_per_anchor=0):
+        sets = enumerate_node_sets(g, size=5, cap_per_anchor=0)
+        # A chain's node numbers are rows of the graph's own node table.
+        assert sets.ids is g.table.ids
+        for s in sets:
             assert len(set(s.node_ids)) == 5
             stamps = [g.events[i].ts for i in s.edge_indices]
             assert stamps == sorted(stamps)
@@ -235,7 +237,7 @@ def test_star_lists_its_half_edges_and_no_live_anchor():
     enters the table once per end, and no anchor orientation can reach a
     5-node chain, so the DFS starts from none."""
     g = graph_of(*star_graph(20000))
-    table = _half_edges(NodeIndex.of(g), g.events, 5)
+    table = _half_edges(g.events, len(g.table), 5)
     assert len(table.ts) == len(table.edge) == len(table.neighbor) == 40000
     assert len(table.reach) == 40000
     assert table.anchors == table.starts == table.nexts == []

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from oracles import (
     exhaustive_removed_nodes,
     graph_of,
     reference_match_ranks,
+    removed_ids,
     underflowing_twin,
     weights_by_id,
     window_edge_features,
@@ -140,9 +142,8 @@ def small_spec(seed, reps=(6, 4), attack=True):
 
 def reduce_top(g, table, weights, emb, malicious, n):
     """A single-n reduction: a one-entry sweep, then node removal."""
-    report, = sweep_top_n(g, table, weights, emb, malicious, ns=[n],
-                          keep_removed_ids=True)
-    return remove_nodes(g, report.removed_node_ids), report
+    report, = sweep_top_n(g, table, weights, emb, malicious, ns=[n])
+    return remove_nodes(g, report.removed), report
 
 
 def test_empty_reps_removes_nothing():
@@ -157,7 +158,7 @@ def test_empty_reps_removes_nothing():
 def test_single_n_reduction_removes_pattern_nodes():
     g, weights, emb, malicious, table, truth = pipeline_pieces(small_spec(4))
     reduced, report = reduce_top(g, table, weights, emb, malicious, 2)
-    removed = set(report.removed_node_ids)
+    removed = removed_ids(g, report)
     assert set(truth.pattern_node_ids) <= removed
     assert not removed & set(truth.malicious_ids)
     assert report.fn_count == 0
@@ -174,14 +175,13 @@ def test_reduce_matches_exhaustive_matcher():
     sets = featurize_sets(enumerate_node_sets(g), g, weights, emb)
     want = exhaustive_removed_nodes(sets, list(reps),
                                     effective_threshold(1.0))
-    assert set(report.removed_node_ids) == want
+    assert removed_ids(g, report) == want
 
 
 def test_sweep_reports_consistent_with_single_runs():
     g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(6))
     ns = [1, 2, 5]
-    reports = sweep_top_n(g, table, weights, emb, malicious, ns=ns,
-                          keep_removed_ids=True)
+    reports = sweep_top_n(g, table, weights, emb, malicious, ns=ns)
     ranked = rank_benign_labels(table)
     sets = featurize_sets(enumerate_node_sets(g), g, weights, emb)
     incident = event_node_ids(g)
@@ -190,7 +190,10 @@ def test_sweep_reports_consistent_with_single_runs():
         want = exhaustive_removed_nodes(sets, list(reps),
                                         effective_threshold(1.0))
         kept = incident - want
-        assert set(report.removed_node_ids) == want
+        assert removed_ids(g, report) == want
+        # Listed in id order, which is not the node table's.
+        assert report.to_dict(g.table.ids)["removed_node_ids"] == \
+            sorted(want) != [nid for nid in g.table.ids if nid in want]
         assert report.nodes_removed == len(want)
         assert report.fn_count == len(want & malicious.ids)
         assert report.fp_count == len(kept - malicious.ids)
@@ -223,7 +226,8 @@ def test_sweep_refuses_table_of_another_width_before_enumerating():
 def test_report_dict_copies_fields_and_lists_ids_on_request():
     report = assemble_report(3, 2, 10, 2, 0, 1, 12)
     report.per_stage_seconds = {"match": 0.5}
-    report.removed_node_ids = ["p9", "p1"]
+    report.removed = np.array([False, True, False, True])
+    ids = ["p9", "p1", "p5", "p0"]
     plain = report.to_dict()
     assert sorted(plain) == sorted(
         ["n_requested", "labels_used", "total_nodes_before", "nodes_removed",
@@ -231,10 +235,11 @@ def test_report_dict_copies_fields_and_lists_ids_on_request():
          "declared_nodes_total", "per_stage_seconds", "note"])
     assert plain["per_stage_seconds"] == report.per_stage_seconds
     assert plain["per_stage_seconds"] is not report.per_stage_seconds
-    assert report.to_dict(include_removed_ids=True)["removed_node_ids"] == \
-        ["p1", "p9"]
-    report.removed_node_ids = None
-    assert "removed_node_ids" not in report.to_dict(include_removed_ids=True)
+    assert report.to_dict(ids)["removed_node_ids"] == ["p0", "p1"]
+    assert " removed=" not in repr(report)
+    assert report == replace(report, removed=None)
+    report.removed = None
+    assert "removed_node_ids" not in report.to_dict(ids)
 
 
 def test_sweep_n_zero_removes_nothing():
@@ -290,9 +295,8 @@ def test_sweep_follows_changes_made_after_indexing():
         reports = sweep_top_n(graph, table,
                               weights_over(weights, first, graph), emb,
                               malicious,
-                              ns=[1, 3], keep_removed_ids=True,
-                              include_isolated_nodes=True)
-        return chains, [(r.total_nodes_before, r.removed_node_ids,
+                              ns=[1, 3], include_isolated_nodes=True)
+        return chains, [(r.total_nodes_before, removed_ids(graph, r),
                          r.fn_count, r.fp_count) for r in reports]
 
     def fresh(graph):
@@ -315,10 +319,9 @@ def test_sweep_follows_changes_made_after_indexing():
 
 def test_fn_matches_independent_recount():
     g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(11))
-    reports = sweep_top_n(g, table, weights, emb, malicious, ns=[5],
-                          keep_removed_ids=True)
+    reports = sweep_top_n(g, table, weights, emb, malicious, ns=[5])
     report = reports[0]
-    recount = sum(1 for nid in report.removed_node_ids if nid in malicious.ids)
+    recount = len(removed_ids(g, report) & malicious.ids)
     assert report.fn_count == recount
 
 
@@ -481,11 +484,10 @@ def test_pipeline_leaves_no_cyclic_garbage(tmp_path):
         table, _ = stage("labels.json", label_table_from_json(
             path.read_text(encoding="utf-8"), sidecar_path(path)))
         reports = stage("sweep", sweep_top_n(
-            g, table, weights, emb, malicious, ns=[1, 5],
-            keep_removed_ids=True))
+            g, table, weights, emb, malicious, ns=[1, 5]))
         write_sweep_csv(reports, tmp_path / "sweep.csv")
         stage("sweep.csv", None)
-        reduced = stage("remove", remove_nodes(g, reports[-1].removed_node_ids))
+        reduced = stage("remove", remove_nodes(g, reports[-1].removed))
         for fmt in ("jsonl", "dot"):
             write_graph(reduced, io.StringIO(), fmt)
             stage(fmt, None)
