@@ -8,6 +8,7 @@ tail of the path, earliest candidate edge first.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
@@ -72,7 +73,7 @@ class ChainBatch:
 class _HalfEdges(NamedTuple):
     """Both ends of every non-self-loop event, grouped by node number.
 
-    Node v owns positions bounds[v]:bounds[v + 1] of the flat lists, in
+    Node v owns positions bounds[v]:bounds[v + 1] of the flat arrays, in
     (timestamp, edge index) order; a node without edges owns none. ts holds
     each half-edge's timestamp rank, dense among the kept events, so ranks
     compare as the timestamps do. reach[pos] bounds the edges that can
@@ -82,15 +83,20 @@ class _HalfEdges(NamedTuple):
     and timestamp rank, in event order, subject first.
     """
 
-    bounds: list[int]
-    ts: list[int]
-    edge: list[int]
-    neighbor: list[int]
+    bounds: array
+    ts: array
+    edge: array
+    neighbor: array
     reach: bytes
-    anchors: list[int]
-    starts: list[int]
-    nexts: list[int]
-    stamps: list[int]
+    anchors: array
+    starts: array
+    nexts: array
+    stamps: array
+
+
+def _int_array(values: np.ndarray) -> array:
+    """values as a C int array, which the search indexes like a list."""
+    return array("i", values.astype(np.intc).tobytes())
 
 
 def _half_edges(events: EventTable, node_count: int, size: int
@@ -98,97 +104,92 @@ def _half_edges(events: EventTable, node_count: int, size: int
     """Sorted half-edges plus their reach bounds, capped at size - 2.
 
     reach(e, v) is the length of the longest walk that can follow after
-    arriving at v through e, each step taking an edge other than the one it
-    arrived through and no earlier than it. Walks may revisit nodes, so the
-    bound never undercounts what the DFS can still add. Self-loop events are
-    left out; a chain can never use one.
+    arriving at v through e from u, each step taking an edge no earlier than
+    the one before it and never stepping back to the node just left, over
+    any of their edges. A simple path never takes that step, and walks may
+    revisit every other node, so the bound never undercounts what the DFS
+    can still add. Self-loop events are left out; a chain can never use one.
     """
-    kept = events.src != events.dst
-    keep = np.flatnonzero(kept)
+    keep = np.flatnonzero(events.src != events.dst)
     m = len(keep)
     n = 2 * m
-    if not m:
-        return _HalfEdges([0] * (node_count + 1), [], [], [], b"",
-                          [], [], [], [])
     # Timestamps enter the search and numpy arithmetic only as dense ranks,
-    # so no value can overflow.
-    # Events are kept in temporal order, so the stable sort is a single
-    # linear run. Ranks and positions are int32, which holds them below
-    # 2**30 events.
-    stamp_of = events.ts[keep]
-    del kept
-    chrono = np.argsort(stamp_of, kind="stable")
-    in_order = stamp_of[chrono]
-    rank = np.zeros(m, dtype=np.int32)
-    rank[chrono[1:]] = np.cumsum(in_order[1:] != in_order[:-1],
-                                 dtype=np.int32)
-    del chrono, in_order, stamp_of
+    # so no value can overflow. Ranks and positions are int32, which holds
+    # them below 2**30 events.
+    rank = np.unique(events.ts[keep], return_inverse=True)[1].astype(np.int32)
     # Half-edge h < m sits at the subject of kept event h, h >= m at the
     # object of kept event h - m.
     subjects, objects = events.src[keep], events.dst[keep]
     node = np.concatenate([subjects, objects])
     ts = np.concatenate([rank, rank])
-    order = np.lexsort((np.arange(n, dtype=np.int32) % m, ts, node)
-                       ).astype(np.int32)
+    half = np.arange(n, dtype=np.int32)
+    order = np.lexsort((half % m, ts, node)).astype(np.int32)
     pos = np.empty(n, dtype=np.int32)
-    pos[order] = np.arange(n, dtype=np.int32)
+    pos[order] = half
     twin = np.concatenate([pos[m:], pos[:m]])[order]
+    del pos
     node_s = node[order]
     ts_s = ts[order]
+    neighbor_s = np.concatenate([objects, subjects])[order]
     del node, ts
-    bounds = np.searchsorted(node_s, np.arange(node_count + 1))
+    bounds = np.searchsorted(node_s, np.arange(node_count + 1)
+                             ).astype(np.int32)
     # Where bisect_left starts each half-edge's scan (the first of its node's
     # edges at its timestamp) and where its node's block ends.
     new_run = np.ones(n, dtype=bool)
     new_run[1:] = (node_s[1:] != node_s[:-1]) | (ts_s[1:] != ts_s[:-1])
-    del ts_s
-    run_start = np.where(new_run, np.arange(n, dtype=np.int32), 0)
+    run_start = np.where(new_run, half, 0)
     np.maximum.accumulate(run_start, out=run_start)
-    node_end = bounds[node_s + 1].astype(np.int32)
-    del node_s, new_run
+    node_end = bounds[node_s + 1]
+    # The same two ends among the half-edges to one neighbor, grouped in
+    # by_pair in scan order: a step back to the node just left takes these.
+    by_pair = np.lexsort((neighbor_s, node_s)).astype(np.int32)
+    pair = node_s[by_pair].astype(np.int64) * node_count + neighbor_s[by_pair]
+    ts_s = ts_s[by_pair]
+    new_run[1:] = (pair[1:] != pair[:-1]) | (ts_s[1:] != ts_s[:-1])
+    pair_start = np.where(new_run, half, 0)
+    np.maximum.accumulate(pair_start, out=pair_start)
+    pair_end = np.searchsorted(pair, pair, side="right").astype(np.int32)
+    del node_s, ts_s, new_run, half, pair
 
-    # Pass t marks the half-edges with reach >= t: some other edge at the
-    # node, no earlier, leads to a far end with reach >= t - 1.
+    # Pass t marks the half-edges with reach >= t: some edge at the node,
+    # no earlier, to another neighbor leads to a far end with reach >= t - 1.
     limit = min(size - 2, REACH_LIMIT)
     reach = np.zeros(n, dtype=np.uint8)
     level = np.ones(n, dtype=bool)
     suffix = np.zeros(n + 1, dtype=np.int32)
+    back = np.zeros(n + 1, dtype=np.int32)
     for _ in range(limit):
         ahead = level[twin]
-        np.cumsum(ahead[::-1], dtype=np.int32, out=suffix[n - 1::-1])
-        level = suffix[run_start] - suffix[node_end] - ahead > 0
+        np.cumsum(ahead[::-1], dtype=np.int32, out=suffix[:n][::-1])
+        np.cumsum(ahead[by_pair][::-1], dtype=np.int32, out=back[:n][::-1])
+        counts = suffix[run_start]
+        counts -= suffix[node_end]
+        counts[by_pair] -= back[pair_start] - back[pair_end]
+        level = counts > 0
         if not level.any():
             break
         reach += level
-    del run_start, node_end, suffix, level
-    # The lists handed to the DFS gather from object arrays and share their
-    # ints: one per number up to the largest position, event index or node
-    # number, made once. They are built one at a time, each once the arrays
-    # it no longer needs are dropped.
-    numbers = np.arange(max(n + 1, len(events), node_count)
-                        ).astype(object)
-    edge_of = numbers[keep]
-    del keep
-    # Subject first, the anchor arrives at its object; object first, at its
-    # subject.
-    live = np.stack([reach[pos[m:]], reach[pos[:m]]], axis=1) >= limit
-    del pos
-    ends = np.stack([subjects, objects], axis=1)
-    anchors = np.stack([edge_of, edge_of], axis=1)[live].tolist()
-    starts = numbers[ends[live]].tolist()
-    nexts = numbers[ends[:, ::-1][live]].tolist()
-    stamps = numbers[np.stack([rank, rank], axis=1)[live]].tolist()
-    del live, ends
-    reach = reach[twin].tobytes()
+    del run_start, node_end, suffix, back, level, by_pair, pair_start, pair_end
+    # What the search reads at a half-edge: the reach past its neighbor.
+    reach = reach[twin]
     del twin
-    neighbor = numbers[np.concatenate([objects, subjects])[order]].tolist()
+    # Subject first, the anchor leaves its subject's half-edge; object
+    # first, its object's.
+    live = np.empty(n, dtype=bool)
+    live[order] = reach >= limit
+    live = live.reshape(2, m).T
+    ends = np.stack([subjects, objects], axis=1)
+    anchors = _int_array(np.stack([keep, keep], axis=1)[live])
+    starts = _int_array(ends[live])
+    nexts = _int_array(ends[:, ::-1][live])
+    stamps = _int_array(np.stack([rank, rank], axis=1)[live])
+    del live, ends, subjects, objects
     half = order % m
-    del subjects, objects, order
-    bounds = numbers[bounds].tolist()
-    ts = numbers[rank[half]].tolist()
-    del numbers, rank
-    return _HalfEdges(bounds, ts, edge_of[half].tolist(), neighbor, reach,
-                      anchors, starts, nexts, stamps)
+    del order
+    return _HalfEdges(_int_array(bounds), _int_array(rank[half]),
+                      _int_array(keep[half]), _int_array(neighbor_s),
+                      reach.tobytes(), anchors, starts, nexts, stamps)
 
 
 def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
@@ -211,54 +212,60 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
      nexts, stamps) = _half_edges(events, len(graph.table), size)
     want_edges = size - 1
     limit = min(size - 2, REACH_LIMIT)
-    budget = cap_per_anchor if cap_per_anchor > 0 else None
     # Emitted chains, flattened: K node numbers and K - 1 edges per chain.
-    out_nodes: list[int] = []
-    out_edges: list[int] = []
-
-    def extend(tail: int, last_ts: int) -> bool:
-        """Depth-first growth; returns False once the budget is spent."""
-        nonlocal remaining
-        if len(chain_edges) == want_edges:
-            out_nodes.extend(chain_nodes)
-            out_edges.extend(chain_edges)
-            if remaining is not None:
-                remaining -= 1
-                return remaining > 0
-            return True
-        lo, hi = bounds[tail], bounds[tail + 1]
-        need = min(want_edges - len(chain_edges) - 1, limit)
-        for pos in range(bisect_left(ts_list, last_ts, lo, hi), hi):
-            neighbor = neighbors[pos]
-            if ahead[pos] < need or neighbor in visited:
-                continue
-            chain_nodes.append(neighbor)
-            chain_edges.append(edge_list[pos])
-            visited.add(neighbor)
-            alive = extend(neighbor, ts_list[pos])
-            visited.discard(neighbor)
-            chain_edges.pop()
-            chain_nodes.pop()
-            if not alive:
-                return False
-        return True
-
-    previous = -1
-    for anchor_idx, start, nxt, stamp in zip(anchors, starts, nexts, stamps):
-        if anchor_idx != previous:
-            previous, remaining = anchor_idx, budget
-        elif remaining is not None and remaining <= 0:
+    out_nodes, out_edges = array("i"), array("i")
+    previous = left = -1
+    for anchor, start, nxt, stamp in zip(anchors, starts, nexts, stamps):
+        # left counts down the chains the anchor may still emit; it never
+        # reaches 0 without a cap.
+        if anchor != previous:
+            previous, left = anchor, cap_per_anchor or -1
+        if not left:
             continue
-        chain_nodes = [start, nxt]
-        chain_edges = [anchor_idx]
-        visited = {start, nxt}
-        extend(nxt, stamp)
-    # The function refers to itself through its closure cell; emptying the
-    # cell leaves no reference cycle behind. The search lists go before the
-    # result is allocated, which can then take their place instead of
-    # pinning the heap above them.
-    del (extend, bounds, ts_list, edge_list, neighbors, ahead, anchors,
-         starts, nexts, stamps)
+        nodes, edges, visited = [start, nxt], [anchor], {start, nxt}
+        # One scan per path node past the first: its half-edges no earlier
+        # than the edge that reached it, resumed where the last step left.
+        # A 2-node chain is its anchor and scans nothing.
+        scans = []
+        if want_edges > 1:
+            lo, hi = bounds[nxt], bounds[nxt + 1]
+            scans.append(iter(range(bisect_left(ts_list, stamp, lo, hi), hi)))
+        else:
+            out_nodes.extend(nodes)
+            out_edges.extend(edges)
+            left -= 1
+        while scans:
+            need = want_edges - 1 - len(scans)
+            if need > limit:
+                need = limit
+            for pos in scans[-1]:
+                tail = neighbors[pos]
+                if ahead[pos] >= need and tail not in visited:
+                    break
+            else:
+                scans.pop()
+                visited.discard(nodes.pop())
+                edges.pop()
+                continue
+            if len(scans) + 1 < want_edges:
+                nodes.append(tail)
+                edges.append(edge_list[pos])
+                visited.add(tail)
+                lo, hi = bounds[tail], bounds[tail + 1]
+                scans.append(iter(range(
+                    bisect_left(ts_list, ts_list[pos], lo, hi), hi)))
+                continue
+            out_nodes.extend(nodes)
+            out_nodes.append(tail)
+            out_edges.extend(edges)
+            out_edges.append(edge_list[pos])
+            left -= 1
+            if not left:
+                break
+    # The search arrays go before the result is allocated, which can then
+    # take their place instead of pinning the heap above them.
+    del (bounds, ts_list, edge_list, neighbors, ahead, anchors, starts,
+         nexts, stamps)
 
     nodes = np.array(out_nodes, dtype=np.intp).reshape(-1, size)
     edges = np.array(out_edges, dtype=np.intp).reshape(-1, want_edges)

@@ -119,8 +119,7 @@ def _min_match_ranks(features: np.ndarray, reps: np.ndarray,
                      threshold: float) -> np.ndarray:
     """For each feature row, the lowest rep rank that matches it, or -1.
 
-    When reps reach under half of one another on average, rows go in
-    ascending projection onto the candidate window's direction
+    Rows go in ascending projection onto the candidate window's direction
     (embed.candidate_window), a chunk at a time, each against the reps, in
     rank order, within reach of the chunk's projections: a rep out of reach
     scores below the cutoff. A chunk holding a row the window's bound does
@@ -140,17 +139,10 @@ def _min_match_ranks(features: np.ndarray, reps: np.ndarray,
     direction, radius = candidate_window(cutoff, reps.shape[1])
     rep_proj = reps @ direction
     every_rank = np.arange(reps.shape[0])
-    ordered = np.sort(rep_proj)
-    reach = (np.searchsorted(ordered, ordered + radius, side="right")
-             - np.searchsorted(ordered, ordered - radius, side="left"))
-    windowed = 2 * int(reach.sum()) < every_rank.size ** 2
-    if windowed:
-        everywhere = ~window_holds(reps)
-        proj = (features @ direction) / safe
-        # argsort puts NaN projections last.
-        order = np.argsort(proj, kind="stable")
-    else:
-        order = np.arange(features.shape[0])
+    everywhere = ~window_holds(reps)
+    proj = (features @ direction) / safe
+    # argsort puts NaN projections last.
+    order = np.argsort(proj, kind="stable")
     chunk = max(1, min(MATCH_CHUNK, MATCH_BUDGET // reps.shape[0]))
     for lo in range(0, features.shape[0], chunk):
         rows = order[lo:lo + chunk]
@@ -158,8 +150,7 @@ def _min_match_ranks(features: np.ndarray, reps: np.ndarray,
         block = features[rows]
         block /= safe[rows, None]
         ids = every_rank
-        if (windowed and not np.isnan(proj[rows[-1]])
-                and window_holds(block).all()):
+        if not np.isnan(proj[rows[-1]]) and window_holds(block).all():
             ids = np.flatnonzero(everywhere | (
                 (rep_proj >= proj[rows[0]] - radius)
                 & (rep_proj <= proj[rows[-1]] + radius)))

@@ -622,6 +622,31 @@ def random_graph_records(rng, max_nodes=30, max_events=60,
     return nodes, events
 
 
+def multigraph_records(rng, max_processes=7, max_events=40):
+    """A small corpus of repeated events: few nodes and many events, most
+    of them parallel to another, between processes in both directions, plus
+    self-loops and timestamps from a small range, so ties are common."""
+    procs = [NodeRecord(id=f"p{i}", kind="process", cmdline=f"cmd-{i}")
+             for i in range(rng.randint(2, max_processes))]
+    files = [NodeRecord(id=f"f{i}", kind="file", path=f"/data/{i}")
+             for i in range(rng.randint(0, 2))]
+    pairs = [(rng.choice(procs), rng.choice(procs + files))
+             for _ in range(rng.randint(1, len(procs) + len(files)))]
+    top = rng.choice([0, 2, 5])
+    events = []
+    for _ in range(rng.randint(1, max_events)):
+        subject, target = rng.choice(pairs)
+        if target.kind == "process":
+            if rng.random() < 0.5:
+                subject, target = target, subject
+            syscall = rng.choice(["clone", "execve"])
+        else:
+            syscall = rng.choice(["read", "write"])
+        events.append(Event(subject=subject.id, object=target.id,
+                            syscall=syscall, ts=rng.randint(0, top)))
+    return procs + files, events
+
+
 # Strings and ints at the edges of the JSON encoding: quotes, backslashes,
 # control characters, non-ASCII, lone surrogates, whitespace runs, empties.
 EDGE_TEXTS = ["", '"', "\\", "\x00\x1f\x7f", "\n\r\t\x0b\x0c", "caf\u00e9",

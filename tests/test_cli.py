@@ -15,8 +15,9 @@ from provprune.graph import build_graph, node_mask, remove_nodes
 from provprune.ingest import parse_file
 from provprune.label import TABLE_FORMAT
 
-from oracles import export_graph, rewritten_sidecar
+from oracles import export_graph, record_lines, rewritten_sidecar
 from test_golden import mask_timings
+from test_nodeset import process_chain
 
 SPEC = {
     "seed": 31,
@@ -146,6 +147,19 @@ def test_label_writes_table_and_echo(corpus, capsys):
     assert record["config"]["dim"] == 64
     assert sorted(path.name for path in out.iterdir()) == [
         "label_metrics.json", "labels.json", "labels.npz"]
+
+
+def test_label_takes_a_set_size_deeper_than_the_stack(tmp_path):
+    """A 1,300-node temporal path labels at set size 1200: each of its 101
+    chains joins a label, and no depth limit stops the search."""
+    names = [f"p{i}" for i in range(1300)]
+    path = tmp_path / "path.jsonl"
+    path.write_text("\n".join(record_lines(*process_chain(names, 0))) + "\n")
+    out = tmp_path / "lab"
+    assert main(["label", "--labeled", str(path), "--set-size", "1200",
+                 "--out", str(out)]) == 0
+    table = json.loads((out / "labels.json").read_text())
+    assert len(table["assignment"]) == 101
 
 
 def test_reduce_end_to_end(corpus, capsys):

@@ -15,6 +15,7 @@ from oracles import (
     EDGE_TS,
     edge_graph_records,
     graph_of,
+    multigraph_records,
     ordered_chains,
     random_graph_records,
     sum_feature_by_hand,
@@ -189,6 +190,16 @@ def test_capped_order_matches_ordered_oracle_with_ties():
         assert_matches_ordered_oracle(graph_of(nodes, events))
 
 
+def test_repeated_events_match_ordered_oracle():
+    """Parallel edges both ways, self-loops and tied timestamps: a step
+    back to the node just left, over any of their edges, is never part of
+    a chain, and leaving it out of the reach bound loses none."""
+    rng = random.Random(2626)
+    for _ in range(100):
+        g = graph_of(*multigraph_records(rng))
+        assert_matches_ordered_oracle(g, sizes=(2, 3, 4, 5, 6), caps=(0, 1, 3))
+
+
 def star_graph(leaves, hub="h", ts=lambda i: i + 1, prefix="f"):
     nodes = [NodeRecord(id=hub, kind="process", cmdline="hub")]
     nodes += [NodeRecord(id=f"{prefix}{i}", kind="file", path=f"/{prefix}/{i}")
@@ -240,13 +251,101 @@ def test_star_lists_its_half_edges_and_no_live_anchor():
     table = _half_edges(g.events, len(g.table), 5)
     assert len(table.ts) == len(table.edge) == len(table.neighbor) == 40000
     assert len(table.reach) == 40000
-    assert table.anchors == table.starts == table.nexts == []
+    assert len(table.anchors) == len(table.starts) == len(table.nexts) == 0
+
+
+def single_writer(m):
+    """One process writes one file m times."""
+    nodes = [NodeRecord(id="w", kind="process", cmdline="w"),
+             NodeRecord(id="log", kind="file", path="/log")]
+    events = [Event(subject="w", object="log", syscall="write", ts=i)
+              for i in range(m)]
+    return nodes, events
+
+
+def config_writer(m, configs=41):
+    """A writer reads its config files, then appends to a log m times; a
+    reader then reads the log and writes one output."""
+    nodes = [NodeRecord(id=n, kind="process", cmdline=n)
+             for n in ("writer", "reader")]
+    nodes += [NodeRecord(id=f"c{i}", kind="file", path=f"/etc/{i}")
+              for i in range(configs)]
+    nodes += [NodeRecord(id=n, kind="file", path=f"/{n}")
+              for n in ("log", "out")]
+    events = [Event(subject="writer", object=f"c{i}", syscall="read", ts=i)
+              for i in range(configs)]
+    events += [Event(subject="writer", object="log", syscall="write",
+                     ts=configs + i) for i in range(m)]
+    events += [Event(subject="reader", object="log", syscall="read",
+                     ts=configs + m),
+               Event(subject="reader", object="out", syscall="write",
+                     ts=configs + m + 1)]
+    return nodes, events
+
+
+class CountedReads:
+    """A reach table that counts the entries read from it."""
+
+    def __init__(self, reach):
+        self.reach, self.count = reach, 0
+
+    def __getitem__(self, pos):
+        self.count += 1
+        return self.reach[pos]
+
+
+def reach_reads(monkeypatch, graph):
+    """The chains of graph at the defaults and the reach entries the search
+    read to find them."""
+    tables = []
+
+    def counted(*args):
+        table = _half_edges(*args)
+        tables.append(CountedReads(table.reach))
+        return table._replace(reach=tables[-1])
+
+    monkeypatch.setattr(nodeset, "_half_edges", counted)
+    sets = enumerate_node_sets(graph)
+    return len(sets), tables[0].count
+
+
+@pytest.mark.parametrize("shape, chains", [(single_writer, 0),
+                                           (config_writer, 41 * 8)])
+def test_repeated_events_cost_linear_work(monkeypatch, shape, chains):
+    """Stepping back over a parallel edge is no way forward, so each
+    repeated event costs the search a bounded number of reads: doubling
+    the events at most doubles them."""
+    reads = []
+    for m in (500, 1000, 2000):
+        found, count = reach_reads(monkeypatch, graph_of(*shape(m)))
+        assert found == chains
+        reads.append(count)
+    assert reads[1] <= 2 * reads[0] and reads[2] <= 2 * reads[1]
+
+
+def test_single_writer_lists_no_live_anchor():
+    g = graph_of(*single_writer(8000))
+    table = _half_edges(g.events, len(g.table), 5)
+    assert len(table.reach) == 16000
+    assert len(table.anchors) == len(table.starts) == len(table.nexts) == 0
+
+
+def test_set_size_has_no_depth_limit():
+    """A 1,200-node chain is found on a 1,300-node temporal path: one per
+    run of consecutive nodes, each anchored at its own first edge."""
+    names = [f"p{i}" for i in range(1300)]
+    g = graph_of(*process_chain(names, first_ts=0))
+    sets = enumerate_node_sets(g, size=1200)
+    assert [(s.node_ids, s.edge_indices) for s in sets] == [
+        (tuple(names[i:i + 1200]), tuple(range(i, i + 1199)))
+        for i in range(101)]
 
 
 # tracemalloc peak of enumerate_node_sets on synth_graph(), measured at
-# 688,062 bytes (Python 3.11, numpy 2.4); building the half-edge lists
-# through fresh ints and full-size temporaries took 1,727,398.
-ENUMERATE_PEAK_BYTES = 688_062
+# 596,966 bytes (Python 3.11, numpy 2.4) with the search on typed arrays;
+# lists sharing one int per number took 645,701, and building them through
+# fresh ints and full-size temporaries 1,727,398.
+ENUMERATE_PEAK_BYTES = 596_966
 
 
 def test_enumerate_peak_memory_stays_at_its_measure():
