@@ -1,80 +1,43 @@
-"""Frequent-benign-activity extraction and provenance graph reduction."""
+"""Frequent-benign-activity extraction and provenance graph reduction.
+
+Each public name is imported from its module the first time it is read
+(PEP 562), so `import provprune` loads neither numpy nor any stage.
+"""
 
 __version__ = "0.1.0"
 
-from .embed import (
-    DEFAULT_DIM,
-    DEFAULT_SEED,
-    HashNgramEmbedder,
-    VectorFileEmbedder,
-    compute_weights,
-    get_embedder,
-)
-from .graph import Graph, build_graph, remove_nodes
-from .ingest import (
-    ANALYZED_SYSCALLS,
-    CorpusStats,
-    Event,
-    EventTable,
-    NodeRecord,
-    NodeTable,
-    ParseStats,
-    cmdline_frequency,
-    compute_corpus_stats,
-    parse_file,
-    parse_stream,
-    top_commands,
-)
-from .label import (
-    LabelTable,
-    MaliciousNodeList,
-    build_malicious_list,
-    label_node_sets,
-)
-from .nodeset import ChainBatch, NodeSet, enumerate_node_sets, featurize_sets
-from .reduce import (
-    ReductionReport,
-    rank_benign_labels,
-    representatives,
-    sweep_top_n,
-)
-from .synthgen import GroundTruth, SynthSpec, generate
+# Each module and the public names it defines, each named once.
+_EXPORTS = {
+    "embed": ("DEFAULT_DIM", "DEFAULT_SEED", "HashNgramEmbedder",
+              "VectorFileEmbedder", "compute_weights", "get_embedder"),
+    "graph": ("Graph", "build_graph", "remove_nodes"),
+    "ingest": ("ANALYZED_SYSCALLS", "CorpusStats", "Event", "EventTable",
+               "NodeRecord", "NodeTable", "ParseStats", "cmdline_frequency",
+               "compute_corpus_stats", "parse_file", "parse_stream",
+               "top_commands"),
+    "label": ("LabelTable", "MaliciousNodeList", "build_malicious_list",
+              "label_node_sets"),
+    "nodeset": ("ChainBatch", "NodeSet", "enumerate_node_sets",
+                "featurize_sets"),
+    "reduce": ("ReductionReport", "rank_benign_labels", "representatives",
+               "sweep_top_n"),
+    "synthgen": ("GroundTruth", "SynthSpec", "generate"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-__all__ = [
-    "ANALYZED_SYSCALLS",
-    "ChainBatch",
-    "CorpusStats",
-    "DEFAULT_DIM",
-    "DEFAULT_SEED",
-    "Event",
-    "EventTable",
-    "Graph",
-    "GroundTruth",
-    "HashNgramEmbedder",
-    "LabelTable",
-    "MaliciousNodeList",
-    "NodeRecord",
-    "NodeSet",
-    "NodeTable",
-    "ParseStats",
-    "ReductionReport",
-    "SynthSpec",
-    "VectorFileEmbedder",
-    "build_graph",
-    "build_malicious_list",
-    "cmdline_frequency",
-    "compute_corpus_stats",
-    "compute_weights",
-    "enumerate_node_sets",
-    "featurize_sets",
-    "generate",
-    "get_embedder",
-    "label_node_sets",
-    "parse_file",
-    "parse_stream",
-    "rank_benign_labels",
-    "remove_nodes",
-    "representatives",
-    "sweep_top_n",
-    "top_commands",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -34,7 +34,6 @@ from .label import (TABLE_FORMAT, build_malicious_list, file_sha256,
 from .nodeset import (DEFAULT_CAP_PER_ANCHOR, DEFAULT_SET_SIZE, chain_counts,
                       enumerate_node_sets, featurize_sets)
 from .reduce import sweep_top_n, write_sweep_csv
-from .synthgen import generate, ioc_file_lines, sample_spec_json, spec_from_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -290,12 +289,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Only synth generates, so the other commands never load the generator.
+    from .synthgen import (generate, ioc_file_lines, sample_spec_json,
+                           spec_from_json)
+
     if args.sample_spec:
         print(sample_spec_json())
         return EXIT_OK
     if not args.spec:
         raise ValueError("synth needs a spec file (or --sample-spec)")
-    spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
+    try:
+        spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"spec {args.spec} is not shaped as a SynthSpec: "
+                         f"{exc}") from None
     lines, truth = generate(spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -503,14 +510,19 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     payload = json.loads(Path(args.reports).read_text(encoding="utf-8"))
-    header = f"{'n':>6} {'nodes':>10} {'removed':>10} {'FN':>6} {'FP':>10} " \
-             f"{'rate%':>8} {'seconds':>9}"
-    print(header)
-    for entry in payload:
-        print(f"{entry['n_requested']:>6} {entry['nodes_after']:>10} "
-              f"{entry['nodes_removed']:>10} {entry['fn_count']:>6} "
-              f"{entry['fp_count']:>10} {entry['reduction_rate']:>8.2f} "
-              f"{entry['per_stage_seconds'].get('total', 0.0):>9.3f}")
+    try:
+        rows = [f"{entry['n_requested']:>6} {entry['nodes_after']:>10} "
+                f"{entry['nodes_removed']:>10} {entry['fn_count']:>6} "
+                f"{entry['fp_count']:>10} {entry['reduction_rate']:>8.2f} "
+                f"{entry['per_stage_seconds'].get('total', 0.0):>9.3f}"
+                for entry in payload]
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{args.reports} is not shaped as reports.json: "
+                         f"{exc}") from None
+    print(f"{'n':>6} {'nodes':>10} {'removed':>10} {'FN':>6} {'FP':>10} "
+          f"{'rate%':>8} {'seconds':>9}")
+    for row in rows:
+        print(row)
     return EXIT_OK
 
 
@@ -534,19 +546,16 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return handler(args)
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
-        print(f"provprune: input error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"provprune: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"provprune: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
-        print(f"provprune: internal invariant violated: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"provprune: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_INTERNAL
     finally:
         if gc_was_enabled:
             gc.enable()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

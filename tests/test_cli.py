@@ -126,6 +126,64 @@ def test_synth_outputs(corpus):
         assert (corpus / "a" / name).exists()
 
 
+@pytest.mark.parametrize("spec", [
+    {"benign_patterns": [{"kinds": 5, "texts": ["a", "b"],
+                          "repetitions": 2}]},
+    {"benign_patterns": 3},
+    [1, 2],
+])
+def test_synth_misshaped_spec_is_usage_error(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["synth", str(path), "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert "spec.json" in err and "Traceback" not in err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"n_requested": 3},
+    [{"n_requested": 3, "nodes_after": 1, "nodes_removed": 0, "fn_count": 0,
+      "fp_count": 0, "reduction_rate": 0.0, "per_stage_seconds": 1.5}],
+])
+def test_report_misshaped_reports_is_usage_error(tmp_path, capsys, payload):
+    path = tmp_path / "reports.json"
+    path.write_text(json.dumps(payload))
+    assert main(["report", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "reports.json" in err and "Traceback" not in err
+
+
+def test_output_path_errors_are_io_errors(corpus, capsys):
+    taken = corpus / "taken"
+    taken.write_text("")
+    assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+                 "--out", str(taken)]) == 2
+    assert main(["stats", str(corpus / "a" / "corpus.jsonl"),
+                 "--out", str(taken / "s.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("provprune: I/O error: ") for line in err)
+
+
+@pytest.mark.parametrize("fault", [RuntimeError("boom"),
+                                   AssertionError("boom"),
+                                   RecursionError("boom")])
+def test_unnamed_exception_is_one_line_internal_error(tmp_path, capsys,
+                                                      monkeypatch, fault):
+    def broken(graph):
+        raise fault
+
+    monkeypatch.setattr(cli, "summarize", broken)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["stats", str(empty)]) == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert err == f"provprune: internal error: {type(fault).__name__}: boom\n"
+
+
 def test_unknown_flag_exits_one():
     with pytest.raises(SystemExit) as err:
         main(["stats", "--frobnicate"])

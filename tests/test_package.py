@@ -1,0 +1,175 @@
+"""The package's import surface and the command's process setup.
+
+Public names load on first use, so `import provprune` loads neither numpy
+nor a pipeline module, and the command sets its BLAS thread count before
+numpy is first imported.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import provprune
+from provprune import __main__ as entry
+from provprune.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Every public name, by the module that defines it, as the package listed
+# them when it imported each module eagerly.
+PUBLIC = {
+    "embed": ["DEFAULT_DIM", "DEFAULT_SEED", "HashNgramEmbedder",
+              "VectorFileEmbedder", "compute_weights", "get_embedder"],
+    "graph": ["Graph", "build_graph", "remove_nodes"],
+    "ingest": ["ANALYZED_SYSCALLS", "CorpusStats", "Event", "EventTable",
+               "NodeRecord", "NodeTable", "ParseStats", "cmdline_frequency",
+               "compute_corpus_stats", "parse_file", "parse_stream",
+               "top_commands"],
+    "label": ["LabelTable", "MaliciousNodeList", "build_malicious_list",
+              "label_node_sets"],
+    "nodeset": ["ChainBatch", "NodeSet", "enumerate_node_sets",
+                "featurize_sets"],
+    "reduce": ["ReductionReport", "rank_benign_labels", "representatives",
+               "sweep_top_n"],
+    "synthgen": ["GroundTruth", "SynthSpec", "generate"],
+}
+NAMES = sorted(name for names in PUBLIC.values() for name in names)
+
+
+def run_child(code: str, env_update: dict | None = None,
+              drop=()) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's src."""
+    env = dict(os.environ)
+    for name in drop:
+        env.pop(name, None)
+    env.update(env_update or {})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                      if p])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_import_loads_no_numpy_and_no_module():
+    done = run_child(
+        "import json, sys, provprune\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "    if m == 'numpy' or m.startswith(('numpy.', 'provprune.')))))")
+    assert json.loads(done.stdout) == []
+
+
+def test_all_lists_each_public_name_once():
+    assert len(NAMES) == 36
+    assert provprune.__all__ == NAMES
+
+
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in PUBLIC.items() for name in names])
+def test_public_name_is_its_module_attribute(module, name):
+    defining = importlib.import_module(f"provprune.{module}")
+    assert getattr(provprune, name) is getattr(defining, name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(NAMES) <= set(dir(provprune))
+    assert "__version__" in dir(provprune)
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        provprune.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from provprune import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(NAMES)
+    assert namespace["sweep_top_n"] is provprune.reduce.sweep_top_n
+
+
+def test_commands_other_than_synth_never_load_the_generator(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "seed": 3, "attack": True, "noise_events": 40,
+        "benign_patterns": [{"kinds": ["process"] * 4,
+                             "texts": ["a x", "b y", "c z", "d w"],
+                             "repetitions": 10}]}))
+    assert main(["synth", str(spec), "--out", str(tmp_path / "c")]) == 0
+    corpus, iocs = tmp_path / "c" / "corpus.jsonl", tmp_path / "c" / "iocs.tsv"
+    runs = [
+        ["stats", str(corpus), "--out", str(tmp_path / "stats.json")],
+        ["label", "--labeled", str(corpus), "--iocs", str(iocs),
+         "--out", str(tmp_path / "run")],
+        ["reduce", "--eval", str(corpus), "--iocs", str(iocs),
+         "--labels", str(tmp_path / "run" / "labels.json"),
+         "--emit-graph", "--out", str(tmp_path / "run")],
+        ["report", str(tmp_path / "run" / "reports.json")],
+        ["--version"],
+    ]
+    done = run_child(
+        "import json, sys\n"
+        "from provprune import cli\n"
+        "codes = []\n"
+        f"for argv in {runs!r}:\n"
+        "    try:\n"
+        "        codes.append(cli.main(argv))\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "print(json.dumps([codes, 'provprune.synthgen' in sys.modules]))")
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * 5
+    assert loaded is False
+
+
+@pytest.mark.parametrize("environ, expected", [
+    ({}, {name: "1" for name in entry.THREAD_VARS}),
+    ({"PATH": "/bin"},
+     {"PATH": "/bin", **{name: "1" for name in entry.THREAD_VARS}}),
+    ({"OMP_NUM_THREADS": "4"}, {"OMP_NUM_THREADS": "4"}),
+    ({"OPENBLAS_NUM_THREADS": "2", "PATH": "/bin"},
+     {"OPENBLAS_NUM_THREADS": "2", "PATH": "/bin"}),
+    ({"MKL_NUM_THREADS": ""}, {"MKL_NUM_THREADS": ""}),
+])
+def test_one_thread_unless_the_caller_sets_a_count(environ, expected):
+    entry.default_one_thread(environ)
+    assert environ == expected
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2",
+                                     "OMP_NUM_THREADS": None,
+                                     "MKL_NUM_THREADS": None}),
+])
+def test_numpy_loads_after_the_thread_setting(preset, expected):
+    """The command's entry point, as the console script calls it: numpy is
+    first imported with the thread variables already in place."""
+    done = run_child(
+        "import json, os, sys\n"
+        "names = ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS',"
+        " 'MKL_NUM_THREADS')\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append({n: os.environ.get(n) for n in names})\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "from provprune.__main__ import main\n"
+        "before = 'numpy' in sys.modules\n"
+        "try:\n"
+        "    main(['--version'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(json.dumps([before, 'numpy' in sys.modules, seen]))",
+        env_update=preset, drop=entry.THREAD_VARS)
+    before, after, seen = json.loads(done.stdout.splitlines()[-1])
+    assert before is False and after is True
+    assert seen == [expected]
