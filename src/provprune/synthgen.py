@@ -27,6 +27,10 @@ DEFAULT_ATTACK_KINDS = (
     KIND_PROCESS, KIND_FILE, KIND_PROCESS, KIND_NETFLOW, KIND_PROCESS,
     KIND_FILE, KIND_PROCESS, KIND_NETFLOW, KIND_PROCESS,
 )
+# generate() holds every line in memory, so a spec that plans more records
+# than this is refused before any line is built. The 4x evaluation corpus of
+# the tests plans under one million.
+MAX_RECORDS = 10_000_000
 DEFAULT_ATTACK_TEXTS = (
     "zz-dropper --fetch stage1",
     "/tmp/.zz-implant.bin",
@@ -107,6 +111,10 @@ def validate_spec(spec: SynthSpec) -> None:
     share = spec.target_benign_share
     if share is not None and not 0.0 < share <= 1.0:
         raise ValueError(f"target_benign_share must be in (0, 1], got {share}")
+    planned = planned_records(spec)
+    if planned > MAX_RECORDS:
+        raise ValueError(f"the spec plans up to {planned:.4g} records, over "
+                         f"the limit of {MAX_RECORDS:,}")
     if spec.disjoint_mode and spec.attack is not None:
         benign_texts = [t for pat in spec.benign_patterns for t in pat.texts]
         benign_texts += list(_noise_vocabulary(spec.seed))
@@ -116,6 +124,28 @@ def validate_spec(spec: SynthSpec) -> None:
                     raise ValueError(
                         f"attack text {attack_text!r} overlaps benign "
                         f"vocabulary entry {benign_text!r}")
+
+
+def planned_records(spec: SynthSpec) -> float:
+    """An upper bound on the lines generate(spec) writes, from the spec alone.
+
+    A chain of k nodes is k node lines and k - 1 event lines. Noise made to
+    a count of events is at most 3 lines per event (chains of 2 nodes), and
+    noise made to a share is under 2 lines per node.
+    """
+    pattern_nodes = sum(len(p.kinds) * p.repetitions
+                        for p in spec.benign_patterns)
+    records = 2 * pattern_nodes - sum(p.repetitions
+                                      for p in spec.benign_patterns)
+    attack_nodes = len(spec.attack.kinds) if spec.attack else 0
+    records += max(2 * attack_nodes - 1, 0)
+    share = spec.target_benign_share
+    if share is None:
+        return records + 3 * max(spec.noise_events, 0)
+    # In floats, where a share near 0 plans inf nodes and is refused; the
+    # + 1 covers generate's rounding of pattern_nodes / share.
+    noise_nodes = pattern_nodes / share + 1 - pattern_nodes - attack_nodes
+    return records + 2 * max(noise_nodes, 0)
 
 
 def _noise_vocabulary(seed: int) -> tuple[str, ...]:
@@ -283,13 +313,36 @@ def ioc_file_lines(truth: GroundTruth) -> list[str]:
     return lines
 
 
+def _integer(value, key: str) -> int:
+    """value, if it is a JSON integer; a float, bool or string is refused."""
+    if type(value) is not int:
+        raise ValueError(f"spec key {key} must be a JSON integer, "
+                         f"got {value!r}")
+    return value
+
+
+def _strings(values, key: str) -> tuple[str, ...]:
+    values = tuple(values)
+    for value in values:
+        if not isinstance(value, str):
+            raise ValueError(f"spec key {key} must hold JSON strings, "
+                             f"got {value!r}")
+    return values
+
+
 def spec_from_json(text: str) -> SynthSpec:
-    """Build a SynthSpec from its JSON file form."""
+    """Build a SynthSpec from its JSON file form.
+
+    Counts must be JSON integers and chain kinds and texts JSON strings; a
+    ValueError names the first key that is not.
+    """
     obj = json.loads(text)
     patterns = [
-        PatternSpec(kinds=tuple(p["kinds"]), texts=tuple(p["texts"]),
-                    repetitions=int(p["repetitions"]))
-        for p in obj.get("benign_patterns", [])
+        PatternSpec(kinds=_strings(p["kinds"], f"pattern {i} kinds"),
+                    texts=_strings(p["texts"], f"pattern {i} texts"),
+                    repetitions=_integer(p["repetitions"],
+                                         f"pattern {i} repetitions"))
+        for i, p in enumerate(obj.get("benign_patterns", []))
     ]
     attack_obj = obj.get("attack")
     if attack_obj is None or attack_obj is False:
@@ -297,15 +350,20 @@ def spec_from_json(text: str) -> SynthSpec:
     elif attack_obj is True:
         attack = AttackSpec()
     else:
-        attack = AttackSpec(kinds=tuple(attack_obj["kinds"]),
-                            texts=tuple(attack_obj["texts"]))
+        attack = AttackSpec(
+            kinds=_strings(attack_obj["kinds"], "attack kinds"),
+            texts=_strings(attack_obj["texts"], "attack texts"))
+    share = obj.get("target_benign_share")
+    if share is not None and type(share) not in (int, float):
+        raise ValueError(f"spec key target_benign_share must be a JSON "
+                         f"number, got {share!r}")
     return SynthSpec(
-        seed=int(obj.get("seed", 1)),
-        hosts=int(obj.get("hosts", 1)),
+        seed=_integer(obj.get("seed", 1), "seed"),
+        hosts=_integer(obj.get("hosts", 1), "hosts"),
         benign_patterns=patterns,
-        noise_events=int(obj.get("noise_events", 0)),
+        noise_events=_integer(obj.get("noise_events", 0), "noise_events"),
         attack=attack,
-        target_benign_share=obj.get("target_benign_share"),
+        target_benign_share=share,
         disjoint_mode=bool(obj.get("disjoint_mode", True)),
     )
 

@@ -141,6 +141,49 @@ def test_synth_misshaped_spec_is_usage_error(tmp_path, capsys, spec):
     assert not (tmp_path / "s").exists()
 
 
+PAIR = {"kinds": ["process", "process"], "texts": ["a x", "b y"],
+        "repetitions": 2}
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"noise_events": 1e9}, "noise_events"),
+    ({"noise_events": "40"}, "noise_events"),
+    ({"seed": 1.5}, "seed"),
+    ({"hosts": True}, "hosts"),
+    ({"benign_patterns": [dict(PAIR, repetitions=2.0)]},
+     "pattern 0 repetitions"),
+    ({"benign_patterns": [PAIR], "target_benign_share": "0.3"},
+     "target_benign_share"),
+    ({"benign_patterns": [PAIR, dict(PAIR, texts=[1, 2])]}, "pattern 1 texts"),
+    ({"benign_patterns": [dict(PAIR, kinds=[["process"], "process"])]},
+     "pattern 0 kinds"),
+    ({"attack": {"kinds": ["process", "process"], "texts": ["zz-a", None]}},
+     "attack texts"),
+    ({"noise_events": 10**9}, "10,000,000"),
+    ({"benign_patterns": [dict(PAIR, repetitions=10**8)]}, "10,000,000"),
+    ({"benign_patterns": [PAIR], "target_benign_share": 1e-9}, "10,000,000"),
+    ({"benign_patterns": [PAIR], "target_benign_share": 5e-324},
+     "10,000,000"),
+])
+def test_synth_refuses_spec_before_building(tmp_path, spec, named):
+    """A count that is not a JSON integer, a text that is not a string, or
+    a spec planning over 10,000,000 records exits 1 naming it, at once and
+    with nothing written. Building such a corpus would take minutes, so a
+    child that outlives the limit fails the test."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "provprune", "synth", str(path),
+         "--out", str(tmp_path / "s")],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 1, done.stderr
+    assert named in done.stderr and "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("payload", [
     [1, 2],
     {"n_requested": 3},

@@ -1,8 +1,8 @@
 """The package's import surface and the command's process setup.
 
 Public names load on first use, so `import provprune` loads neither numpy
-nor a pipeline module, and the command sets its BLAS thread count before
-numpy is first imported.
+nor a pipeline module. The command sets its BLAS thread count before numpy
+is first imported, and freezes the heap on its way out.
 """
 
 import importlib
@@ -16,7 +16,7 @@ import pytest
 
 import provprune
 from provprune import __main__ as entry
-from provprune.cli import main
+from provprune.cli import EXIT_OK, EXIT_USAGE, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -173,3 +173,57 @@ def test_numpy_loads_after_the_thread_setting(preset, expected):
     before, after, seen = json.loads(done.stdout.splitlines()[-1])
     assert before is False and after is True
     assert seen == [expected]
+
+
+def test_entry_point_freezes_the_heap_on_every_exit(tmp_path):
+    """provprune.__main__.main freezes the heap whether the command returns,
+    argparse exits (--version, and an unknown flag with the usage code) or
+    an exception escapes."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"cmdline":"a x","id":"p1","kind":"process","ts":1}\n'
+        '{"id":"f1","kind":"file","path":"/f","ts":1}\n'
+        '{"kind":"event","object":"f1","subject":"p1","syscall":"read",'
+        '"ts":2}\n')
+    done = run_child(
+        "import gc, json\n"
+        "from provprune import cli\n"
+        "from provprune.__main__ import main\n"
+        "def interrupted(args):\n"
+        "    raise KeyboardInterrupt\n"
+        "results = []\n"
+        f"for argv in [['--version'], ['stats', {str(corpus)!r}],\n"
+        f"             ['stats', {str(corpus)!r}, '--no-such-flag'],\n"
+        "             ['report', 'r.json']]:\n"
+        "    gc.unfreeze()\n"
+        "    assert gc.get_freeze_count() == 0\n"
+        "    cli._COMMANDS['report'] = interrupted\n"
+        "    try:\n"
+        "        outcome = main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        outcome = exc.code\n"
+        "    except KeyboardInterrupt:\n"
+        "        outcome = 'KeyboardInterrupt'\n"
+        "    results.append([outcome, gc.get_freeze_count() > 0])\n"
+        "print(json.dumps(results))")
+    results = json.loads(done.stdout.splitlines()[-1])
+    assert results == [[EXIT_OK, True], [EXIT_OK, True], [EXIT_USAGE, True],
+                       ["KeyboardInterrupt", True]]
+
+
+def test_in_process_cli_main_freezes_nothing(tmp_path):
+    """cli.main, as a library caller runs it, freezes nothing and gives the
+    caller's collector setting back."""
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("")
+    done = run_child(
+        "import gc, json\n"
+        "from provprune import cli\n"
+        "results = []\n"
+        "for enabled in (True, False):\n"
+        "    (gc.enable if enabled else gc.disable)()\n"
+        f"    code = cli.main(['stats', {str(corpus)!r}])\n"
+        "    results.append([code, gc.get_freeze_count(), gc.isenabled()])\n"
+        "print(json.dumps(results))")
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, True],
+                                                        [0, 0, False]]

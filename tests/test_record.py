@@ -1,4 +1,5 @@
-"""bench/record.py writes a BENCH file from a perfbench result line."""
+"""bench/record.py writes a BENCH file from a perfbench result line;
+bench/pairs.py summarizes alternating parent/change runs."""
 
 import importlib.util
 import json
@@ -37,3 +38,74 @@ def test_record_writes_the_result_line_and_the_machine(tmp_path, monkeypatch):
     assert written["numpy"] == version("numpy")
     assert written["orjson"] == version("orjson")
     assert type(written["nproc"]) is int and written["nproc"] >= 1
+
+
+def _pairs():
+    path = Path(__file__).resolve().parent.parent / "bench" / "pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(setup_s, reduce_s=None, failed=0):
+    metrics = {"setup_s": {"value": setup_s, "unit": "s"}}
+    if reduce_s is not None:
+        metrics["reduce_s"] = {"value": reduce_s, "unit": "s"}
+    return json.dumps({"correct": True, "attempted": 12, "failed": failed,
+                       "metrics": metrics})
+
+
+def test_pairs_reads_the_last_line_as_the_result():
+    pairs = _pairs()
+    stdout = "input corpus.jsonl: 3 lines, sha256 ab\n" + _result(0.2) + "\n"
+    assert pairs.result_of(stdout) == json.loads(_result(0.2))
+    for no_result in ("", "input corpus.jsonl: 3 lines\n",
+                      _result(0.2) + "\nTraceback (most recent call last)\n",
+                      '{"correct": true}\n', "[1, 2]\n"):
+        assert pairs.result_of(no_result) is None
+
+
+def test_pairs_summary_counts_lower_changes_and_skips_failed_runs():
+    pairs = _pairs()
+    parse = pairs.result_of
+    runs = [(parse(_result(0.24, 1.3)), parse(_result(0.21, 1.4))),
+            (parse(_result(0.23, 1.2)), parse(_result(0.22, 1.1))),
+            (parse(_result(0.26, 1.5)), None),
+            (parse(_result(0.25, 1.4, failed=1)), parse(_result(0.20, 1.0)))]
+    assert [pairs.run_ok(run) for pair in runs for run in pair] == [
+        True, True, True, True, True, False, False, True]
+    rows = {row["metric"]: row for row in pairs.summarize(
+        ["setup_s", "reduce_s", "label_s"], runs)}
+    setup = rows["setup_s"]
+    assert (setup["pairs"], setup["change_lower"]) == (2, 2)
+    assert setup["parent_median"] == 0.24
+    assert setup["change_median"] == 0.21
+    assert abs(setup["parent_iqr"] - 0.015) < 1e-12
+    assert (rows["reduce_s"]["pairs"], rows["reduce_s"]["change_lower"]) == (
+        2, 1)
+    assert rows["label_s"] == {"metric": "label_s", "pairs": 0,
+                               "change_lower": 0, "parent_median": None,
+                               "change_median": None, "parent_iqr": None}
+
+
+def test_pairs_alternates_sides_and_fails_on_a_missing_result(monkeypatch,
+                                                              capsys):
+    pairs = _pairs()
+    order = []
+    canned = iter([_result(0.24), _result(0.21), _result(0.20), "",
+                   _result(0.25), _result(0.22)])
+
+    def fake_run(checkout, bench, workload):
+        order.append(checkout.name)
+        return pairs.result_of(next(canned))
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    code = pairs.main(["p", "c", "--workload", "eval-100k", "--pairs", "3"])
+    out = capsys.readouterr().out
+    assert order == ["p", "c", "c", "p", "p", "c"]
+    assert code == 1
+    assert "pair 2 parent: FAILED, no result line" in out
+    setup = next(line for line in out.splitlines()
+                 if line.startswith("setup_s "))
+    assert setup.split() == ["setup_s", "0.2450", "0.2100", "0.0050", "2/2"]

@@ -1,6 +1,9 @@
 import json
+import random
 
 import pytest
+
+from provprune import synthgen
 
 from provprune.graph import build_graph
 from provprune.ingest import parse_stream
@@ -11,6 +14,7 @@ from provprune.synthgen import (
     SynthSpec,
     generate,
     ioc_file_lines,
+    planned_records,
     sample_spec_json,
     spec_from_json,
     validate_spec,
@@ -198,3 +202,46 @@ def test_hosts_shard_node_ids():
     nodes, _, _ = parse_stream(lines)
     prefixes = {n.id.split(":")[0] for n in nodes}
     assert prefixes == {"h0", "h1", "h2"}
+
+
+def test_planned_records_bound_the_lines_written():
+    """planned_records is an upper bound on generate's lines, and exact for
+    a spec of patterns and an attack chain only."""
+    exact = SynthSpec(seed=5, benign_patterns=[one_pattern(7)],
+                      attack=AttackSpec())
+    assert len(generate(exact)[0]) == planned_records(exact) == 7 * 9 + 17
+    rng = random.Random(3)
+    for seed in range(40):
+        pattern = one_pattern(rng.randint(1, 20),
+                              kinds=("process",) * rng.randint(2, 5))
+        pattern.texts = pattern.texts[:len(pattern.kinds)]
+        spec = SynthSpec(seed=seed, benign_patterns=[pattern],
+                         noise_events=rng.randint(0, 300),
+                         attack=rng.choice([None, AttackSpec()]),
+                         target_benign_share=rng.choice(
+                             [None, 0.05, 0.3, 0.9, 1.0]))
+        try:
+            lines, _ = generate(spec)
+        except ValueError:  # a share its patterns cannot reach
+            continue
+        assert len(lines) <= planned_records(spec)
+
+
+def test_spec_over_the_record_limit_is_refused(monkeypatch):
+    spec = SynthSpec(seed=6, benign_patterns=[one_pattern(4)],
+                     noise_events=30, attack=AttackSpec())
+    monkeypatch.setattr(synthgen, "MAX_RECORDS", planned_records(spec))
+    validate_spec(spec)
+    monkeypatch.setattr(synthgen, "MAX_RECORDS", planned_records(spec) - 1)
+    with pytest.raises(ValueError, match="plans up to"):
+        generate(spec)
+
+
+def test_spec_json_counts_and_texts_keep_their_types():
+    with pytest.raises(ValueError, match="noise_events"):
+        spec_from_json('{"noise_events": 40.0}')
+    with pytest.raises(ValueError, match="pattern 0 texts"):
+        spec_from_json(json.dumps({"benign_patterns": [
+            {"kinds": ["process"] * 2, "texts": ["a", 2], "repetitions": 1}]}))
+    spec = spec_from_json('{"seed": 12345678901234567890, "hosts": 3}')
+    assert (spec.seed, spec.hosts) == (12345678901234567890, 3)
