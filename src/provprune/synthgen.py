@@ -27,10 +27,6 @@ DEFAULT_ATTACK_KINDS = (
     KIND_PROCESS, KIND_FILE, KIND_PROCESS, KIND_NETFLOW, KIND_PROCESS,
     KIND_FILE, KIND_PROCESS, KIND_NETFLOW, KIND_PROCESS,
 )
-# generate() holds every line in memory, so a spec that plans more records
-# than this is refused before any line is built. The 4x evaluation corpus of
-# the tests plans under one million.
-MAX_RECORDS = 10_000_000
 DEFAULT_ATTACK_TEXTS = (
     "zz-dropper --fetch stage1",
     "/tmp/.zz-implant.bin",
@@ -42,6 +38,10 @@ DEFAULT_ATTACK_TEXTS = (
     "203.0.113.67:8443",
     "zz-cleaner --wipe-logs",
 )
+# generate() holds every line in memory, so a spec that plans more records
+# than this is refused before any line is built. eval-100k's evaluation
+# corpus is 237,890 lines, and four times its patterns give 951,205.
+MAX_RECORDS = 10_000_000
 
 
 @dataclass
@@ -313,21 +313,19 @@ def ioc_file_lines(truth: GroundTruth) -> list[str]:
     return lines
 
 
-def _integer(value, key: str) -> int:
-    """value, if it is a JSON integer; a float, bool or string is refused."""
-    if type(value) is not int:
-        raise ValueError(f"spec key {key} must be a JSON integer, "
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,)}
+
+
+def _json(value, key: str, kind: str = "integer"):
+    """value, if it is a JSON value of this kind (true is not an integer)."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ValueError(f"spec key {key} must be a JSON {kind}, "
                          f"got {value!r}")
     return value
 
 
 def _strings(values, key: str) -> tuple[str, ...]:
-    values = tuple(values)
-    for value in values:
-        if not isinstance(value, str):
-            raise ValueError(f"spec key {key} must hold JSON strings, "
-                             f"got {value!r}")
-    return values
+    return tuple(_json(value, key, "string") for value in values)
 
 
 def spec_from_json(text: str) -> SynthSpec:
@@ -340,8 +338,8 @@ def spec_from_json(text: str) -> SynthSpec:
     patterns = [
         PatternSpec(kinds=_strings(p["kinds"], f"pattern {i} kinds"),
                     texts=_strings(p["texts"], f"pattern {i} texts"),
-                    repetitions=_integer(p["repetitions"],
-                                         f"pattern {i} repetitions"))
+                    repetitions=_json(p["repetitions"],
+                                      f"pattern {i} repetitions"))
         for i, p in enumerate(obj.get("benign_patterns", []))
     ]
     attack_obj = obj.get("attack")
@@ -354,14 +352,13 @@ def spec_from_json(text: str) -> SynthSpec:
             kinds=_strings(attack_obj["kinds"], "attack kinds"),
             texts=_strings(attack_obj["texts"], "attack texts"))
     share = obj.get("target_benign_share")
-    if share is not None and type(share) not in (int, float):
-        raise ValueError(f"spec key target_benign_share must be a JSON "
-                         f"number, got {share!r}")
+    if share is not None:
+        _json(share, "target_benign_share", "number")
     return SynthSpec(
-        seed=_integer(obj.get("seed", 1), "seed"),
-        hosts=_integer(obj.get("hosts", 1), "hosts"),
+        seed=_json(obj.get("seed", 1), "seed"),
+        hosts=_json(obj.get("hosts", 1), "hosts"),
         benign_patterns=patterns,
-        noise_events=_integer(obj.get("noise_events", 0), "noise_events"),
+        noise_events=_json(obj.get("noise_events", 0), "noise_events"),
         attack=attack,
         target_benign_share=share,
         disjoint_mode=bool(obj.get("disjoint_mode", True)),
