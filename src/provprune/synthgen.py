@@ -313,7 +313,8 @@ def ioc_file_lines(truth: GroundTruth) -> list[str]:
     return lines
 
 
-_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,)}
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,),
+               "boolean": (bool,)}
 
 
 def _json(value, key: str, kind: str = "integer"):
@@ -331,8 +332,8 @@ def _strings(values, key: str) -> tuple[str, ...]:
 def spec_from_json(text: str) -> SynthSpec:
     """Build a SynthSpec from its JSON file form.
 
-    Counts must be JSON integers and chain kinds and texts JSON strings; a
-    ValueError names the first key that is not.
+    Counts must be JSON integers, disjoint_mode a boolean and chain kinds
+    and texts JSON strings; a ValueError names the first key that is not.
     """
     obj = json.loads(text)
     patterns = [
@@ -361,7 +362,8 @@ def spec_from_json(text: str) -> SynthSpec:
         noise_events=_json(obj.get("noise_events", 0), "noise_events"),
         attack=attack,
         target_benign_share=share,
-        disjoint_mode=bool(obj.get("disjoint_mode", True)),
+        disjoint_mode=_json(obj.get("disjoint_mode", True), "disjoint_mode",
+                            "boolean"),
     )
 
 

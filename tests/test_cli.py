@@ -150,6 +150,7 @@ PAIR = {"kinds": ["process", "process"], "texts": ["a x", "b y"],
     ({"noise_events": "40"}, "noise_events"),
     ({"seed": 1.5}, "seed"),
     ({"hosts": True}, "hosts"),
+    ({"disjoint_mode": "false"}, "disjoint_mode"),
     ({"benign_patterns": [dict(PAIR, repetitions=2.0)]},
      "pattern 0 repetitions"),
     ({"benign_patterns": [PAIR], "target_benign_share": "0.3"},
