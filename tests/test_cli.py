@@ -167,10 +167,10 @@ PAIR = {"kinds": ["process", "process"], "texts": ["a x", "b y"],
      "10,000,000"),
 ])
 def test_synth_refuses_spec_before_building(tmp_path, spec, named):
-    """A count that is not a JSON integer, a text that is not a string, or
-    a spec planning over 10,000,000 records exits 1 naming it, at once and
-    with nothing written. Building such a corpus would take minutes, so a
-    child that outlives the limit fails the test."""
+    """A value of the wrong JSON type (a float count, a string flag, a
+    number as a text) or a spec planning over 10,000,000 records exits 1
+    naming it, at once and with nothing written. Building such a corpus
+    would take minutes, so a child that outlives the limit fails the test."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

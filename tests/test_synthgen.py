@@ -4,7 +4,6 @@ import random
 import pytest
 
 from provprune import synthgen
-
 from provprune.graph import build_graph
 from provprune.ingest import parse_stream
 from provprune.synthgen import (
@@ -237,11 +236,8 @@ def test_spec_over_the_record_limit_is_refused(monkeypatch):
         generate(spec)
 
 
-def test_spec_json_counts_and_texts_keep_their_types():
-    with pytest.raises(ValueError, match="noise_events"):
-        spec_from_json('{"noise_events": 40.0}')
-    with pytest.raises(ValueError, match="pattern 0 texts"):
-        spec_from_json(json.dumps({"benign_patterns": [
-            {"kinds": ["process"] * 2, "texts": ["a", 2], "repetitions": 1}]}))
-    spec = spec_from_json('{"seed": 12345678901234567890, "hosts": 3}')
+def test_spec_json_takes_each_value_of_its_json_type():
+    spec = spec_from_json('{"seed": 12345678901234567890, "hosts": 3, '
+                          '"disjoint_mode": false}')
     assert (spec.seed, spec.hosts) == (12345678901234567890, 3)
+    assert spec.disjoint_mode is False
