@@ -8,8 +8,9 @@ __version__ = "0.1.0"
 
 # Each module and the public names it defines, each named once.
 _EXPORTS = {
-    "embed": ("DEFAULT_DIM", "DEFAULT_SEED", "HashNgramEmbedder",
-              "VectorFileEmbedder", "compute_weights", "get_embedder"),
+    "constants": ("DEFAULT_DIM", "DEFAULT_SEED"),
+    "embed": ("HashNgramEmbedder", "VectorFileEmbedder", "compute_weights",
+              "get_embedder"),
     "graph": ("Graph", "build_graph", "remove_nodes"),
     "ingest": ("ANALYZED_SYSCALLS", "CorpusStats", "Event", "EventTable",
                "NodeRecord", "NodeTable", "ParseStats", "cmdline_frequency",

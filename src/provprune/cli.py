@@ -24,21 +24,56 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
-from .embed import DEFAULT_DIM, DEFAULT_SEED, compute_weights, get_embedder
-from .graph import build_graph, remove_nodes, save_graph, summarize
-from .ingest import (cmdline_frequency, compute_corpus_stats, parse_file,
-                     top_commands)
-from .label import (TABLE_FORMAT, build_malicious_list, file_sha256,
-                    label_node_sets, label_table_from_json, parse_ioc_file,
-                    sidecar_path, write_sidecar)
-from .nodeset import (DEFAULT_CAP_PER_ANCHOR, DEFAULT_SET_SIZE, chain_counts,
-                      enumerate_node_sets, featurize_sets)
-from .reduce import sweep_top_n, write_sweep_csv
+from .constants import (DEFAULT_CAP_PER_ANCHOR, DEFAULT_DIM, DEFAULT_SEED,
+                        DEFAULT_SET_SIZE)
+
+# Each stage module and the names the commands take from it, each named
+# once. They are imported on first use, so a command that runs no stage
+# (--version, --help, a usage error, synth, report) loads neither numpy nor
+# any stage module.
+_STAGE_NAMES = {
+    "embed": ("compute_weights", "get_embedder"),
+    "graph": ("build_graph", "remove_nodes", "save_graph", "summarize"),
+    "ingest": ("cmdline_frequency", "compute_corpus_stats", "parse_file",
+               "top_commands"),
+    "label": ("TABLE_FORMAT", "build_malicious_list", "file_sha256",
+              "label_node_sets", "label_table_from_json", "parse_ioc_file",
+              "sidecar_path", "write_sidecar"),
+    "nodeset": ("chain_counts", "enumerate_node_sets", "featurize_sets"),
+    "reduce": ("sweep_top_n", "write_sweep_csv"),
+}
+_STAGE_OF = {name: module for module, names in _STAGE_NAMES.items()
+             for name in names}
+# The commands whose handlers call those names as globals.
+_STAGE_COMMANDS = ("stats", "label", "reduce")
+
+
+def __getattr__(name: str):
+    if name not in _STAGE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_STAGE_OF[name]}", __package__), name)
+    globals()[name] = value  # later reads, and the handlers, find it here
+    return value
+
+
+def _bind_stages() -> None:
+    """Bind every stage name not bound yet. A name already bound, such as a
+    caller's wrapper set on this module, is kept."""
+    for name in _STAGE_OF:
+        if name not in globals():
+            __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
+
+# The widest embedding label takes, from --dim or a vectors file: 512 KB
+# per float64 vector, and far wider than pretrained vectors come.
+MAX_DIM = 65536
 
 
 @dataclass
@@ -59,7 +94,8 @@ class LabelConfig:
 
     def validate(self) -> None:
         for name, ok, rule in (
-                ("dim", self.dim is None or self.dim >= 8, "at least 8"),
+                ("dim", self.dim is None or 8 <= self.dim <= MAX_DIM,
+                 f"in [8, {MAX_DIM}]"),
                 ("set_size", self.set_size >= 2, "at least 2"),
                 ("threshold", -1.0 <= self.threshold <= 1.0, "in [-1, 1]"),
                 ("cap_per_anchor", self.cap_per_anchor >= 0, "0 or more")):
@@ -411,6 +447,7 @@ def cmd_label(args: argparse.Namespace) -> int:
         raise ValueError(f"'dim' is the vectors file's width, {embedder.dim}, "
                          f"got {cfg.dim!r}")
     cfg.dim = embedder.dim
+    cfg.validate()  # a vectors file's width, as reduce checks the stamp
     run = _RunMetrics("label", cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -539,6 +576,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
+    if args.command in _STAGE_COMMANDS:
+        _bind_stages()
     # No stage leaves a reference cycle per record, chain or report (the
     # cyclic-garbage tests check each one), so the cyclic collector would
     # only rescan live objects; the caller's setting comes back afterwards.

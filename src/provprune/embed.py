@@ -15,11 +15,10 @@ import random
 
 import numpy as np
 
+from .constants import DEFAULT_DIM, DEFAULT_SEED
 from .ingest import (PROCESS, CorpusStats, NodeRecord, NodeTable,
                      check_numbering)
 
-DEFAULT_DIM = 64
-DEFAULT_SEED = 97
 NGRAM_SIZES = (3, 4, 5)
 # A cosine threshold of exactly 1.0 still has to accept the vector it was
 # built from after a round of float arithmetic.

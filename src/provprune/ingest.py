@@ -33,9 +33,7 @@ from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-KIND_PROCESS = "process"
-KIND_FILE = "file"
-KIND_NETFLOW = "netflow"
+from .constants import KIND_FILE, KIND_NETFLOW, KIND_PROCESS
 
 # A tuple, so `kind in NODE_KINDS` never hashes a decoded JSON list or dict.
 # A node's kind code is the kind's position here.

@@ -15,11 +15,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .constants import DEFAULT_CAP_PER_ANCHOR, DEFAULT_SET_SIZE
 from .graph import Graph
 from .ingest import EventTable
 
-DEFAULT_SET_SIZE = 5
-DEFAULT_CAP_PER_ANCHOR = 8
 # Chains featurized per block. It bounds the size of the block's temporary
 # (FEATURE_CHUNK x dim float64, 2 MB at dim 64); each row's sum runs in chain
 # position order whatever the chunk, so no bit depends on it.

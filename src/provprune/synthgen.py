@@ -11,7 +11,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .ingest import KIND_FILE, KIND_NETFLOW, KIND_PROCESS
+from .constants import KIND_FILE, KIND_NETFLOW, KIND_PROCESS
 
 FILE_SYSCALLS = ("open", "read", "write", "chmod", "pipe")
 PROCESS_SYSCALLS = ("execve", "clone")

@@ -989,6 +989,41 @@ def test_vectors_file_refuses_a_dim(corpus, capsys, monkeypatch, how):
     assert _config(corpus / "own", "label")["dim"] == 16
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_label_refuses_a_dim_above_the_maximum(tmp_path, capsys,
+                                              monkeypatch, how):
+    """A dim above MAX_DIM, from --dim or the config file, is a usage error
+    naming dim, before any embedder is built."""
+    built = []
+    monkeypatch.setattr(cli, "get_embedder", lambda *a, **k: built.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": cli.MAX_DIM + 1}))
+    extra = {"flag": ["--dim", str(cli.MAX_DIM + 1)],
+             "config": ["--config", str(cfg)]}[how]
+    rc = main(["label", "--labeled", str(tmp_path / "none.jsonl"),
+               "--out", str(tmp_path / "out"), *extra])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"'dim' must be in [8, {cli.MAX_DIM}], got {cli.MAX_DIM + 1}" \
+        in err
+    assert built == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_label_refuses_a_vectors_file_above_the_maximum(tmp_path, capsys):
+    """A vectors file wider than MAX_DIM is refused as a --dim is, before
+    the corpus is read: reduce would refuse the table's stamp."""
+    vectors = tmp_path / "wide.vec"
+    vectors.write_text("tok " + " ".join(["1"] * (cli.MAX_DIM + 1)) + "\n")
+    rc = main(["label", "--labeled", str(tmp_path / "none.jsonl"),
+               "--model", f"vectors-file:{vectors}",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"'dim' must be in [8, {cli.MAX_DIM}], got {cli.MAX_DIM + 1}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 _MISSING = object()
 
 
@@ -1009,7 +1044,7 @@ def _restamp(table, key, value):
     ("seed", _MISSING), ("dim", _MISSING), ("threshold", _MISSING),
     ("seed", "97"), ("seed", 97.0), ("dim", True), ("dim", 4),
     ("set_size", 1), ("cap_per_anchor", -1), ("threshold", 2.0),
-    ("threshold", "1.0"), ("threshold", float("nan")),
+    ("threshold", "1.0"), ("threshold", float("nan")), ("dim", 65537),
 ])
 def test_bad_stamp_is_usage_error(corpus, capsys, monkeypatch, key, value):
     """A stamp reduce would run at must hold each shape key with its JSON

@@ -39,6 +39,14 @@ PUBLIC = {
     "synthgen": ["GroundTruth", "SynthSpec", "generate"],
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
+# The modules that run the pipeline, all of which load numpy.
+STAGES = ("embed", "graph", "ingest", "label", "nodeset", "reduce")
+
+# A process, a file and one read between them.
+THREE_LINES = (
+    '{"cmdline":"a x","id":"p1","kind":"process","ts":1}\n'
+    '{"id":"f1","kind":"file","path":"/f","ts":1}\n'
+    '{"kind":"event","object":"f1","subject":"p1","syscall":"read","ts":2}\n')
 
 
 def run_child(code: str, env_update: dict | None = None,
@@ -128,6 +136,75 @@ def test_commands_other_than_synth_never_load_the_generator(tmp_path):
     assert loaded is False
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], EXIT_OK), (["--help"], EXIT_OK),
+    (["--no-such-flag"], EXIT_USAGE), (["report", "REPORTS"], EXIT_OK),
+    (["synth", "--sample-spec"], EXIT_OK)],
+    ids=["version", "help", "unknown-flag", "report", "sample-spec"])
+def test_commands_that_run_no_stage_load_no_numpy(tmp_path, argv, code):
+    """The command's entry point, in a fresh interpreter, runs these
+    commands without importing numpy or any stage module."""
+    reports = tmp_path / "reports.json"
+    reports.write_text(json.dumps([{
+        "n_requested": 3, "nodes_after": 9, "nodes_removed": 1,
+        "fn_count": 0, "fp_count": 0, "reduction_rate": 10.0,
+        "per_stage_seconds": {"total": 0.5}}]))
+    argv = [str(reports) if arg == "REPORTS" else arg for arg in argv]
+    done = run_child(
+        "import json, sys\n"
+        "from provprune.__main__ import main\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "    if m.partition('.')[0] == 'numpy'\n"
+        f"    or m.removeprefix('provprune.') in {STAGES!r})]))")
+    assert json.loads(done.stdout.splitlines()[-1]) == [code, []]
+
+
+def test_fresh_cli_resolves_every_traced_name():
+    """perfbench's tracer reads the names it wraps off provprune.cli and
+    provprune.reduce; each resolves before any command has run."""
+    trace = SRC.parent / "perfbench" / "trace.py"
+    done = run_child(
+        "import importlib.util, json\n"
+        f"spec = importlib.util.spec_from_file_location('t', {str(trace)!r})\n"
+        "trace = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(trace)\n"
+        "from provprune import cli, reduce\n"
+        "modules = {'cli': cli, 'reduce': reduce}\n"
+        "names = [(mod, name) for mod, name, _, _ in trace.TARGETS]\n"
+        "names.append(('cli', 'get_embedder'))\n"
+        "print(json.dumps([[mod, name] for mod, name in names\n"
+        "                  if not callable(getattr(modules[mod], name,"
+        " None))]))")
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def test_cli_keeps_a_wrapper_set_after_a_run(tmp_path):
+    """A name wrapped on provprune.cli after a first cli.main run is the
+    function the next run calls: binding the stage names never replaces
+    one already bound."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(THREE_LINES)
+    argv = ["stats", str(corpus), "--out", str(tmp_path / "stats.json")]
+    done = run_child(
+        "import json\n"
+        "from provprune import cli\n"
+        f"codes = [cli.main({argv!r})]\n"
+        "calls = []\n"
+        "parse_file = cli.parse_file\n"
+        "def wrapped(*args, **kwargs):\n"
+        "    calls.append(args)\n"
+        "    return parse_file(*args, **kwargs)\n"
+        "cli.parse_file = wrapped\n"
+        f"codes.append(cli.main({argv!r}))\n"
+        "print(json.dumps([codes, calls, cli.parse_file is wrapped]))")
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        [EXIT_OK, EXIT_OK], [[str(corpus)]], True]
+
+
 @pytest.mark.parametrize("environ, expected", [
     ({}, {name: "1" for name in entry.THREAD_VARS}),
     ({"PATH": "/bin"},
@@ -149,9 +226,12 @@ def test_one_thread_unless_the_caller_sets_a_count(environ, expected):
                                      "OMP_NUM_THREADS": None,
                                      "MKL_NUM_THREADS": None}),
 ])
-def test_numpy_loads_after_the_thread_setting(preset, expected):
-    """The command's entry point, as the console script calls it: numpy is
-    first imported with the thread variables already in place."""
+def test_numpy_loads_after_the_thread_setting(tmp_path, preset, expected):
+    """The command's entry point, as the console script calls it, running a
+    stage: numpy is first imported with the thread variables already in
+    place."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(THREE_LINES)
     done = run_child(
         "import json, os, sys\n"
         "names = ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS',"
@@ -164,14 +244,12 @@ def test_numpy_loads_after_the_thread_setting(preset, expected):
         "sys.meta_path.insert(0, Spy())\n"
         "from provprune.__main__ import main\n"
         "before = 'numpy' in sys.modules\n"
-        "try:\n"
-        "    main(['--version'])\n"
-        "except SystemExit:\n"
-        "    pass\n"
-        "print(json.dumps([before, 'numpy' in sys.modules, seen]))",
+        f"code = main(['stats', {str(corpus)!r},\n"
+        f"             '--out', {str(tmp_path / 'stats.json')!r}])\n"
+        "print(json.dumps([before, code, 'numpy' in sys.modules, seen]))",
         env_update=preset, drop=entry.THREAD_VARS)
-    before, after, seen = json.loads(done.stdout.splitlines()[-1])
-    assert before is False and after is True
+    before, code, after, seen = json.loads(done.stdout.splitlines()[-1])
+    assert before is False and code == EXIT_OK and after is True
     assert seen == [expected]
 
 
@@ -180,11 +258,7 @@ def test_entry_point_freezes_the_heap_on_every_exit(tmp_path):
     argparse exits (--version, and an unknown flag with the usage code) or
     an exception escapes."""
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(
-        '{"cmdline":"a x","id":"p1","kind":"process","ts":1}\n'
-        '{"id":"f1","kind":"file","path":"/f","ts":1}\n'
-        '{"kind":"event","object":"f1","subject":"p1","syscall":"read",'
-        '"ts":2}\n')
+    corpus.write_text(THREE_LINES)
     done = run_child(
         "import gc, json\n"
         "from provprune import cli\n"
