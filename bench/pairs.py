@@ -11,10 +11,13 @@ the parent first in odd pairs, the change first in even ones.
 
 It prints every run's end-to-end metrics, then, for each metric, the
 parent's and the change's medians, the distance between the parent's
-quartiles and in how many pairs the change read lower. A run that prints no
-result line counts as failed and gives no metrics; so does a run whose
-result is not correct or counts a failed operation. The exit code is 1 if
-any run failed.
+quartiles, in how many pairs the change read lower, and the change's median
+against the parent's in % beside the metric's BENCHMARK.json bound. The
+last cell reads WORSE when the change is worse than the parent by more than
+that bound, in the metric's `better` direction. A run that prints no result
+line counts as failed and gives no metrics; so does a run whose result is
+not correct or counts a failed operation. The exit code is 1 if any run
+failed.
 """
 
 from __future__ import annotations
@@ -55,12 +58,16 @@ def metric(result: dict | None, name: str) -> float | None:
     return result["metrics"][name]["value"]
 
 
-def summarize(names: list[str],
+def summarize(metrics: list[dict],
               pairs: list[tuple[dict | None, dict | None]]) -> list[dict]:
-    """Per metric: each side's median, the parent's quartile distance, and
-    the pairs where both runs gave the metric and the change read lower."""
+    """Per end-to-end metric of BENCHMARK.json: each side's median, the
+    parent's quartile distance, the pairs where both runs gave the metric
+    and the change read lower, the change's median against the parent's in
+    %, the metric's bound, and whether the change is worse than the parent
+    by more than the bound."""
     rows = []
-    for name in names:
+    for entry in metrics:
+        name = entry["name"]
         values = {side: [metric(pair[i], name) for pair in pairs]
                   for i, side in enumerate(SIDES)}
         both = [(p, c) for p, c in zip(values["parent"], values["change"])
@@ -78,6 +85,14 @@ def summarize(names: list[str],
             row["parent_iqr"] = q3 - q1
         else:
             row["parent_iqr"] = None
+        parent_median, change_median = (row["parent_median"],
+                                        row["change_median"])
+        row["change_pct"] = (None if not parent_median or change_median is None
+                             else 100 * (change_median / parent_median - 1))
+        row["bound"] = entry["bound"]
+        sign = 1 if entry["better"] == "lower" else -1
+        row["worse"] = (row["change_pct"] is not None
+                        and sign * row["change_pct"] > 100 * entry["bound"])
         rows.append(row)
     return rows
 
@@ -99,12 +114,16 @@ def describe_summary(rows: list[dict]) -> list[str]:
         return "-" if value is None else f"{value:.4f}"
 
     lines = [f"{'metric':<20} {'parent':>9} {'change':>9} "
-             f"{'parent IQR':>10}  change lower"]
+             f"{'parent IQR':>10}  {'lower':<5} {'vs parent':>9} {'bound':>6}"]
     for row in rows:
+        lower = f"{row['change_lower']}/{row['pairs']}"
+        pct = ("-" if row["change_pct"] is None
+               else f"{row['change_pct']:+.2f}%")
         lines.append(f"{row['metric']:<20} {cell(row['parent_median']):>9} "
                      f"{cell(row['change_median']):>9} "
-                     f"{cell(row['parent_iqr']):>10}  "
-                     f"{row['change_lower']}/{row['pairs']}")
+                     f"{cell(row['parent_iqr']):>10}  {lower:<5} "
+                     f"{pct:>9} {row['bound'] * 100:>5g}%"
+                     + ("  WORSE" if row["worse"] else ""))
     return lines
 
 
@@ -129,7 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [entry["name"] for entry in bench["end_to_end"]]
+    metrics = bench["end_to_end"]
+    names = [entry["name"] for entry in metrics]
     checkouts = {"parent": args.parent, "change": args.change}
     pairs = []
     for k in range(1, args.pairs + 1):
@@ -140,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
             print(describe_run(f"pair {k} {side}", results[side], names),
                   flush=True)
         pairs.append((results["parent"], results["change"]))
-    print("\n".join(describe_summary(summarize(names, pairs))))
+    print("\n".join(describe_summary(summarize(metrics, pairs))))
     return 0 if all(run_ok(r) for pair in pairs for r in pair) else 1
 
 

@@ -12,8 +12,8 @@ _EXPORTS = {
     "embed": ("HashNgramEmbedder", "VectorFileEmbedder", "compute_weights",
               "get_embedder"),
     "graph": ("Graph", "build_graph", "remove_nodes"),
-    "ingest": ("ANALYZED_SYSCALLS", "CorpusStats", "Event", "EventTable",
-               "NodeRecord", "NodeTable", "ParseStats", "cmdline_frequency",
+    "ingest": ("CorpusStats", "Event", "EventTable", "NodeRecord",
+               "NodeTable", "ParseStats", "cmdline_frequency",
                "compute_corpus_stats", "parse_file", "parse_stream",
                "top_commands"),
     "label": ("LabelTable", "MaliciousNodeList", "build_malicious_list",

@@ -20,12 +20,10 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
 from .constants import (DEFAULT_CAP_PER_ANCHOR, DEFAULT_DIM, DEFAULT_SEED,
-                        DEFAULT_SET_SIZE)
+                        DEFAULT_SET_SIZE, from_json)
 
 # Each stage module and the names the commands take from it, each named
 # once. They are imported on first use, so a command that runs no stage
@@ -205,39 +203,15 @@ def build_parser() -> _Parser:
 _STAMP_KEYS = ("dim", "seed", "set_size", "cap_per_anchor", "threshold")
 
 
-def _fits(value, kind) -> bool:
-    """Whether JSON value has the type kind a settings field is annotated
-    with; a float field takes an integer, an int field no bool."""
-    if get_origin(kind) is UnionType:
-        return any(_fits(value, k) for k in get_args(kind))
-    if get_origin(kind) is list:
-        return type(value) is list and all(_fits(x, *get_args(kind))
-                                           for x in value)
-    return type(value) is kind or kind is float and type(value) is int
-
-
-def _set_checked(cfg, settings: dict, what: str) -> None:
-    """Set cfg's fields from settings, each checked against its annotation;
-    a key that is no field of cfg is an error."""
-    kinds = get_type_hints(type(cfg))
-    annotations = {f.name: f.type for f in fields(cfg)}
-    for key, value in settings.items():
-        if key not in kinds:
-            raise ValueError(f"unknown {what} {key!r}")
-        if not _fits(value, kinds[key]):
-            raise ValueError(f"{what} {key!r} must be {annotations[key]}, "
-                             f"got {value!r}")
-        setattr(cfg, key, value)
-
-
-def _resolve_config(args: argparse.Namespace, cfg):
-    """cfg from its config file and flags; checked."""
+def _resolve_config(args: argparse.Namespace, cls):
+    """A cls from its defaults, config file and flags; checked."""
+    cfg = cls()
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise ValueError(f"config file {args.config} is not a JSON object")
-        _set_checked(cfg, obj, "config key")
+        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            cfg = from_json(cls, json.loads(text))
+        except ValueError as exc:
+            raise ValueError(f"config file {args.config}: {exc}") from None
 
     # A flag left out is absent from the namespace (argument_default is
     # SUPPRESS), so a settings field found there was given on the line.
@@ -278,7 +252,6 @@ def _load_table(cfg: ReduceConfig):
     text = Path(cfg.labels_file).read_bytes().decode("utf-8")
     sidecar = sidecar_path(cfg.labels_file)
     table, stamp = label_table_from_json(text, sidecar)
-    labeled = LabelConfig(model=cfg.model)
     try:
         found = stamp.get("format")
         if type(found) is not int or found != TABLE_FORMAT:
@@ -286,7 +259,8 @@ def _load_table(cfg: ReduceConfig):
         for key in _STAMP_KEYS:
             if stamp.get(key) is None:
                 raise ValueError(f"key {key!r} is missing")
-        _set_checked(labeled, {key: stamp[key] for key in _STAMP_KEYS}, "key")
+        labeled = from_json(LabelConfig, {
+            "model": cfg.model, **{key: stamp[key] for key in _STAMP_KEYS}})
         labeled.validate()
     except ValueError as exc:
         raise ValueError(f"label table {sidecar}: stamp {exc}; rerun label") \
@@ -334,12 +308,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.spec:
         raise ValueError("synth needs a spec file (or --sample-spec)")
+    text = Path(args.spec).read_text(encoding="utf-8")
     try:
-        spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"spec {args.spec} is not shaped as a SynthSpec: "
-                         f"{exc}") from None
-    lines, truth = generate(spec)
+        lines, truth = generate(spec_from_json(text))
+    except ValueError as exc:
+        raise ValueError(f"spec {args.spec}: {exc}") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, rows in (("corpus.jsonl", lines),
@@ -440,7 +413,7 @@ def _prepare_graph(cfg, path: str, run: _RunMetrics, role: str):
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, LabelConfig())
+    cfg = _resolve_config(args, LabelConfig)
     embedder = get_embedder(cfg.model, dim=cfg.dim or DEFAULT_DIM,
                             seed=cfg.seed)
     if cfg.dim not in (None, embedder.dim):
@@ -483,7 +456,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, ReduceConfig())
+    cfg = _resolve_config(args, ReduceConfig)
     run = _RunMetrics("reduce", cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -546,14 +519,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    payload = json.loads(Path(args.reports).read_text(encoding="utf-8"))
+    text = Path(args.reports).read_text(encoding="utf-8")
     try:
         rows = [f"{entry['n_requested']:>6} {entry['nodes_after']:>10} "
                 f"{entry['nodes_removed']:>10} {entry['fn_count']:>6} "
                 f"{entry['fp_count']:>10} {entry['reduction_rate']:>8.2f} "
                 f"{entry['per_stage_seconds'].get('total', 0.0):>9.3f}"
-                for entry in payload]
-    except (TypeError, AttributeError) as exc:
+                for entry in json.loads(text)]
+    except (ValueError, TypeError, AttributeError, KeyError) as exc:
         raise ValueError(f"{args.reports} is not shaped as reports.json: "
                          f"{exc}") from None
     print(f"{'n':>6} {'nodes':>10} {'removed':>10} {'FN':>6} {'FP':>10} "

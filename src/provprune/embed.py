@@ -79,7 +79,6 @@ class HashNgramEmbedder:
         if dim < 8:
             raise ValueError(f"dim must be at least 8, got {dim}")
         self.dim = dim
-        self.seed = seed
         self._cache: dict[str, np.ndarray] = {}
         self._key = _seed_key(seed)
         self._slots: dict[bytes, tuple[int, float]] = {}
@@ -102,8 +101,8 @@ class VectorFileEmbedder:
     Each line is a token followed by its components, space-separated. Texts
     absent from the file fall back to the hashing scheme so the pipeline never
     stalls on vocabulary gaps; the misses counter makes the gap measurable.
-    A component that is NaN or infinite is refused: no cosine with it means
-    anything.
+    A component that is no number, NaN or infinite is refused, naming its
+    line: no cosine with it means anything.
     """
 
     def __init__(self, path, seed: int = DEFAULT_SEED):
@@ -114,8 +113,11 @@ class VectorFileEmbedder:
                 parts = line.rstrip("\n").split(" ")
                 if len(parts) < 2 or not parts[0]:
                     continue
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-                if not np.isfinite(vec).all():
+                try:
+                    vec = np.array([float(x) for x in parts[1:]])
+                except ValueError:  # a component that is no number
+                    vec = None
+                if vec is None or not np.isfinite(vec).all():
                     raise ValueError(f"{path}:{lineno}: vector components "
                                      f"must be finite numbers")
                 if dim is None:
@@ -130,7 +132,6 @@ class VectorFileEmbedder:
         if dim is None or dim < 8:
             raise ValueError(f"vector file {path} is empty or narrower than 8")
         self.dim = dim
-        self.seed = seed
         self.misses = 0
         self._table = table
         self._fallback = HashNgramEmbedder(dim=dim, seed=seed)

@@ -76,8 +76,7 @@ class _NodeMap(Mapping):
 class Graph:
     """Node columns and event columns held in global temporal order.
 
-    order lists the node numbers by ascending id. Two graphs with the same
-    nodes and events compare equal, whatever their numbering.
+    order lists the node numbers by ascending id.
     """
 
     table: NodeTable
@@ -93,16 +92,6 @@ class Graph:
         out = np.zeros(len(self.table), dtype=bool)
         out[self.events.src] = out[self.events.dst] = True
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        # Node records by ascending id, so the numbering does not matter.
-        return (list(map(self.table.__getitem__, self.order.tolist()))
-                == list(map(other.table.__getitem__, other.order.tolist()))
-                and self.events == other.events)
-
-    __hash__ = None
 
 
 def build_graph(nodes: NodeTable, events: EventTable) -> Graph:
@@ -215,6 +204,8 @@ def dot_lines(graph: Graph) -> Iterator[str]:
 
 
 def _format_lines(graph: Graph, fmt: str) -> Iterator[str]:
+    """graph's lines in export format fmt, each made as it is read. An
+    unknown fmt is refused at the call."""
     if fmt == "jsonl":
         return graph_lines(graph)
     if fmt == "dot":
@@ -231,6 +222,9 @@ def write_graph(graph: Graph, sink: IO[str], fmt: str = "jsonl") -> None:
 
 
 def save_graph(graph: Graph, path, fmt: str = "jsonl") -> None:
+    """write_graph to the file at path. The format is checked first, so an
+    unknown one makes no file."""
+    _format_lines(graph, fmt)
     with open(path, "w", encoding="utf-8") as fh:
         write_graph(graph, fh, fmt)
 

@@ -33,29 +33,14 @@ from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from .constants import KIND_FILE, KIND_NETFLOW, KIND_PROCESS
+from .constants import (KIND_FILE, KIND_NETFLOW, KIND_PROCESS,
+                        SYSCALL_OBJECT_KIND)
 
 # A tuple, so `kind in NODE_KINDS` never hashes a decoded JSON list or dict.
 # A node's kind code is the kind's position here.
 NODE_KINDS = (KIND_PROCESS, KIND_FILE, KIND_NETFLOW)
 PROCESS, FILE, NETFLOW = range(len(NODE_KINDS))
 
-# Analyzed system calls, keyed to the object kind they operate on.
-SYSCALL_OBJECT_KIND = {
-    "open": KIND_FILE,
-    "read": KIND_FILE,
-    "write": KIND_FILE,
-    "chmod": KIND_FILE,
-    "pipe": KIND_FILE,
-    "execve": KIND_PROCESS,
-    "clone": KIND_PROCESS,
-    "recvfrom": KIND_NETFLOW,
-    "sendto": KIND_NETFLOW,
-    "recvmsg": KIND_NETFLOW,
-    "sendmsg": KIND_NETFLOW,
-}
-
-ANALYZED_SYSCALLS = frozenset(SYSCALL_OBJECT_KIND)
 # An event's syscall code is the name's position here, so codes sort as the
 # names do.
 SYSCALL_NAMES = tuple(sorted(SYSCALL_OBJECT_KIND))
@@ -237,6 +222,7 @@ class EventTable(_Columns):
             self.ts.tolist()))
 
 
+@dataclass(eq=False)
 class CorpusStats:
     """Event totals feeding the entity weights and the dataset characterization.
 
@@ -245,35 +231,16 @@ class CorpusStats:
     counts the events of SYSCALL_NAMES[c].
     """
 
-    __slots__ = ("total_events", "ids", "entity_counts", "syscall_counts")
-
-    def __init__(self, total_events: int, ids: list[str],
-                 entity_counts: np.ndarray, syscall_counts: np.ndarray):
-        self.total_events = total_events
-        self.ids = ids
-        self.entity_counts = entity_counts
-        self.syscall_counts = syscall_counts
-
-    @property
-    def per_entity_event_count(self) -> Counter:
-        return Counter({self.ids[v]: int(self.entity_counts[v])
-                        for v in np.flatnonzero(self.entity_counts).tolist()})
+    total_events: int
+    ids: list[str]
+    entity_counts: np.ndarray
+    syscall_counts: np.ndarray
 
     @property
     def per_syscall_count(self) -> Counter:
         return Counter({name: count for name, count in
                         zip(SYSCALL_NAMES, self.syscall_counts.tolist())
                         if count})
-
-    def __eq__(self, other):
-        if not isinstance(other, CorpusStats):
-            return NotImplemented
-        return ((self.total_events, self.per_entity_event_count,
-                 self.per_syscall_count)
-                == (other.total_events, other.per_entity_event_count,
-                    other.per_syscall_count))
-
-    __hash__ = None
 
 
 def normalize_cmdline(text: str) -> str:

@@ -33,7 +33,6 @@ class NodeSet:
 
     node_ids: tuple[str, ...]
     edge_indices: tuple[int, ...]
-    anchor_ts: int
     feature: np.ndarray | None = field(default=None, compare=False)
 
 
@@ -43,26 +42,23 @@ class ChainBatch:
     enumerated from, whose ids list is ids.
 
     Row i of nodes holds chain i's K node numbers (rows of that table) in
-    path order and row i of edges its K-1 event indices; anchor_ts[i] is the
-    timestamp of its first edge. features, once featurize_sets has run, is
-    the read-only S x D feature matrix. Indexing and iteration give one
-    NodeSet per row, its feature a row view.
+    path order and row i of edges its K-1 event indices. features, once
+    featurize_sets has run, is the read-only S x D feature matrix. Indexing
+    and iteration give one NodeSet per row, its feature a row view.
     """
 
     ids: list[str]
     nodes: np.ndarray
     edges: np.ndarray
-    anchor_ts: np.ndarray | list[int]
     features: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.anchor_ts)
+        return len(self.nodes)
 
     def __getitem__(self, i: int) -> NodeSet:
         return NodeSet(
             node_ids=tuple(map(self.ids.__getitem__, self.nodes[i].tolist())),
             edge_indices=tuple(self.edges[i].tolist()),
-            anchor_ts=int(self.anchor_ts[i]),
             feature=None if self.features is None else self.features[i])
 
     def __iter__(self) -> Iterator[NodeSet]:
@@ -206,9 +202,8 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
         raise ValueError(f"set size must be at least 2, got {size}")
     if cap_per_anchor < 0:
         raise ValueError("cap_per_anchor must be 0 (unlimited) or positive")
-    events = graph.events
     (bounds, ts_list, edge_list, neighbors, ahead, anchors, starts,
-     nexts, stamps) = _half_edges(events, len(graph.table), size)
+     nexts, stamps) = _half_edges(graph.events, len(graph.table), size)
     want_edges = size - 1
     limit = min(size - 2, REACH_LIMIT)
     # Emitted chains, flattened: K node numbers and K - 1 edges per chain.
@@ -268,8 +263,7 @@ def enumerate_node_sets(graph: Graph, size: int = DEFAULT_SET_SIZE,
 
     nodes = np.array(out_nodes, dtype=np.intp).reshape(-1, size)
     edges = np.array(out_edges, dtype=np.intp).reshape(-1, want_edges)
-    return ChainBatch(ids=graph.table.ids, nodes=nodes, edges=edges,
-                      anchor_ts=events.ts[edges[:, 0]])
+    return ChainBatch(ids=graph.table.ids, nodes=nodes, edges=edges)
 
 
 def chain_counts(sets: ChainBatch, cap_per_anchor: int) -> dict[str, int]:

@@ -11,16 +11,13 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .constants import KIND_FILE, KIND_NETFLOW, KIND_PROCESS
+from .constants import (KIND_FILE, KIND_NETFLOW, KIND_PROCESS,
+                        SYSCALL_OBJECT_KIND, from_json)
 
-FILE_SYSCALLS = ("open", "read", "write", "chmod", "pipe")
-PROCESS_SYSCALLS = ("execve", "clone")
-NETFLOW_SYSCALLS = ("recvfrom", "sendto", "recvmsg", "sendmsg")
-
+# Per object kind, the syscalls an event on it draws from, in table order.
 _SYSCALLS_BY_KIND = {
-    KIND_FILE: FILE_SYSCALLS,
-    KIND_PROCESS: PROCESS_SYSCALLS,
-    KIND_NETFLOW: NETFLOW_SYSCALLS,
+    kind: tuple(name for name, of in SYSCALL_OBJECT_KIND.items() if of == kind)
+    for kind in dict.fromkeys(SYSCALL_OBJECT_KIND.values())
 }
 
 DEFAULT_ATTACK_KINDS = (
@@ -313,58 +310,16 @@ def ioc_file_lines(truth: GroundTruth) -> list[str]:
     return lines
 
 
-_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,),
-               "boolean": (bool,)}
-
-
-def _json(value, key: str, kind: str = "integer"):
-    """value, if it is a JSON value of this kind (true is not an integer)."""
-    if type(value) not in _JSON_TYPES[kind]:
-        raise ValueError(f"spec key {key} must be a JSON {kind}, "
-                         f"got {value!r}")
-    return value
-
-
-def _strings(values, key: str) -> tuple[str, ...]:
-    return tuple(_json(value, key, "string") for value in values)
-
-
 def spec_from_json(text: str) -> SynthSpec:
-    """Build a SynthSpec from its JSON file form.
-
-    Counts must be JSON integers, disjoint_mode a boolean and chain kinds
-    and texts JSON strings; a ValueError names the first key that is not.
-    """
+    """Build a SynthSpec from its JSON file form, read by
+    constants.from_json; "attack": true stands for the default attack chain
+    and false for none."""
     obj = json.loads(text)
-    patterns = [
-        PatternSpec(kinds=_strings(p["kinds"], f"pattern {i} kinds"),
-                    texts=_strings(p["texts"], f"pattern {i} texts"),
-                    repetitions=_json(p["repetitions"],
-                                      f"pattern {i} repetitions"))
-        for i, p in enumerate(obj.get("benign_patterns", []))
-    ]
-    attack_obj = obj.get("attack")
-    if attack_obj is None or attack_obj is False:
-        attack = None
-    elif attack_obj is True:
-        attack = AttackSpec()
-    else:
-        attack = AttackSpec(
-            kinds=_strings(attack_obj["kinds"], "attack kinds"),
-            texts=_strings(attack_obj["texts"], "attack texts"))
-    share = obj.get("target_benign_share")
-    if share is not None:
-        _json(share, "target_benign_share", "number")
-    return SynthSpec(
-        seed=_json(obj.get("seed", 1), "seed"),
-        hosts=_json(obj.get("hosts", 1), "hosts"),
-        benign_patterns=patterns,
-        noise_events=_json(obj.get("noise_events", 0), "noise_events"),
-        attack=attack,
-        target_benign_share=share,
-        disjoint_mode=_json(obj.get("disjoint_mode", True), "disjoint_mode",
-                            "boolean"),
-    )
+    if type(obj) is dict and type(obj.get("attack")) is bool:
+        obj["attack"] = ({"kinds": list(DEFAULT_ATTACK_KINDS),
+                          "texts": list(DEFAULT_ATTACK_TEXTS)}
+                         if obj["attack"] else None)
+    return from_json(SynthSpec, obj)
 
 
 def sample_spec_json() -> str:

@@ -71,7 +71,7 @@ def ordered_chains(events, size, cap_per_anchor):
     object-first; from the tail it tries incident events later-or-equal in
     time, earliest (ts, index) first, leading somewhere new. A cap stops an
     anchor, across both orientations, after that many chains; 0 means none.
-    Returns (node_ids, edge_indices, anchor_ts) triples.
+    Returns (node_ids, edge_indices) pairs.
     """
     incident = {}
     for idx, ev in enumerate(events):
@@ -83,16 +83,15 @@ def ordered_chains(events, size, cap_per_anchor):
         entries.sort()
     found = []
 
-    def grow(nodes, edges, last_ts, anchor_ts, budget):
+    def grow(nodes, edges, last_ts, budget):
         """Returns the budget left; None means unlimited."""
         if len(nodes) == size:
-            found.append((tuple(nodes), tuple(edges), anchor_ts))
+            found.append((tuple(nodes), tuple(edges)))
             return None if budget is None else budget - 1
         for ts, idx, neighbor in incident.get(nodes[-1], []):
             if ts < last_ts or neighbor in nodes:
                 continue
-            budget = grow(nodes + [neighbor], edges + [idx], ts, anchor_ts,
-                          budget)
+            budget = grow(nodes + [neighbor], edges + [idx], ts, budget)
             if budget == 0:
                 break
         return budget
@@ -104,7 +103,7 @@ def ordered_chains(events, size, cap_per_anchor):
         for start, nxt in ((ev.subject, ev.object), (ev.object, ev.subject)):
             if budget == 0:
                 break
-            budget = grow([start, nxt], [idx], ev.ts, ev.ts, budget)
+            budget = grow([start, nxt], [idx], ev.ts, budget)
     return found
 
 
@@ -139,6 +138,27 @@ def degree_counts(graph):
         for nid in (ev.subject, ev.object):
             deg[nid] = deg.get(nid, 0) + 1
     return deg
+
+
+def entity_event_counts(stats):
+    """CorpusStats' nonzero per-entity event counts, keyed by node id."""
+    return {stats.ids[v]: int(stats.entity_counts[v])
+            for v in np.flatnonzero(stats.entity_counts).tolist()}
+
+
+def corpus_stats_counts(stats):
+    """What CorpusStats counts, whatever the node numbering: the total, the
+    per-entity counts by id and the per-syscall counts by name."""
+    return (stats.total_events, entity_event_counts(stats),
+            dict(stats.per_syscall_count))
+
+
+def same_graph(a, b):
+    """Whether graphs a and b hold the same nodes and events, whatever their
+    numbering: node records by ascending id, then events in order."""
+    return (list(map(a.table.__getitem__, a.order.tolist()))
+            == list(map(b.table.__getitem__, b.order.tolist()))
+            and a.events == b.events)
 
 
 def reference_corpus_stats(events, nodes):
@@ -809,7 +829,6 @@ def chain_batch(sets, dim=None):
                        dtype=np.intp).reshape(-1, size),
         edges=np.array([s.edge_indices for s in sets],
                        dtype=np.intp).reshape(-1, size - 1),
-        anchor_ts=[s.anchor_ts for s in sets],
         features=features)
 
 
@@ -884,8 +903,8 @@ def _reference_corpus(lines, iocs, cfg):
     embedder = _ReferenceEmbedder(cfg.dim, cfg.seed)
     chains = [_Chain(node_ids, compose_feature([by_id[n] for n in node_ids],
                                                weights, embedder))
-              for node_ids, _, _ in ordered_chains(events, cfg.set_size,
-                                                   cfg.cap_per_anchor)]
+              for node_ids, _ in ordered_chains(events, cfg.set_size,
+                                                cfg.cap_per_anchor)]
     return by_id, events, malicious, chains
 
 

@@ -41,6 +41,7 @@ from oracles import (
     graph_of,
     random_graph_records,
     removed_ids,
+    same_graph,
     weights_by_id,
 )
 
@@ -236,7 +237,7 @@ def test_criterion_6_labeling_groups_identical_features_thread_deterministic(
                     for _ in range(rng.randint(1, 12))]
         features = [rng.choice(distinct) for _ in range(rng.randint(1, 40))]
         sets = [NodeSet(node_ids=(f"a{i}", f"b{i}"), edge_indices=(i,),
-                        anchor_ts=i, feature=f)
+                        feature=f)
                 for i, f in enumerate(features)]
         table = label_node_sets(chain_batch(sets), MaliciousNodeList())
         used = {f.tobytes() for f in features}
@@ -333,5 +334,5 @@ def test_criterion_8_export_parse_round_trip_is_lossless():
     nodes2, events2, stats2 = parse_stream(export_one)
     assert stats2.malformed_lines == 0
     second = build_graph(nodes2, events2)
-    assert second == first
+    assert same_graph(second, first)
     assert list(graph_lines(second)) == export_one

@@ -152,24 +152,42 @@ PAIR = {"kinds": ["process", "process"], "texts": ["a x", "b y"],
     ({"hosts": True}, "hosts"),
     ({"disjoint_mode": "false"}, "disjoint_mode"),
     ({"benign_patterns": [dict(PAIR, repetitions=2.0)]},
-     "pattern 0 repetitions"),
+     "benign_patterns[0].repetitions"),
     ({"benign_patterns": [PAIR], "target_benign_share": "0.3"},
      "target_benign_share"),
-    ({"benign_patterns": [PAIR, dict(PAIR, texts=[1, 2])]}, "pattern 1 texts"),
+    ({"benign_patterns": [PAIR, dict(PAIR, texts=[1, 2])]},
+     "benign_patterns[1].texts[0]"),
     ({"benign_patterns": [dict(PAIR, kinds=[["process"], "process"])]},
-     "pattern 0 kinds"),
+     "benign_patterns[0].kinds[0]"),
     ({"attack": {"kinds": ["process", "process"], "texts": ["zz-a", None]}},
-     "attack texts"),
+     "attack.texts[1]"),
     ({"noise_events": 10**9}, "10,000,000"),
     ({"benign_patterns": [dict(PAIR, repetitions=10**8)]}, "10,000,000"),
     ({"benign_patterns": [PAIR], "target_benign_share": 1e-9}, "10,000,000"),
     ({"benign_patterns": [PAIR], "target_benign_share": 5e-324},
      "10,000,000"),
+    ({"noise_event": 5}, "unknown key 'noise_event'"),
+    ({"benign_patterns": [dict(PAIR, repetition=9)]},
+     "unknown key 'benign_patterns[0].repetition'"),
+    ({"benign_patterns": [{"kinds": ["process", "process"],
+                           "repetitions": 2}]},
+     "key 'benign_patterns[0].texts' is missing"),
+    ({"attack": {"kinds": ["process", "process"], "text": ["zz-a", "zz-b"]}},
+     "unknown key 'attack.text'"),
+    ({"attack": {"texts": ["zz-a", "zz-b"]}}, "key 'attack.kinds' is missing"),
+    ({"attack": 5}, "key 'attack' must be"),
+    ({"benign_patterns": [dict(PAIR, texts=["a x"])]},
+     "pattern 0: kinds and texts lengths differ"),
+    ({"benign_patterns": [dict(PAIR, kinds=["process"], texts=["a x"])]},
+     "pattern 0: a chain needs at least 2 nodes"),
+    ({"hosts": 0}, "hosts must be at least 1"),
+    ({"target_benign_share": 0.5}, "a benign share target needs at least one"),
 ])
 def test_synth_refuses_spec_before_building(tmp_path, spec, named):
-    """A value of the wrong JSON type (a float count, a string flag, a
-    number as a text) or a spec planning over 10,000,000 records exits 1
-    naming it, at once and with nothing written. Building such a corpus
+    """A key that is unknown, missing or of the wrong JSON type (a float
+    count, a string flag, a number as a text), at any depth, a chain the
+    generator cannot plant, or a spec planning over 10,000,000 records exits
+    1 naming it, at once and with nothing written. Building such a corpus
     would take minutes, so a child that outlives the limit fails the test."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -190,10 +208,14 @@ def test_synth_refuses_spec_before_building(tmp_path, spec, named):
     {"n_requested": 3},
     [{"n_requested": 3, "nodes_after": 1, "nodes_removed": 0, "fn_count": 0,
       "fp_count": 0, "reduction_rate": 0.0, "per_stage_seconds": 1.5}],
+    [{"n_requested": 3}],
+    [{"n_requested": 3, "nodes_after": 1, "nodes_removed": 0, "fn_count": 0,
+      "fp_count": 0, "reduction_rate": "high", "per_stage_seconds": {}}],
+    "not JSON",
 ])
 def test_report_misshaped_reports_is_usage_error(tmp_path, capsys, payload):
     path = tmp_path / "reports.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if payload == "not JSON" else json.dumps(payload))
     assert main(["report", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -578,6 +600,15 @@ def test_report_renders_table(corpus, capsys):
     assert len(lines) == 2
 
 
+def _unread_inputs(tmp_path, command):
+    """The input flags command requires, naming files a refused config
+    stops it from reading."""
+    if command == "label":
+        return ["--labeled", str(tmp_path / "never_read.jsonl")]
+    return ["--eval", str(tmp_path / "never_read.jsonl"),
+            "--labels", str(tmp_path / "never_read.json")]
+
+
 @pytest.mark.parametrize("command, obj, key", [
     ("label", {"size": 3}, "size"),
     ("label", {"threads": 2}, "threads"),
@@ -591,7 +622,7 @@ def test_report_renders_table(corpus, capsys):
     ("label", {"eval": None}, "eval"),
     ("label", {"labeled": 5}, "labeled"),
     ("reduce", {"top_n": 5}, "top_n"),
-    ("reduce", {"top_n": [1, "2"]}, "top_n"),
+    ("reduce", {"top_n": [1, "2"]}, "top_n[1]"),
     # reduce runs at its table's stamp, so it takes none of these.
     ("reduce", {"dim": 64}, "dim"),
     ("reduce", {"seed": 97}, "seed"),
@@ -613,15 +644,24 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys, command, obj, key):
         cfg = tmp_path / "label_metrics.json"
     else:
         cfg.write_text(json.dumps(obj))
-    sources = {"label": ["--labeled", str(tmp_path / "never_read.jsonl")],
-               "reduce": ["--eval", str(tmp_path / "never_read.jsonl"),
-                          "--labels", str(tmp_path / "never_read.json")]}
-    rc = main([command, *sources[command], "--config", str(cfg),
-               "--out", str(tmp_path / "out")])
+    rc = main([command, *_unread_inputs(tmp_path, command), "--config",
+               str(cfg), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
     assert f"'{key}'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["label", "reduce"])
+def test_config_file_of_no_json_object_is_usage_error(tmp_path, capsys,
+                                                      command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main([command, *_unread_inputs(tmp_path, command), "--config",
+                 str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"config file {cfg}: not a JSON object" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag", ["--dim", "--seed", "--set-size",

@@ -347,13 +347,32 @@ def test_vectors_file_width_mismatch(tmp_path):
         VectorFileEmbedder(path)
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999", "x",
+                                 ""])
 def test_vectors_file_refuses_non_finite_components(tmp_path, bad):
     """A NaN component would otherwise pass unnormalized (its norm is not
-    > 0) and reach matching as a NaN feature."""
+    > 0) and reach matching as a NaN feature. A component that is no
+    number is refused at its line too."""
     path = tmp_path / "vecs.txt"
     path.write_text(f"ok 1 2 3 4 5 6 7 8\ntok {bad} 1 2 3 4 5 6 7\n")
     with pytest.raises(ValueError, match=f"vecs.txt:2: .*finite"):
+        VectorFileEmbedder(path)
+
+
+def test_vectors_file_skips_a_line_without_a_token_or_components(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_text("alone\n 1 2 3 4 5 6 7 8\nok 1 2 3 4 5 6 7 8\n")
+    emb = VectorFileEmbedder(path)
+    assert emb.dim == 8
+    emb.embed("alone")
+    assert emb.misses == 1
+
+
+@pytest.mark.parametrize("text", ["", "alone\n", "a 1 2 3 4 5 6 7\n"])
+def test_vectors_file_without_a_vector_of_width_8_is_refused(tmp_path, text):
+    path = tmp_path / "vecs.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="vecs.txt is empty or narrower"):
         VectorFileEmbedder(path)
 
 

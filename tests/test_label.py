@@ -35,10 +35,10 @@ from oracles import (
 )
 
 
-def make_set(ids, feature, seq=0):
+def make_set(ids, feature):
     feat = np.asarray(feature, dtype=np.float64)
     return NodeSet(node_ids=tuple(ids), edge_indices=tuple(range(len(ids) - 1)),
-                   anchor_ts=seq, feature=feat)
+                   feature=feat)
 
 
 def label_sets(sets, malicious, threshold=1.0):
@@ -211,7 +211,7 @@ def test_representative_is_first_member_frozen():
 def test_representatives_share_no_memory_with_features():
     """The table holds copies of its founders' rows, so it keeps no chain's
     feature matrix alive, and neither side can change the other."""
-    sets = chain_batch([make_set([f"x{i}", f"y{i}"], unit(i % 3), seq=i)
+    sets = chain_batch([make_set([f"x{i}", f"y{i}"], unit(i % 3))
                         for i in range(7)], dim=8)
     table = label_node_sets(sets, MaliciousNodeList())
     assert table.assignment == [0, 1, 2, 0, 1, 2, 0]
@@ -262,7 +262,7 @@ def test_threshold_validation():
 
 
 def test_unfeaturized_set_rejected():
-    bare = NodeSet(node_ids=("a", "b"), edge_indices=(0,), anchor_ts=0)
+    bare = NodeSet(node_ids=("a", "b"), edge_indices=(0,))
     with pytest.raises(ValueError):
         label_sets([bare], MaliciousNodeList())
 
@@ -273,7 +273,7 @@ def test_assignment_totality_random():
     sets = []
     for i in range(200):
         feat = rng.choice(pool) * rng.choice([1.0, 2.0])
-        sets.append(make_set([f"x{i}", f"y{i}"], feat, seq=i))
+        sets.append(make_set([f"x{i}", f"y{i}"], feat))
     mal = MaliciousNodeList(ids={"x3", "x77"})
     table = label_sets(sets, mal, threshold=1.0)
     assert len(table.assignment) == len(sets)
@@ -287,7 +287,7 @@ def test_threshold_monotone_label_count():
     sets = []
     for i in range(60):
         feat = np.array([rng.gauss(0, 1) for _ in range(8)])
-        sets.append(make_set([f"x{i}", f"y{i}"], feat, seq=i))
+        sets.append(make_set([f"x{i}", f"y{i}"], feat))
     counts = []
     for threshold in (1.0, 0.95, 0.8, 0.5, 0.0, -1.0):
         table = label_sets(sets, MaliciousNodeList(), threshold=threshold)
@@ -301,7 +301,7 @@ def test_polarity_sound_at_creation():
     sets = []
     for i in range(40):
         feat = np.array([rng.gauss(0, 1) for _ in range(8)])
-        sets.append(make_set([f"x{i}", f"y{i}"], feat, seq=i))
+        sets.append(make_set([f"x{i}", f"y{i}"], feat))
     table = label_sets(sets, mal, threshold=1.0)
     first_member = {}
     for idx, label_id in enumerate(table.assignment):
@@ -315,7 +315,7 @@ def test_polarity_sound_at_creation():
 def test_table_json_equals_whole_payload_dump():
     rng = random.Random(611)
     sets = [make_set([f"x{i}", f"y{i}"],
-                     np.array([rng.gauss(0, 1) for _ in range(8)]), seq=i)
+                     np.array([rng.gauss(0, 1) for _ in range(8)]))
             for i in range(30)]
     table = label_sets(sets, MaliciousNodeList(ids={"x3"}), threshold=0.5)
     table.zero_vector_sets = 2
@@ -340,9 +340,9 @@ def test_labeling_deterministic_bytes():
     sets = []
     for i in range(100):
         feat = np.array([rng.gauss(0, 1) for _ in range(8)])
-        sets.append(make_set([f"x{i}", f"y{i}"], feat, seq=i))
-    sets_twice = [make_set(list(s.node_ids), np.array(s.feature), seq=i)
-                  for i, s in enumerate(sets)]
+        sets.append(make_set([f"x{i}", f"y{i}"], feat))
+    sets_twice = [make_set(list(s.node_ids), np.array(s.feature))
+                  for s in sets]
     a = table_json(label_sets(sets, MaliciousNodeList(), threshold=0.7))
     b = table_json(label_sets(sets_twice, MaliciousNodeList(),
                               threshold=0.7))
@@ -352,7 +352,7 @@ def test_labeling_deterministic_bytes():
 def test_write_json_streams_the_to_json_bytes(tmp_path):
     rng = random.Random(612)
     sets = [make_set([f"x{i}", f"y{i}"],
-                     np.array([rng.gauss(0, 1) for _ in range(8)]), seq=i)
+                     np.array([rng.gauss(0, 1) for _ in range(8)]))
             for i in range(25)]
     table = label_sets(sets, MaliciousNodeList(ids={"x4"}), threshold=0.3)
     buf = io.StringIO()
@@ -413,7 +413,7 @@ def mixed_features(rng, count, dim=4):
             feat = rng.choice(bases) + np.array(
                 [rng.gauss(0, rng.choice([0.01, 0.3])) for _ in range(dim)])
         out.append(feat)
-    return [make_set([f"x{i}", f"y{i}"], feat, seq=i)
+    return [make_set([f"x{i}", f"y{i}"], feat)
             for i, feat in enumerate(out)]
 
 
@@ -430,7 +430,7 @@ THRESHOLDS = [1.0, 0.999, 0.99, 0.9, 0.0, -1.0]
 
 
 def edge_sets(rng, count, threshold, dim=6):
-    return [make_set([f"x{i}", f"y{i}"], feat, seq=i) for i, feat in
+    return [make_set([f"x{i}", f"y{i}"], feat) for i, feat in
             enumerate(window_edge_features(rng, count, dim, threshold))]
 
 
@@ -477,7 +477,7 @@ def test_underflowing_norm_takes_the_exact_scan(tiny_first):
     feats = [tiny, twin] if tiny_first else [twin, tiny]
     for before in (0, label.LABEL_BLOCK):
         filler = [unit(i % 8) * (2 + i) for i in range(before)]
-        sets = [make_set([f"x{i}", f"y{i}"], feat, seq=i)
+        sets = [make_set([f"x{i}", f"y{i}"], feat)
                 for i, feat in enumerate(filler + feats)]
         table = assert_labels_match_sequential(sets, 1.0)
         assert table.assignment[-1] == table.assignment[-2]
@@ -507,7 +507,7 @@ def test_scan_work_at_threshold_one_stays_near_linear(monkeypatch):
     for count in (2000, 8000):
         computed.clear()
         feats = rng.standard_normal((count, 16))
-        sets = [make_set([f"x{i}", f"y{i}"], feat, seq=i)
+        sets = [make_set([f"x{i}", f"y{i}"], feat)
                 for i, feat in enumerate(feats)]
         table = label_node_sets(chain_batch(sets, dim=16), MaliciousNodeList())
         assert len(table.labels) == count
@@ -523,7 +523,7 @@ def test_labeling_holds_one_copy_of_each_representative():
     ones for the 4,097th label, about 3.2 times."""
     rng = np.random.default_rng(642)
     feats = rng.standard_normal((4097, 64))
-    batch = chain_batch([make_set([f"x{i}", f"y{i}"], feat, seq=i)
+    batch = chain_batch([make_set([f"x{i}", f"y{i}"], feat)
                          for i, feat in enumerate(feats)])
     table, peak = traced_peak(label_node_sets, batch, MaliciousNodeList())
     assert len(table.polarity) == len(feats)
@@ -547,7 +547,7 @@ def near_tie_sets(positions, lead):
     feats = [filler[i % 4] * (1 + i) for i in range(count)]
     for pos, feat in zip(positions, (a, b, query)):
         feats[pos] = feat
-    return [make_set([f"x{i}", f"y{i}"], feat, seq=i)
+    return [make_set([f"x{i}", f"y{i}"], feat)
             for i, feat in enumerate(feats)]
 
 
@@ -598,7 +598,7 @@ def test_near_tie_inside_a_window_takes_exact_scan(exact_scans, lead):
         feats = list(filler)
         for pos, feat in zip(positions, (a, b, query)):
             feats[pos] = feat
-        sets = [make_set([f"x{i}", f"y{i}"], feat, seq=i)
+        sets = [make_set([f"x{i}", f"y{i}"], feat)
                 for i, feat in enumerate(feats)]
         table = assert_labels_match_sequential(sets, 1.0)
         first, second, got = (table.assignment[p] for p in positions)
@@ -619,7 +619,7 @@ def test_near_cutoff_takes_exact_scan(exact_scans, offset):
         exact_scans.clear()
         feats = [filler[i % 3] * (1 + i) for i in range(block + 2)]
         feats[rep_at], feats[query_at] = rep, query
-        sets = [make_set([f"x{i}", f"y{i}"], feat, seq=i)
+        sets = [make_set([f"x{i}", f"y{i}"], feat)
                 for i, feat in enumerate(feats)]
         table = assert_labels_match_sequential(sets, 0.9)
         joined = table.assignment[query_at] == table.assignment[rep_at]

@@ -41,7 +41,6 @@ def test_five_node_chain_yields_exactly_one_set():
     only = sets[0]
     assert only.node_ids == ("p0", "p1", "p2", "p3", "p4")
     assert only.edge_indices == (0, 1, 2, 3)
-    assert only.anchor_ts == 10
 
 
 def test_too_few_nodes_yields_nothing():
@@ -153,7 +152,7 @@ def test_matches_bruteforce_on_random_graphs():
 
 
 def ordered(sets):
-    return [(s.node_ids, s.edge_indices, s.anchor_ts) for s in sets]
+    return [(s.node_ids, s.edge_indices) for s in sets]
 
 
 def assert_matches_ordered_oracle(g, sizes=(2, 3, 4, 5), caps=(0, 1, 3, 8)):

@@ -26,8 +26,8 @@ PUBLIC = {
     "embed": ["DEFAULT_DIM", "DEFAULT_SEED", "HashNgramEmbedder",
               "VectorFileEmbedder", "compute_weights", "get_embedder"],
     "graph": ["Graph", "build_graph", "remove_nodes"],
-    "ingest": ["ANALYZED_SYSCALLS", "CorpusStats", "Event", "EventTable",
-               "NodeRecord", "NodeTable", "ParseStats", "cmdline_frequency",
+    "ingest": ["CorpusStats", "Event", "EventTable", "NodeRecord",
+               "NodeTable", "ParseStats", "cmdline_frequency",
                "compute_corpus_stats", "parse_file", "parse_stream",
                "top_commands"],
     "label": ["LabelTable", "MaliciousNodeList", "build_malicious_list",
@@ -74,7 +74,7 @@ def test_import_loads_no_numpy_and_no_module():
 
 
 def test_all_lists_each_public_name_once():
-    assert len(NAMES) == 36
+    assert len(NAMES) == 35
     assert provprune.__all__ == NAMES
 
 

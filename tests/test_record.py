@@ -56,6 +56,10 @@ def _result(setup_s, reduce_s=None, failed=0):
                        "metrics": metrics})
 
 
+def _metric(name, better="lower", bound=0.25):
+    return {"name": name, "unit": "s", "better": better, "bound": bound}
+
+
 def test_pairs_reads_the_last_line_as_the_result():
     pairs = _pairs()
     stdout = "input corpus.jsonl: 3 lines, sha256 ab\n" + _result(0.2) + "\n"
@@ -76,7 +80,7 @@ def test_pairs_summary_counts_lower_changes_and_skips_failed_runs():
     assert [pairs.run_ok(run) for pair in runs for run in pair] == [
         True, True, True, True, True, False, False, True]
     rows = {row["metric"]: row for row in pairs.summarize(
-        ["setup_s", "reduce_s", "label_s"], runs)}
+        [_metric("setup_s"), _metric("reduce_s"), _metric("label_s")], runs)}
     setup = rows["setup_s"]
     assert (setup["pairs"], setup["change_lower"]) == (2, 2)
     assert setup["parent_median"] == 0.24
@@ -86,7 +90,32 @@ def test_pairs_summary_counts_lower_changes_and_skips_failed_runs():
         2, 1)
     assert rows["label_s"] == {"metric": "label_s", "pairs": 0,
                                "change_lower": 0, "parent_median": None,
-                               "change_median": None, "parent_iqr": None}
+                               "change_median": None, "parent_iqr": None,
+                               "change_pct": None, "bound": 0.25,
+                               "worse": False}
+
+
+def test_pairs_marks_a_change_worse_than_its_bound_in_its_direction():
+    """The change's median against the parent's, in %, is WORSE past the
+    metric's bound in its `better` direction, and only there."""
+    pairs = _pairs()
+    runs = [(pairs.result_of(_result(p)), pairs.result_of(_result(c)))
+            for p, c in ((0.20, 0.26), (0.20, 0.24), (0.20, 0.25))]
+    cases = {("lower", 0.3): False, ("lower", 0.2): True,
+             ("higher", 0.05): False}
+    for (better, bound), worse in cases.items():
+        (row,) = pairs.summarize([_metric("setup_s", better, bound)], runs)
+        assert abs(row["change_pct"] - 25.0) < 1e-9
+        assert (row["bound"], row["worse"]) == (bound, worse)
+        line = pairs.describe_summary([row])[1].split()
+        assert line[5:] == ["+25.00%", f"{bound * 100:g}%"] + (
+            ["WORSE"] if worse else [])
+    falling = [(pairs.result_of(_result(p)), pairs.result_of(_result(c)))
+               for p, c in ((0.20, 0.14), (0.20, 0.15))]
+    (row,) = pairs.summarize([_metric("setup_s", "higher", 0.25)], falling)
+    assert abs(row["change_pct"] + 27.5) < 1e-9 and row["worse"]
+    (row,) = pairs.summarize([_metric("setup_s", "lower", 0.25)], falling)
+    assert not row["worse"]
 
 
 def test_pairs_alternates_sides_and_fails_on_a_missing_result(monkeypatch,
@@ -108,4 +137,5 @@ def test_pairs_alternates_sides_and_fails_on_a_missing_result(monkeypatch,
     assert "pair 2 parent: FAILED, no result line" in out
     setup = next(line for line in out.splitlines()
                  if line.startswith("setup_s "))
-    assert setup.split() == ["setup_s", "0.2450", "0.2100", "0.0050", "2/2"]
+    assert setup.split() == ["setup_s", "0.2450", "0.2100", "0.0050", "2/2",
+                             "-14.29%", "25%"]

@@ -372,7 +372,7 @@ def test_match_ranks_independent_of_chunk_budget(monkeypatch):
         for rows, ranked in ((feats, reps), (np.array(edge), edge_reps)):
             want = reference_match_ranks(rows, ranked, cutoff)
             sets = [NodeSet(node_ids=(f"r{i}",), edge_indices=(),
-                            anchor_ts=0, feature=row)
+                            feature=row)
                     for i, row in enumerate(rows)]
             assert {f"r{i}" for i, rank in enumerate(want) if rank >= 0} \
                 == exhaustive_removed_nodes(sets, ranked, cutoff)

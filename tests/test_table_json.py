@@ -90,7 +90,7 @@ def labeled_sets(draw):
                                   max_size=width), min_size=1, max_size=6))
     picks = draw(st.lists(st.integers(0, len(rows) - 1), max_size=30))
     sets = [NodeSet(node_ids=(f"x{k}", f"y{row}"), edge_indices=(k,),
-                    anchor_ts=k, feature=np.array(rows[row]))
+                    feature=np.array(rows[row]))
             for k, row in enumerate(picks)]
     malicious = {f"y{row}" for row in draw(st.sets(st.integers(0, 5)))}
     threshold = draw(st.sampled_from([1.0, 0.99, 0.0, -1.0]))
