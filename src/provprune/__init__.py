@@ -12,10 +12,9 @@ _EXPORTS = {
     "embed": ("HashNgramEmbedder", "VectorFileEmbedder", "compute_weights",
               "get_embedder"),
     "graph": ("Graph", "build_graph", "remove_nodes"),
-    "ingest": ("CorpusStats", "Event", "EventTable", "NodeRecord",
-               "NodeTable", "ParseStats", "cmdline_frequency",
-               "compute_corpus_stats", "parse_file", "parse_stream",
-               "top_commands"),
+    "ingest": ("CorpusStats", "EventTable", "NodeRecord", "NodeTable",
+               "ParseStats", "cmdline_frequency", "compute_corpus_stats",
+               "parse_file", "parse_stream", "top_commands"),
     "label": ("LabelTable", "MaliciousNodeList", "build_malicious_list",
               "label_node_sets"),
     "nodeset": ("ChainBatch", "NodeSet", "enumerate_node_sets",

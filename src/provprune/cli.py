@@ -477,12 +477,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                           counts=counts)
     run.corpora["eval"].update(counts)
     run.featurized("eval", embedder)
-    if reports:
-        # The shared stages ran once, select once per n.
-        for name in ("enumerate", "featurize", "match"):
-            run.seconds[name] = reports[0].per_stage_seconds[name]
-        run.seconds["select"] = sum(r.per_stage_seconds["select"]
-                                    for r in reports)
+    # The shared stages ran once, select once per n.
+    for name in ("enumerate", "featurize", "match"):
+        run.seconds[name] = reports[0].per_stage_seconds[name]
+    run.seconds["select"] = sum(r.per_stage_seconds["select"]
+                                for r in reports)
 
     ids = g_eval.table.ids if cfg.emit_removed_ids else None
     payload = [r.to_dict(ids) for r in reports]

@@ -69,9 +69,9 @@ def _hashed_vector(text: str, dim: int, key: bytes,
 
 
 class HashNgramEmbedder:
-    """Default backend: seeded n-gram hashing with a per-text cache.
+    """Default backend: seeded n-gram hashing.
 
-    Texts share most of their n-grams, so each gram's slot and sign are also
+    Texts share most of their n-grams, so each gram's slot and sign are
     kept, and hashed once per instance.
     """
 
@@ -79,17 +79,11 @@ class HashNgramEmbedder:
         if dim < 8:
             raise ValueError(f"dim must be at least 8, got {dim}")
         self.dim = dim
-        self._cache: dict[str, np.ndarray] = {}
         self._key = _seed_key(seed)
         self._slots: dict[bytes, tuple[int, float]] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        vec = self._cache.get(text)
-        if vec is None:
-            vec = _hashed_vector(text, self.dim, self._key, self._slots)
-            vec.setflags(write=False)
-            self._cache[text] = vec
-        return vec
+        return _hashed_vector(text, self.dim, self._key, self._slots)
 
     def node_vector(self, node: NodeRecord) -> np.ndarray:
         return self.embed(node.attr_text())

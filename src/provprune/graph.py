@@ -2,8 +2,8 @@
 
 A Graph holds the NodeTable and EventTable that parse_stream produces, its
 events sorted into global temporal order. `Graph.nodes` reads as a mapping
-of id to NodeRecord and `Graph.events` as a sequence of Event, each record
-a view built on access; the pipeline stages read the columns.
+of id to NodeRecord, each record a view built on access; the pipeline
+stages read the columns.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ it rejects instead of failing. What it keeps is held as columns: a node gets
 a number at its first declaration, and an event holds its endpoints'
 numbers, a syscall code and its timestamp. parse_stream is the only way
 records become columns: the two tables it returns share one ids list, and
-every later stage takes them as they are. A NodeTable reads as a sequence
-of NodeRecord and an EventTable as a sequence of Event, each record a view
-built on access.
+every later stage takes them as they are. A NodeTable's row reads as a
+NodeRecord, a view built on access; an event is read from its columns.
 
 A binary io stream is read in blocks of whole lines. A block whose lines are
 all canonical (the form synth, the JSONL export and json.dumps with sorted
@@ -25,10 +24,9 @@ import json
 import re
 from array import array
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
@@ -80,16 +78,6 @@ class NodeRecord(NamedTuple):
         return f"{self.remote_addr}:{self.remote_port}"
 
 
-class Event(NamedTuple):
-    """A syscall-typed edge: subject is always a process. A view of an
-    EventTable row."""
-
-    subject: str
-    object: str
-    syscall: str
-    ts: int
-
-
 @dataclass
 class ParseStats:
     """Per-record tallies; no record-level problem is ever fatal."""
@@ -111,30 +99,21 @@ class ParseStats:
         return dict(self.__dict__)
 
 
-class _Columns(Sequence):
-    """A sequence of records built on access from the columns its subclass
-    declares, set in that order by the constructor and not reassigned.
-
-    Equal, as a list is, to any sequence holding equal records in the same
-    order. A plain slotted class, not a dataclass: making one costs the
-    import about a millisecond.
+class _Columns:
+    """The columns its subclass declares, set in that order by the
+    constructor and not reassigned. A plain slotted class, not a dataclass:
+    making one costs the import about a millisecond.
     """
 
     __slots__ = ()
-    __hash__ = None
 
     def __init__(self, *columns):
         for name, column in zip(self.__slots__, columns, strict=True):
             setattr(self, name, column)
 
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
 
 class NodeTable(_Columns):
-    """Node columns, row v for node v; reads as a sequence of NodeRecord.
+    """Node columns, row v for node v; table[v] reads it as a NodeRecord.
 
     texts holds each distinct string once. text[v] is the position there of
     node v's attribute text (NodeRecord.attr_text): its command line, its
@@ -180,12 +159,9 @@ class NodeTable(_Columns):
                           local_addr=self.texts[self.laddr[v]],
                           local_port=int(self.lport[v]), first_seen=first)
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
 
 class EventTable(_Columns):
-    """Event columns, row i for event i; reads as a sequence of Event.
+    """Event columns, row i for event i.
 
     src[i] and dst[i] number the subject and object in ids, syscall[i] is
     the position of the syscall's name in SYSCALL_NAMES, and ts[i] the
@@ -206,20 +182,6 @@ class EventTable(_Columns):
 
     def __len__(self) -> int:
         return len(self.src)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return Event(self.ids[self.src[i]], self.ids[self.dst[i]],
-                     SYSCALL_NAMES[self.syscall[i]], int(self.ts[i]))
-
-    def __iter__(self):
-        ids = self.ids
-        return map(Event._make, zip(
-            map(ids.__getitem__, self.src.tolist()),
-            map(ids.__getitem__, self.dst.tolist()),
-            map(SYSCALL_NAMES.__getitem__, self.syscall.tolist()),
-            self.ts.tolist()))
 
 
 @dataclass(eq=False)

@@ -16,7 +16,7 @@ import math
 import random
 import zipfile
 from operator import itemgetter
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,14 +24,40 @@ from provprune.embed import candidate_window, effective_threshold
 from provprune.graph import build_graph, write_graph
 from provprune.ingest import (
     KIND_PROCESS,
+    SYSCALL_NAMES,
     SYSCALL_OBJECT_KIND,
-    Event,
     NodeRecord,
     ParseStats,
     parse_stream,
 )
 from provprune.label import BENIGN, MALICIOUS, LabelTable
 from provprune.nodeset import ChainBatch
+
+
+class Event(NamedTuple):
+    """A syscall-typed edge record: the subject is always a process."""
+
+    subject: str
+    object: str
+    syscall: str
+    ts: int
+
+
+def event_records(events):
+    """An EventTable's rows as Events, in table order."""
+    ids = events.ids
+    return [Event(ids[s], ids[d], SYSCALL_NAMES[call], ts)
+            for s, d, call, ts in zip(events.src.tolist(),
+                                      events.dst.tolist(),
+                                      events.syscall.tolist(),
+                                      events.ts.tolist())]
+
+
+def parse_records(parsed):
+    """A parse_stream result as the reference parser gives it: node records,
+    event records and the tallies."""
+    nodes, events, stats = parsed
+    return list(nodes), event_records(events), stats
 
 
 def brute_force_chains(events, size):
@@ -125,7 +151,7 @@ def recount_entity_events(events):
 def event_node_ids(graph):
     """Ids of nodes incident to at least one event."""
     incident = set()
-    for ev in graph.events:
+    for ev in event_records(graph.events):
         incident.add(ev.subject)
         incident.add(ev.object)
     return incident
@@ -134,7 +160,7 @@ def event_node_ids(graph):
 def degree_counts(graph):
     """Edge-endpoint tallies; a self-loop contributes 2 to its node."""
     deg = {}
-    for ev in graph.events:
+    for ev in event_records(graph.events):
         for nid in (ev.subject, ev.object):
             deg[nid] = deg.get(nid, 0) + 1
     return deg
@@ -158,7 +184,7 @@ def same_graph(a, b):
     numbering: node records by ascending id, then events in order."""
     return (list(map(a.table.__getitem__, a.order.tolist()))
             == list(map(b.table.__getitem__, b.order.tolist()))
-            and a.events == b.events)
+            and event_records(a.events) == event_records(b.events))
 
 
 def reference_corpus_stats(events, nodes):
@@ -370,13 +396,14 @@ def graph_of(nodes, events):
     return build_graph(*parse_stream(record_lines(nodes, events))[:2])
 
 
-def reference_graph_lines(graph):
-    """The JSONL export built as dicts and encoded one json.dumps at a time."""
+def reference_graph_lines(nodes, events):
+    """The JSONL export of node records and events in their order, built as
+    dicts and encoded one json.dumps at a time."""
     def dumps(obj):
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
     lines = []
-    for n in sorted(graph.nodes.values(), key=lambda n: n.id):
+    for n in sorted(nodes, key=lambda n: n.id):
         if n.kind == "process":
             obj = {"kind": n.kind, "id": n.id, "cmdline": n.cmdline,
                    "ts": n.first_seen}
@@ -388,7 +415,7 @@ def reference_graph_lines(graph):
                    "lport": n.local_port, "raddr": n.remote_addr,
                    "rport": n.remote_port, "ts": n.first_seen}
         lines.append(dumps(obj))
-    for ev in graph.events:
+    for ev in events:
         lines.append(dumps({"kind": "event", "syscall": ev.syscall,
                             "subject": ev.subject, "object": ev.object,
                             "ts": ev.ts}))
@@ -955,9 +982,8 @@ def reference_run(labeled_lines, eval_lines, iocs, cfg):
             "removed_node_ids": sorted(removed),
         })
 
-        graphs[n] = reference_graph_lines(SimpleNamespace(
-            nodes={nid: node for nid, node in by_id.items()
-                   if nid not in removed},
-            events=[ev for ev in events
-                    if ev.subject not in removed and ev.object not in removed]))
+        graphs[n] = reference_graph_lines(
+            [node for nid, node in by_id.items() if nid not in removed],
+            [ev for ev in events
+             if ev.subject not in removed and ev.object not in removed])
     return labels_text, reports, graphs, len(chains)

@@ -34,8 +34,10 @@ from provprune.reduce import (
 from provprune.synthgen import AttackSpec, PatternSpec, SynthSpec, generate
 
 from oracles import (
+    Event,
     brute_force_chains,
     chain_batch,
+    event_records,
     exhaustive_removed_nodes,
     expected_weights,
     graph_of,
@@ -198,13 +200,13 @@ def test_criterion_4_enumeration_matches_brute_force_on_200_graphs():
         size = 5 if trial % 4 else rng.choice([3, 4])
         got = {(s.node_ids, s.edge_indices)
                for s in enumerate_node_sets(g, size=size, cap_per_anchor=0)}
-        assert got == brute_force_chains(g.events, size)
+        assert got == brute_force_chains(event_records(g.events), size)
 
 
 def test_criterion_5_weights_match_independent_recomputation():
     import random
 
-    from provprune.ingest import Event, NodeRecord
+    from provprune.ingest import NodeRecord
 
     rng = random.Random(55)
     for _ in range(60):
@@ -212,7 +214,7 @@ def test_criterion_5_weights_match_independent_recomputation():
         g = graph_of(nodes, events)
         stats = compute_corpus_stats(g.events, g.nodes.values())
         got = weights_by_id(g.table, compute_weights(stats, g.nodes))
-        want = expected_weights(g.events, g.nodes)
+        want = expected_weights(event_records(g.events), g.nodes)
         for nid, expected in want.items():
             assert got[nid] == pytest.approx(expected, rel=1e-12, abs=1e-12)
         for nid in set(got) - set(want):

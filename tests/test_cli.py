@@ -15,7 +15,12 @@ from provprune.graph import build_graph, node_mask, remove_nodes
 from provprune.ingest import parse_file
 from provprune.label import TABLE_FORMAT
 
-from oracles import export_graph, record_lines, rewritten_sidecar
+from oracles import (
+    event_records,
+    export_graph,
+    record_lines,
+    rewritten_sidecar,
+)
 from test_golden import mask_timings
 from test_nodeset import process_chain
 
@@ -488,7 +493,8 @@ def test_lone_surrogates_label_and_reduce_in_every_format(tmp_path):
     assert removed == ["g", "q"]
     nodes, events, _ = parse_file(str(red / "reduced_top1.jsonl"))
     assert sorted(n.id for n in nodes) == ["f\udfff", "p\ud800"]
-    assert [(e.subject, e.object) for e in events] == [("p\ud800", "f\udfff")]
+    assert [(e.subject, e.object) for e in event_records(events)] == [
+        ("p\ud800", "f\udfff")]
     dot = (red / "reduced_top1.dot").read_bytes().decode("utf-8")
     assert '"p\\ud800" -> "f\\udfff"' in dot
     assert 'label="process:a\\ud800b"' in dot

@@ -15,10 +15,11 @@ from provprune.embed import (
     get_embedder,
     window_holds,
 )
-from provprune.ingest import Event, NodeRecord, compute_corpus_stats
+from provprune.ingest import NodeRecord, compute_corpus_stats
 
 from oracles import (
     EDGE_TEXTS,
+    Event,
     expected_weights,
     graph_of,
     python_cosine,
@@ -133,13 +134,6 @@ def test_empty_cmdline_gets_sentinel():
     emb = HashNgramEmbedder()
     proc = NodeRecord(id="p", kind="process", cmdline="")
     assert emb.node_vector(proc)[0] == 1.0
-
-
-def test_embedder_cache_returns_readonly():
-    emb = HashNgramEmbedder()
-    v = emb.embed("cat /var/log/syslog")
-    with pytest.raises(ValueError):
-        v[0] = 5.0
 
 
 def corpus_fixture():

@@ -18,7 +18,6 @@ from provprune.graph import (
 from provprune.ingest import (
     NODE_KINDS,
     SYSCALL_OBJECT_KIND,
-    Event,
     EventTable,
     NodeRecord,
     parse_stream,
@@ -27,11 +26,14 @@ from provprune.ingest import (
 from oracles import (
     EDGE_PORTS,
     EDGE_TS,
+    Event,
     degree_counts,
     edge_graph_records,
     event_node_ids,
+    event_records,
     export_graph,
     graph_of,
+    parse_records,
     random_graph_records,
     record_lines,
     reference_graph_lines,
@@ -64,7 +66,7 @@ def test_build_counts_and_order():
     nodes, events = small_fixture()
     g = graph_of(nodes, list(reversed(events)))
     assert len(g.nodes) == 3
-    assert [e.syscall for e in g.events] == ["clone", "open"]
+    assert [e.syscall for e in event_records(g.events)] == ["clone", "open"]
 
 
 def test_events_sorted_by_full_key():
@@ -76,8 +78,9 @@ def test_events_sorted_by_full_key():
         Event(subject="a", object="b", syscall="clone", ts=5),
     ]
     g = graph_of(nodes, events)
-    assert g.events == [events[2], events[1], events[0]]
-    keys = [(e.ts, e.subject, e.object, e.syscall) for e in g.events]
+    read = event_records(g.events)
+    assert read == [events[2], events[1], events[0]]
+    keys = [(e.ts, e.subject, e.object, e.syscall) for e in read]
     assert keys == sorted(keys)
 
 
@@ -129,20 +132,21 @@ def test_temporal_order_is_a_stable_sort_by_the_key_tuple():
         _, read, _ = reference_parse_stream(record_lines(nodes, events))
         assert len(read) == len(events)
         g = graph_of(nodes, events)
-        assert g.events == sorted(read, key=temporal_order)
+        assert event_records(g.events) == sorted(read, key=temporal_order)
     for _ in range(60):
         nodes, events = edge_graph_records(rng, wide=False)
         parsed_nodes, parsed_events, _ = parse_stream(
             record_lines(nodes, events))
         g = build_graph(parsed_nodes, parsed_events)
-        assert g.events == sorted(parsed_events, key=temporal_order)
+        assert event_records(g.events) == sorted(
+            event_records(parsed_events), key=temporal_order)
     assert unordered > 100
 
 
 def test_record_views_give_the_records_built_from():
     """g.nodes and g.events read back the records graph_of was given, as
     the reference parser reads their lines: the first record of each id,
-    by [id], in, len and iteration, and every event."""
+    by [id], in, len and iteration, and every event from the columns."""
     rng = random.Random(1414)
     for _ in range(60):
         nodes, events = edge_graph_records(rng, wide=False)
@@ -159,9 +163,8 @@ def test_record_views_give_the_records_built_from():
             assert node_id in g.nodes and g.nodes[node_id] == node
         assert "no such id" not in g.nodes
         assert len(g.events) == len(events)
-        assert sorted(g.events, key=temporal_order) == sorted(
+        assert sorted(event_records(g.events), key=temporal_order) == sorted(
             events, key=temporal_order)
-        assert [g.events[i] for i in range(-len(events), 0)] == list(g.events)
 
 
 def test_parse_and_build_hold_few_bytes_per_record():
@@ -215,7 +218,7 @@ def test_build_graph_refuses_tables_of_another_numbering():
 def test_zero_events_graph_is_isolated():
     nodes, _ = small_fixture()
     g = graph_of(nodes, [])
-    assert g.events == []
+    assert event_records(g.events) == []
     assert event_node_ids(g) == set()
     assert not g.incident().any()
 
@@ -287,11 +290,12 @@ def test_removal_drops_incident_edges_full_scan():
         victims = {n.id for n in nodes if rng.random() < 0.3}
         h = remove_ids(g, victims)
         assert not victims & set(h.nodes)
-        for ev in h.events:
+        kept = event_records(h.events)
+        for ev in kept:
             assert ev.subject not in victims and ev.object not in victims
-        survivors = [ev for ev in g.events
+        survivors = [ev for ev in event_records(g.events)
                      if ev.subject not in victims and ev.object not in victims]
-        assert h.events == survivors
+        assert kept == survivors
 
 
 def test_removal_order_insensitive():
@@ -317,7 +321,8 @@ def edge_graph(rng):
     ghosts = [{"kind": "event", "syscall": syscall, "subject": "ghost:p",
                "object": f"ghost:{syscall}\ud800", "ts": rng.choice(EDGE_TS)}
               for syscall in rng.sample(["read", "clone", "sendto"], 2)]
-    lines = reference_graph_lines(graph_of(nodes, events))
+    g = graph_of(nodes, events)
+    lines = reference_graph_lines(g.nodes.values(), event_records(g.events))
     lines += [json.dumps(obj) for obj in ghosts]
     nodes, events, stats = parse_stream(lines, synthesize_dangling=True)
     assert stats.synthesized_nodes == 3
@@ -334,8 +339,8 @@ def test_jsonl_round_trip_fixpoint():
     for g in graphs:
         first = export_graph(g)
         nodes2, events2, stats = parse_stream(first.splitlines())
-        assert parse_stream(io.BytesIO(first.encode())) == (nodes2, events2,
-                                                            stats)
+        assert parse_records(parse_stream(io.BytesIO(first.encode()))) == (
+            parse_records((nodes2, events2, stats)))
         assert total_event_records(stats) == stats.accepted_events
         g2 = build_graph(nodes2, events2)
         assert same_graph(g2, g)
@@ -354,7 +359,7 @@ def test_export_then_parse_gives_back_graphs_of_unescaped_surrogates():
         nodes, events = edge_graph_records(rng, wide=False)
         lines = record_lines(nodes, events, ensure_ascii=False)
         parsed = parse_stream(lines)
-        assert parsed == reference_parse_stream(lines)
+        assert parse_records(parsed) == reference_parse_stream(lines)
         stats = parsed[2]
         refused += stats.malformed_nodes + stats.malformed_events
         g = build_graph(*parsed[:2])
@@ -376,7 +381,8 @@ def test_export_bytes_equal_json_dumps_encoding(tmp_path):
     for trial in range(80):
         g = edge_graph(rng) if trial % 2 else graph_of(
             *edge_graph_records(rng, wide=False))
-        expected = reference_graph_lines(g)
+        expected = reference_graph_lines(g.nodes.values(),
+                                         event_records(g.events))
         assert list(graph_lines(g)) == expected
         text = "".join(line + "\n" for line in expected)
         assert export_graph(g) == text
@@ -392,7 +398,7 @@ def test_export_bytes_equal_json_dumps_encoding(tmp_path):
                         & {*EDGE_TS, *EDGE_PORTS})
             seen.update(c for c in n.id + n.attr_text()
                         if "\ud800" <= c <= "\udfff")
-        seen.update({ev.ts for ev in g.events} & set(EDGE_TS))
+        seen.update(set(g.events.ts.tolist()) & set(EDGE_TS))
     assert {"process", "file", "netflow", *EDGE_TS, *EDGE_PORTS} <= seen
     assert {"\ud800", "\udfff"} <= seen
 
@@ -465,7 +471,7 @@ def test_incident_nodes_equal_the_oracle():
         nodes, events = random_graph_records(rng, allow_self_loops=True)
         nodes.append(NodeRecord(id="island", kind="file", path="/island"))
         g = graph_of(nodes, events)
-        loops += sum(ev.subject == ev.object for ev in g.events)
+        loops += int((g.events.src == g.events.dst).sum())
         want = event_node_ids(g)
         assert "island" not in want
         assert node_mask(g.table.ids, want).tolist() == g.incident().tolist()

@@ -8,7 +8,6 @@ import pytest
 
 from provprune.ingest import (
     SYSCALL_OBJECT_KIND,
-    Event,
     NodeRecord,
     cmdline_frequency,
     compute_corpus_stats,
@@ -19,10 +18,13 @@ from provprune.ingest import (
 )
 
 from oracles import (
+    Event,
     corpus_stats_counts,
+    event_records,
     edge_graph_records,
     entity_event_counts,
     graph_of,
+    parse_records,
     random_graph_records,
     record_lines,
     recount_entity_events,
@@ -47,7 +49,7 @@ def test_accepts_read_event():
     nodes, events, stats = parse_stream(lines(
         PROC, FILE, {"kind": "event", "syscall": "read", "subject": "p1",
                      "object": "f1", "ts": 5}))
-    assert [e.syscall for e in events] == ["read"]
+    assert [e.syscall for e in event_records(events)] == ["read"]
     assert stats.accepted_events == 1
     assert stats.accepted_nodes == 2
 
@@ -56,20 +58,20 @@ def test_unanalyzed_syscall_dropped_and_counted():
     nodes, events, stats = parse_stream(lines(
         PROC, FILE, {"kind": "event", "syscall": "mmap", "subject": "p1",
                      "object": "f1", "ts": 5}))
-    assert events == []
+    assert event_records(events) == []
     assert stats.dropped_events == 1
 
 
 def test_empty_stream_is_fine():
     nodes, events, stats = parse_stream([])
-    assert nodes == [] and events == []
+    assert list(nodes) == [] and event_records(events) == []
     assert total_event_records(stats) == 0
 
 
 def test_blank_lines_skipped():
     nodes, events, stats = parse_stream(["", "   ", "\n"])
     assert stats.malformed_lines == 0
-    assert nodes == []
+    assert list(nodes) == []
 
 
 def test_undecodable_line_counted_not_fatal():
@@ -93,7 +95,7 @@ def test_non_utf8_line_is_malformed_not_fatal(tmp_path, bad_line):
     nodes, events, stats = parse_file(path)
     assert stats.malformed_lines == 1
     assert [n.id for n in nodes] == ["p1", "f1"]
-    assert events == [Event("p1", "f1", "read", 5)]
+    assert event_records(events) == [Event("p1", "f1", "read", 5)]
 
 
 def test_truncated_multibyte_sequence_at_eof_is_malformed(tmp_path):
@@ -116,7 +118,7 @@ def test_file_bytes_parse_like_text(tmp_path):
     path = tmp_path / "utf8.jsonl"
     path.write_bytes("".join(line + "\r\n" for line in text).encode())
     parsed = parse_file(path)
-    assert parsed == parse_stream(text)
+    assert parse_records(parsed) == parse_records(parse_stream(text))
     nodes, events, stats = parsed
     assert nodes[0].cmdline == "caf\u00e9 \u2615"
     assert stats.malformed_lines == 0 and len(events) == 1
@@ -130,8 +132,9 @@ def test_streams_parse_like_lines():
             for r in records]
     data = "\n".join(text).encode()
     parsed = parse_stream(text)
-    assert parse_stream(io.BytesIO(data)) == parsed
-    assert parse_stream(io.StringIO("\n".join(text))) == parsed
+    want = parse_records(parsed)
+    assert parse_records(parse_stream(io.BytesIO(data))) == want
+    assert parse_records(parse_stream(io.StringIO("\n".join(text)))) == want
     assert parse_stream(io.BytesIO(data))[2].scanned_lines == 0
     assert parsed[2].scanned_lines == 3
     assert len(parsed[1]) == 1
@@ -177,7 +180,7 @@ def test_dangling_event_excluded_by_default():
     nodes, events, stats = parse_stream(lines(
         PROC, {"kind": "event", "syscall": "read", "subject": "p1",
                "object": "ghost", "ts": 2}))
-    assert events == []
+    assert event_records(events) == []
     assert stats.dangling_events == 1
 
 
@@ -210,7 +213,7 @@ def test_object_kind_must_match_syscall():
     _, events, stats = parse_stream(lines(
         PROC, FILE, {"kind": "event", "syscall": "clone", "subject": "p1",
                      "object": "f1", "ts": 3}))
-    assert events == []
+    assert event_records(events) == []
     assert stats.malformed_events == 1
 
 
@@ -231,7 +234,7 @@ def test_random_syscall_strings_never_pass_filter():
         records.append({"kind": "event", "syscall": name, "subject": "p1",
                         "object": "f1", "ts": 1})
     _, events, stats = parse_stream(lines(*records))
-    assert events == []
+    assert event_records(events) == []
     assert stats.dropped_events == n_noise
 
 
@@ -250,7 +253,7 @@ def test_events_share_node_id_and_syscall_strings(synthesize_dangling):
     by_id = {n.id: n for n in got_nodes}
     names = {name: name for name in SYSCALL_OBJECT_KIND}
     assert len(got_events) >= 10
-    for ev in got_events:
+    for ev in event_records(got_events):
         assert ev.subject is by_id[ev.subject].id
         assert ev.object is by_id[ev.object].id
         assert ev.syscall is names[ev.syscall]
@@ -292,7 +295,7 @@ def test_equal_values_are_one_object_and_early_events_share_ids(
     assert p1.first_seen == p2.first_seen == f1.first_seen == n2.first_seen
     assert len(events) == (5 if synthesize_dangling else 3)
     assert stats.synthesized_nodes == (2 if synthesize_dangling else 0)
-    for ev in events:
+    for ev in event_records(events):
         assert ev.subject is by_id[ev.subject].id
         assert ev.object is by_id[ev.object].id
 

@@ -22,6 +22,7 @@ from provprune.ingest import parse_file, parse_stream
 
 from oracles import (
     edge_graph_records,
+    parse_records,
     random_graph_records,
     record_lines,
     reference_parse_stream,
@@ -71,7 +72,7 @@ def assert_same_file_parse(data, synthesize_dangling=False):
         for size in BLOCK_SIZES:
             with mock.patch.object(ingest, "BLOCK_BYTES", size):
                 got = parse_file(path, synthesize_dangling=synthesize_dangling)
-            assert got == (want_nodes, want_events, want), size
+            assert parse_records(got) == (want_nodes, want_events, want), size
             assert columns(got) == one_at_a_time, size
             parsed.append(got)
     return parsed
@@ -86,7 +87,7 @@ def assert_same_parse(lines, synthesize_dangling=False):
     got = parse_stream(lines, synthesize_dangling=synthesize_dangling)
     want = reference_parse_stream(lines,
                                   synthesize_dangling=synthesize_dangling)
-    assert got == want
+    assert parse_records(got) == want
     assert_same_file_parse(file_bytes(lines), synthesize_dangling)
     return got
 
@@ -237,8 +238,8 @@ def test_adjacent_lone_surrogates_are_malformed(synthesize):
 
 def test_bytes_lines_parse_like_text():
     lines = malformed_corpus()
-    assert (parse_stream([line.encode() for line in lines])
-            == parse_stream(lines))
+    assert (parse_records(parse_stream([line.encode() for line in lines]))
+            == parse_records(parse_stream(lines)))
 
 
 def canonical(record, ensure_ascii=False):
@@ -502,7 +503,8 @@ def test_fuzz_arbitrary_bytes_lines(raw, synthesize):
             decoded.append(line.decode("utf-8"))
         except UnicodeDecodeError:
             undecodable += 1
-    nodes, events, stats = parse_stream(raw, synthesize_dangling=synthesize)
+    nodes, events, stats = parse_records(parse_stream(
+        raw, synthesize_dangling=synthesize))
     want_nodes, want_events, want = reference_parse_stream(
         decoded, synthesize_dangling=synthesize)
     want.malformed_lines += undecodable

@@ -7,7 +7,7 @@ import pytest
 
 from provprune import label
 from provprune.embed import effective_threshold
-from provprune.ingest import Event, NodeRecord
+from provprune.ingest import NodeRecord
 from provprune.label import (
     BENIGN,
     MALICIOUS,
@@ -21,6 +21,7 @@ from provprune.label import (
 from provprune.nodeset import NodeSet
 
 from oracles import (
+    Event,
     chain_batch,
     graph_of,
     random_graph_records,

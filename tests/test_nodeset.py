@@ -6,14 +6,16 @@ import pytest
 
 from provprune import nodeset
 from provprune.embed import HashNgramEmbedder, compute_weights
-from provprune.ingest import Event, NodeRecord, compute_corpus_stats
+from provprune.ingest import NodeRecord, compute_corpus_stats
 from provprune.nodeset import _half_edges, enumerate_node_sets, featurize_sets
 
 from oracles import (
+    Event,
     brute_force_chains,
     compose_feature,
     EDGE_TS,
     edge_graph_records,
+    event_records,
     graph_of,
     multigraph_records,
     ordered_chains,
@@ -131,12 +133,13 @@ def test_chain_invariants_on_random_graphs():
         sets = enumerate_node_sets(g, size=5, cap_per_anchor=0)
         # A chain's node numbers are rows of the graph's own node table.
         assert sets.ids is g.table.ids
+        read = event_records(g.events)
         for s in sets:
             assert len(set(s.node_ids)) == 5
-            stamps = [g.events[i].ts for i in s.edge_indices]
+            stamps = [read[i].ts for i in s.edge_indices]
             assert stamps == sorted(stamps)
             for a, b, idx in zip(s.node_ids, s.node_ids[1:], s.edge_indices):
-                ev = g.events[idx]
+                ev = read[idx]
                 assert {ev.subject, ev.object} == {a, b}
 
 
@@ -148,7 +151,7 @@ def test_matches_bruteforce_on_random_graphs():
         size = rng.choice([3, 4, 5])
         ours = {(s.node_ids, s.edge_indices)
                 for s in enumerate_node_sets(g, size=size, cap_per_anchor=0)}
-        assert ours == brute_force_chains(g.events, size)
+        assert ours == brute_force_chains(event_records(g.events), size)
 
 
 def ordered(sets):
@@ -160,7 +163,7 @@ def assert_matches_ordered_oracle(g, sizes=(2, 3, 4, 5), caps=(0, 1, 3, 8)):
         for cap in caps:
             assert ordered(enumerate_node_sets(g, size=size,
                                                cap_per_anchor=cap)) == \
-                ordered_chains(g.events, size, cap), (size, cap)
+                ordered_chains(event_records(g.events), size, cap), (size, cap)
 
 
 def test_timestamps_at_the_int64_bounds_keep_the_oracle_order():
@@ -173,7 +176,7 @@ def test_timestamps_at_the_int64_bounds_keep_the_oracle_order():
     for _ in range(30):
         nodes, events = edge_graph_records(rng, wide=False)
         g = graph_of(nodes, events)
-        at_bounds += bool(bounds & {ev.ts for ev in g.events})
+        at_bounds += bool(bounds & set(g.events.ts.tolist()))
         assert_matches_ordered_oracle(g, sizes=(2, 3, 4))
     assert at_bounds >= 10
 
@@ -414,22 +417,55 @@ def test_compose_additive_over_partition():
     assert np.allclose(whole, parts, rtol=1e-12)
 
 
+class CountingEmbedder(HashNgramEmbedder):
+    """A HashNgramEmbedder that lists the texts node_vector is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def node_vector(self, node):
+        self.asked.append(node.attr_text())
+        return super().node_vector(node)
+
+
+def shared_text_graph():
+    """Two processes with one command line, a file whose path is that
+    command line, a process with an empty one and a netflow, all in
+    chains of three."""
+    nodes = [NodeRecord(id="p1", kind="process", cmdline="make all"),
+             NodeRecord(id="p2", kind="process", cmdline="make all"),
+             NodeRecord(id="f1", kind="file", path="make all"),
+             NodeRecord(id="p3", kind="process", cmdline=""),
+             NodeRecord(id="n1", kind="netflow", remote_addr="10.0.0.1",
+                        remote_port=80)]
+    events = [Event("p1", "p2", "clone", 1), Event("p2", "f1", "write", 2),
+              Event("p3", "f1", "read", 3), Event("p3", "n1", "sendto", 4)]
+    return graph_of(nodes, events)
+
+
 def test_featurize_matches_compose_bitwise():
+    """Features equal compose_feature's, and the embedder is asked once per
+    distinct attribute text among the chains' nodes."""
     rng = random.Random(909)
-    emb = HashNgramEmbedder()
-    for _ in range(10):
-        nodes, events = random_graph_records(rng)
-        g = graph_of(nodes, events)
+    graphs = [graph_of(*random_graph_records(rng)) for _ in range(10)]
+    graphs.append(shared_text_graph())
+    for g in graphs:
         if not g.events:
             continue
         column = weights_for(g)
         sets = enumerate_node_sets(g, size=3, cap_per_anchor=0)
+        emb = CountingEmbedder()
         done = featurize_sets(sets, g, column, emb)
+        texts = {g.nodes[nid].attr_text() for s in done for nid in s.node_ids}
+        assert sorted(emb.asked) == sorted(texts)
         table = weights_by_id(g.table, column)
         for s in done:
             chain = [g.nodes[nid] for nid in s.node_ids]
             direct = compose_feature(chain, table, emb)
             assert s.feature.tobytes() == direct.tobytes()
+    # The last graph is the shared-text one.
+    assert texts == {"make all", "", "10.0.0.1:80"}
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096, 32768])

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -20,16 +21,14 @@ from provprune.cli import EXIT_OK, EXIT_USAGE, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Every public name, by the module that defines it, as the package listed
-# them when it imported each module eagerly.
+# Every public name, by the module that defines it.
 PUBLIC = {
     "embed": ["DEFAULT_DIM", "DEFAULT_SEED", "HashNgramEmbedder",
               "VectorFileEmbedder", "compute_weights", "get_embedder"],
     "graph": ["Graph", "build_graph", "remove_nodes"],
-    "ingest": ["CorpusStats", "Event", "EventTable", "NodeRecord",
-               "NodeTable", "ParseStats", "cmdline_frequency",
-               "compute_corpus_stats", "parse_file", "parse_stream",
-               "top_commands"],
+    "ingest": ["CorpusStats", "EventTable", "NodeRecord", "NodeTable",
+               "ParseStats", "cmdline_frequency", "compute_corpus_stats",
+               "parse_file", "parse_stream", "top_commands"],
     "label": ["LabelTable", "MaliciousNodeList", "build_malicious_list",
               "label_node_sets"],
     "nodeset": ["ChainBatch", "NodeSet", "enumerate_node_sets",
@@ -74,7 +73,7 @@ def test_import_loads_no_numpy_and_no_module():
 
 
 def test_all_lists_each_public_name_once():
-    assert len(NAMES) == 35
+    assert len(NAMES) == 34
     assert provprune.__all__ == NAMES
 
 
@@ -93,6 +92,18 @@ def test_dir_lists_every_public_name():
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         provprune.no_such_name
+
+
+def test_tables_are_columns_without_event_records():
+    from provprune import ingest
+
+    for module in (provprune, ingest):
+        with pytest.raises(AttributeError, match="Event"):
+            module.Event
+    assert not {"__getitem__", "__iter__"} & set(dir(ingest.EventTable))
+    for table in (ingest.NodeTable, ingest.EventTable):
+        assert table.__eq__ is object.__eq__
+        assert not issubclass(table, Sequence)
 
 
 def test_star_import_binds_every_public_name():

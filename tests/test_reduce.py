@@ -41,6 +41,7 @@ from provprune.synthgen import (
 
 from oracles import (
     event_node_ids,
+    event_records,
     exhaustive_removed_nodes,
     graph_of,
     reference_match_ranks,
@@ -268,7 +269,7 @@ def weights_over(weights, old, new):
 def test_sweep_population_sets_rate_denominator():
     g, weights, emb, malicious, table, _ = pipeline_pieces(small_spec(12))
     lonely = NodeRecord(id="lonely", kind="file", path="/island")
-    old, g = g, graph_of([*g.nodes.values(), lonely], g.events)
+    old, g = g, graph_of([*g.nodes.values(), lonely], event_records(g.events))
     weights = weights_over(weights, old, g)
     default, = sweep_top_n(g, table, weights, emb, malicious, ns=[3])
     declared, = sweep_top_n(g, table, weights, emb, malicious, ns=[3],
@@ -300,16 +301,19 @@ def test_sweep_follows_changes_made_after_indexing():
                          r.fn_count, r.fp_count) for r in reports]
 
     def fresh(graph):
-        return graph_of(list(graph.nodes.values()), list(graph.events))
+        return graph_of(list(graph.nodes.values()),
+                        event_records(graph.events))
 
     whole = outcome(g)
-    half = len(g.events) // 2
-    later = g.events[half:]
-    g = graph_of(g.nodes.values(), g.events[:half])
+    events = event_records(g.events)
+    half = len(events) // 2
+    later = events[half:]
+    g = graph_of(g.nodes.values(), events[:half])
     shortened = outcome(g)
     assert shortened == outcome(fresh(g))
     lonely = NodeRecord(id="lonely", kind="file", path="/island")
-    g = graph_of([*g.nodes.values(), lonely], [*g.events, *later])
+    g = graph_of([*g.nodes.values(), lonely],
+                 [*event_records(g.events), *later])
     restored = outcome(g)
     assert restored == outcome(fresh(g))
     assert restored[0] == whole[0]

@@ -19,6 +19,8 @@ from provprune.synthgen import (
     validate_spec,
 )
 
+from oracles import event_records
+
 
 def one_pattern(reps=10, kinds=None, texts=None):
     kinds = kinds or ("process",) * 5
@@ -141,7 +143,7 @@ def test_attack_chain_is_isolated_component():
     nodes, events, _ = parse_stream(lines)
     g = build_graph(nodes, events)
     attack = set(truth.malicious_ids)
-    for ev in g.events:
+    for ev in event_records(g.events):
         touches = {ev.subject, ev.object} & attack
         assert touches in (set(), {ev.subject, ev.object})
 
@@ -151,7 +153,7 @@ def test_event_timestamps_strictly_increase():
                      noise_events=20, attack=AttackSpec())
     lines, _ = generate(spec)
     _, events, _ = parse_stream(lines)
-    stamps = [e.ts for e in events]
+    stamps = events.ts.tolist()
     assert stamps == sorted(stamps)
     assert len(set(stamps)) == len(stamps)
 
