@@ -339,8 +339,8 @@ def test_jsonl_round_trip_fixpoint():
     for g in graphs:
         first = export_graph(g)
         nodes2, events2, stats = parse_stream(first.splitlines())
-        assert parse_records(parse_stream(io.BytesIO(first.encode()))) == (
-            parse_records((nodes2, events2, stats)))
+        assert parse_records(parse_stream(io.BytesIO(first.encode()))) == \
+            parse_records((nodes2, events2, stats))
         assert total_event_records(stats) == stats.accepted_events
         g2 = build_graph(nodes2, events2)
         assert same_graph(g2, g)
