@@ -442,10 +442,8 @@ def cmd_label(args: argparse.Namespace) -> int:
     seconds = time.perf_counter() - t0
     del malicious, sets  # freed before the write
     with run.stage("table_write"):
-        with open(out_dir / "labels.json", "w", encoding="utf-8") as fh:
-            table.write_json(fh)
-            fh.write("\n")
-        write_sidecar(table, out_dir / "labels.json", _stamp(cfg))
+        digest = table.save(out_dir / "labels.json")
+        write_sidecar(table, out_dir / "labels.json", _stamp(cfg), digest)
     run.wrote(out_dir / "labels.json", out_dir / "labels.npz")
     run.write(out_dir)
     benign = table.polarity.count("benign")

@@ -30,11 +30,12 @@ def _seed_key(seed: int) -> bytes:
 
 
 def _hashed_vector(text: str, dim: int, key: bytes,
-                   memo: dict[bytes, tuple[int, float]]) -> np.ndarray:
+                   memo: dict[str, int]) -> np.ndarray:
     """The normalized signed sum of text's hashed grams; empty text is e0.
 
-    memo maps each gram already seen under this dim and key to its slot and
-    sign, and learns the new ones.
+    memo maps each gram already seen under this dim and key to its code,
+    2 * slot + 1 for a plus sign and 2 * slot for a minus, and learns the
+    new ones.
     """
     if not text:
         vec = np.zeros(dim, dtype=np.float64)
@@ -42,23 +43,26 @@ def _hashed_vector(text: str, dim: int, key: bytes,
         return vec
     padded = "<" + text + ">"
     # The whole text counts as one feature alongside its n-grams; the 0x00
-    # prefix keeps it out of the n-gram hash domain.
-    grams = [b"\x00" + padded.encode("utf-8", "surrogatepass")]
-    for n in NGRAM_SIZES:
-        grams.extend(padded[i:i + n].encode("utf-8", "surrogatepass")
-                     for i in range(len(padded) - n + 1))
-    slots, signs = [], []
-    for gram in grams:
-        hit = memo.get(gram)
-        if hit is None:
-            h = int.from_bytes(
-                hashlib.blake2b(gram, digest_size=8, key=key).digest(),
-                "little")
-            hit = memo[gram] = (h % dim, 1.0 if h >> 63 else -1.0)
-        slots.append(hit[0])
-        signs.append(hit[1])
-    # Sums of +-1.0 are exact, so the order of the adds changes no bit.
-    vec = np.bincount(slots, weights=signs, minlength=dim)
+    # prefix makes it longer than any of them. A gram is hashed as its UTF-8
+    # bytes, which the str determines, so the memo is keyed by the str: a
+    # whole-text gram equal to another text's n-gram is the same gram.
+    grams = ["\x00" + padded] + [padded[i:i + n] for n in NGRAM_SIZES
+                                  for i in range(len(padded) - n + 1)]
+    codes = list(map(memo.get, grams))
+    if None in codes:
+        for i, gram in enumerate(grams):
+            if codes[i] is None:
+                code = memo.get(gram)  # a gram may recur in one text
+                if code is None:
+                    h = int.from_bytes(hashlib.blake2b(
+                        gram.encode("utf-8", "surrogatepass"),
+                        digest_size=8, key=key).digest(), "little")
+                    code = memo[gram] = 2 * (h % dim) + (h >> 63)
+                codes[i] = code
+    # Counts of +1 and -1 per slot: their difference is the sum of the signs,
+    # exactly, in whatever order they are added.
+    counts = np.bincount(codes, minlength=2 * dim)
+    vec = (counts[1::2] - counts[0::2]).astype(np.float64)
     norm = math.sqrt(float(np.dot(vec, vec)))
     if norm == 0.0:
         vec[:] = 0.0
@@ -80,7 +84,7 @@ class HashNgramEmbedder:
             raise ValueError(f"dim must be at least 8, got {dim}")
         self.dim = dim
         self._key = _seed_key(seed)
-        self._slots: dict[bytes, tuple[int, float]] = {}
+        self._slots: dict[str, int] = {}
 
     def embed(self, text: str) -> np.ndarray:
         return _hashed_vector(text, self.dim, self._key, self._slots)

@@ -9,9 +9,10 @@ exactly as the one-at-a-time flow would. A LabelTable holds the labels as
 columns, label i in row i of each.
 
 A table is saved as labels.json and, beside it, labels.npz: the same table
-as arrays, bound to the bytes of labels.json by their sha256. A table is
-read back only from its labels.npz, without parsing a float; one whose
-labels.npz is missing, unreadable or bound to other bytes is refused.
+as arrays, bound to the bytes of labels.json by their sha256, hashed from
+the bytes as they are written. A table is read back only from its
+labels.npz, without parsing a float; one whose labels.npz is missing,
+unreadable or bound to other bytes is refused.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,8 +46,8 @@ class MaliciousNodeList:
     warnings: list[str] = field(default_factory=list)
 
 
-# Representative rows per orjson call in LabelTable.write_json: the text of
-# 1024 rows of dimension 64 is about 1.3 MB.
+# Labels per piece of a LabelTable's JSON text, each piece one write: the
+# text of 1024 labels of dimension 64 is about 1.3 MB.
 WRITE_LABELS = 1024
 
 
@@ -71,40 +71,66 @@ class LabelTable:
         return self.polarity
 
     def write_json(self, fh) -> None:
-        """Write compact JSON with sorted keys to fh, WRITE_LABELS labels at
-        a time.
+        """Write the table's JSON text to fh, one write per WRITE_LABELS
+        labels."""
+        fh.writelines(chunk.decode() for chunk in self._json_chunks())
+
+    def save(self, path) -> str:
+        """Write the table to path as labels.json, its JSON text and a
+        newline as UTF-8, and return the sha256 (hex) of the bytes as they
+        are written: the file is never read back."""
+        digest = hashlib.sha256()
+        with open(path, "wb") as fh:
+            for data in self._json_chunks():
+                digest.update(data)
+                fh.write(data)
+            digest.update(b"\n")
+            fh.write(b"\n")
+        return digest.hexdigest()
+
+    def _json_chunks(self):
+        """Compact JSON with sorted keys, as bytes, in pieces of
+        WRITE_LABELS labels.
 
         The text equals json.dumps of the whole payload, which lists each
-        label as an object with its label_id and created_seq, both i. A
-        chunk's representatives are turned into text by one orjson call and
-        split into rows. orjson writes the shortest text that round-trips,
-        as float.__repr__ does, but lays it out differently for a value that
-        is not finite or whose magnitude is nonzero and below 1e-4 or from
-        1e16 on, where float.__repr__ turns to exponent notation; a row
-        holding one is written by the json encoder.
+        label as an object with its label_id and created_seq, both i. Each
+        run of labels in a chunk is turned into text by one orjson call.
+        orjson writes the shortest text that round-trips, as float.__repr__
+        does, but lays it out differently for a value that is not finite or
+        whose magnitude is nonzero and below 1e-4 or from 1e16 on, where
+        float.__repr__ turns to exponent notation; a label whose
+        representative holds one is written by the json encoder, and ends
+        the run before it.
         """
         import orjson  # only here: reduce and --version never load it
 
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        fh.write(f'{{"assignment":{encode(self.assignment)},"labels":[')
+        options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS
+        yield f'{{"assignment":{encode(self.assignment)},"labels":['.encode()
         for lo in range(0, len(self.polarity), WRITE_LABELS):
             hi = lo + WRITE_LABELS
             reps = np.ascontiguousarray(self.representatives[lo:hi],
                                         dtype=np.float64)
-            rows = orjson.dumps(reps, option=orjson.OPT_SERIALIZE_NUMPY)
-            rows = rows[2:-2].decode().split("],[")
+            labels = [{"created_seq": i, "label_id": i,
+                       "member_count": members, "polarity": kind,
+                       "representative": row}
+                      for i, (kind, members, row) in enumerate(zip(
+                          self.polarity[lo:hi], self.member_count[lo:hi],
+                          reps), lo)]
             size = np.abs(reps)
             plain = (size == 0) | ((size >= 1e-4) & (size < 1e16))
-            for k in np.flatnonzero(~plain.all(axis=1)).tolist():
-                rows[k] = encode(reps[k].tolist())[1:-1]
-            for i, (kind, members, row) in enumerate(zip(
-                    self.polarity[lo:hi], self.member_count[lo:hi], rows), lo):
-                fh.write(f'{"," if i else ""}'
-                         f'{{"created_seq":{i},"label_id":{i},'
-                         f'"member_count":{members},'
-                         f'"polarity":{encode(kind)},'
-                         f'"representative":[{row}]}}')
-        fh.write(f'],"zero_vector_sets":{encode(self.zero_vector_sets)}}}')
+            texts, start = [], 0
+            for k in [*np.flatnonzero(~plain.all(axis=1)).tolist(),
+                      len(labels)]:
+                if start < k:
+                    texts.append(orjson.dumps(labels[start:k],
+                                              option=options)[1:-1])
+                if k < len(labels):
+                    texts.append(encode(dict(
+                        labels[k], representative=reps[k].tolist())).encode())
+                start = k + 1
+            yield (b"," if lo else b"") + b",".join(texts)
+        yield f'],"zero_vector_sets":{encode(self.zero_vector_sets)}}}'.encode()
 
 
 # Bytes, or characters, hashed at a time: a table is never held twice to be
@@ -131,21 +157,23 @@ def sidecar_path(table_path) -> Path:
 _SIDECAR_DATE = (1980, 1, 1, 0, 0, 0)
 
 
-def write_sidecar(table: LabelTable, table_path, stamp: dict) -> None:
+def write_sidecar(table: LabelTable, table_path, stamp: dict,
+                  digest: str) -> None:
     """Write table as the labels.npz beside the labels.json at table_path,
-    bound to that file's bytes by their sha256.
+    bound to that file's bytes by digest, the sha256 (hex) of the bytes as
+    written, which LabelTable.save returns.
 
-    The members are .npy arrays: sha256 and stamp (stamp as JSON) as
-    strings; polarity per label; representatives, labels x dim float64, bit
-    for bit; assignment and zero_vector_sets. A label's id and creation
+    The members are .npy arrays: sha256 (digest) and stamp (stamp as JSON)
+    as strings; polarity per label; representatives, labels x dim float64,
+    bit for bit; assignment and zero_vector_sets. A label's id and creation
     order are its row and its member count is its count in assignment, so
-    none of them is stored. The file is hashed a block at a time, and each
-    member is written from the array's own bytes, with no copy.
+    none of them is stored. Each member is written from the array's own
+    bytes, with no copy.
     """
     import zipfile
 
     arrays = {
-        "sha256": np.array(file_sha256(table_path)),
+        "sha256": np.array(digest),
         "stamp": np.array(json.dumps(stamp, sort_keys=True)),
         "polarity": np.array(table.polarity, dtype=str),
         "representatives": np.ascontiguousarray(table.representatives,
@@ -486,17 +514,16 @@ def label_node_sets(sets: ChainBatch, malicious: MaliciousNodeList,
 
     for lo in range(0, len(sets), LABEL_BLOCK):
         block = features[lo:lo + LABEL_BLOCK]
-        normalized = np.zeros((len(block), dim))
-        nonzero = []
-        # A norm per row, the bits of np.linalg.norm: an axis=1 norm is a
-        # different reduction and may round differently.
-        for i, feature in enumerate(block):
-            norm = math.sqrt(float(feature @ feature))
-            nonzero.append(norm != 0.0)
-            exact_only = exact_only or not math.isfinite(norm)
-            if norm != 0.0:
-                normalized[i] = feature / norm
-        exact_only = exact_only or not window_holds(normalized).all()
+        # A norm per row, the bits of np.linalg.norm (the root of the row's
+        # np.dot with itself): an axis=1 norm is a different reduction and
+        # may round differently.
+        norms = np.sqrt(np.array(list(map(np.dot, block, block))))[:, None]
+        nonzero = norms != 0.0
+        normalized = np.divide(block, norms, out=np.zeros_like(block),
+                               where=nonzero)
+        nonzero = nonzero[:, 0].tolist()
+        exact_only = (exact_only or not np.isfinite(norms).all()
+                      or not window_holds(normalized).all())
         start = len(founders)
         proj = normalized @ direction
         if not exact_only:

@@ -20,9 +20,10 @@ from .graph import Graph
 from .ingest import EventTable
 
 # Chains featurized per block. It bounds the size of the block's temporary
-# (FEATURE_CHUNK x dim float64, 2 MB at dim 64); each row's sum runs in chain
-# position order whatever the chunk, so no bit depends on it.
-FEATURE_CHUNK = 4096
+# (FEATURE_CHUNK x dim float64, 256 KB at dim 64, which stays in cache);
+# each row's sum runs in chain position order whatever the chunk, so no bit
+# depends on it.
+FEATURE_CHUNK = 512
 # Reach bounds are stored one byte per half-edge; deeper reach saturates here.
 REACH_LIMIT = 255
 
@@ -127,8 +128,8 @@ def _half_edges(events: EventTable, node_count: int, size: int
     ts_s = ts[order]
     neighbor_s = np.concatenate([objects, subjects])[order]
     del node, ts
-    bounds = np.searchsorted(node_s, np.arange(node_count + 1)
-                             ).astype(np.int32)
+    bounds = np.zeros(node_count + 1, dtype=np.int32)
+    np.cumsum(np.bincount(node_s, minlength=node_count), out=bounds[1:])
     # Where bisect_left starts each half-edge's scan (the first of its node's
     # edges at its timestamp) and where its node's block ends.
     new_run = np.ones(n, dtype=bool)
@@ -141,11 +142,15 @@ def _half_edges(events: EventTable, node_count: int, size: int
     by_pair = np.lexsort((neighbor_s, node_s)).astype(np.int32)
     pair = node_s[by_pair].astype(np.int64) * node_count + neighbor_s[by_pair]
     ts_s = ts_s[by_pair]
-    new_run[1:] = (pair[1:] != pair[:-1]) | (ts_s[1:] != ts_s[:-1])
+    pair_change = pair[1:] != pair[:-1]
+    new_run[1:] = pair_change | (ts_s[1:] != ts_s[:-1])
     pair_start = np.where(new_run, half, 0)
     np.maximum.accumulate(pair_start, out=pair_start)
-    pair_end = np.searchsorted(pair, pair, side="right").astype(np.int32)
-    del node_s, ts_s, new_run, half, pair
+    # Each pair group's end, set at its last half-edge and carried back.
+    pair_end = np.full(n, n, dtype=np.int32)
+    pair_end[:-1][pair_change] = np.flatnonzero(pair_change) + 1
+    np.minimum.accumulate(pair_end[::-1], out=pair_end[::-1])
+    del node_s, ts_s, new_run, half, pair, pair_change
 
     # Pass t marks the half-edges with reach >= t: some edge at the node,
     # no earlier, to another neighbor leads to a far end with reach >= t - 1.

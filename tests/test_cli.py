@@ -13,12 +13,14 @@ from provprune import cli
 from provprune.cli import LabelConfig, main
 from provprune.graph import build_graph, node_mask, remove_nodes
 from provprune.ingest import parse_file
-from provprune.label import TABLE_FORMAT
+from provprune.label import (BENIGN, MALICIOUS, TABLE_FORMAT, LabelTable,
+                             file_sha256, label_table_from_json)
 
 from oracles import (
     event_records,
     export_graph,
     record_lines,
+    reference_table_json,
     rewritten_sidecar,
 )
 from test_golden import mask_timings
@@ -276,6 +278,38 @@ def test_label_writes_table_and_echo(corpus, capsys):
     assert record["config"]["dim"] == 64
     assert sorted(path.name for path in out.iterdir()) == [
         "label_metrics.json", "labels.json", "labels.npz"]
+
+
+@pytest.mark.parametrize("table", [
+    LabelTable(),
+    # 5e-5 is written by the JSON encoder, not by orjson.
+    LabelTable(polarity=[MALICIOUS, BENIGN], member_count=[2, 1],
+               representatives=np.array([[0.5, 5e-5], [1.0, -0.25]]),
+               assignment=[0, 1, 0], zero_vector_sets=1),
+], ids=["empty", "encoder-row"])
+def test_label_binds_the_sidecar_to_the_bytes_on_disk(corpus, monkeypatch,
+                                                      table):
+    """The digest label hands write_sidecar is the sha256 of labels.json as
+    it lies on disk, whose text is the table's JSON and a newline."""
+    digests = []
+
+    def recording(table, table_path, stamp, digest):
+        digests.append(digest)
+        return write_sidecar(table, table_path, stamp, digest)
+
+    write_sidecar = cli.write_sidecar
+    monkeypatch.setattr(cli, "write_sidecar", recording)
+    monkeypatch.setattr(cli, "label_node_sets", lambda *a, **k: table)
+    out = corpus / "lab"
+    assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
+                 "--out", str(out)]) == 0
+    path = out / "labels.json"
+    assert digests == [file_sha256(path)]
+    text = path.read_text(encoding="utf-8")
+    assert text == reference_table_json(table) + "\n"
+    back, _ = label_table_from_json(text, out / "labels.npz")
+    assert back.assignment == table.assignment
+    assert back.representatives.tobytes() == table.representatives.tobytes()
 
 
 def test_label_takes_a_set_size_deeper_than_the_stack(tmp_path):

@@ -46,6 +46,9 @@ def test_memoized_slots_give_embed_text_bits(dim, seed):
     texts += [a + b for a in EDGE_TEXTS for b in EDGE_TEXTS[:4]]
     # Lone and reversed surrogates, which JSON escapes can carry into a text.
     texts += ["a\ud800b", "\udfff", "x\udc00\ud83dy", "\ud83d\ude00"]
+    # A whole-text gram ("\x00" + padded) that is another text's n-gram:
+    # "\x00<a>" memoized first as a whole text, "\x00<bc>" as an n-gram.
+    texts += ["a", "x\x00<a>y", "x\x00<bc>", "bc"]
     emb = HashNgramEmbedder(dim=dim, seed=seed)
     for text in texts:
         want = reference_embed_text(text, dim, seed).tobytes()

@@ -240,23 +240,23 @@ def test_random_syscall_strings_never_pass_filter():
 
 @pytest.mark.parametrize("synthesize_dangling", [False, True])
 def test_events_share_node_id_and_syscall_strings(synthesize_dangling):
-    """Accepted events hold their endpoints' node-id strings and the
-    module's syscall names, not copies decoded from their own lines."""
+    """The event table numbers endpoints in the node table's own ids list,
+    and each accepted event names its own line's subject, object, syscall
+    and timestamp; a dangling event is accepted only when placeholders are
+    synthesized."""
     rng = random.Random(78)
     nodes, events = random_graph_records(rng, max_events=80)
     source = record_lines(nodes, events)
-    source.append(json.dumps({"kind": "event", "syscall": "read",
-                              "subject": "ghost-p", "object": "ghost-f",
-                              "ts": 3}))
+    ghost = Event(subject="ghost-p", object="ghost-f", syscall="read", ts=3)
+    source.append(json.dumps({"kind": "event", "syscall": ghost.syscall,
+                              "subject": ghost.subject,
+                              "object": ghost.object, "ts": ghost.ts}))
     got_nodes, got_events, _ = parse_stream(
         source, synthesize_dangling=synthesize_dangling)
-    by_id = {n.id: n for n in got_nodes}
-    names = {name: name for name in SYSCALL_OBJECT_KIND}
+    assert got_events.ids is got_nodes.ids
     assert len(got_events) >= 10
-    for ev in event_records(got_events):
-        assert ev.subject is by_id[ev.subject].id
-        assert ev.object is by_id[ev.object].id
-        assert ev.syscall is names[ev.syscall]
+    want = events + [ghost] if synthesize_dangling else events
+    assert event_records(got_events) == want
 
 
 @pytest.mark.parametrize("synthesize_dangling", [False, True])

@@ -638,7 +638,7 @@ def saved_table(path, table, stamp=STAMP):
     table's text."""
     text = table_json(table) + "\n"
     path.write_text(text, encoding="utf-8")
-    label.write_sidecar(table, path, stamp)
+    label.write_sidecar(table, path, stamp, label.file_sha256(path))
     return text
 
 
@@ -799,8 +799,8 @@ def test_sidecar_of_other_bytes_is_not_used(tmp_path):
 
 def test_sidecar_write_holds_no_second_table(tmp_path):
     """The sidecar is written from the table's own rows, a few at a time,
-    and labels.json is hashed a block at a time: the write never holds a
-    second copy of the representatives, let alone the whole file."""
+    and binds the digest it is given: the write never holds a second copy
+    of the representatives, let alone the whole file."""
     rng = np.random.default_rng(641)
     reps = rng.normal(size=(8192, 64))
     table = LabelTable(polarity=[BENIGN] * 8192, member_count=[1] * 8192,
@@ -809,7 +809,8 @@ def test_sidecar_write_holds_no_second_table(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         table.write_json(fh)
     assert path.stat().st_size > 2 * reps.nbytes
-    _, peak = traced_peak(label.write_sidecar, table, path, STAMP)
+    _, peak = traced_peak(label.write_sidecar, table, path, STAMP,
+                          label.file_sha256(path))
     assert peak < reps.nbytes / 4
     # The load hashes the text a block at a time: encoding it whole would
     # hold len(text) bytes on top of the arrays.

@@ -256,6 +256,21 @@ def test_star_lists_its_half_edges_and_no_live_anchor():
     assert len(table.anchors) == len(table.starts) == len(table.nexts) == 0
 
 
+def test_half_edge_bounds_are_each_nodes_block():
+    """bounds[v] counts the half-edges of nodes before v, self-loops left
+    out: where v's block starts in the node-sorted half-edges."""
+    rng = random.Random(2627)
+    for _ in range(100):
+        g = graph_of(*multigraph_records(rng))
+        keep = g.events.src != g.events.dst
+        ends = np.sort(np.concatenate([g.events.src[keep],
+                                       g.events.dst[keep]]))
+        want = np.searchsorted(ends, np.arange(len(g.table) + 1)).tolist()
+        for size in (2, 3, 5):
+            assert list(_half_edges(g.events, len(g.table), size).bounds) \
+                == want
+
+
 def single_writer(m):
     """One process writes one file m times."""
     nodes = [NodeRecord(id="w", kind="process", cmdline="w"),

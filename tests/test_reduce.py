@@ -15,6 +15,7 @@ from provprune.label import (
     LabelTable,
     MaliciousNodeList,
     build_malicious_list,
+    file_sha256,
     label_node_sets,
     label_table_from_json,
     parse_ioc_file,
@@ -484,7 +485,7 @@ def test_pipeline_leaves_no_cyclic_garbage(tmp_path):
         path = tmp_path / "labels.json"
         with open(path, "w", encoding="utf-8") as fh:
             table.write_json(fh)
-        write_sidecar(table, path, {})
+        write_sidecar(table, path, {}, file_sha256(path))
         table, _ = stage("labels.json", label_table_from_json(
             path.read_text(encoding="utf-8"), sidecar_path(path)))
         reports = stage("sweep", sweep_top_n(

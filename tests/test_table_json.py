@@ -111,7 +111,7 @@ def test_labeled_table_loads_back_from_its_files(case):
         with open(path, "w", encoding="utf-8") as fh:
             table.write_json(fh)
             fh.write("\n")
-        label.write_sidecar(table, path, stamp)
+        label.write_sidecar(table, path, stamp, label.file_sha256(path))
         back, back_stamp = label.label_table_from_json(
             path.read_text(encoding="utf-8"), label.sidecar_path(path))
     assert back_stamp == stamp
