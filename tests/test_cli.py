@@ -291,13 +291,12 @@ def test_label_binds_the_sidecar_to_the_bytes_on_disk(corpus, monkeypatch,
                                                       table):
     """The digest label hands write_sidecar is the sha256 of labels.json as
     it lies on disk, whose text is the table's JSON and a newline."""
-    digests = []
+    digests, write_sidecar = [], cli.write_sidecar
 
     def recording(table, table_path, stamp, digest):
         digests.append(digest)
         return write_sidecar(table, table_path, stamp, digest)
 
-    write_sidecar = cli.write_sidecar
     monkeypatch.setattr(cli, "write_sidecar", recording)
     monkeypatch.setattr(cli, "label_node_sets", lambda *a, **k: table)
     out = corpus / "lab"
