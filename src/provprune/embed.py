@@ -25,20 +25,17 @@ NGRAM_SIZES = (3, 4, 5)
 COSINE_SLACK = 1e-9
 
 
-def _keyed_hash(seed: int):
-    """An 8-byte blake2b keyed by seed, fed nothing yet: each gram is hashed
-    by a copy of it, which skips hashing the key block again."""
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    return hashlib.blake2b(digest_size=8, key=key)
+def _seed_key(seed: int) -> bytes:
+    return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
 
-def _hashed_vector(text: str, dim: int, keyed,
+def _hashed_vector(text: str, dim: int, key: bytes,
                    memo: dict[str, int]) -> np.ndarray:
     """The normalized signed sum of text's hashed grams; empty text is e0.
 
-    keyed is _keyed_hash of the seed. memo maps each gram already seen
-    under this dim and seed to its code, 2 * slot + 1 for a plus sign and
-    2 * slot for a minus, and learns the new ones.
+    memo maps each gram already seen under this dim and key to its code,
+    2 * slot + 1 for a plus sign and 2 * slot for a minus, and learns the
+    new ones.
     """
     if not text:
         vec = np.zeros(dim, dtype=np.float64)
@@ -57,9 +54,9 @@ def _hashed_vector(text: str, dim: int, keyed,
             if codes[i] is None:
                 code = memo.get(gram)  # a gram may recur in one text
                 if code is None:
-                    hasher = keyed.copy()
-                    hasher.update(gram.encode("utf-8", "surrogatepass"))
-                    h = int.from_bytes(hasher.digest(), "little")
+                    h = int.from_bytes(hashlib.blake2b(
+                        gram.encode("utf-8", "surrogatepass"),
+                        digest_size=8, key=key).digest(), "little")
                     code = memo[gram] = 2 * (h % dim) + (h >> 63)
                 codes[i] = code
     # Counts of +1 and -1 per slot: their difference is the sum of the signs,
@@ -86,11 +83,11 @@ class HashNgramEmbedder:
         if dim < 8:
             raise ValueError(f"dim must be at least 8, got {dim}")
         self.dim = dim
-        self._keyed = _keyed_hash(seed)
+        self._key = _seed_key(seed)
         self._slots: dict[str, int] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        return _hashed_vector(text, self.dim, self._keyed, self._slots)
+        return _hashed_vector(text, self.dim, self._key, self._slots)
 
     def node_vector(self, node: NodeRecord) -> np.ndarray:
         return self.embed(node.attr_text())
