@@ -36,7 +36,7 @@ _STAGE_NAMES = {
                "top_commands"),
     "label": ("TABLE_FORMAT", "build_malicious_list", "file_sha256",
               "label_node_sets", "label_table_from_json", "parse_ioc_file",
-              "sidecar_path", "write_sidecar"),
+              "sidecar_path"),
     "nodeset": ("chain_counts", "enumerate_node_sets", "featurize_sets"),
     "reduce": ("sweep_top_n", "write_sweep_csv"),
 }
@@ -442,8 +442,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     seconds = time.perf_counter() - t0
     del malicious, sets  # freed before the write
     with run.stage("table_write"):
-        digest = table.save(out_dir / "labels.json")
-        write_sidecar(table, out_dir / "labels.json", _stamp(cfg), digest)
+        table.save(out_dir / "labels.json", _stamp(cfg))
     run.wrote(out_dir / "labels.json", out_dir / "labels.npz")
     run.write(out_dir)
     benign = table.polarity.count("benign")

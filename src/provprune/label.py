@@ -70,15 +70,10 @@ class LabelTable:
         """Each label's polarity, in label order."""
         return self.polarity
 
-    def write_json(self, fh) -> None:
-        """Write the table's JSON text to fh, one write per WRITE_LABELS
-        labels."""
-        fh.writelines(chunk.decode() for chunk in self._json_chunks())
-
-    def save(self, path) -> str:
+    def save(self, path, stamp: dict) -> None:
         """Write the table to path as labels.json, its JSON text and a
-        newline as UTF-8, and return the sha256 (hex) of the bytes as they
-        are written: the file is never read back."""
+        newline as UTF-8, and beside it as labels.npz, bound to the sha256
+        of the bytes as they are written: labels.json is never read back."""
         digest = hashlib.sha256()
         with open(path, "wb") as fh:
             for data in self._json_chunks():
@@ -86,7 +81,7 @@ class LabelTable:
                 fh.write(data)
             digest.update(b"\n")
             fh.write(b"\n")
-        return digest.hexdigest()
+        self._write_sidecar(path, stamp, digest.hexdigest())
 
     def _json_chunks(self):
         """Compact JSON with sorted keys, as bytes, in pieces of
@@ -132,6 +127,41 @@ class LabelTable:
             yield (b"," if lo else b"") + b",".join(texts)
         yield f'],"zero_vector_sets":{encode(self.zero_vector_sets)}}}'.encode()
 
+    def _write_sidecar(self, table_path, stamp: dict, digest: str) -> None:
+        """Write the table as the labels.npz beside the labels.json at
+        table_path, bound to it by digest, the sha256 (hex) of its bytes.
+
+        The members are .npy arrays: sha256 (digest) and stamp (stamp as
+        JSON) as strings; polarity per label; representatives, labels x dim
+        float64, bit for bit; assignment and zero_vector_sets. A label's id
+        and creation order are its row and its member count is its count in
+        assignment, so none of them is stored. Each member is written from
+        the array's own bytes, with no copy.
+        """
+        import zipfile
+
+        arrays = {
+            "sha256": np.array(digest),
+            "stamp": np.array(json.dumps(stamp, sort_keys=True)),
+            "polarity": np.array(self.polarity, dtype=str),
+            "representatives": np.ascontiguousarray(self.representatives,
+                                                    dtype="<f8"),
+            "assignment": np.array(self.assignment, dtype=np.int64),
+            "zero_vector_sets": np.array(self.zero_vector_sets,
+                                         dtype=np.int64),
+        }
+        with zipfile.ZipFile(sidecar_path(table_path), "w") as zf:
+            for name, array in arrays.items():
+                info = zipfile.ZipInfo(f"{name}.npy", date_time=_SIDECAR_DATE)
+                # Unix attributes whatever the platform, which would
+                # otherwise show in the bytes.
+                info.create_system = 3
+                info.external_attr = 0o644 << 16
+                with zf.open(info, "w") as fh:
+                    np.lib.format.write_array_header_1_0(
+                        fh, np.lib.format.header_data_from_array_1_0(array))
+                    fh.write(array.data)
+
 
 # Bytes, or characters, hashed at a time: a table is never held twice to be
 # hashed.
@@ -157,51 +187,14 @@ def sidecar_path(table_path) -> Path:
 _SIDECAR_DATE = (1980, 1, 1, 0, 0, 0)
 
 
-def write_sidecar(table: LabelTable, table_path, stamp: dict,
-                  digest: str) -> None:
-    """Write table as the labels.npz beside the labels.json at table_path,
-    bound to that file's bytes by digest, the sha256 (hex) of the bytes as
-    written, which LabelTable.save returns.
-
-    The members are .npy arrays: sha256 (digest) and stamp (stamp as JSON)
-    as strings; polarity per label; representatives, labels x dim float64,
-    bit for bit; assignment and zero_vector_sets. A label's id and creation
-    order are its row and its member count is its count in assignment, so
-    none of them is stored. Each member is written from the array's own
-    bytes, with no copy.
-    """
-    import zipfile
-
-    arrays = {
-        "sha256": np.array(digest),
-        "stamp": np.array(json.dumps(stamp, sort_keys=True)),
-        "polarity": np.array(table.polarity, dtype=str),
-        "representatives": np.ascontiguousarray(table.representatives,
-                                                dtype="<f8"),
-        "assignment": np.array(table.assignment, dtype=np.int64),
-        "zero_vector_sets": np.array(table.zero_vector_sets, dtype=np.int64),
-    }
-    with zipfile.ZipFile(sidecar_path(table_path), "w") as zf:
-        for name, array in arrays.items():
-            info = zipfile.ZipInfo(f"{name}.npy", date_time=_SIDECAR_DATE)
-            # Unix attributes whatever the platform, which would otherwise
-            # show in the bytes.
-            info.create_system = 3
-            info.external_attr = 0o644 << 16
-            with zf.open(info, "w") as fh:
-                np.lib.format.write_array_header_1_0(
-                    fh, np.lib.format.header_data_from_array_1_0(array))
-                fh.write(array.data)
-
-
 def label_table_from_json(text: str, sidecar) -> tuple[LabelTable, dict]:
     """The table saved as a labels.json whose text is text, and the stamp
     it was written with, read from sidecar, the labels.npz that
-    write_sidecar wrote beside it.
+    LabelTable.save wrote beside it.
 
     The sidecar is used when its zip opens, every member loads without
     pickles, its sha256 is that of text's UTF-8 bytes (hashed HASH_BLOCK
-    characters at a time), kinds and shapes are those write_sidecar writes,
+    characters at a time), kinds and shapes are those LabelTable.save writes,
     the assignment is one labeling could give (entries from 0, each at most
     one above every entry before it, the largest naming the last label) and
     zero_vector_sets is in 0..len(assignment). Otherwise a ValueError names

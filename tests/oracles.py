@@ -812,10 +812,9 @@ def export_graph(graph, fmt="jsonl"):
 
 
 def table_json(table):
-    """The whole text LabelTable.write_json writes, as one string."""
-    buf = io.StringIO()
-    table.write_json(buf)
-    return buf.getvalue()
+    """The JSON text LabelTable.save writes to labels.json, before its
+    newline, as one string."""
+    return b"".join(table._json_chunks()).decode()
 
 
 def rewritten_sidecar(path, **members):

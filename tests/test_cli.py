@@ -289,21 +289,16 @@ def test_label_writes_table_and_echo(corpus, capsys):
 ], ids=["empty", "encoder-row"])
 def test_label_binds_the_sidecar_to_the_bytes_on_disk(corpus, monkeypatch,
                                                       table):
-    """The digest label hands write_sidecar is the sha256 of labels.json as
-    it lies on disk, whose text is the table's JSON and a newline."""
-    digests, write_sidecar = [], cli.write_sidecar
-
-    def recording(table, table_path, stamp, digest):
-        digests.append(digest)
-        return write_sidecar(table, table_path, stamp, digest)
-
-    monkeypatch.setattr(cli, "write_sidecar", recording)
+    """The digest label binds into labels.npz, hashed from the bytes as they
+    are written, is the sha256 of labels.json as it lies on disk, whose
+    text is the table's JSON and a newline."""
     monkeypatch.setattr(cli, "label_node_sets", lambda *a, **k: table)
     out = corpus / "lab"
     assert main(["label", "--labeled", str(corpus / "a" / "corpus.jsonl"),
                  "--out", str(out)]) == 0
     path = out / "labels.json"
-    assert digests == [file_sha256(path)]
+    with np.load(out / "labels.npz") as npz:
+        assert npz["sha256"].item() == file_sha256(path)
     text = path.read_text(encoding="utf-8")
     assert text == reference_table_json(table) + "\n"
     back, _ = label_table_from_json(text, out / "labels.npz")
@@ -1316,7 +1311,7 @@ def _widen_last(table):
     (_repeat_first_id, "label_id"),
 ])
 def test_malformed_label_table_is_usage_error(corpus, capsys, spoil, field):
-    """A labels.json that write_json could not have written, with field at
+    """A labels.json that label could not have written, with field at
     fault, no longer matches its labels.npz: exit 1 naming the digest
     mismatch, never a traceback, never a run on a wrong table."""
     table = _label_default(corpus)

@@ -1,4 +1,3 @@
-import io
 import json
 import random
 
@@ -356,13 +355,10 @@ def test_write_json_streams_the_to_json_bytes(tmp_path):
                      np.array([rng.gauss(0, 1) for _ in range(8)]))
             for i in range(25)]
     table = label_sets(sets, MaliciousNodeList(ids={"x4"}), threshold=0.3)
-    buf = io.StringIO()
-    table.write_json(buf)
-    assert buf.getvalue() == reference_table_json(table)
-    with open(tmp_path / "labels.json", "w", encoding="utf-8") as fh:
-        table.write_json(fh)
+    assert table_json(table) == reference_table_json(table)
+    table.save(tmp_path / "labels.json", STAMP)
     assert (tmp_path / "labels.json").read_text(encoding="utf-8") == \
-        reference_table_json(table)
+        reference_table_json(table) + "\n"
 
 
 @pytest.mark.parametrize("chunk", [1, 3, label.WRITE_LABELS])
@@ -389,12 +385,8 @@ def test_write_json_writes_special_floats_as_json_dumps(monkeypatch, chunk):
         member_count=[1 + i % 4 for i in range(len(reps))],
         representatives=np.array(reps),
         assignment=list(range(len(reps))), zero_vector_sets=1)
-    buf = io.StringIO()
-    table.write_json(buf)
-    assert buf.getvalue() == reference_table_json(table)
-    empty = io.StringIO()
-    LabelTable().write_json(empty)
-    assert empty.getvalue() == reference_table_json(LabelTable())
+    assert table_json(table) == reference_table_json(table)
+    assert table_json(LabelTable()) == reference_table_json(LabelTable())
 
 
 def mixed_features(rng, count, dim=4):
@@ -634,12 +626,10 @@ STAMP = {"format": 2, "model": "hash-ngrams", "dim": 6, "seed": 97,
 
 
 def saved_table(path, table, stamp=STAMP):
-    """Write table as labels.json at path plus its sidecar; return the
+    """Save table as labels.json at path plus its sidecar; return the
     table's text."""
-    text = table_json(table) + "\n"
-    path.write_text(text, encoding="utf-8")
-    label.write_sidecar(table, path, stamp, label.file_sha256(path))
-    return text
+    table.save(path, stamp)
+    return path.read_text(encoding="utf-8")
 
 
 def sidecar_tables():
@@ -806,10 +796,9 @@ def test_sidecar_write_holds_no_second_table(tmp_path):
     table = LabelTable(polarity=[BENIGN] * 8192, member_count=[1] * 8192,
                        representatives=reps, assignment=list(range(8192)))
     path = tmp_path / "labels.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        table.write_json(fh)
+    table.save(path, STAMP)
     assert path.stat().st_size > 2 * reps.nbytes
-    _, peak = traced_peak(label.write_sidecar, table, path, STAMP,
+    _, peak = traced_peak(table._write_sidecar, path, STAMP,
                           label.file_sha256(path))
     assert peak < reps.nbytes / 4
     # The load hashes the text a block at a time: encoding it whole would

@@ -15,12 +15,10 @@ from provprune.label import (
     LabelTable,
     MaliciousNodeList,
     build_malicious_list,
-    file_sha256,
     label_node_sets,
     label_table_from_json,
     parse_ioc_file,
     sidecar_path,
-    write_sidecar,
 )
 from provprune.nodeset import NodeSet, enumerate_node_sets, featurize_sets
 from provprune import reduce
@@ -483,9 +481,7 @@ def test_pipeline_leaves_no_cyclic_garbage(tmp_path):
         sets = stage("featurize", featurize_sets(sets, g, weights, emb))
         table = stage("label", label_node_sets(sets, malicious))
         path = tmp_path / "labels.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            table.write_json(fh)
-        write_sidecar(table, path, {}, file_sha256(path))
+        table.save(path, {})
         table, _ = stage("labels.json", label_table_from_json(
             path.read_text(encoding="utf-8"), sidecar_path(path)))
         reports = stage("sweep", sweep_top_n(

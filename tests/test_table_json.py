@@ -1,5 +1,5 @@
-"""labels.json's text for any representative bits: LabelTable.write_json
-writes what json.dumps writes for the whole payload. Any table the labeler
+"""labels.json's text for any representative bits: LabelTable.save writes
+what json.dumps writes for the whole payload. Any table the labeler
 can give loads back from the files it is saved as."""
 
 import struct
@@ -108,10 +108,7 @@ def test_labeled_table_loads_back_from_its_files(case):
     stamp = {"model": "hash-ngrams", "threshold": case[2]}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "labels.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            table.write_json(fh)
-            fh.write("\n")
-        label.write_sidecar(table, path, stamp, label.file_sha256(path))
+        table.save(path, stamp)
         back, back_stamp = label.label_table_from_json(
             path.read_text(encoding="utf-8"), label.sidecar_path(path))
     assert back_stamp == stamp
