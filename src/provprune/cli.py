@@ -1,11 +1,11 @@
 """Command-line front end driving the four pipeline phases.
 
 Subcommands: stats, synth, label, reduce, report. Each command takes only
-the settings it reads, each named by its LabelConfig or ReduceConfig field:
-defaults, then config file, then flags. reduce runs at the settings stamped
-on its label table. Every label or reduce run writes one record,
-label_metrics.json or reduce_metrics.json: its settings (a config file that
-reproduces the run), stage seconds, peak RSS, counts.
+the settings it reads, each named by its LabelConfig or ReduceConfig field
+in settings.py: defaults, then config file, then flags. reduce runs at the
+settings stamped on its label table. Every label or reduce run writes one
+record, label_metrics.json or reduce_metrics.json: its settings (a config
+file that reproduces the run), stage seconds, peak RSS, counts.
 """
 
 from __future__ import annotations
@@ -18,17 +18,16 @@ import shutil
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .constants import (DEFAULT_CAP_PER_ANCHOR, DEFAULT_DIM, DEFAULT_SEED,
-                        DEFAULT_SET_SIZE, from_json)
+from .constants import DEFAULT_DIM
 
-# Each stage module and the names the commands take from it, each named
-# once. They are imported on first use, so a command that runs no stage
-# (--version, --help, a usage error, synth, report) loads neither numpy nor
-# any stage module.
+# Each stage module, and the settings module, with the names the commands
+# take from it, each named once. They are imported on first use, so a
+# command that runs no stage (--version, --help, a usage error, synth,
+# report) loads neither numpy nor any stage module, and only the commands
+# that resolve settings load the settings classes and dataclasses.
 _STAGE_NAMES = {
     "embed": ("compute_weights", "get_embedder"),
     "graph": ("build_graph", "remove_nodes", "save_graph", "summarize"),
@@ -39,90 +38,43 @@ _STAGE_NAMES = {
               "sidecar_path"),
     "nodeset": ("chain_counts", "enumerate_node_sets", "featurize_sets"),
     "reduce": ("sweep_top_n", "write_sweep_csv"),
+    "settings": ("LabelConfig", "MAX_DIM", "ReduceConfig", "from_json",
+                 "resolve_config"),
 }
 _STAGE_OF = {name: module for module, names in _STAGE_NAMES.items()
              for name in names}
-# The commands whose handlers call those names as globals.
-_STAGE_COMMANDS = ("stats", "label", "reduce")
+# Per command, the modules whose names its handler calls as globals.
+_COMMAND_MODULES = {
+    "stats": ("graph", "ingest"),
+    "label": ("embed", "graph", "ingest", "label", "nodeset", "settings"),
+    "reduce": tuple(_STAGE_NAMES),
+}
 
 
 def __getattr__(name: str):
     if name not in _STAGE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f".{_STAGE_OF[name]}", __package__), name)
+    # __import__, unlike importlib.import_module, is what -X importtime
+    # logs, so each module loaded here shows up there.
+    module = __import__(f"{__package__}.{_STAGE_OF[name]}", fromlist=[name])
+    value = getattr(module, name)
     globals()[name] = value  # later reads, and the handlers, find it here
     return value
 
 
-def _bind_stages() -> None:
-    """Bind every stage name not bound yet. A name already bound, such as a
-    caller's wrapper set on this module, is kept."""
-    for name in _STAGE_OF:
-        if name not in globals():
-            __getattr__(name)
+def _bind_stages(modules) -> None:
+    """Bind each name of modules not bound yet. A name already bound, such
+    as a caller's wrapper set on this module, is kept."""
+    for module in modules:
+        for name in _STAGE_NAMES[module]:
+            if name not in globals():
+                __getattr__(name)
 
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
-
-# The widest embedding label takes, from --dim or a vectors file: 512 KB
-# per float64 vector, and far wider than pretrained vectors come.
-MAX_DIM = 65536
-
-
-@dataclass
-class LabelConfig:
-    """Resolved settings of one label run."""
-
-    labeled: str | None = None
-    iocs: str | None = None
-    out_dir: str = "."
-    # None: the embedder's width, which is a vectors file's own.
-    dim: int | None = None
-    seed: int = DEFAULT_SEED
-    model: str = "hash-ngrams"
-    set_size: int = DEFAULT_SET_SIZE
-    cap_per_anchor: int = DEFAULT_CAP_PER_ANCHOR
-    threshold: float = 1.0
-    synthesize_dangling: bool = False
-
-    def validate(self) -> None:
-        for name, ok, rule in (
-                ("dim", self.dim is None or 8 <= self.dim <= MAX_DIM,
-                 f"in [8, {MAX_DIM}]"),
-                ("set_size", self.set_size >= 2, "at least 2"),
-                ("threshold", -1.0 <= self.threshold <= 1.0, "in [-1, 1]"),
-                ("cap_per_anchor", self.cap_per_anchor >= 0, "0 or more")):
-            if not ok:
-                raise ValueError(f"{name!r} must be {rule}, "
-                                 f"got {getattr(self, name)!r}")
-
-
-@dataclass
-class ReduceConfig:
-    """Resolved settings of one reduce run."""
-
-    eval_corpus: str | None = None
-    labels_file: str | None = None
-    iocs: str | None = None
-    out_dir: str = "."
-    model: str = "hash-ngrams"
-    top_n: list[int] = field(default_factory=lambda: [3, 10, 100])
-    synthesize_dangling: bool = False
-    emit_dot: bool = False
-    emit_removed_ids: bool = False
-    emit_graph: bool = False
-    include_isolated_nodes: bool = False
-
-    def validate(self) -> None:
-        if not self.top_n or min(self.top_n) < 0:
-            raise ValueError(f"'top_n' must be one or more counts, each 0 "
-                             f"or more, got {self.top_n!r}")
-        self.top_n = sorted(set(self.top_n))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,37 +153,6 @@ def build_parser() -> _Parser:
 
 # The settings a label table's stamp holds and reduce runs at.
 _STAMP_KEYS = ("dim", "seed", "set_size", "cap_per_anchor", "threshold")
-
-
-def _resolve_config(args: argparse.Namespace, cls):
-    """A cls from its defaults, config file and flags; checked."""
-    cfg = cls()
-    if getattr(args, "config", None):
-        text = Path(args.config).read_text(encoding="utf-8")
-        try:
-            cfg = from_json(cls, json.loads(text))
-        except ValueError as exc:
-            raise ValueError(f"config file {args.config}: {exc}") from None
-
-    # A flag left out is absent from the namespace (argument_default is
-    # SUPPRESS), so a settings field found there was given on the line.
-    settings = {f.name for f in fields(cfg)} - {"top_n"}
-    for name, value in vars(args).items():
-        if name in settings:
-            setattr(cfg, name, value)
-    if getattr(args, "top_n", None) is not None:
-        try:
-            cfg.top_n = [int(x) for x in args.top_n.split(",") if x.strip()]
-        except ValueError:
-            raise ValueError(f"--top-n expects integers, got {args.top_n!r}") \
-                from None
-    for name, flag in (("labeled", "--labeled"), ("eval_corpus", "--eval"),
-                       ("labels_file", "--labels")):
-        if getattr(cfg, name, "") is None:
-            raise ValueError(f"{flag} is required, as the flag or as config "
-                             f"key {name!r}")
-    cfg.validate()
-    return cfg
 
 
 def _stamp(cfg: LabelConfig) -> dict:
@@ -371,6 +292,8 @@ class _RunMetrics:
                                                         None)
 
     def write(self, out_dir: Path) -> None:
+        from dataclasses import asdict  # loaded with the settings classes
+
         payload = {
             "command": self.command, "version": __version__,
             "config": asdict(self.cfg),
@@ -413,7 +336,7 @@ def _prepare_graph(cfg, path: str, run: _RunMetrics, role: str):
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, LabelConfig)
+    cfg = resolve_config(args, LabelConfig)
     embedder = get_embedder(cfg.model, dim=cfg.dim or DEFAULT_DIM,
                             seed=cfg.seed)
     if cfg.dim not in (None, embedder.dim):
@@ -453,7 +376,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, ReduceConfig)
+    cfg = resolve_config(args, ReduceConfig)
     run = _RunMetrics("reduce", cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -545,8 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
-    if args.command in _STAGE_COMMANDS:
-        _bind_stages()
+    _bind_stages(_COMMAND_MODULES.get(args.command, ()))
     # No stage leaves a reference cycle per record, chain or report (the
     # cyclic-garbage tests check each one), so the cyclic collector would
     # only rescan live objects; the caller's setting comes back afterwards.

@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass, field
 
 from .constants import (KIND_FILE, KIND_NETFLOW, KIND_PROCESS,
-                        SYSCALL_OBJECT_KIND, from_json)
+                        SYSCALL_OBJECT_KIND)
+from .settings import from_json
 
 # Per object kind, the syscalls an event on it draws from, in table order.
 _SYSCALLS_BY_KIND = {
@@ -312,7 +313,7 @@ def ioc_file_lines(truth: GroundTruth) -> list[str]:
 
 def spec_from_json(text: str) -> SynthSpec:
     """Build a SynthSpec from its JSON file form, read by
-    constants.from_json; "attack": true stands for the default attack chain
+    settings.from_json; "attack": true stands for the default attack chain
     and false for none."""
     obj = json.loads(text)
     if type(obj) is dict and type(obj.get("attack")) is bool:

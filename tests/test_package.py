@@ -147,14 +147,18 @@ def test_commands_other_than_synth_never_load_the_generator(tmp_path):
     assert loaded is False
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["--version"], EXIT_OK), (["--help"], EXIT_OK),
-    (["--no-such-flag"], EXIT_USAGE), (["report", "REPORTS"], EXIT_OK),
-    (["synth", "--sample-spec"], EXIT_OK)],
+@pytest.mark.parametrize("argv, code, settings", [
+    (["--version"], EXIT_OK, False), (["--help"], EXIT_OK, False),
+    (["--no-such-flag"], EXIT_USAGE, False),
+    (["report", "REPORTS"], EXIT_OK, False),
+    (["synth", "--sample-spec"], EXIT_OK, True)],
     ids=["version", "help", "unknown-flag", "report", "sample-spec"])
-def test_commands_that_run_no_stage_load_no_numpy(tmp_path, argv, code):
+def test_commands_that_run_no_stage_load_no_numpy(tmp_path, argv, code,
+                                                   settings):
     """The command's entry point, in a fresh interpreter, runs these
-    commands without importing numpy or any stage module."""
+    commands without importing numpy or any stage module. Only synth, whose
+    spec is a dataclass read by settings.from_json, loads the settings
+    module, dataclasses and inspect."""
     reports = tmp_path / "reports.json"
     reports.write_text(json.dumps([{
         "n_requested": 3, "nodes_after": 9, "nodes_removed": 1,
@@ -170,8 +174,39 @@ def test_commands_that_run_no_stage_load_no_numpy(tmp_path, argv, code):
         "    code = exc.code\n"
         "print(json.dumps([code, sorted(m for m in sys.modules\n"
         "    if m.partition('.')[0] == 'numpy'\n"
-        f"    or m.removeprefix('provprune.') in {STAGES!r})]))")
-    assert json.loads(done.stdout.splitlines()[-1]) == [code, []]
+        f"    or m.removeprefix('provprune.') in {STAGES!r}),\n"
+        "    sorted(m for m in sys.modules\n"
+        "    if m in ('dataclasses', 'inspect', 'provprune.settings'))]))")
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        code, [], ["dataclasses", "inspect", "provprune.settings"]
+        if settings else []]
+
+
+@pytest.mark.parametrize("command, loaded, absent", [
+    ("stats", ["graph", "ingest"], "hashlib"),
+    ("label", ["embed", "graph", "ingest", "label", "nodeset", "settings"],
+     "csv")],
+    ids=["stats", "label"])
+def test_stage_command_loads_only_the_modules_it_calls(tmp_path, command,
+                                                       loaded, absent):
+    """stats loads ingest and graph, and so neither label nor hashlib;
+    label loads every stage module but reduce, and so no csv."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(THREE_LINES)
+    argv = {"stats": ["stats", str(corpus), "--out",
+                      str(tmp_path / "stats.json")],
+            "label": ["label", "--labeled", str(corpus),
+                      "--out", str(tmp_path / "run")]}[command]
+    done = run_child(
+        "import json, sys\n"
+        "from provprune.__main__ import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(m.removeprefix('provprune.')\n"
+        "    for m in sys.modules if m.startswith('provprune.')\n"
+        f"    and m.removeprefix('provprune.') in {(*STAGES, 'settings')!r}),"
+        f"\n    {absent!r} in sys.modules]))")
+    assert json.loads(done.stdout.splitlines()[-1]) == [EXIT_OK, loaded,
+                                                        False]
 
 
 def test_fresh_cli_resolves_every_traced_name():

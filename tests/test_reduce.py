@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import itertools
 import random
 from dataclasses import replace
 
@@ -382,7 +383,9 @@ def test_match_ranks_independent_of_chunk_budget(monkeypatch):
             # A row with a NaN, or normalized to one, scores NaN throughout.
             with_nan = np.vstack([rows, [np.nan] + [0.0] * 7,
                                   [np.inf] + [1.0] * 7])
-            for budget in (1, 10, 29, 200, reduce.MATCH_BUDGET):
+            for chunk, budget in itertools.product(
+                    (1, 7, 512), (1, 10, 29, 200, reduce.MATCH_BUDGET)):
+                monkeypatch.setattr(reduce, "MATCH_CHUNK", chunk)
                 monkeypatch.setattr(reduce, "MATCH_BUDGET", budget)
                 assert _min_match_ranks(rows, ranked, threshold).tolist() \
                     == want
