@@ -38,7 +38,7 @@ _STAGE_NAMES = {
               "sidecar_path"),
     "nodeset": ("chain_counts", "enumerate_node_sets", "featurize_sets"),
     "reduce": ("sweep_top_n", "write_sweep_csv"),
-    "settings": ("LabelConfig", "MAX_DIM", "ReduceConfig", "from_json",
+    "settings": ("LabelConfig", "ReduceConfig", "from_json",
                  "resolve_config"),
 }
 _STAGE_OF = {name: module for module, names in _STAGE_NAMES.items()

@@ -15,6 +15,7 @@ from provprune.graph import build_graph, node_mask, remove_nodes
 from provprune.ingest import parse_file
 from provprune.label import (BENIGN, MALICIOUS, TABLE_FORMAT, LabelTable,
                              file_sha256, label_table_from_json)
+from provprune.settings import MAX_DIM
 
 from oracles import (
     event_records,
@@ -1071,14 +1072,14 @@ def test_label_refuses_a_dim_above_the_maximum(tmp_path, capsys,
     built = []
     monkeypatch.setattr(cli, "get_embedder", lambda *a, **k: built.append(a))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dim": cli.MAX_DIM + 1}))
-    extra = {"flag": ["--dim", str(cli.MAX_DIM + 1)],
+    cfg.write_text(json.dumps({"dim": MAX_DIM + 1}))
+    extra = {"flag": ["--dim", str(MAX_DIM + 1)],
              "config": ["--config", str(cfg)]}[how]
     rc = main(["label", "--labeled", str(tmp_path / "none.jsonl"),
                "--out", str(tmp_path / "out"), *extra])
     err = capsys.readouterr().err
     assert rc == 1
-    assert f"'dim' must be in [8, {cli.MAX_DIM}], got {cli.MAX_DIM + 1}" \
+    assert f"'dim' must be in [8, {MAX_DIM}], got {MAX_DIM + 1}" \
         in err
     assert built == []
     assert not (tmp_path / "out").exists()
@@ -1088,12 +1089,12 @@ def test_label_refuses_a_vectors_file_above_the_maximum(tmp_path, capsys):
     """A vectors file wider than MAX_DIM is refused as a --dim is, before
     the corpus is read: reduce would refuse the table's stamp."""
     vectors = tmp_path / "wide.vec"
-    vectors.write_text("tok " + " ".join(["1"] * (cli.MAX_DIM + 1)) + "\n")
+    vectors.write_text("tok " + " ".join(["1"] * (MAX_DIM + 1)) + "\n")
     rc = main(["label", "--labeled", str(tmp_path / "none.jsonl"),
                "--model", f"vectors-file:{vectors}",
                "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert f"'dim' must be in [8, {cli.MAX_DIM}], got {cli.MAX_DIM + 1}" \
+    assert f"'dim' must be in [8, {MAX_DIM}], got {MAX_DIM + 1}" \
         in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
